@@ -361,12 +361,6 @@ class MatrixRep:
             out[perm, cols] += a.amps[i] * phase
         return out
 
-    def generator_matrix(self, k):
-        perm, phase = self._gens[k]
-        out = np.zeros((self.d, self.d), dtype=np.complex128)
-        out[perm, np.arange(self.d)] = phase
-        return out
-
     def trace_state(self, a):
         """Normalized trace of the image, computed without densifying."""
         total = 0.0 + 0.0j

@@ -818,6 +818,18 @@ def _pipeline_ladder(spec, rng):
                 )
             ]
         )
+    widest = max(eps_list)
+    late = [
+        (
+            "/offsets",
+            f"offset {o:g} plus the widest eps {widest:g} passes the "
+            f"horizon T={grid.T:g}",
+        )
+        for o in spec.offsets
+        if o + widest > grid.T * (1 + 1e-9)
+    ]
+    if late:
+        raise SpecError(late)
     per_offset = []
     tables = {}
     overall = True
@@ -977,7 +989,7 @@ _PIPELINES = {
 _BRANCH = {name: i for i, name in enumerate(SUBCOMMANDS)}
 
 
-def run(subcommand, spec, out_dir, seed=0, threads=1):
+def run(subcommand, spec, out_dir, seed=0):
     """Execute a pipeline, write its report files, return the report.
 
     The report (and any CSV tables) land in out_dir; timings go to a
@@ -1030,7 +1042,6 @@ def run(subcommand, spec, out_dir, seed=0, threads=1):
         os.path.join(out_dir, f"{stem}_meta.json"),
         {
             "timings_seconds": timings,
-            "threads_requested": threads,
             "note": "timings vary run to run; the report file does not",
         },
     )
@@ -1064,12 +1075,6 @@ def main(argv=None):
             help=f"output directory (default ${OUT_ENV} or ./fermisde_out)",
         )
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="recorded in the run metadata; pipelines are sequential",
-        )
     sub.add_parser("catalog", help="list built-in problems as JSON")
     args = parser.parse_args(argv)
 
@@ -1087,10 +1092,7 @@ def main(argv=None):
         print(exc, file=sys.stderr)
         return 2
     try:
-        report = run(
-            args.command, spec, args.out, seed=args.seed,
-            threads=args.threads,
-        )
+        report = run(args.command, spec, args.out, seed=args.seed)
     except SpecError as exc:
         print(exc, file=sys.stderr)
         return 2

@@ -237,21 +237,8 @@ def _var_sources(problem, xbar, ubar, u, k0, k1, ypath=None):
     return first_order if ypath is None else second_order
 
 
-def solve_var_y(problem, xbar, ubar, u, eps, offset=0.0, prune=None):
-    """First variational path: derivative flow with spike noise sources."""
-    grid = ubar.grid
-    k0, k1 = spike_window(grid, eps, offset)
-    return linear_euler_forward(
-        grid,
-        _frozen_ops(problem, xbar, ubar),
-        _var_sources(problem, xbar, ubar, u, k0, k1),
-        CliffordElement.zero(grid.n),
-        prune=problem.budget(prune),
-    )
-
-
-def solve_var_z(problem, xbar, ubar, u, ypath, eps, offset=0.0, prune=None):
-    """Second variational path: drift spike plus curvature sources."""
+def _solve_var(problem, xbar, ubar, u, eps, offset, prune, ypath=None):
+    """Variational path on the spike window; ypath selects the order."""
     grid = ubar.grid
     k0, k1 = spike_window(grid, eps, offset)
     return linear_euler_forward(
@@ -261,6 +248,16 @@ def solve_var_z(problem, xbar, ubar, u, ypath, eps, offset=0.0, prune=None):
         CliffordElement.zero(grid.n),
         prune=problem.budget(prune),
     )
+
+
+def solve_var_y(problem, xbar, ubar, u, eps, offset=0.0, prune=None):
+    """First variational path: derivative flow with spike noise sources."""
+    return _solve_var(problem, xbar, ubar, u, eps, offset, prune)
+
+
+def solve_var_z(problem, xbar, ubar, u, ypath, eps, offset=0.0, prune=None):
+    """Second variational path: drift spike plus curvature sources."""
+    return _solve_var(problem, xbar, ubar, u, eps, offset, prune, ypath)
 
 
 def _diff_sq_norms(parts):
@@ -306,10 +303,11 @@ def variation_ladder(problem, ubar, u, eps_list, offset=0.0, prune=None):
     For each eps, solves the spiked state difference xi, the first and
     second variational paths y and z, and the remainders eta = xi - y,
     zeta = eta - z; reports sup-step squared p-norms and fitted log-log
-    slopes. A ladder whose values stay below a resolution floor is
-    flagged vacuous and gets no slope. Slope targets are lower bounds:
-    remainders may decay faster than their guarantee (and do whenever a
-    variational term vanishes identically).
+    slopes. Every window must end by T. A series whose values stay below
+    a resolution floor is flagged vacuous and gets no slope; a ladder
+    with every series vacuous does not pass. Slope targets are lower
+    bounds: remainders may decay faster than their guarantee (and do
+    whenever a variational term vanishes identically).
     """
     if len(eps_list) < 2:
         raise ValueError("need at least two eps values to fit slopes")
@@ -318,6 +316,12 @@ def variation_ladder(problem, ubar, u, eps_list, offset=0.0, prune=None):
         if eps < grid.dt * (1 - 1e-9):
             raise ValueError(
                 f"eps {eps:g} below grid resolution dt={grid.dt:g}"
+            )
+        if offset + eps > grid.T * (1 + 1e-9):
+            # A window clipped at T would be fitted against the nominal eps.
+            raise ValueError(
+                f"spike window [{offset:g}, {offset + eps:g}) passes the "
+                f"horizon T={grid.T:g}"
             )
     xbar = solve_state(problem, ubar, prune=prune)
     sup_x_sq = max(lp_norm(v, problem.p) ** 2 for v in xbar)
@@ -373,7 +377,7 @@ def variation_ladder(problem, ubar, u, eps_list, offset=0.0, prune=None):
         "vacuous": vacuous,
         "zeta_dominated_by_eta": dominated,
         "floor": floor,
-        "pass": passed,
+        "pass": passed and not all(vacuous.values()),
     }
 
 

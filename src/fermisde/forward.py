@@ -23,7 +23,12 @@ import numpy as np
 from . import _sparse as sp
 from .algebra import CliffordElement, lp_norm, norm2
 from .ito import AdaptedProcess, TimeGrid
-from .operators import BilinearMap, GradedScalarOp, ScalarOp
+from .operators import (
+    BilinearMap,
+    GradedScalarOp,
+    ScalarOp,
+    _as_scalar_amp,
+)
 
 __all__ = [
     "Coefficients",
@@ -121,16 +126,12 @@ class ControlSpace:
     value_grid: list = field(default_factory=lambda: [0.0])
 
     def constant_control(self, grid, weights):
-        weights = np.atleast_1d(np.asarray(weights, dtype=float))
-        if weights.shape[0] != len(self.basis):
-            raise ValueError("one weight per basis element required")
-        value = CliffordElement.zero(self.basis[0].n)
-        for w, b in zip(weights, self.basis):
-            value = value + b.scale(w)
-        return AdaptedProcess.constant(grid, value)
+        return AdaptedProcess.constant(grid, self.element(weights))
 
     def element(self, weights):
         weights = np.atleast_1d(np.asarray(weights, dtype=float))
+        if weights.shape[0] != len(self.basis):
+            raise ValueError("one weight per basis element required")
         value = CliffordElement.zero(self.basis[0].n)
         for w, b in zip(weights, self.basis):
             value = value + b.scale(w)
@@ -152,63 +153,36 @@ class StatePath(AdaptedProcess):
 
 
 def _require_scalar_start(x0):
-    if x0.n_terms and not (x0.n_terms == 1 and not x0.masks[0].any()):
+    if _as_scalar_amp(x0) is None:
         raise ValueError("initial state must be a scalar multiple of I")
 
 
-def _step_combine(x, pieces, w):
+def _euler_step(x, k, dt, d, f, g):
+    """x + d dt + f dW_k + dW_k g with dW_k = g_k sqrt(dt), merged exactly."""
+    root = np.sqrt(dt)
     parts = [(x.masks, x.amps)]
-    for el in pieces:
+    for el in (
+        d.scale(dt),
+        f.mul_generator(k, "right").scale(root),
+        g.mul_generator(k, "left").scale(root),
+    ):
         if el.n_terms:
             parts.append((el.masks, el.amps))
-    masks, amps = sp.merge_sum(parts, w)
+    masks, amps = sp.merge_sum(parts, sp.words_for(x.n))
     return CliffordElement._wrap(x.n, masks, amps)
 
 
-def euler_forward(coeffs, x0, u, prune=None, validate=True):
-    """Explicit Euler solve of the controlled forward equation.
+def _euler_loop(grid, x0, increments, prune, validate):
+    """Euler recursion with increments(k, x) giving (D, F, G) at step k.
 
-    u is an adapted control process (its grid fixes the time discretization
-    and the algebra size). Raises on non-adapted controls and on NaN or
-    overflow in the coefficients.
+    Accumulates pruned mass, raises on NaN or overflow and, when validate
+    is set, on states that leave the algebra of steps up to k + 1.
     """
-    grid = u.grid
-    if x0.n != grid.n:
-        raise ValueError("initial state and grid sizes differ")
-    _require_scalar_start(x0)
-    if validate:
-        bad = u.first_non_adapted()
-        if bad is not None:
-            raise ValueError(f"control is not adapted at step {bad}")
-    if coeffs.linear is not None:
-        lin = coeffs.linear
-        return linear_euler_forward(
-            grid,
-            lambda k: (lin.A(k), lin.B(k), lin.C(k)),
-            lambda k: (lin.uD(k, u[k]), lin.uF(k, u[k]), lin.uG(k, u[k])),
-            x0,
-            prune=prune,
-        )
-    dt = grid.dt
-    root = np.sqrt(dt)
-    w = sp.words_for(grid.n)
     x = x0
     values = [x0]
     dropped_sq = 0.0
     for k in range(grid.n_steps):
-        uk = u[k]
-        dk = coeffs.D(k, x, uk)
-        fk = coeffs.F(k, x, uk)
-        gk = coeffs.G(k, x, uk)
-        x = _step_combine(
-            x,
-            (
-                dk.scale(dt),
-                fk.mul_generator(k, "right").scale(root),
-                gk.mul_generator(k, "left").scale(root),
-            ),
-            w,
-        )
+        x = _euler_step(x, k, grid.dt, *increments(k, x))
         if prune:
             x, d = x.prune(prune)
             dropped_sq += d
@@ -229,70 +203,79 @@ def euler_forward(coeffs, x0, u, prune=None, validate=True):
     )
 
 
+def _declared_linear_solve(lin, grid, source, x0, prune):
+    """linear_euler_forward on a LinearStructure.
+
+    source(rule, k) turns one control-injection rule into the source
+    element at step k.
+    """
+    return linear_euler_forward(
+        grid,
+        lambda k: (lin.A(k), lin.B(k), lin.C(k)),
+        lambda k: tuple(source(rule, k) for rule in (lin.uD, lin.uF, lin.uG)),
+        x0,
+        prune=prune,
+    )
+
+
+def euler_forward(coeffs, x0, u, prune=None, validate=True):
+    """Explicit Euler solve of the controlled forward equation.
+
+    u is an adapted control process (its grid fixes the time discretization
+    and the algebra size). Raises on non-adapted controls and on NaN or
+    overflow in the coefficients.
+    """
+    grid = u.grid
+    if x0.n != grid.n:
+        raise ValueError("initial state and grid sizes differ")
+    _require_scalar_start(x0)
+    if validate:
+        bad = u.first_non_adapted()
+        if bad is not None:
+            raise ValueError(f"control is not adapted at step {bad}")
+    if coeffs.linear is not None:
+        return _declared_linear_solve(
+            coeffs.linear, grid, lambda rule, k: rule(k, u[k]), x0, prune
+        )
+
+    def increments(k, x):
+        uk = u[k]
+        return coeffs.D(k, x, uk), coeffs.F(k, x, uk), coeffs.G(k, x, uk)
+
+    return _euler_loop(grid, x0, increments, prune, validate)
+
+
 def euler_forward_difference(coeffs, base, ubar, u, prune=None):
     """Euler solve of xi = x(u) - x(ubar) as its own recursion.
 
     Algebraically identical to subtracting two euler_forward solves, but
     the state stays at the size of the difference, so pruning error scales
-    with ||xi|| instead of ||x||. `base` is the path for ubar.
+    with ||xi|| instead of ||x||. `base` is the path for ubar. Raises on
+    NaN or overflow like euler_forward.
     """
     grid = base.grid
+    zero = CliffordElement.zero(grid.n)
     if coeffs.linear is not None:
         # For declared-affine coefficients the difference obeys the same
         # homogeneous equation with control-increment sources; the base
         # path drops out entirely.
-        lin = coeffs.linear
-        return linear_euler_forward(
+        return _declared_linear_solve(
+            coeffs.linear,
             grid,
-            lambda k: (lin.A(k), lin.B(k), lin.C(k)),
-            lambda k: (
-                lin.uD(k, u[k]) - lin.uD(k, ubar[k]),
-                lin.uF(k, u[k]) - lin.uF(k, ubar[k]),
-                lin.uG(k, u[k]) - lin.uG(k, ubar[k]),
-            ),
-            CliffordElement.zero(grid.n),
-            prune=prune,
+            lambda rule, k: rule(k, u[k]) - rule(k, ubar[k]),
+            zero,
+            prune,
         )
-    dt = grid.dt
-    root = np.sqrt(dt)
-    w = sp.words_for(grid.n)
-    xi = CliffordElement.zero(grid.n)
-    values = [xi]
-    dropped_sq = 0.0
-    for k in range(grid.n_steps):
+
+    def increments(k, xi):
         xb = base[k]
         xp = xb + xi
-        dd = coeffs.D(k, xp, u[k]) - coeffs.D(k, xb, ubar[k])
-        df = coeffs.F(k, xp, u[k]) - coeffs.F(k, xb, ubar[k])
-        dg = coeffs.G(k, xp, u[k]) - coeffs.G(k, xb, ubar[k])
-        xi = _step_combine(
-            xi,
-            (
-                dd.scale(dt),
-                df.mul_generator(k, "right").scale(root),
-                dg.mul_generator(k, "left").scale(root),
-            ),
-            w,
+        return tuple(
+            rule(k, xp, u[k]) - rule(k, xb, ubar[k])
+            for rule in (coeffs.D, coeffs.F, coeffs.G)
         )
-        if prune:
-            xi, d = xi.prune(prune)
-            dropped_sq += d
-        values.append(xi)
-    return StatePath(
-        grid,
-        values,
-        check=False,
-        diagnostics={"pruned_mass": float(np.sqrt(dropped_sq))},
-    )
 
-
-def _as_scalar_amp(el):
-    """Amplitude when the element is a multiple of I (0 included), else None."""
-    if el.n_terms == 0:
-        return 0.0 + 0.0j
-    if el.n_terms == 1 and not el.masks[0].any():
-        return complex(el.amps[0])
-    return None
+    return _euler_loop(grid, zero, increments, prune, validate=False)
 
 
 class _Frame:
@@ -387,8 +370,6 @@ def linear_euler_forward(grid, ops, srcs, x0, prune=None):
     frame = _Frame.from_element(x0)
     values = [frame.element()]
     dt = grid.dt
-    root = np.sqrt(dt)
-    w = sp.words_for(grid.n)
     dropped_sq = 0.0
     for k in range(grid.n_steps):
         a_op, b_op, c_op = ops(k)
@@ -407,17 +388,13 @@ def linear_euler_forward(grid, ops, srcs, x0, prune=None):
             frame.step(k, dt, a_op, b_op, c_op, sd, sf, sg)
         else:
             x = frame.element()
-            dk = a_op.apply(x) + s_d
-            fk = b_op.apply(x) + s_f
-            gk = c_op.apply(x) + s_g
-            x = _step_combine(
+            x = _euler_step(
                 x,
-                (
-                    dk.scale(dt),
-                    fk.mul_generator(k, "right").scale(root),
-                    gk.mul_generator(k, "left").scale(root),
-                ),
-                w,
+                k,
+                dt,
+                a_op.apply(x) + s_d,
+                b_op.apply(x) + s_f,
+                c_op.apply(x) + s_g,
             )
             frame = _Frame.from_element(x)
         if prune:
@@ -460,9 +437,9 @@ def apriori_check(path, x0, p=2.0):
 def spike(ubar, u, eps, offset=0.0):
     """Replace ubar by u on the window [offset, offset + eps).
 
-    The window is rounded to whole steps and must span at least one step;
-    narrower spikes are invisible on the grid and raise instead of being
-    silently dropped (refine the grid to resolve them).
+    The window is the one of `spike_window` and must span at least one
+    step; narrower spikes are invisible on the grid and raise instead of
+    being silently dropped (refine the grid to resolve them).
     """
     grid = ubar.grid
     dt = grid.dt
@@ -473,10 +450,7 @@ def spike(ubar, u, eps, offset=0.0):
             f"spike width {eps:g} is below one grid step {dt:g}; "
             "refine the grid to resolve it"
         )
-    k0 = int(round(offset / dt))
-    count = max(1, int(round(eps / dt)))
-    k0 = max(0, k0)
-    k1 = min(grid.n_steps, k0 + count)
+    k0, k1 = spike_window(grid, eps, offset)
     values = list(ubar.values[: grid.n_steps])
     for k in range(k0, k1):
         values[k] = u[k]
@@ -484,9 +458,18 @@ def spike(ubar, u, eps, offset=0.0):
 
 
 def spike_window(grid, eps, offset=0.0):
-    """Step indices [k0, k1) of the spike window used by `spike`."""
+    """Step indices [k0, k1) of the window [offset, offset + eps).
+
+    Both ends are rounded to whole steps and the window is clipped at T;
+    a window that starts at or past T would be empty and raises.
+    """
     dt = grid.dt
     k0 = max(0, int(round(offset / dt)))
+    if k0 >= grid.n_steps:
+        raise ValueError(
+            f"spike window at offset {offset:g} starts at or past "
+            f"T={grid.T:g}"
+        )
     count = max(1, int(round(eps / dt)))
     return k0, min(grid.n_steps, k0 + count)
 

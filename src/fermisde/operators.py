@@ -105,48 +105,40 @@ class GradingOp(ElementOperator):
         return "GradingOp()"
 
 
-class LeftMulOp(ElementOperator):
+def _as_scalar_amp(el):
+    """Amplitude when the element is a multiple of I (0 included), else None."""
+    if el.n_terms == 0:
+        return 0.0 + 0.0j
+    if el.n_terms == 1 and not el.masks[0].any():
+        return complex(el.amps[0])
+    return None
+
+
+class _MulOp(ElementOperator):
+    """Multiplication by a fixed element; subclasses fix the side."""
+
     def __init__(self, element):
         self.element = element
 
+    def adjoint(self):
+        return type(self)(self.element.adjoint())
+
+    def as_graded_scalar(self):
+        amp = _as_scalar_amp(self.element)
+        return None if amp is None else GradedScalarOp(amp, 0.0)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.element!r})"
+
+
+class LeftMulOp(_MulOp):
     def apply(self, x):
         return self.element * x
 
-    def adjoint(self):
-        return LeftMulOp(self.element.adjoint())
 
-    def as_graded_scalar(self):
-        e = self.element
-        if e.n_terms == 0:
-            return GradedScalarOp(0.0, 0.0)
-        if e.n_terms == 1 and not e.masks[0].any():
-            return GradedScalarOp(complex(e.amps[0]), 0.0)
-        return None
-
-    def __repr__(self):
-        return f"LeftMulOp({self.element!r})"
-
-
-class RightMulOp(ElementOperator):
-    def __init__(self, element):
-        self.element = element
-
+class RightMulOp(_MulOp):
     def apply(self, x):
         return x * self.element
-
-    def adjoint(self):
-        return RightMulOp(self.element.adjoint())
-
-    def as_graded_scalar(self):
-        e = self.element
-        if e.n_terms == 0:
-            return GradedScalarOp(0.0, 0.0)
-        if e.n_terms == 1 and not e.masks[0].any():
-            return GradedScalarOp(complex(e.amps[0]), 0.0)
-        return None
-
-    def __repr__(self):
-        return f"RightMulOp({self.element!r})"
 
 
 class SumOp(ElementOperator):
@@ -276,10 +268,6 @@ class GradedScalarOp(ElementOperator):
 
     def __repr__(self):
         return f"GradedScalarOp({self.alpha:g}, {self.beta:g})"
-
-
-def zero_op():
-    return ScalarOp(0.0)
 
 
 def op_adjoint(op):

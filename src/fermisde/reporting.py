@@ -27,7 +27,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "element_to_json",
     "element_from_json",
-    "process_to_json",
     "jsonable",
     "dump_json",
     "write_json",
@@ -68,15 +67,6 @@ def element_from_json(payload, expect_n=None):
         amps[i] = complex(float(term.get("re", 0.0)),
                           float(term.get("im", 0.0)))
     return CliffordElement(n, masks, amps)
-
-
-def process_to_json(proc):
-    grid = proc.grid
-    return {
-        "T": grid.T,
-        "n_steps": grid.n_steps,
-        "values": [element_to_json(v) for v in proc.values],
-    }
 
 
 def jsonable(obj):

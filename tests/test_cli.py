@@ -347,6 +347,17 @@ def test_main_spec_error_exit_two(tmp_path, capsys):
     assert "/problem_id" in capsys.readouterr().err
 
 
+def test_main_ladder_offset_past_the_horizon_exit_two(tmp_path, capsys):
+    out = tmp_path / "late"
+    code = main(
+        ["ladder", "--spec", '{"offsets": [5.0], "grid": {"n_steps": 16}}',
+         "--out", str(out)]
+    )
+    assert code == 2
+    assert "/offsets" in capsys.readouterr().err
+    assert not (out / "ladder.json").exists()
+
+
 def test_main_failed_assertions_exit_one(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(
         cli._PIPELINES, "algebra-suite", lambda spec, rng: {"pass": False}

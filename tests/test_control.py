@@ -353,6 +353,22 @@ def test_ladder_input_validation():
         variation_ladder(pb, u, alt, [0.25, grid.dt / 4])
 
 
+def test_ladder_refuses_windows_past_the_horizon():
+    pb, grid = quad_problem(16)
+    u = const_u(grid, 0.3)
+    alt = const_u(grid, -0.9)
+    with pytest.raises(ValueError, match="passes the horizon"):
+        variation_ladder(pb, u, alt, [0.25, 0.125], offset=0.875)
+
+
+def test_ladder_with_every_series_vacuous_fails():
+    pb, grid = quad_problem(16, x0=1.0)
+    u = const_u(grid, 0.3)
+    lad = variation_ladder(pb, u, u, [0.25, 0.125, 0.0625])
+    assert all(lad["vacuous"].values())
+    assert not lad["pass"]
+
+
 # -- duality and cost expansion -------------------------------------------
 
 def test_duality_defect_is_zero_without_cost_gradients():

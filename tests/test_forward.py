@@ -271,6 +271,17 @@ def test_spike_window_rounding_and_clipping():
     assert spike_window(grid, 1.0) == (0, 8)
 
 
+def test_spike_window_starting_at_or_past_the_horizon_raises():
+    grid = TimeGrid(1.0, 16)
+    ubar = AdaptedProcess.constant_scalar(grid, 1.0)
+    alt = AdaptedProcess.constant_scalar(grid, -1.0)
+    for offset in (1.0, 5.0):
+        with pytest.raises(ValueError, match="at or past T"):
+            spike_window(grid, 0.25, offset)
+        with pytest.raises(ValueError, match="at or past T"):
+            spike(ubar, alt, eps=0.25, offset=offset)
+
+
 def test_spike_validation():
     grid = TimeGrid(1.0, 8)
     ubar = AdaptedProcess.constant_scalar(grid, 1.0)
@@ -372,6 +383,17 @@ def test_overflow_raises_floating_point_error():
         euler_forward(co, CliffordElement.identity(grid.n), zero_control(grid))
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_difference_solver_raises_on_overflow():
+    grid = TimeGrid(1.0, 6)
+    co = Coefficients(D=lambda k, x, u: x.scale(1e200), F=lambda k, x, u: u)
+    ubar = zero_control(grid)
+    u = AdaptedProcess.constant_scalar(grid, 1.0)
+    base = euler_forward(co, CliffordElement.zero(grid.n), ubar)
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        euler_forward_difference(co, base, ubar, u)
+
+
 def test_prune_accounting_and_accuracy():
     grid = TimeGrid(1.0, 16)
     co = affine_coeffs(a=0.3, b=0.4, declare_linear=False)
@@ -418,6 +440,12 @@ def test_control_space_basics():
     assert vacuum(space.element([0.25])) == 0.25
     with pytest.raises(ValueError, match="one weight per basis"):
         space.constant_control(grid, [0.5, 0.5])
+
+
+def test_control_space_element_needs_one_weight_per_basis_element():
+    space = ControlSpace([CliffordElement.identity(4)])
+    with pytest.raises(ValueError, match="one weight per basis"):
+        space.element([0.1, 0.2, 0.3])
 
 
 def test_state_path_length_guard():
