@@ -159,8 +159,9 @@ def mul_generator(
     wk, b = divmod(k, WORD)
     if wk >= w:
         raise ValueError(f"generator index {k} out of range for {w} words")
+    above = count_above_bit(masks, k)
     if side == "right":
-        flips = count_above_bit(masks, k)
+        flips = above
     elif side == "left":
         flips = count_below_bit(masks, k)
     else:
@@ -170,7 +171,7 @@ def mul_generator(
     new_masks[:, wk] ^= _U1 << np.uint64(b)
     new_amps = amps * signs
     # Fast path: no bits above k anywhere.
-    if not count_above_bit(masks, k).any():
+    if not above.any():
         had_k = (masks[:, wk] >> np.uint64(b)) & _U1
         split = int(np.searchsorted(had_k, 1))
         masks_out = np.concatenate((new_masks[split:], new_masks[:split]))

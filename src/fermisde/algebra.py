@@ -42,7 +42,7 @@ __all__ = [
     "random_element",
 ]
 
-# Largest n for which the matrix representation is built on demand. Beyond
+# Largest n for which the matrix representation is built at all. Beyond
 # this, p != 2 norms are refused rather than silently approximated.
 MAX_MATRIX_GENERATORS = 14
 
@@ -318,8 +318,11 @@ class MatrixRep:
     def __init__(self, n):
         if n < 0:
             raise ValueError("number of generators must be nonnegative")
-        if n > 2 * 30:
-            raise ValueError("matrix representation too large")
+        if n > MAX_MATRIX_GENERATORS:
+            raise ValueError(
+                f"matrix representation refused for n={n} "
+                f"(> {MAX_MATRIX_GENERATORS})"
+            )
         self.n = n
         self.qubits = max(1, -(-n // 2))
         self.d = 1 << self.qubits

@@ -33,6 +33,7 @@ from .forward import (
     euler_forward,
     euler_forward_difference,
     linear_euler_forward,
+    linear_gram,
     spike,
     spike_window,
 )
@@ -43,6 +44,7 @@ from .operators import (
     GradingOp,
     GradedScalarOp,
     SumOp,
+    _as_scalar_amp,
 )
 
 __all__ = [
@@ -297,21 +299,8 @@ def _fit_slope(eps_list, values):
     return float(np.polyfit(x, y, 1)[0])
 
 
-def variation_ladder(problem, ubar, u, eps_list, offset=0.0, prune=None):
-    """Order-of-magnitude sweep for the spike-variation expansions.
-
-    For each eps, solves the spiked state difference xi, the first and
-    second variational paths y and z, and the remainders eta = xi - y,
-    zeta = eta - z; reports sup-step squared p-norms and fitted log-log
-    slopes. Every window must end by T. A series whose values stay below
-    a resolution floor is flagged vacuous and gets no slope; a ladder
-    with every series vacuous does not pass. Slope targets are lower
-    bounds: remainders may decay faster than their guarantee (and do
-    whenever a variational term vanishes identically).
-    """
-    if len(eps_list) < 2:
-        raise ValueError("need at least two eps values to fit slopes")
-    grid = ubar.grid
+def _require_windows(grid, eps_list, offset):
+    """Refuse spike widths below one step and windows that pass T."""
     for eps in eps_list:
         if eps < grid.dt * (1 - 1e-9):
             raise ValueError(
@@ -323,16 +312,94 @@ def variation_ladder(problem, ubar, u, eps_list, offset=0.0, prune=None):
                 f"spike window [{offset:g}, {offset + eps:g}) passes the "
                 f"horizon T={grid.T:g}"
             )
-    xbar = solve_state(problem, ubar, prune=prune)
-    sup_x_sq = max(lp_norm(v, problem.p) ** 2 for v in xbar)
-    floor = 1e-8 * (1.0 + sup_x_sq)
+
+
+# Coefficients of (xi, y, z) in each ladder series.
+_LADDER_SERIES = {
+    "xi_sq": (1.0, 0.0, 0.0),
+    "y_sq": (0.0, 1.0, 0.0),
+    "z_sq": (0.0, 0.0, 1.0),
+    "eta_sq": (1.0, -1.0, 0.0),
+    "zeta_sq": (1.0, -1.0, -1.0),
+}
+
+# Which control-increment sources (rows sD, sF, sG) drive xi, y and z
+# (columns) on the spike window of declared-linear coefficients: xi takes
+# all three, y the noise ones and z the drift one (the derivative
+# differences and second derivatives vanish).
+_GRAM_SOURCES = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+
+
+def _gram_amps(problem, ubar, u):
+    """Scalar sources of the parity-Gram ladder route, None if it cannot run.
+
+    The route needs p = 2, declared linear coefficients whose operators
+    reduce to graded-scalar form at every step, and a start state and
+    injected sources under ubar and under u that are multiples of I.
+    Returns the (2, n_steps, 3) amplitudes of (sD, sF, sG) under ubar and
+    under u.
+    """
+    lin = problem.coeffs.linear
+    if problem.p != 2 or lin is None or _as_scalar_amp(problem.x0) is None:
+        return None
+    grid = ubar.grid
+    amps = np.empty((2, grid.n_steps, 3), dtype=np.complex128)
+    for k in range(grid.n_steps):
+        ops = (lin.A(k), lin.B(k), lin.C(k))
+        if any(op.as_graded_scalar() is None for op in ops):
+            return None
+        for i, control in enumerate((ubar, u)):
+            for j, rule in enumerate((lin.uD, lin.uF, lin.uG)):
+                amp = _as_scalar_amp(rule(k, control[k]))
+                if amp is None:
+                    return None
+                amps[i, k, j] = amp
+    return amps
+
+
+def _gram_ladder(problem, grid, eps_list, offset, amps):
+    """floor and per-eps sup series from linear_gram; nothing is pruned."""
+    lin = problem.coeffs.linear
+
+    def ops(k):
+        return lin.A(k), lin.B(k), lin.C(k)
+
+    base, alt = amps
+    x_gram = linear_gram(
+        grid, ops, lambda k: base[k][:, None], [_as_scalar_amp(problem.x0)]
+    )
+    floor = 1e-8 * (1.0 + float(x_gram[:, 0, 0].real.max()))
+    delta = alt - base
+    idle = np.zeros_like(_GRAM_SOURCES)
+    sups = []
+    for eps in eps_list:
+        k0, k1 = spike_window(grid, eps, offset)
+
+        def srcs(k):
+            if k0 <= k < k1:
+                return delta[k][:, None] * _GRAM_SOURCES
+            return idle
+
+        gram = linear_gram(grid, ops, srcs, np.zeros(3))
+        sups.append({
+            name: max(
+                float(np.einsum("i,kij,j->k", c, gram, c).real.max()), 0.0
+            )
+            for name, c in _LADDER_SERIES.items()
+        })
+    return floor, sups
+
+
+def _sparse_ladder(problem, ubar, u, eps_list, offset, prune):
+    """floor, per-eps sup series and pruned mass from element solves."""
+    grid = ubar.grid
     p = problem.p
+    xbar = solve_state(problem, ubar, prune=prune)
+    sup_x_sq = max(lp_norm(v, p) ** 2 for v in xbar)
+    floor = 1e-8 * (1.0 + sup_x_sq)
     length = grid.n_steps + 1
-    names = ("xi_sq", "y_sq", "z_sq", "eta_sq", "zeta_sq")
-    targets = {"xi_sq": 1.0, "y_sq": 1.0, "z_sq": 2.0,
-               "eta_sq": 2.0, "zeta_sq": 2.0}
-    series = {name: [] for name in names}
-    dominated = True
+    dropped_sq = xbar.diagnostics["pruned_mass"] ** 2
+    sups = []
     for eps in eps_list:
         u_eps = spike(ubar, u, eps, offset)
         xi = euler_forward_difference(
@@ -341,23 +408,59 @@ def variation_ladder(problem, ubar, u, eps_list, offset=0.0, prune=None):
         )
         y = solve_var_y(problem, xbar, ubar, u, eps, offset, prune)
         z = solve_var_z(problem, xbar, ubar, u, y, eps, offset, prune)
-        sup = {
-            "xi_sq": _sup_sq([(1.0, xi)], p, length),
-            "y_sq": _sup_sq([(1.0, y)], p, length),
-            "z_sq": _sup_sq([(1.0, z)], p, length),
-            "eta_sq": _sup_sq([(1.0, xi), (-1.0, y)], p, length),
-            "zeta_sq": _sup_sq(
-                [(1.0, xi), (-1.0, y), (-1.0, z)], p, length
-            ),
-        }
-        if sup["zeta_sq"] > sup["eta_sq"] + floor:
-            dominated = False
-        for name in names:
-            series[name].append(sup[name])
+        paths = (xi, y, z)
+        for path in paths:
+            dropped_sq += path.diagnostics["pruned_mass"] ** 2
+        sups.append({
+            name: _sup_sq(
+                [(c, path) for c, path in zip(combo, paths) if c], p, length
+            )
+            for name, combo in _LADDER_SERIES.items()
+        })
+    return floor, sups, float(np.sqrt(dropped_sq))
+
+
+def variation_ladder(problem, ubar, u, eps_list, offset=0.0, prune=None):
+    """Order-of-magnitude sweep for the spike-variation expansions.
+
+    For each eps, solves the spiked state difference xi, the first and
+    second variational paths y and z, and the remainders eta = xi - y,
+    zeta = eta - z; reports sup-step squared p-norms and fitted log-log
+    slopes. Every window must end by T. A series whose values stay below
+    a resolution floor is flagged vacuous and gets no slope; a ladder
+    with every series vacuous does not pass. Slope targets are lower
+    bounds: remainders may decay faster than their guarantee (and do
+    whenever a variational term vanishes identically).
+
+    With p = 2, declared linear graded-scalar coefficients and scalar
+    start state and sources, the norms and pairings come exactly from
+    linear_gram and prune is unused; any other problem takes element
+    solves pruned at the problem's budget. pruned_mass is the
+    root-sum-square of the mass those solves dropped (0 on the exact
+    route).
+    """
+    if len(eps_list) < 2:
+        raise ValueError("need at least two eps values to fit slopes")
+    grid = ubar.grid
+    _require_windows(grid, eps_list, offset)
+    amps = _gram_amps(problem, ubar, u)
+    if amps is None:
+        floor, sups, pruned = _sparse_ladder(
+            problem, ubar, u, eps_list, offset, prune
+        )
+    else:
+        floor, sups = _gram_ladder(problem, grid, eps_list, offset, amps)
+        pruned = 0.0
+    targets = {"xi_sq": 1.0, "y_sq": 1.0, "z_sq": 2.0,
+               "eta_sq": 2.0, "zeta_sq": 2.0}
+    series = {name: [sup[name] for sup in sups] for name in _LADDER_SERIES}
+    dominated = not any(
+        sup["zeta_sq"] > sup["eta_sq"] + floor for sup in sups
+    )
     slopes = {}
     vacuous = {}
     passed = True
-    for name in names:
+    for name in _LADDER_SERIES:
         vals = series[name]
         if max(vals) < floor:
             vacuous[name] = True
@@ -370,13 +473,14 @@ def variation_ladder(problem, ubar, u, eps_list, offset=0.0, prune=None):
     return {
         "eps": list(eps_list),
         "offset": offset,
-        "p": p,
+        "p": problem.p,
         "series": series,
         "slopes": slopes,
         "targets": targets,
         "vacuous": vacuous,
         "zeta_dominated_by_eta": dominated,
         "floor": floor,
+        "pruned_mass": pruned,
         "pass": passed and not all(vacuous.values()),
     }
 
@@ -661,10 +765,12 @@ def cost_expansion_check(problem, ubar, u, eps_list, offset=0.0,
     For each eps, compares J(u_eps) with J(ubar) plus the first-order
     terms in y + z, the running-cost spike difference, and the quadratic
     terms in y; reports residuals and their fitted slope (above 1 when
-    the expansion captures everything up to o(eps)).
+    the expansion captures everything up to o(eps)). Every window must
+    end by T, as in variation_ladder.
     """
     grid = ubar.grid
     dt = grid.dt
+    _require_windows(grid, eps_list, offset)
     xbar = solve_state(problem, ubar, prune=prune)
     j_base = cost(problem, ubar, prune=prune, path=xbar)
     n = grid.n_steps

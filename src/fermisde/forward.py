@@ -38,6 +38,7 @@ __all__ = [
     "euler_forward",
     "euler_forward_difference",
     "linear_euler_forward",
+    "linear_gram",
     "apriori_check",
     "spike",
     "numeric_frechet",
@@ -305,8 +306,13 @@ class _Frame:
         return cls(el.n, el.masks, el.amps.astype(np.complex128))
 
     def element(self):
-        return CliffordElement(
-            self.n, self.masks, self.amps, presorted=True
+        # Rows are sorted and distinct by construction, and the frame
+        # never writes its arrays in place, so only exact zeros go.
+        keep = self.amps != 0
+        if keep.all():
+            return CliffordElement._wrap(self.n, self.masks, self.amps)
+        return CliffordElement._wrap(
+            self.n, self.masks[keep], self.amps[keep]
         )
 
     def coef(self, op):
@@ -357,6 +363,65 @@ class _Frame:
             self.amps = self.amps[keep]
             self.par = self.par[keep]
         return dropped
+
+
+def _parity_coefs(op):
+    """(c(+1), c(-1)) with c(p) = alpha + beta p, as in _Frame.coef.
+
+    NumPy scalars, so an overflow gives inf (caught by linear_gram's
+    finite check) instead of raising from Python float arithmetic.
+    """
+    g = op.as_graded_scalar()
+    return np.complex128(g.alpha + g.beta), np.complex128(g.alpha - g.beta)
+
+
+def linear_gram(grid, ops, srcs, x0_amps):
+    """Gram matrices <x_i, x_j> of K linear solves that share ops.
+
+    The bilinear form of _Frame.step, unpruned: with graded-scalar
+    operators and scalar sources a step scales each row by a factor of
+    its parity alone and moves it to a new row of the other parity,
+    while the sources touch only the empty row and {k}. So the pairings
+    follow from the vacuum amplitudes e0 and the Gram matrices over the
+    non-empty even rows and over the odd rows (the p=2 isometry applied
+    step by step).
+
+    ops(k) returns the operator triple (A, B, C), each reducing to
+    graded-scalar form; srcs(k) the (3, K) scalar amplitudes of (sD, sF,
+    sG) for each path; x0_amps the K start amplitudes (multiples of I).
+    Returns the (n_steps + 1, K, K) array of <x_i(k), x_j(k)>.
+    """
+    dt = grid.dt
+    root = np.sqrt(dt)
+    e0 = np.asarray(x0_amps, dtype=np.complex128)
+    g_even = np.zeros((e0.size, e0.size), dtype=np.complex128)
+    g_odd = np.zeros_like(g_even)
+    out = np.empty((grid.n_steps + 1,) + g_even.shape, dtype=np.complex128)
+    out[0] = np.outer(e0.conj(), e0)
+    for k in range(grid.n_steps):
+        (a_e, a_o), (b_e, b_o), (c_e, c_o) = map(_parity_coefs, ops(k))
+        s_d, s_f, s_g = srcs(k)
+        m_even = 1.0 + dt * a_e
+        m_odd = 1.0 + dt * a_o
+        # Right mult by g_k keeps the row's sign, left mult takes the
+        # row's parity.
+        f_even = root * (b_e + c_e)
+        f_odd = root * (b_o - c_o)
+        v = f_even * e0 + root * (s_f + s_g)
+        g_even, g_odd = (
+            abs(m_even) ** 2 * g_even + abs(f_odd) ** 2 * g_odd,
+            abs(m_odd) ** 2 * g_odd
+            + abs(f_even) ** 2 * g_even
+            + np.outer(v.conj(), v),
+        )
+        e0 = m_even * e0 + dt * s_d
+        out[k + 1] = np.outer(e0.conj(), e0) + g_even + g_odd
+    bad = ~np.isfinite(out).all(axis=(1, 2))
+    if bad.any():
+        raise FloatingPointError(
+            f"state became non-finite at step {int(np.argmax(bad))}"
+        )
+    return out
 
 
 def linear_euler_forward(grid, ops, srcs, x0, prune=None):

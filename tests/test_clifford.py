@@ -370,6 +370,12 @@ def test_jw_rep_is_cached():
     assert jw_rep(6) is jw_rep(6)
 
 
+def test_jw_rep_refuses_sizes_past_the_matrix_limit():
+    assert jw_rep(MAX_MATRIX_GENERATORS).n == MAX_MATRIX_GENERATORS
+    with pytest.raises(ValueError, match="matrix representation refused"):
+        jw_rep(MAX_MATRIX_GENERATORS + 1)
+
+
 # -- randomness contract --------------------------------------------------
 
 

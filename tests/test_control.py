@@ -7,10 +7,14 @@ form in the assertions is self-contained. Quadratic costs with affine
 dynamics admit scalar recursions that serve as independent oracles.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from fermisde import control
 from fermisde.algebra import CliffordElement, norm2, pairing, vacuum
+from fermisde.catalog import build, catalog
 from fermisde.control import (
     ORACLE_BUDGET,
     ControlProblem,
@@ -369,6 +373,98 @@ def test_ladder_with_every_series_vacuous_fails():
     assert not lad["pass"]
 
 
+def _ladder_inputs(pid, n_steps, T=1.0):
+    entry = catalog()[pid]
+    pb, grid = build(pid, n_steps=n_steps, T=T, x0_scale=entry.ladder_x0)
+    return (
+        pb, const_u(grid, entry.ladder_ubar), const_u(grid, entry.alt_weight)
+    )
+
+
+def _sparse_twin(pb):
+    """The same problem without its linear declaration: full-rule solves."""
+    return dataclasses.replace(
+        pb, coeffs=dataclasses.replace(pb.coeffs, linear=None)
+    )
+
+
+def _forbid(monkeypatch, *names):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact ladder route made an element solve")
+
+    for name in names:
+        monkeypatch.setattr(control, name, refuse)
+
+
+ELIGIBLE = [
+    pid for pid in catalog()
+    if build(pid, n_steps=4)[0].coeffs.linear is not None
+]
+
+
+@pytest.mark.parametrize(
+    "pid,T,eps,offset",
+    [(pid, 1.0, [0.5, 0.25, 0.125], 0.0) for pid in ELIGIBLE]
+    + [("control_in_noise", 2.0, [1.0, 0.5, 0.25], 0.6),
+       ("odd_drift", 1.0, [0.5, 0.25, 0.125], 0.25)],
+)
+def test_exact_ladder_matches_the_unpruned_sparse_ladder(
+    monkeypatch, pid, T, eps, offset
+):
+    pb, ubar, alt = _ladder_inputs(pid, 12, T)
+    pb = dataclasses.replace(pb, prune=None)
+    sparse = variation_ladder(_sparse_twin(pb), ubar, alt, eps, offset)
+    _forbid(monkeypatch, "solve_state", "euler_forward_difference",
+            "linear_euler_forward", "pairing")
+    exact = variation_ladder(pb, ubar, alt, eps, offset)
+    assert exact["vacuous"] == sparse["vacuous"]
+    assert not all(exact["vacuous"].values())
+    assert exact["pass"] == sparse["pass"]
+    assert exact["pruned_mass"] == 0.0
+    for name, vacuous in exact["vacuous"].items():
+        if vacuous:
+            continue
+        np.testing.assert_allclose(
+            exact["series"][name], sparse["series"][name], rtol=1e-12, atol=0
+        )
+        assert abs(exact["slopes"][name] - sparse["slopes"][name]) < 1e-9
+
+
+def test_quadratic_drift_ladder_keeps_the_sparse_route(monkeypatch):
+    pb, ubar, alt = _ladder_inputs("quadratic_drift", 8)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linear_euler_forward(*args, **kwargs)
+
+    monkeypatch.setattr(control, "linear_euler_forward", counted)
+    lad = variation_ladder(pb, ubar, alt, [0.5, 0.25, 0.125])
+    assert len(calls) == 6
+    assert not lad["vacuous"]["zeta_sq"]
+    assert lad["pruned_mass"] == 0.0
+
+
+def test_sparse_ladder_reports_the_mass_its_solves_pruned(monkeypatch):
+    pb, ubar, alt = _ladder_inputs("lq_scalar", 12)
+    pb = _sparse_twin(pb)
+    masses = []
+    for name in ("solve_state", "euler_forward_difference",
+                 "linear_euler_forward"):
+        def recorded(*args, _solve=getattr(control, name), **kwargs):
+            path = _solve(*args, **kwargs)
+            masses.append(path.diagnostics["pruned_mass"])
+            return path
+
+        monkeypatch.setattr(control, name, recorded)
+    lad = variation_ladder(pb, ubar, alt, [0.5, 0.25, 0.125])
+    assert len(masses) == 1 + 3 * 3
+    assert lad["pruned_mass"] > 0.0
+    assert lad["pruned_mass"] == pytest.approx(
+        np.sqrt(np.sum(np.square(masses))), rel=1e-12
+    )
+
+
 # -- duality and cost expansion -------------------------------------------
 
 def test_duality_defect_is_zero_without_cost_gradients():
@@ -420,6 +516,17 @@ def test_cost_expansion_slope_and_vacuous_branch():
         pb, const_u(grid, 0.3), const_u(grid, 0.3), [0.25, 0.125]
     )
     assert same["vacuous"] and same["pass"] and same["slope"] is None
+
+
+def test_cost_expansion_refuses_windows_past_the_horizon():
+    # Both windows would be clipped to the last step and fitted against
+    # their nominal widths.
+    pb, grid = quad_problem(16, x0=1.0, sf=1.0)
+    with pytest.raises(ValueError, match="passes the horizon"):
+        cost_expansion_check(
+            pb, const_u(grid, 0.3), const_u(grid, -0.9),
+            [0.25, 0.125, 0.0625], offset=0.875,
+        )
 
 
 # -- brute-force oracle ---------------------------------------------------

@@ -4,7 +4,14 @@ the generic one, spikes, derivative cross-checks, and failure guards."""
 import numpy as np
 import pytest
 
-from fermisde.algebra import CliffordElement, mul, norm2, random_element, vacuum
+from fermisde.algebra import (
+    CliffordElement,
+    mul,
+    norm2,
+    pairing,
+    random_element,
+    vacuum,
+)
 from fermisde.forward import (
     Coefficients,
     ControlSpace,
@@ -14,6 +21,7 @@ from fermisde.forward import (
     euler_forward,
     euler_forward_difference,
     linear_euler_forward,
+    linear_gram,
     numeric_frechet,
     numeric_second_frechet,
     spike,
@@ -206,6 +214,43 @@ def test_linear_solver_generic_fallback_steps_match_full_rules():
     )
     for a, b in zip(got, want):
         assert norm2(a - b) < 1e-13
+
+
+def test_linear_gram_matches_pairings_of_unpruned_solves():
+    """Complex, step-varying graded-scalar operators with a grading part,
+    and complex scalar sources: the Gram recursion against pairings of
+    the element paths."""
+    grid = TimeGrid(1.0, 8)
+    rng = np.random.default_rng(70)
+    cx = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    coefs = cx(grid.n_steps, 3, 2)
+    srcs = cx(grid.n_steps, 3, 3)
+    x0_amps = cx(3)
+    x0_amps[1] = 0.0
+
+    def ops(k):
+        return tuple(GradedScalarOp(*coefs[k, i]) for i in range(3))
+
+    gram = linear_gram(grid, ops, lambda k: srcs[k], x0_amps)
+    paths = []
+    for j in range(3):
+        scalars = lambda k, j=j: tuple(
+            CliffordElement.scalar(grid.n, s) for s in srcs[k, :, j]
+        )
+        paths.append(linear_euler_forward(
+            grid, ops, scalars, CliffordElement.scalar(grid.n, x0_amps[j])
+        ))
+    for k in range(grid.n_steps + 1):
+        want = np.array([[pairing(a[k], b[k]) for b in paths] for a in paths])
+        np.testing.assert_allclose(gram[k], want, rtol=1e-12, atol=1e-12)
+
+
+def test_linear_gram_raises_on_overflow():
+    grid = TimeGrid(1.0, 8)
+    huge = lambda k: (GradedScalarOp(1e300, 0.0),) * 3
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            linear_gram(grid, huge, lambda k: np.zeros((3, 1)), [1.0])
 
 
 def test_difference_solver_equals_subtracted_solves():

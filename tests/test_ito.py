@@ -276,6 +276,19 @@ def test_bg_zero_integrand_is_flagged_not_divided():
     assert out["right"]["ratio"] is None
 
 
+def test_bg_ratios_refuse_the_matrix_route_before_any_product(monkeypatch):
+    import fermisde._sparse as sp
+
+    def no_products(*args, **kwargs):
+        raise AssertionError("a product ran before the size guard")
+
+    monkeypatch.setattr(sp, "mul_full", no_products)
+    g = TimeGrid(1.0, 15)
+    y = AdaptedProcess.constant_scalar(g, 1.0)
+    with pytest.raises(ValueError, match="matrix representation refused"):
+        bg_ratios(g, y, p=3.0)
+
+
 # -- commutation with increments ------------------------------------------
 
 
