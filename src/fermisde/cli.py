@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import numbers
 import os
 import sys
 import time
@@ -36,6 +38,7 @@ from .algebra import (
 from .backward import Driver, residual, solve_picard, solve_stepwise
 from .catalog import build, catalog
 from .control import (
+    ORACLE_BUDGET,
     brute_force_optimum,
     duality_check,
     first_adjoint,
@@ -44,7 +47,7 @@ from .control import (
     solve_state,
     variation_ladder,
 )
-from .forward import apriori_check, linear_euler_forward
+from .forward import apriori_check, linear_euler_forward, spike_window
 from .ito import (
     AdaptedProcess,
     TimeGrid,
@@ -72,16 +75,6 @@ __all__ = [
     "main",
 ]
 
-SUBCOMMANDS = [
-    "algebra-suite",
-    "ito-suite",
-    "forward",
-    "bqsde",
-    "ladder",
-    "max-principle",
-    "bg-constants",
-    "all",
-]
 OUT_ENV = "FERMISDE_OUT"
 P_CHOICES = (1.0, 1.5, 2.0, 3.0, np.inf)
 
@@ -97,41 +90,141 @@ class SpecError(ValueError):
 
 @dataclass
 class ProblemSpec:
-    """Validated run configuration with defaults filled in."""
+    """Validated run configuration with defaults filled in.
 
-    problem_id: str | None = "lq_scalar"
+    parse_problem fills every field of _FIELDS; explicit_grid records
+    whether the spec gave n_steps.
+    """
+
+    problem_id: str | None = None
     inline: dict | None = None
-    T: float = 1.0
-    n_steps: int = 8
+    T: float | None = None
+    n_steps: int | None = None
     explicit_grid: bool = False
-    p: float = 2.0
-    p_prime: float = 2.0
     control: dict = field(default_factory=dict)
     eps_list: list | None = None
-    offsets: list = field(default_factory=lambda: [0.0])
+    offsets: list | None = None
     value_grid: list | None = None
-    steps_coarse: int = 3
+    steps_coarse: int | None = None
     raw: dict = field(default_factory=dict)
 
     def echo(self):
         """Normalized spec content for embedding into reports."""
-        out = {
-            "grid": {"T": self.T, "n_steps": self.n_steps},
-            "p": self.p if self.p != np.inf else "inf",
-            "p_prime": self.p_prime if self.p_prime != np.inf else "inf",
-            "control": dict(self.control),
-            "offsets": list(self.offsets),
-            "steps_coarse": self.steps_coarse,
-        }
-        if self.problem_id is not None:
-            out["problem_id"] = self.problem_id
+        out = {section[1:]: {} for section in _SECTIONS}
+        for ptr, _, _, _ in _FIELDS:
+            holder, key = _slot(self, ptr)
+            value = holder.get(key)
+            if value is not None:
+                *section, key = ptr[1:].split("/")
+                node = out[section[0]] if section else out
+                node[key] = list(value) if isinstance(value, list) else value
         if self.inline is not None:
             out["inline"] = self.raw.get("inline")
-        if self.eps_list is not None:
-            out["eps_list"] = list(self.eps_list)
-        if self.value_grid is not None:
-            out["value_grid"] = list(self.value_grid)
         return out
+
+
+# Spec fields: (JSON pointer, kind, bound, default). A kind is "float"
+# (a finite JSON number), "int" (a JSON number with an integral value),
+# "floats" (a non-empty list of floats, checked entry by entry) or "id"
+# (a catalog id); booleans are never numbers. A bound is (test, message)
+# on each number. Fields under /control default to absent.
+_FIELDS = (
+    ("/problem_id", "id", None, "lq_scalar"),
+    ("/grid/T", "float", (lambda v: v > 0, "horizon must be positive"), 1.0),
+    ("/grid/n_steps", "int", (lambda v: v >= 1, "need at least one step"), 8),
+    ("/control/ubar_weight", "float", None, None),
+    ("/control/alt_weight", "float", None, None),
+    ("/control/x0_scale", "float", None, None),
+    ("/eps_list", "floats", (lambda v: v > 0, "must be positive"), None),
+    ("/offsets", "floats", (lambda v: v >= 0, "must be >= 0"), [0.0]),
+    ("/value_grid", "floats", None, None),
+    ("/steps_coarse", "int",
+     (lambda v: 1 <= v <= 4, "must be between 1 and 4"), 3),
+)
+# Flat spellings of grid fields; a spec may give each in one place only.
+_ALIASES = {"/grid/T": "/T", "/grid/n_steps": "/n_steps"}
+_SECTIONS = ("/grid", "/control")
+_KNOWN = {ptr for ptr, _, _, _ in _FIELDS} | {
+    *_ALIASES.values(), *_SECTIONS, "/inline"
+}
+
+
+def _slot(spec, ptr):
+    """The dict and key that hold a field of _FIELDS on a ProblemSpec."""
+    *section, key = ptr[1:].split("/")
+    return (spec.control if section == ["control"] else vars(spec)), key
+
+
+def _given(data, ptr):
+    """(pointer, value) pairs the spec gives for a field and its alias."""
+    found = []
+    for where in filter(None, (ptr, _ALIASES.get(ptr))):
+        node = data
+        for part in where[1:].split("/"):
+            if not isinstance(node, dict) or part not in node:
+                break
+            node = node[part]
+        else:
+            found.append((where, node))
+    return found
+
+
+def _check(value, kind, bound, ptr, errors):
+    """value as its kind, or None after appending why it is refused."""
+    if kind == "floats":
+        if not isinstance(value, list) or not value:
+            errors.append((ptr, "must be a non-empty list"))
+            return None
+        out = [
+            _check(item, "float", bound, f"{ptr}/{i}", errors)
+            for i, item in enumerate(value)
+        ]
+        return None if None in out else out
+    if kind == "id":
+        ids = catalog()
+        if isinstance(value, str) and value in ids:
+            return value
+        known = ", ".join(sorted(ids))
+        errors.append((ptr, f"unknown id {value!r}; available: {known}"))
+        return None
+    problem = None
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        problem = "not a number"
+    elif kind == "int" and isinstance(value, numbers.Integral):
+        value = int(value)
+    else:
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            problem = "not a finite number"
+        elif kind == "int":
+            if value.is_integer():
+                value = int(value)
+            else:
+                problem = "not an integer"
+    if problem is None and bound is not None and not bound[0](value):
+        problem = bound[1]
+    if problem is not None:
+        errors.append((ptr, problem))
+        return None
+    return value
+
+
+def _unknown_fields(data, errors):
+    """Refuse every key, at the top and in each section, no field names."""
+    for section in ("",) + _SECTIONS:
+        node = data.get(section[1:], {}) if section else data
+        if not isinstance(node, dict):
+            errors.append((section, "must be an object"))
+            continue
+        for key in node:
+            ptr = section + "/" + str(key).replace("~", "~0").replace(
+                "/", "~1"
+            )
+            if ptr not in _KNOWN:
+                errors.append((ptr, "unknown field"))
 
 
 def _linmap(payload, pointer, n, errors):
@@ -187,7 +280,39 @@ def _element_field(payload, pointer, n, errors):
         return CliffordElement.zero(n)
 
 
-_INLINE_KEYS = {"A", "B", "C", "driver", "x0", "terminal", "sources"}
+_INLINE_PARSERS = {
+    "A": _linmap, "B": _linmap, "C": _linmap, "driver": _linmap,
+    "x0": _element_field, "terminal": _element_field,
+}
+
+
+def _parse_inline(inline, n, errors):
+    """Operators, elements and sources of an /inline node, by key."""
+    if not isinstance(inline, dict):
+        errors.append(("/inline", "must be an object"))
+        return None
+    unknown = set(inline) - set(_INLINE_PARSERS) - {"sources"}
+    if unknown:
+        errors.append(
+            ("/inline", "unknown keys: " + ", ".join(sorted(unknown)))
+        )
+    checked = {
+        key: parse(inline[key], f"/inline/{key}", n, errors)
+        for key, parse in _INLINE_PARSERS.items()
+        if key in inline
+    }
+    sources = inline.get("sources", {})
+    if not isinstance(sources, dict):
+        errors.append(("/inline/sources", "must be an object"))
+        sources = {}
+    checked["sources"] = {}
+    for key in sources:
+        ptr = f"/inline/sources/{key}"
+        if key not in ("D", "F", "G"):
+            errors.append((ptr, "unknown source slot"))
+            continue
+        checked["sources"][key] = _element_field(sources[key], ptr, n, errors)
+    return checked
 
 
 def parse_problem(source):
@@ -212,163 +337,26 @@ def parse_problem(source):
 
     errors = []
     spec = ProblemSpec(raw=dict(data))
+    _unknown_fields(data, errors)
+    for ptr, kind, bound, default in _FIELDS:
+        found = _given(data, ptr)
+        value = None
+        if len(found) > 1:
+            where = found[1][0]
+            errors.append((where, f"give {ptr} or {where}, not both"))
+        elif found:
+            value = _check(found[0][1], kind, bound, found[0][0], errors)
+        value = default if value is None else value
+        if value is not None:
+            holder, key = _slot(spec, ptr)
+            holder[key] = list(value) if isinstance(value, list) else value
+    spec.explicit_grid = bool(_given(data, "/grid/n_steps"))
 
-    grid = data.get("grid", {})
-    if not isinstance(grid, dict):
-        errors.append(("/grid", "must be an object"))
-        grid = {}
-    t_val = data.get("T", grid.get("T", 1.0))
-    steps = data.get("n_steps", grid.get("n_steps"))
-    spec.explicit_grid = steps is not None
-    if steps is None:
-        steps = 8
-    try:
-        spec.T = float(t_val)
-        if not spec.T > 0:
-            errors.append(("/grid/T", "horizon must be positive"))
-    except (TypeError, ValueError):
-        errors.append(("/grid/T", "not a number"))
-    try:
-        spec.n_steps = int(steps)
-        if spec.n_steps < 1:
-            errors.append(("/grid/n_steps", "need at least one step"))
-    except (TypeError, ValueError):
-        errors.append(("/grid/n_steps", "not an integer"))
-
-    ids = catalog()
-    pid = data.get("problem_id")
-    inline = data.get("inline")
-    if pid is not None and inline is not None:
-        errors.append(("", "give problem_id or inline, not both"))
-    if pid is not None:
-        if pid not in ids:
-            known = ", ".join(sorted(ids))
-            errors.append(
-                ("/problem_id", f"unknown id {pid!r}; available: {known}")
-            )
-        else:
-            spec.problem_id = pid
-    if inline is not None:
+    if "inline" in data:
+        if "problem_id" in data:
+            errors.append(("", "give problem_id or inline, not both"))
         spec.problem_id = None
-        if not isinstance(inline, dict):
-            errors.append(("/inline", "must be an object"))
-        else:
-            unknown = set(inline) - _INLINE_KEYS
-            if unknown:
-                errors.append(
-                    (
-                        "/inline",
-                        "unknown keys: " + ", ".join(sorted(unknown)),
-                    )
-                )
-            checked = {}
-            n = spec.n_steps
-            for key in ("A", "B", "C", "driver"):
-                if key in inline:
-                    checked[key] = _linmap(
-                        inline[key], f"/inline/{key}", n, errors
-                    )
-            for key in ("x0", "terminal"):
-                if key in inline:
-                    checked[key] = _element_field(
-                        inline[key], f"/inline/{key}", n, errors
-                    )
-            sources = inline.get("sources", {})
-            if not isinstance(sources, dict):
-                errors.append(("/inline/sources", "must be an object"))
-                sources = {}
-            checked_sources = {}
-            for key in sources:
-                if key not in ("D", "F", "G"):
-                    errors.append(
-                        (f"/inline/sources/{key}", "unknown source slot")
-                    )
-                    continue
-                checked_sources[key] = _element_field(
-                    sources[key], f"/inline/sources/{key}", n, errors
-                )
-            checked["sources"] = checked_sources
-            spec.inline = checked
-
-    p = data.get("p", 2.0)
-    p_prime = data.get("p_prime")
-    try:
-        spec.p = np.inf if p in ("inf", "Infinity") else float(p)
-        if spec.p < 1:
-            errors.append(("/p", "p must be at least 1"))
-    except (TypeError, ValueError):
-        errors.append(("/p", "not a number"))
-    if p_prime is None:
-        if spec.p == 1.0:
-            spec.p_prime = np.inf
-        elif spec.p == np.inf:
-            spec.p_prime = 1.0
-        else:
-            spec.p_prime = spec.p / (spec.p - 1.0)
-    else:
-        try:
-            spec.p_prime = (
-                np.inf if p_prime in ("inf", "Infinity") else float(p_prime)
-            )
-        except (TypeError, ValueError):
-            errors.append(("/p_prime", "not a number"))
-
-    control = data.get("control", {})
-    if not isinstance(control, dict):
-        errors.append(("/control", "must be an object"))
-        control = {}
-    for key in control:
-        if key not in ("ubar_weight", "alt_weight", "x0_scale"):
-            errors.append((f"/control/{key}", "unknown control field"))
-    spec.control = {
-        k: control[k]
-        for k in ("ubar_weight", "alt_weight", "x0_scale")
-        if k in control
-    }
-    for key, value in spec.control.items():
-        try:
-            spec.control[key] = float(value)
-        except (TypeError, ValueError):
-            errors.append((f"/control/{key}", "not a number"))
-
-    if "eps_list" in data:
-        eps = data["eps_list"]
-        if not isinstance(eps, list) or not eps:
-            errors.append(("/eps_list", "must be a non-empty list"))
-        else:
-            try:
-                spec.eps_list = [float(e) for e in eps]
-                if any(e <= 0 for e in spec.eps_list):
-                    errors.append(("/eps_list", "entries must be positive"))
-            except (TypeError, ValueError):
-                errors.append(("/eps_list", "entries must be numbers"))
-    if "offsets" in data:
-        offs = data["offsets"]
-        if not isinstance(offs, list) or not offs:
-            errors.append(("/offsets", "must be a non-empty list"))
-        else:
-            try:
-                spec.offsets = [float(o) for o in offs]
-                if any(o < 0 for o in spec.offsets):
-                    errors.append(("/offsets", "entries must be >= 0"))
-            except (TypeError, ValueError):
-                errors.append(("/offsets", "entries must be numbers"))
-    if "value_grid" in data:
-        vg = data["value_grid"]
-        if not isinstance(vg, list) or not vg:
-            errors.append(("/value_grid", "must be a non-empty list"))
-        else:
-            try:
-                spec.value_grid = [float(v) for v in vg]
-            except (TypeError, ValueError):
-                errors.append(("/value_grid", "entries must be numbers"))
-    if "steps_coarse" in data:
-        try:
-            spec.steps_coarse = int(data["steps_coarse"])
-            if not 1 <= spec.steps_coarse <= 4:
-                errors.append(("/steps_coarse", "must be between 1 and 4"))
-        except (TypeError, ValueError):
-            errors.append(("/steps_coarse", "not an integer"))
+        spec.inline = _parse_inline(data["inline"], spec.n_steps, errors)
 
     if errors:
         raise SpecError(errors)
@@ -443,24 +431,25 @@ def _random_martingale(rng, grid, terms=5):
     return AdaptedProcess(grid, values, check=False)
 
 
-def _entry_for(spec):
-    return catalog()[spec.problem_id]
+def _build_problem(spec, ladder_start=False, least_steps=1):
+    """Catalog entry, problem, grid and x0 scale of a catalog spec.
 
-
-def _build_problem(spec, n_steps=None):
-    entry = _entry_for(spec)
-    steps = n_steps
-    if steps is None:
-        steps = spec.n_steps if spec.explicit_grid else entry.default_steps
-    x0 = spec.control.get("x0_scale")
+    The grid takes the spec's steps when it gives them and otherwise the
+    entry's default, raised to least_steps. An unset x0_scale takes the
+    entry's ladder start when ladder_start is set and the catalog's
+    default otherwise.
+    """
+    entry = catalog()[spec.problem_id]
+    steps = spec.n_steps if spec.explicit_grid else max(
+        least_steps, entry.default_steps
+    )
+    x0 = spec.control.get(
+        "x0_scale", entry.ladder_x0 if ladder_start else None
+    )
     problem, grid = build(
         spec.problem_id, n_steps=steps, T=spec.T, x0_scale=x0
     )
-    return entry, problem, grid
-
-
-def _weight_process(grid, weight):
-    return AdaptedProcess.constant_scalar(grid, weight)
+    return entry, problem, grid, x0
 
 
 # ---------------------------------------------------------------------------
@@ -608,9 +597,8 @@ def _pipeline_ito(spec, rng):
     return report
 
 
-def _inline_state_solve(spec, n_steps=None):
-    steps = n_steps or spec.n_steps
-    grid = TimeGrid(spec.T, steps)
+def _inline_state_solve(spec):
+    grid = TimeGrid(spec.T, spec.n_steps)
     n = grid.n
     inline = spec.inline
     a_op = inline.get("A", ScalarOp(0.0))
@@ -650,18 +638,13 @@ def _pipeline_forward(spec, rng):
             "pass": True,
         }
         return report
-    entry, _, _ = _build_problem(spec)
     # Defaults favor a visibly non-trivial path: the ladder start and
     # baseline weight rather than the catalog's optimization defaults.
+    entry, problem, grid, x0_scale = _build_problem(spec, ladder_start=True)
     weight = spec.control.get("ubar_weight", entry.ladder_ubar)
-    x0_scale = spec.control.get("x0_scale", entry.ladder_x0)
-    steps0 = spec.n_steps if spec.explicit_grid else entry.default_steps
-    problem, grid = build(
-        spec.problem_id, n_steps=steps0, T=spec.T, x0_scale=x0_scale
-    )
-    u = _weight_process(grid, weight)
+    u = AdaptedProcess.constant_scalar(grid, weight)
     path = solve_state(problem, u)
-    terminal = path[steps0]
+    terminal = path[grid.n_steps]
     base_report = {
         "terminal_norm2": norm2(terminal),
         "terminal_terms": terminal.n_terms,
@@ -677,7 +660,7 @@ def _pipeline_forward(spec, rng):
         prob_f, grid_f = build(
             spec.problem_id, n_steps=steps, T=spec.T, x0_scale=x0_scale
         )
-        u_f = _weight_process(grid_f, weight)
+        u_f = AdaptedProcess.constant_scalar(grid_f, weight)
         path_f = solve_state(prob_f, u_f)
         t_f = path_f[steps]
         norms[steps] = norm2(t_f)
@@ -698,7 +681,7 @@ def _pipeline_forward(spec, rng):
     report = {
         "mode": "catalog",
         "problem_id": entry.id,
-        "n_steps": steps0,
+        "n_steps": grid.n_steps,
         "ubar_weight": weight,
         "x0_scale": x0_scale,
         "refinement": refinement,
@@ -779,45 +762,45 @@ def _pipeline_bqsde(spec, rng):
 
 def _ladder_eps(spec, grid):
     if spec.eps_list is not None:
-        return [e for e in spec.eps_list if e >= grid.dt * (1 - 1e-9)]
-    eps = []
-    value = grid.T / 4.0
-    for _ in range(5):
-        if value < grid.dt * (1 - 1e-9):
-            break
-        eps.append(value)
-        value /= 2.0
-    return eps
+        errors = []
+        first = {}
+        for i, e in enumerate(spec.eps_list):
+            steps = spike_window(grid, e)[1]
+            if e < grid.dt * (1 - 1e-9):
+                errors.append(
+                    (f"/eps_list/{i}",
+                     f"eps {e:g} is below one grid step dt={grid.dt:g}")
+                )
+            elif steps in first:
+                errors.append(
+                    (f"/eps_list/{i}",
+                     f"runs on the same {steps}-step window as "
+                     f"/eps_list/{first[steps]}")
+                )
+            else:
+                first[steps] = i
+        if errors:
+            raise SpecError(errors)
+        return list(spec.eps_list)
+    halvings = (grid.T / 4.0 / 2**i for i in range(5))
+    return [e for e in halvings if e >= grid.dt * (1 - 1e-9)]
 
 
 def _pipeline_ladder(spec, rng):
     if spec.problem_id is None:
         raise SpecError(
-            [("/inline", "ladder needs a catalog problem with cost rules")]
-        )
-    entry, _, _ = _build_problem(spec)
-    steps = spec.n_steps if spec.explicit_grid else max(
-        64, entry.default_steps
-    )
-    x0 = spec.control.get("x0_scale", entry.ladder_x0)
-    problem, grid = build(
-        spec.problem_id, n_steps=steps, T=spec.T, x0_scale=x0
+            [("/inline", "ladder needs a catalog problem with cost rules")])
+    entry, problem, grid, x0 = _build_problem(
+        spec, ladder_start=True, least_steps=64
     )
     ub_w = spec.control.get("ubar_weight", entry.ladder_ubar)
     alt_w = spec.control.get("alt_weight", entry.alt_weight)
-    ubar = _weight_process(grid, ub_w)
-    alt = _weight_process(grid, alt_w)
+    ubar = AdaptedProcess.constant_scalar(grid, ub_w)
+    alt = AdaptedProcess.constant_scalar(grid, alt_w)
     eps_list = _ladder_eps(spec, grid)
     if len(eps_list) < 3:
-        raise SpecError(
-            [
-                (
-                    "/eps_list",
-                    "need at least 3 usable widths at or above dt "
-                    f"({grid.dt:g}); got {len(eps_list)}",
-                )
-            ]
-        )
+        raise SpecError([("/eps_list", "need at least 3 usable widths at or "
+                          f"above dt ({grid.dt:g}); got {len(eps_list)}")])
     widest = max(eps_list)
     late = [
         (
@@ -863,13 +846,15 @@ def _pipeline_ladder(spec, rng):
 
 def _pipeline_mp(spec, rng):
     if spec.problem_id is None:
-        raise SpecError(
-            [("/inline", "max-principle needs a catalog problem")]
-        )
-    entry, problem, grid = _build_problem(spec)
+        raise SpecError([("/inline", "max-principle needs a catalog problem")])
+    entry, problem, grid, _ = _build_problem(spec)
     value_grid = spec.value_grid or list(
         problem.control_space.value_grid
     )
+    slots = spec.steps_coarse * len(problem.control_space.basis)
+    if (combos := len(value_grid) ** slots) > ORACLE_BUDGET:
+        raise SpecError([("/value_grid", f"enumeration of {combos} candidates "
+                          f"exceeds the budget of {ORACLE_BUDGET}")])
     u_opt, j_opt = brute_force_optimum(
         problem, grid, spec.steps_coarse, value_grid
     )
@@ -880,7 +865,7 @@ def _pipeline_mp(spec, rng):
         P = second_adjoint_deterministic(problem, xbar, u_opt, adjoints)
     tol = max(1e-6, 1.0 * grid.dt)
     scan = mp_scan(problem, xbar, u_opt, adjoints, P=P, tol=tol)
-    alt = _weight_process(
+    alt = AdaptedProcess.constant_scalar(
         grid, spec.control.get("alt_weight", entry.alt_weight)
     )
     order = 1 if entry.p_term_active else 2
@@ -910,15 +895,9 @@ def _pipeline_mp(spec, rng):
 def _pipeline_bg(spec, rng):
     n = spec.n_steps
     if n > MAX_MATRIX_GENERATORS:
-        raise SpecError(
-            [
-                (
-                    "/grid/n_steps",
-                    "bg-constants needs the matrix route; "
-                    f"n_steps must be at most {MAX_MATRIX_GENERATORS}",
-                )
-            ]
-        )
+        raise SpecError([("/grid/n_steps", "bg-constants needs the matrix "
+                          "route; n_steps must be at most "
+                          f"{MAX_MATRIX_GENERATORS}")])
     grid = TimeGrid(spec.T, n)
     rows = []
     worst_p2 = 0.0
@@ -986,6 +965,7 @@ _PIPELINES = {
     "max-principle": _pipeline_mp,
     "bg-constants": _pipeline_bg,
 }
+SUBCOMMANDS = [*_PIPELINES, "all"]
 _BRANCH = {name: i for i, name in enumerate(SUBCOMMANDS)}
 
 

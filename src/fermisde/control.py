@@ -300,7 +300,13 @@ def _fit_slope(eps_list, values):
 
 
 def _require_windows(grid, eps_list, offset):
-    """Refuse spike widths below one step and windows that pass T."""
+    """Widths of the spike windows that spike_window gives for eps_list.
+
+    Refuses widths below one step, windows that pass T and two eps that
+    round to the same window, so that slopes are fitted against the
+    widths the solves use.
+    """
+    widths = []
     for eps in eps_list:
         if eps < grid.dt * (1 - 1e-9):
             raise ValueError(
@@ -312,6 +318,15 @@ def _require_windows(grid, eps_list, offset):
                 f"spike window [{offset:g}, {offset + eps:g}) passes the "
                 f"horizon T={grid.T:g}"
             )
+        k0, k1 = spike_window(grid, eps, offset)
+        width = (k1 - k0) * grid.dt
+        if width in widths:
+            raise ValueError(
+                f"eps {eps:g} runs on the same {k1 - k0}-step window as "
+                f"an earlier eps"
+            )
+        widths.append(width)
+    return widths
 
 
 # Coefficients of (xi, y, z) in each ladder series.
@@ -425,12 +440,14 @@ def variation_ladder(problem, ubar, u, eps_list, offset=0.0, prune=None):
 
     For each eps, solves the spiked state difference xi, the first and
     second variational paths y and z, and the remainders eta = xi - y,
-    zeta = eta - z; reports sup-step squared p-norms and fitted log-log
-    slopes. Every window must end by T. A series whose values stay below
-    a resolution floor is flagged vacuous and gets no slope; a ladder
-    with every series vacuous does not pass. Slope targets are lower
-    bounds: remainders may decay faster than their guarantee (and do
-    whenever a variational term vanishes identically).
+    zeta = eta - z; reports sup-step squared p-norms and log-log slopes
+    fitted against the window widths the solves use (each eps rounded to
+    whole steps by spike_window; "eps" lists them). Every window must end
+    by T. A series whose values stay below a resolution floor is flagged
+    vacuous and gets no slope; a ladder with every series vacuous does
+    not pass. Slope targets are lower bounds: remainders may decay faster
+    than their guarantee (and do whenever a variational term vanishes
+    identically).
 
     With p = 2, declared linear graded-scalar coefficients and scalar
     start state and sources, the norms and pairings come exactly from
@@ -442,7 +459,7 @@ def variation_ladder(problem, ubar, u, eps_list, offset=0.0, prune=None):
     if len(eps_list) < 2:
         raise ValueError("need at least two eps values to fit slopes")
     grid = ubar.grid
-    _require_windows(grid, eps_list, offset)
+    widths = _require_windows(grid, eps_list, offset)
     amps = _gram_amps(problem, ubar, u)
     if amps is None:
         floor, sups, pruned = _sparse_ladder(
@@ -467,11 +484,11 @@ def variation_ladder(problem, ubar, u, eps_list, offset=0.0, prune=None):
             slopes[name] = None
             continue
         vacuous[name] = False
-        slopes[name] = _fit_slope(eps_list, vals)
+        slopes[name] = _fit_slope(widths, vals)
         if slopes[name] < targets[name] - 0.25:
             passed = False
     return {
-        "eps": list(eps_list),
+        "eps": widths,
         "offset": offset,
         "p": problem.p,
         "series": series,
@@ -765,12 +782,12 @@ def cost_expansion_check(problem, ubar, u, eps_list, offset=0.0,
     For each eps, compares J(u_eps) with J(ubar) plus the first-order
     terms in y + z, the running-cost spike difference, and the quadratic
     terms in y; reports residuals and their fitted slope (above 1 when
-    the expansion captures everything up to o(eps)). Every window must
-    end by T, as in variation_ladder.
+    the expansion captures everything up to o(eps)). Widths and windows
+    are those of variation_ladder.
     """
     grid = ubar.grid
     dt = grid.dt
-    _require_windows(grid, eps_list, offset)
+    widths = _require_windows(grid, eps_list, offset)
     xbar = solve_state(problem, ubar, prune=prune)
     j_base = cost(problem, ubar, prune=prune, path=xbar)
     n = grid.n_steps
@@ -803,9 +820,9 @@ def cost_expansion_check(problem, ubar, u, eps_list, offset=0.0,
         residuals.append(abs(j_true - expansion))
     floor = 1e-10 * (1.0 + abs(j_base))
     vacuous = max(residuals) < floor
-    slope = None if vacuous else _fit_slope(eps_list, residuals)
+    slope = None if vacuous else _fit_slope(widths, residuals)
     return {
-        "eps": list(eps_list),
+        "eps": widths,
         "residuals": residuals,
         "slope": slope,
         "vacuous": vacuous,

@@ -90,17 +90,8 @@ def test_parse_defaults():
     assert spec.problem_id == "lq_scalar"
     assert spec.T == 1.0 and spec.n_steps == 8
     assert not spec.explicit_grid
-    assert spec.p == 2.0 and spec.p_prime == 2.0
     assert spec.offsets == [0.0]
     assert spec.steps_coarse == 3
-
-
-@pytest.mark.parametrize(
-    "p,want",
-    [(1.0, np.inf), ("inf", 1.0), (3.0, 1.5), (2.0, 2.0)],
-)
-def test_parse_fills_conjugate_exponent(p, want):
-    assert parse_problem({"p": p}).p_prime == want
 
 
 def test_parse_grid_forms_agree():
@@ -145,6 +136,59 @@ def test_parse_rejects_id_plus_inline_and_bad_json():
         parse_problem("{not json")
     with pytest.raises(SpecError, match="must be a JSON object"):
         parse_problem("[1, 2]")
+
+
+# Each spec used to run (or crash) without a pointer.
+MALFORMED = [
+    ('{"n_steps": 2.7}', {"/n_steps"}),
+    ('{"n_steps": true}', {"/n_steps"}),
+    ('{"n_steps": "12"}', {"/n_steps"}),
+    ('{"n_steps": Infinity}', {"/n_steps"}),
+    ('{"n_step": 16}', {"/n_step"}),
+    ('{"grid": {"steps": 16}}', {"/grid/steps"}),
+    ('{"eps_list": [NaN, 0.1, 0.2]}', {"/eps_list/0"}),
+    ('{"offsets": [NaN]}', {"/offsets/0"}),
+    ('{"T": Infinity}', {"/T"}),
+    ('{"value_grid": [Infinity]}', {"/value_grid/0"}),
+    ('{"grid": {"T": 2}, "T": 3}', {"/T"}),
+    ('{"p": 1.5, "p_prime": 7}', {"/p", "/p_prime"}),
+]
+
+
+@pytest.mark.parametrize("text,pointers", MALFORMED)
+def test_malformed_specs_are_refused_with_pointers(
+    tmp_path, capsys, text, pointers
+):
+    with pytest.raises(SpecError) as excinfo:
+        parse_problem(text)
+    assert {ptr for ptr, _ in excinfo.value.errors} == pointers
+    out = tmp_path / "out"
+    assert main(["forward", "--spec", text, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert all(f"  {ptr}: " in err for ptr in pointers)
+    assert not out.exists()
+
+
+def test_echo_holds_the_checked_fields():
+    spec = parse_problem(
+        {
+            "problem_id": "odd_drift",
+            "T": 2,
+            "grid": {"n_steps": 16.0},
+            "control": {"alt_weight": -1},
+            "eps_list": [0.5, 0.25],
+            "value_grid": [0, 1],
+        }
+    )
+    assert spec.echo() == {
+        "problem_id": "odd_drift",
+        "grid": {"T": 2.0, "n_steps": 16},
+        "control": {"alt_weight": -1.0},
+        "eps_list": [0.5, 0.25],
+        "offsets": [0.0],
+        "value_grid": [0.0, 1.0],
+        "steps_coarse": 3,
+    }
 
 
 def test_parse_inline_maps_and_elements():
@@ -290,6 +334,53 @@ def test_run_ladder_needs_three_usable_widths(tmp_path):
     spec = parse_problem({"problem_id": "lq_scalar", "n_steps": 8})
     with pytest.raises(SpecError, match="at least 3 usable widths"):
         run("ladder", spec, str(tmp_path))
+
+
+def test_run_ladder_fits_the_widths_its_windows_use(tmp_path):
+    # At n=24 the default eps 0.0625 is 1.5 steps and runs as 2 steps.
+    spec = parse_problem({"problem_id": "odd_drift", "n_steps": 24})
+    body = run("ladder", spec, str(tmp_path))["report"]
+    assert body["pass"]
+    assert body["eps_list"] == [0.25, 0.125, 0.0625]
+    run0 = body["runs"][0]
+    assert run0["eps"] == [6 / 24, 3 / 24, 2 / 24]
+    assert run0["slopes"]["xi_sq"] > 1.9
+
+
+def test_main_ladder_refuses_eps_below_one_step(tmp_path, capsys):
+    out = tmp_path / "narrow"
+    spec = ('{"problem_id": "lq_scalar", "grid": {"n_steps": 12}, '
+            '"eps_list": [0.5, 0.25, 0.125, 0.01]}')
+    assert main(["ladder", "--spec", spec, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "/eps_list/3: eps 0.01 is below one grid step" in err
+    assert not (out / "ladder.json").exists()
+
+
+def test_main_ladder_refuses_two_eps_on_one_window(tmp_path, capsys):
+    spec = ('{"problem_id": "lq_scalar", "grid": {"n_steps": 24}, '
+            '"eps_list": [0.25, 0.07, 0.0625]}')
+    assert main(["ladder", "--spec", spec, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "/eps_list/2: runs on the same 2-step window as /eps_list/1" in err
+
+
+def test_main_max_principle_refuses_an_oracle_over_budget(
+    tmp_path, monkeypatch, capsys
+):
+    def enumerate_anyway(*args, **kwargs):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(cli, "brute_force_optimum", enumerate_anyway)
+    spec = json.dumps(
+        {"problem_id": "lq_scalar", "grid": {"n_steps": 8},
+         "value_grid": list(range(21)), "steps_coarse": 4}
+    )
+    code = main(["max-principle", "--spec", spec, "--out", str(tmp_path)])
+    assert code == 2
+    assert "/value_grid: enumeration of 194481 candidates" in (
+        capsys.readouterr().err
+    )
 
 
 def test_run_max_principle_small_grid(tmp_path):

@@ -373,6 +373,15 @@ def test_ladder_with_every_series_vacuous_fails():
     assert not lad["pass"]
 
 
+def test_ladder_refuses_two_eps_on_one_window():
+    # At n=24, 0.07 and 0.0625 both round to a 2-step window.
+    pb, grid = quad_problem(24)
+    u = const_u(grid, 0.3)
+    alt = const_u(grid, -0.9)
+    with pytest.raises(ValueError, match="same 2-step window"):
+        variation_ladder(pb, u, alt, [0.25, 0.07, 0.0625])
+
+
 def _ladder_inputs(pid, n_steps, T=1.0):
     entry = catalog()[pid]
     pb, grid = build(pid, n_steps=n_steps, T=T, x0_scale=entry.ladder_x0)
@@ -516,6 +525,17 @@ def test_cost_expansion_slope_and_vacuous_branch():
         pb, const_u(grid, 0.3), const_u(grid, 0.3), [0.25, 0.125]
     )
     assert same["vacuous"] and same["pass"] and same["slope"] is None
+
+
+def test_cost_expansion_fits_the_widths_its_windows_use():
+    # At n=24, eps 0.0625 is 1.5 steps and runs as 2 steps.
+    pb, grid = quad_problem(24, x0=1.0)
+    rep = cost_expansion_check(
+        pb, const_u(grid, 0.3), const_u(grid, -0.9), [0.25, 0.125, 0.0625]
+    )
+    widths = [6 * grid.dt, 3 * grid.dt, 2 * grid.dt]
+    assert rep["eps"] == widths
+    assert rep["slope"] == control._fit_slope(widths, rep["residuals"])
 
 
 def test_cost_expansion_refuses_windows_past_the_horizon():
