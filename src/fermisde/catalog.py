@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import CliffordElement
-from .control import ControlProblem
+from .control import ControlProblem, RunningNormCost, TerminalNormCost
 from .forward import Coefficients, ControlSpace, LinearStructure
 from .ito import TimeGrid
 from .operators import (
@@ -55,14 +55,18 @@ class CatalogEntry:
 
 
 def _quad_cost(q, r, s):
-    """Cost rules for q||x||^2 + r||u||^2 running, s||x||^2 terminal."""
+    """Cost rules for q||x||^2 + r||u||^2 running, s||x||^2 terminal.
+
+    L and h carry their weights, which lets the oracle cost candidates
+    exactly (see control.brute_force_optimum).
+    """
     return {
-        "L": lambda k, x, u: q * x.norm2_sq() + r * u.norm2_sq(),
+        "L": RunningNormCost(q, r),
         "Lx": lambda k, x, u: x.scale(2.0 * q),
         "Lxx": lambda k, x, u: BilinearMap(
             operator=GradedScalarOp(2.0 * q, 0.0)
         ),
-        "h": lambda x: s * x.norm2_sq(),
+        "h": TerminalNormCost(s),
         "hx": lambda x: x.scale(2.0 * s),
         "hxx": lambda x: BilinearMap(operator=GradedScalarOp(2.0 * s, 0.0)),
     }

@@ -49,6 +49,7 @@ from .control import (
 )
 from .forward import apriori_check, linear_euler_forward, spike_window
 from .ito import (
+    MAX_GRID_STEPS,
     AdaptedProcess,
     TimeGrid,
     bg_ratios,
@@ -131,7 +132,9 @@ class ProblemSpec:
 _FIELDS = (
     ("/problem_id", "id", None, "lq_scalar"),
     ("/grid/T", "float", (lambda v: v > 0, "horizon must be positive"), 1.0),
-    ("/grid/n_steps", "int", (lambda v: v >= 1, "need at least one step"), 8),
+    ("/grid/n_steps", "int",
+     (lambda v: 1 <= v <= MAX_GRID_STEPS,
+      f"must be between 1 and {MAX_GRID_STEPS}"), 8),
     ("/control/ubar_weight", "float", None, None),
     ("/control/alt_weight", "float", None, None),
     ("/control/x0_scale", "float", None, None),
@@ -242,19 +245,10 @@ def _linmap(payload, pointer, n, errors):
     value = payload[kind]
     if kind == "scalar":
         if isinstance(value, dict):
-            try:
-                return ScalarOp(
-                    complex(float(value.get("re", 0.0)),
-                            float(value.get("im", 0.0)))
-                )
-            except (TypeError, ValueError):
-                errors.append((pointer + "/scalar", "not a number"))
-                return ScalarOp(0.0)
-        try:
-            return ScalarOp(float(value))
-        except (TypeError, ValueError):
-            errors.append((pointer + "/scalar", "not a number"))
-            return ScalarOp(0.0)
+            amp = _amplitude(value, pointer + "/scalar", errors)
+        else:
+            amp = _check(value, "float", None, pointer + "/scalar", errors)
+        return ScalarOp(0.0 if amp is None else amp)
     if kind == "sum":
         if not isinstance(value, list):
             errors.append((pointer + "/sum", "must be a list of maps"))
@@ -264,15 +258,42 @@ def _linmap(payload, pointer, n, errors):
             for i, item in enumerate(value)
         ]
         return SumOp(parts)
-    try:
-        element = element_from_json(value, expect_n=n)
-    except ValueError as exc:
-        errors.append((pointer + "/" + kind, str(exc)))
-        return ScalarOp(0.0)
+    element = _element_field(value, pointer + "/" + kind, n, errors)
     return LeftMulOp(element) if kind == "left" else RightMulOp(element)
 
 
+def _amplitude(node, pointer, errors, keys=("re", "im")):
+    """complex(re, im) of a node whose parts are finite JSON numbers
+    (absent parts are 0), or None after appending why it is refused.
+    Keys outside keys are refused."""
+    before = len(errors)
+    unknown = sorted(str(key) for key in node if key not in keys)
+    if unknown:
+        errors.append((pointer, "unknown keys: " + ", ".join(unknown)))
+    parts = [
+        _check(node[part], "float", None, f"{pointer}/{part}", errors)
+        if part in node else 0.0
+        for part in ("re", "im")
+    ]
+    return None if len(errors) > before else complex(*parts)
+
+
 def _element_field(payload, pointer, n, errors):
+    """Element of an /inline payload, each term checked at its own
+    pointer: an object with an integral mask of generators below n and
+    finite amplitudes (/terms/<i>/mask, /re, /im)."""
+    before = len(errors)
+    terms = payload.get("terms") if isinstance(payload, dict) else None
+    mask_bound = (lambda v: 0 <= v < 2**n, f"not a mask of {n} generators")
+    for i, term in enumerate(terms if isinstance(terms, list) else []):
+        ptr = f"{pointer}/terms/{i}"
+        if not isinstance(term, dict) or "mask" not in term:
+            errors.append((ptr, "must be an object with a mask"))
+            continue
+        _check(term["mask"], "int", mask_bound, ptr + "/mask", errors)
+        _amplitude(term, ptr, errors, keys=("mask", "re", "im"))
+    if len(errors) > before:
+        return CliffordElement.zero(n)
     try:
         return element_from_json(payload, expect_n=n)
     except ValueError as exc:

@@ -34,6 +34,7 @@ from .forward import (
     euler_forward_difference,
     linear_euler_forward,
     linear_gram,
+    linear_norms_sq,
     spike,
     spike_window,
 )
@@ -49,6 +50,8 @@ from .operators import (
 
 __all__ = [
     "ControlProblem",
+    "RunningNormCost",
+    "TerminalNormCost",
     "AdjointPair",
     "SecondAdjointPath",
     "MPReport",
@@ -92,6 +95,31 @@ def _zero_terminal_grad(x):
 
 def _zero_terminal_hess(x):
     return BilinearMap.zero()
+
+
+@dataclass(frozen=True)
+class RunningNormCost:
+    """Running cost L(k, x, u) = q ||x||^2 + r ||u||^2 with its weights.
+
+    The weights declare the cost's structure: brute_force_optimum reads
+    them to cost every candidate exactly by the parity-Gram recursion.
+    """
+
+    q: float
+    r: float
+
+    def __call__(self, k, x, u):
+        return self.q * x.norm2_sq() + self.r * u.norm2_sq()
+
+
+@dataclass(frozen=True)
+class TerminalNormCost:
+    """Terminal cost h(x) = s ||x||^2 with its weight (see RunningNormCost)."""
+
+    s: float
+
+    def __call__(self, x):
+        return self.s * x.norm2_sq()
 
 
 @dataclass
@@ -345,43 +373,52 @@ _LADDER_SERIES = {
 _GRAM_SOURCES = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
 
 
-def _gram_amps(problem, ubar, u):
-    """Scalar sources of the parity-Gram ladder route, None if it cannot run.
+def _gram_ops(problem, grid):
+    """Per-step (A, B, C) of the parity-Gram routes, None if they cannot run.
 
-    The route needs p = 2, declared linear coefficients whose operators
-    reduce to graded-scalar form at every step, and a start state and
-    injected sources under ubar and under u that are multiples of I.
-    Returns the (2, n_steps, 3) amplitudes of (sD, sF, sG) under ubar and
-    under u.
+    The routes need declared linear coefficients whose operators reduce
+    to graded-scalar form at every step and a start state that is a
+    multiple of I; each consumer also checks its control sources with
+    _source_amps.
     """
     lin = problem.coeffs.linear
-    if problem.p != 2 or lin is None or _as_scalar_amp(problem.x0) is None:
+    if lin is None or _as_scalar_amp(problem.x0) is None:
         return None
-    grid = ubar.grid
-    amps = np.empty((2, grid.n_steps, 3), dtype=np.complex128)
-    for k in range(grid.n_steps):
-        ops = (lin.A(k), lin.B(k), lin.C(k))
-        if any(op.as_graded_scalar() is None for op in ops):
-            return None
+    ops = [(lin.A(k), lin.B(k), lin.C(k)) for k in range(grid.n_steps)]
+    if any(op.as_graded_scalar() is None for step in ops for op in step):
+        return None
+    return ops
+
+
+def _source_amps(problem, k, value):
+    """Scalar amplitudes of (uD, uF, uG) under control value value at
+    step k, None unless every source is a multiple of I."""
+    lin = problem.coeffs.linear
+    amps = [
+        _as_scalar_amp(rule(k, value)) for rule in (lin.uD, lin.uF, lin.uG)
+    ]
+    return None if any(a is None for a in amps) else amps
+
+
+def _gram_amps(problem, ubar, u):
+    """The (2, n_steps, 3) amplitudes of (sD, sF, sG) under ubar and
+    under u, None if any source is not a multiple of I."""
+    amps = np.empty((2, ubar.grid.n_steps, 3), dtype=np.complex128)
+    for k in range(ubar.grid.n_steps):
         for i, control in enumerate((ubar, u)):
-            for j, rule in enumerate((lin.uD, lin.uF, lin.uG)):
-                amp = _as_scalar_amp(rule(k, control[k]))
-                if amp is None:
-                    return None
-                amps[i, k, j] = amp
+            step = _source_amps(problem, k, control[k])
+            if step is None:
+                return None
+            amps[i, k] = step
     return amps
 
 
-def _gram_ladder(problem, grid, eps_list, offset, amps):
+def _gram_ladder(problem, grid, eps_list, offset, ops, amps):
     """floor and per-eps sup series from linear_gram; nothing is pruned."""
-    lin = problem.coeffs.linear
-
-    def ops(k):
-        return lin.A(k), lin.B(k), lin.C(k)
-
     base, alt = amps
     x_gram = linear_gram(
-        grid, ops, lambda k: base[k][:, None], [_as_scalar_amp(problem.x0)]
+        grid, ops.__getitem__, lambda k: base[k][:, None],
+        [_as_scalar_amp(problem.x0)],
     )
     floor = 1e-8 * (1.0 + float(x_gram[:, 0, 0].real.max()))
     delta = alt - base
@@ -395,7 +432,7 @@ def _gram_ladder(problem, grid, eps_list, offset, amps):
                 return delta[k][:, None] * _GRAM_SOURCES
             return idle
 
-        gram = linear_gram(grid, ops, srcs, np.zeros(3))
+        gram = linear_gram(grid, ops.__getitem__, srcs, np.zeros(3))
         sups.append({
             name: max(
                 float(np.einsum("i,kij,j->k", c, gram, c).real.max()), 0.0
@@ -460,13 +497,16 @@ def variation_ladder(problem, ubar, u, eps_list, offset=0.0, prune=None):
         raise ValueError("need at least two eps values to fit slopes")
     grid = ubar.grid
     widths = _require_windows(grid, eps_list, offset)
-    amps = _gram_amps(problem, ubar, u)
+    ops = _gram_ops(problem, grid) if problem.p == 2 else None
+    amps = None if ops is None else _gram_amps(problem, ubar, u)
     if amps is None:
         floor, sups, pruned = _sparse_ladder(
             problem, ubar, u, eps_list, offset, prune
         )
     else:
-        floor, sups = _gram_ladder(problem, grid, eps_list, offset, amps)
+        floor, sups = _gram_ladder(
+            problem, grid, eps_list, offset, ops, amps
+        )
         pruned = 0.0
     targets = {"xi_sq": 1.0, "y_sq": 1.0, "z_sq": 2.0,
                "eta_sq": 2.0, "zeta_sq": 2.0}
@@ -830,15 +870,90 @@ def cost_expansion_check(problem, ubar, u, eps_list, offset=0.0,
     }
 
 
+def _norm_cost_weights(problem):
+    """(q, r, s) of a cost declared by RunningNormCost and
+    TerminalNormCost, the zero defaults counting as zero weights; None
+    for any other cost rule."""
+    L, h = problem.L, problem.h
+    if L is _zero_cost:
+        q = r = 0.0
+    elif isinstance(L, RunningNormCost):
+        q, r = L.q, L.r
+    else:
+        return None
+    if h is _zero_terminal:
+        s = 0.0
+    elif isinstance(h, TerminalNormCost):
+        s = h.s
+    else:
+        return None
+    return q, r, s
+
+
+def _gram_costs(problem, grid, bounds, values):
+    """J of every candidate from one diagonal parity-Gram recursion.
+
+    values are the distinct block control values; candidate c takes
+    values[i_b] on block b, where (i_0, i_1, ...) unravels c in
+    itertools.product order. Returns the costs in that order, None when
+    the cost is not a declared norm cost or the problem is not
+    eligible for the Gram route (_gram_ops, _source_amps). Memory is
+    O(K blocks + n_steps len(values)) for K candidates.
+    """
+    weights = _norm_cost_weights(problem)
+    ops = None if weights is None else _gram_ops(problem, grid)
+    if ops is None:
+        return None
+    n = grid.n_steps
+    table = np.empty((n, 3, len(values)), dtype=np.complex128)
+    for k in range(n):
+        for i, value in enumerate(values):
+            amps = _source_amps(problem, k, value)
+            if amps is None:
+                return None
+            table[k, :, i] = amps
+    blocks = len(bounds) - 1
+    count = len(values) ** blocks
+    picks = np.unravel_index(np.arange(count), (len(values),) * blocks)
+    # Per step, the value index of every candidate (its block's pick).
+    step_picks = [picks[b] for b in np.repeat(range(blocks), np.diff(bounds))]
+    q, r, s = weights
+    u_sq = np.array([value.norm2_sq() for value in values])
+    norms = linear_norms_sq(
+        grid,
+        ops.__getitem__,
+        lambda k: table[k][:, step_picks[k]],
+        np.full(count, _as_scalar_amp(problem.x0)),
+    )
+    total = np.zeros(count)
+    for k, x_sq in enumerate(norms):
+        if k < n:
+            total += (q * x_sq + r * u_sq[step_picks[k]]) * grid.dt
+        else:
+            total = total + s * x_sq
+    if not np.isfinite(total).all():
+        raise FloatingPointError(
+            f"state or cost became non-finite for "
+            f"{int(np.sum(~np.isfinite(total)))} of {count} candidates"
+        )
+    return total
+
+
 def brute_force_optimum(problem, grid, steps_coarse, value_grid,
                         prune=None):
     """Exhaustive cost minimum over coarse piecewise-constant controls.
 
     Each of steps_coarse blocks gets one weight vector with every entry
     drawn from value_grid; the block layout is mapped onto the fine
-    grid and each candidate is costed by a forward solve. Refuses when
-    the enumeration exceeds the budget. Ties keep the earliest
-    candidate in grid order, which makes the result deterministic.
+    grid. Refuses when the enumeration exceeds the budget. Ties keep the
+    earliest candidate in itertools.product order, which makes the
+    result deterministic.
+
+    When the cost is declared by RunningNormCost and TerminalNormCost
+    (or the zero defaults) and the problem is eligible for the
+    parity-Gram route, every candidate is costed exactly by one array
+    recursion and prune is unused; otherwise each candidate is costed
+    by a forward solve pruned at the problem's budget.
     """
     from itertools import product
 
@@ -855,15 +970,26 @@ def brute_force_optimum(problem, grid, steps_coarse, value_grid,
     n = grid.n_steps
     bounds = [round(i * n / steps_coarse) for i in range(steps_coarse + 1)]
     space = problem.control_space
+    values = [
+        space.element(list(weights))
+        for weights in product(value_grid, repeat=basis_size)
+    ]
+
+    def candidate(picks):
+        steps = []
+        for b, i in enumerate(picks):
+            steps.extend([values[i]] * (bounds[b + 1] - bounds[b]))
+        return AdaptedProcess(grid, steps, check=False)
+
+    costs = _gram_costs(problem, grid, bounds, values)
+    if costs is not None:
+        best = int(np.argmin(costs))
+        shape = (len(values),) * steps_coarse
+        return candidate(np.unravel_index(best, shape)), float(costs[best])
     best = None
     best_cost = np.inf
-    for combo in product(value_grid, repeat=slots):
-        values = []
-        for b in range(steps_coarse):
-            weights = combo[b * basis_size : (b + 1) * basis_size]
-            el = space.element(list(weights))
-            values.extend([el] * (bounds[b + 1] - bounds[b]))
-        u = AdaptedProcess(grid, values, check=False)
+    for picks in product(range(len(values)), repeat=steps_coarse):
+        u = candidate(picks)
         j = cost(problem, u, prune=prune)
         if j < best_cost:
             best_cost = j

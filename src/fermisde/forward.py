@@ -39,6 +39,7 @@ __all__ = [
     "euler_forward_difference",
     "linear_euler_forward",
     "linear_gram",
+    "linear_norms_sq",
     "apriori_check",
     "spike",
     "numeric_frechet",
@@ -375,29 +376,28 @@ def _parity_coefs(op):
     return np.complex128(g.alpha + g.beta), np.complex128(g.alpha - g.beta)
 
 
-def linear_gram(grid, ops, srcs, x0_amps):
-    """Gram matrices <x_i, x_j> of K linear solves that share ops.
+def _gram_walk(grid, ops, srcs, x0_amps, pair):
+    """Yield pair-form pairings of K linear solves at steps 0..n_steps.
 
     The bilinear form of _Frame.step, unpruned: with graded-scalar
     operators and scalar sources a step scales each row by a factor of
     its parity alone and moves it to a new row of the other parity,
     while the sources touch only the empty row and {k}. So the pairings
-    follow from the vacuum amplitudes e0 and the Gram matrices over the
+    follow from the vacuum amplitudes e0 and the pairings over the
     non-empty even rows and over the odd rows (the p=2 isometry applied
     step by step).
 
-    ops(k) returns the operator triple (A, B, C), each reducing to
-    graded-scalar form; srcs(k) the (3, K) scalar amplitudes of (sD, sF,
-    sG) for each path; x0_amps the K start amplitudes (multiples of I).
-    Returns the (n_steps + 1, K, K) array of <x_i(k), x_j(k)>.
+    pair(v) forms the pairings of the amplitude vector v: its outer
+    product for whole Gram matrices, |v|^2 for their diagonals alone.
+    Overflow is passed on (NaN and inf persist through later steps), so
+    consumers check what they keep.
     """
     dt = grid.dt
     root = np.sqrt(dt)
     e0 = np.asarray(x0_amps, dtype=np.complex128)
-    g_even = np.zeros((e0.size, e0.size), dtype=np.complex128)
+    g_even = np.zeros_like(pair(e0))
     g_odd = np.zeros_like(g_even)
-    out = np.empty((grid.n_steps + 1,) + g_even.shape, dtype=np.complex128)
-    out[0] = np.outer(e0.conj(), e0)
+    yield pair(e0)
     for k in range(grid.n_steps):
         (a_e, a_o), (b_e, b_o), (c_e, c_o) = map(_parity_coefs, ops(k))
         s_d, s_f, s_g = srcs(k)
@@ -410,18 +410,43 @@ def linear_gram(grid, ops, srcs, x0_amps):
         v = f_even * e0 + root * (s_f + s_g)
         g_even, g_odd = (
             abs(m_even) ** 2 * g_even + abs(f_odd) ** 2 * g_odd,
-            abs(m_odd) ** 2 * g_odd
-            + abs(f_even) ** 2 * g_even
-            + np.outer(v.conj(), v),
+            abs(m_odd) ** 2 * g_odd + abs(f_even) ** 2 * g_even + pair(v),
         )
         e0 = m_even * e0 + dt * s_d
-        out[k + 1] = np.outer(e0.conj(), e0) + g_even + g_odd
+        yield pair(e0) + g_even + g_odd
+
+
+def linear_gram(grid, ops, srcs, x0_amps):
+    """Gram matrices <x_i, x_j> of K linear solves that share ops.
+
+    ops(k) returns the operator triple (A, B, C), each reducing to
+    graded-scalar form; srcs(k) the (3, K) scalar amplitudes of (sD, sF,
+    sG) for each path; x0_amps the K start amplitudes (multiples of I).
+    Returns the (n_steps + 1, K, K) array of <x_i(k), x_j(k)>, exact up
+    to rounding (see _gram_walk).
+    """
+    out = np.array(list(_gram_walk(
+        grid, ops, srcs, x0_amps, lambda v: np.outer(v.conj(), v)
+    )))
     bad = ~np.isfinite(out).all(axis=(1, 2))
     if bad.any():
         raise FloatingPointError(
             f"state became non-finite at step {int(np.argmax(bad))}"
         )
     return out
+
+
+def linear_norms_sq(grid, ops, srcs, x0_amps):
+    """Yield ||x_i(k)||^2 of K linear solves that share ops, k = 0..n.
+
+    The diagonal of linear_gram with the same arguments, one length-K
+    real array per step, so memory stays O(K) however many paths run.
+    Unlike linear_gram it does not check for overflow: NaN and inf
+    persist, so the caller checks what it accumulates.
+    """
+    return _gram_walk(
+        grid, ops, srcs, x0_amps, lambda v: v.real**2 + v.imag**2
+    )
 
 
 def linear_euler_forward(grid, ops, srcs, x0, prune=None):

@@ -33,6 +33,7 @@ from .algebra import (
 )
 
 __all__ = [
+    "MAX_GRID_STEPS",
     "TimeGrid",
     "AdaptedProcess",
     "MartingaleSeq",
@@ -47,6 +48,12 @@ __all__ = [
 ]
 
 
+# Largest step count of a grid. Each step adds a generator, so this bounds
+# the algebra size n of every solve; it is 16 times the largest grid the
+# tests, demos and benchmark use.
+MAX_GRID_STEPS = 4096
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid on [0, T] with n_steps steps; one generator per step."""
@@ -59,6 +66,11 @@ class TimeGrid:
             raise ValueError("grid horizon T must be positive")
         if self.n_steps < 1:
             raise ValueError("grid needs at least one step")
+        if self.n_steps > MAX_GRID_STEPS:
+            raise ValueError(
+                f"grid of {self.n_steps} steps refused "
+                f"(> {MAX_GRID_STEPS})"
+            )
 
     @property
     def dt(self):

@@ -152,6 +152,32 @@ MALFORMED = [
     ('{"value_grid": [Infinity]}', {"/value_grid/0"}),
     ('{"grid": {"T": 2}, "T": 3}', {"/T"}),
     ('{"p": 1.5, "p_prime": 7}', {"/p", "/p_prime"}),
+    ('{"n_steps": 1000000}', {"/n_steps"}),
+    ('{"grid": {"n_steps": 4097}}', {"/grid/n_steps"}),
+    ('{"n_steps": 4, "inline": {"A": {"scalar": true}}}',
+     {"/inline/A/scalar"}),
+    ('{"n_steps": 4, "inline": {"A": {"scalar": "1e3"}}}',
+     {"/inline/A/scalar"}),
+    ('{"n_steps": 4, "inline": {"A": {"scalar": NaN}}}',
+     {"/inline/A/scalar"}),
+    ('{"n_steps": 4, "inline": {"A": {"scalar": {"re": 1, "im": true}}}}',
+     {"/inline/A/scalar/im"}),
+    ('{"n_steps": 4, "inline": {"x0": {"n": 4, "terms": '
+     '[{"mask": 0, "re": "nan"}]}}}', {"/inline/x0/terms/0/re"}),
+    ('{"n_steps": 4, "inline": {"x0": {"n": 4, "terms": '
+     '[{"mask": 0, "re": 1.0}, {"mask": 1, "re": true}]}}}',
+     {"/inline/x0/terms/1/re"}),
+    ('{"n_steps": 4, "inline": {"B": {"left": {"n": 4, "terms": '
+     '[{"mask": 1, "im": Infinity}]}}}}', {"/inline/B/left/terms/0/im"}),
+    ('{"n_steps": 4, "inline": {"x0": {"n": 4, "terms": '
+     '[{"mask": 2.7, "re": 1.0}]}}}', {"/inline/x0/terms/0/mask"}),
+    ('{"n_steps": 4, "inline": {"x0": {"n": 4, "terms": '
+     '[{"mask": 1180591620717411303424, "re": 1.0}]}}}',
+     {"/inline/x0/terms/0/mask"}),
+    ('{"n_steps": 4, "inline": {"x0": {"n": 4, "terms": [{"re": 1.0}]}}}',
+     {"/inline/x0/terms/0"}),
+    ('{"n_steps": 4, "inline": {"A": {"scalar": {"re": 1, "imag": 2}}}}',
+     {"/inline/A/scalar"}),
 ]
 
 
@@ -167,6 +193,12 @@ def test_malformed_specs_are_refused_with_pointers(
     err = capsys.readouterr().err
     assert all(f"  {ptr}: " in err for ptr in pointers)
     assert not out.exists()
+
+
+def test_a_step_count_past_the_grid_limit_is_refused():
+    with pytest.raises(SpecError) as excinfo:
+        parse_problem({"grid": {"n_steps": 10**400}})
+    assert [ptr for ptr, _ in excinfo.value.errors] == ["/grid/n_steps"]
 
 
 def test_echo_holds_the_checked_fields():

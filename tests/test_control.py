@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fermisde import control
+from fermisde import control, forward
 from fermisde.algebra import CliffordElement, norm2, pairing, vacuum
 from fermisde.catalog import build, catalog
 from fermisde.control import (
@@ -580,6 +580,76 @@ def test_brute_force_argmin_survives_joint_cost_scaling():
     for va, vb in zip(u_a, u_b):
         assert vacuum(va) == vacuum(vb)
     assert abs(j_b - 3.0 * j_a) < 1e-12
+
+
+def _plain_costs(pb):
+    """The same problem with L and h wrapped in lambdas: sparse oracle."""
+    L, h = pb.L, pb.h
+    return dataclasses.replace(
+        pb, L=lambda k, x, u: L(k, x, u), h=lambda x: h(x)
+    )
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the exact oracle made an element solve")
+
+
+@pytest.mark.parametrize("x0", [0.0, 1.0])
+@pytest.mark.parametrize("pid", ELIGIBLE)
+def test_exact_oracle_matches_the_unpruned_sparse_enumeration(
+    monkeypatch, pid, x0
+):
+    pb, grid = build(pid, n_steps=10, x0_scale=x0)
+    pb = dataclasses.replace(pb, prune=None)
+    u_s, j_s = brute_force_optimum(_plain_costs(pb), grid, 2, GRID7)
+    monkeypatch.setattr(forward, "linear_euler_forward", _refuse)
+    monkeypatch.setattr(control, "cost", _refuse)
+    u_e, j_e = brute_force_optimum(pb, grid, 2, GRID7)
+    assert type(j_e) is float
+    assert [vacuum(v) for v in u_e] == [vacuum(v) for v in u_s]
+    assert abs(j_e - j_s) <= 1e-12 * abs(j_s)
+    assert (j_s == 0.0) == (x0 == 0.0)
+
+
+def test_exact_oracle_keeps_the_earliest_of_tied_candidates():
+    # From x0 = 0, negating the control negates the state, so every
+    # candidate ties exactly with its mirror image.
+    pb, grid = build("lq_scalar", n_steps=8)
+    u_e, j_e = brute_force_optimum(pb, grid, 2, [-0.3, 0.3])
+    u_s, j_s = brute_force_optimum(_plain_costs(pb), grid, 2, [-0.3, 0.3])
+    assert vacuum(u_e[0]) == -0.3
+    assert [vacuum(v) for v in u_e] == [vacuum(v) for v in u_s]
+    mirror = AdaptedProcess(grid, [v.scale(-1.0) for v in u_e], check=False)
+    assert cost(pb, mirror) == cost(pb, u_e)
+
+
+def _undeclared_lq(n_steps):
+    pb, grid = build("lq_scalar", n_steps=n_steps)
+    return _sparse_twin(pb), grid
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build("quadratic_drift", n_steps=4),
+    lambda: quad_problem(4),
+    lambda: _undeclared_lq(4),
+], ids=["quadratic_drift", "lambda_cost", "undeclared_linear"])
+def test_oracle_keeps_the_sparse_route(monkeypatch, make):
+    pb, grid = make()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return cost(*args, **kwargs)
+
+    monkeypatch.setattr(control, "cost", counted)
+    brute_force_optimum(pb, grid, 2, [-0.3, 0.0, 0.3])
+    assert len(calls) == 9
+
+
+def test_exact_oracle_raises_on_an_overflowing_candidate():
+    pb, grid = build("lq_scalar", n_steps=4)
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        brute_force_optimum(pb, grid, 2, [0.0, 1e200])
 
 
 def test_brute_force_winner_sits_within_one_cell_of_refined_optimum():

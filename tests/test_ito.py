@@ -14,6 +14,7 @@ from fermisde.algebra import (
     vacuum,
 )
 from fermisde.ito import (
+    MAX_GRID_STEPS,
     AdaptedProcess,
     MartingaleSeq,
     TimeGrid,
@@ -56,6 +57,12 @@ def test_grid_validation_and_immutability():
     g = TimeGrid(1.0, 4)
     with pytest.raises(AttributeError):
         g.T = 2.0
+
+
+def test_grid_refuses_more_steps_than_the_limit():
+    assert TimeGrid(1.0, MAX_GRID_STEPS).n == MAX_GRID_STEPS
+    with pytest.raises(ValueError, match=f"> {MAX_GRID_STEPS}"):
+        TimeGrid(1.0, MAX_GRID_STEPS + 1)
 
 
 def test_process_length_and_size_validation():
