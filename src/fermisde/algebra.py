@@ -40,6 +40,7 @@ __all__ = [
     "jw_rep",
     "lp_norm",
     "random_element",
+    "singular_values",
 ]
 
 # Largest n for which the matrix representation is built at all. Beyond
@@ -400,46 +401,63 @@ def jw_rep(n):
     return rep
 
 
+def singular_values(a, rep=None):
+    """Singular values of the matrix image of a, largest first.
+
+    Without a rep this builds the cached Jordan-Wigner representation,
+    which is refused above MAX_MATRIX_GENERATORS generators.
+    """
+    if rep is None:
+        rep = jw_rep(a.n)
+    return np.linalg.svd(rep.matrix(a), compute_uv=False)
+
+
+def _spectral_lp(a, s, p):
+    """L^p norm of a read off its singular values s; p = 2 stays exact
+    from the pairing and does not read s."""
+    if p == 2:
+        return norm2(a)
+    if p == np.inf:
+        return float(s[0]) if s.size else 0.0
+    return float(np.mean(s**p) ** (1.0 / p))
+
+
 def lp_norm(a, p, rep=None):
     """Noncommutative L^p norm, (m(|a|^p))^(1/p), p in [1, inf].
 
     p = 2 is exact from the pairing. Other p use singular values in the
-    matrix representation and are limited to small n.
+    matrix representation and are limited to small n. To read several p
+    off one element, take singular_values once.
     """
     if p == 2:
         return norm2(a)
     if not (p >= 1):
         raise ValueError("p must be at least 1")
-    if rep is None:
-        if a.n > MAX_MATRIX_GENERATORS:
-            raise ValueError(
-                f"L^{p} norm needs the matrix route, refused for n={a.n} "
-                f"(> {MAX_MATRIX_GENERATORS}); p=2 is available exactly"
-            )
-        rep = jw_rep(a.n)
-    s = np.linalg.svd(rep.matrix(a), compute_uv=False)
-    if p == np.inf:
-        return float(s[0]) if s.size else 0.0
-    return float(np.mean(s**p) ** (1.0 / p))
+    if rep is None and a.n > MAX_MATRIX_GENERATORS:
+        raise ValueError(
+            f"L^{p} norm needs the matrix route, refused for n={a.n} "
+            f"(> {MAX_MATRIX_GENERATORS}); p=2 is available exactly"
+        )
+    return _spectral_lp(a, singular_values(a, rep), p)
 
 
 def random_element(rng, n, n_terms=8, max_generator=None, real=False):
     """Random element with about n_terms monomials, amplitudes O(1).
 
     Masks draw uniformly over subsets of generators below `max_generator`
-    (default n). Deterministic given the generator state.
+    (default n), one rng.random() per bit, row by row; the normals come
+    after. Deterministic given the generator state.
     """
+    if max_generator is not None and max_generator < 0:
+        raise ValueError("max_generator must be nonnegative")
     top = n if max_generator is None else min(max_generator, n)
     w = sp.words_for(n)
     if n_terms <= 0:
         return CliffordElement.zero(n)
-    masks = np.zeros((n_terms, w), dtype=np.uint64)
-    for i in range(n_terms):
-        mask = 0
-        for b in range(top):
-            if rng.random() < 0.5:
-                mask |= 1 << b
-        masks[i] = sp.encode_mask(mask, w)
+    bits = np.zeros((n_terms, sp.WORD * w), dtype=bool)
+    bits[:, :top] = rng.random((n_terms, top)) < 0.5
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    masks = packed.view(np.dtype("<u8")).astype(np.uint64)
     re = rng.normal(size=n_terms)
     im = np.zeros(n_terms) if real else rng.normal(size=n_terms)
     return CliffordElement(n, masks, re + 1j * im)

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import numbers
 import os
 import sys
 import time
@@ -29,11 +27,12 @@ import numpy as np
 from .algebra import (
     MAX_MATRIX_GENERATORS,
     CliffordElement,
+    _spectral_lp,
     jw_rep,
-    lp_norm,
     norm2,
     pairing,
     random_element,
+    singular_values,
 )
 from .backward import Driver, residual, solve_picard, solve_stepwise
 from .catalog import build, catalog
@@ -52,7 +51,7 @@ from .ito import (
     MAX_GRID_STEPS,
     AdaptedProcess,
     TimeGrid,
-    bg_ratios,
+    bg_ratio_sweep,
     brownian,
     check_martingale,
     commutation_check,
@@ -63,6 +62,8 @@ from .operators import LeftMulOp, RightMulOp, ScalarOp, SumOp
 from .reporting import (
     SCHEMA_VERSION,
     element_from_json,
+    json_number,
+    term_errors,
     write_csv,
     write_json,
 )
@@ -190,23 +191,7 @@ def _check(value, kind, bound, ptr, errors):
         known = ", ".join(sorted(ids))
         errors.append((ptr, f"unknown id {value!r}; available: {known}"))
         return None
-    problem = None
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        problem = "not a number"
-    elif kind == "int" and isinstance(value, numbers.Integral):
-        value = int(value)
-    else:
-        try:
-            value = float(value)
-        except OverflowError:
-            value = math.inf
-        if not math.isfinite(value):
-            problem = "not a finite number"
-        elif kind == "int":
-            if value.is_integer():
-                value = int(value)
-            else:
-                problem = "not an integer"
+    value, problem = json_number(value, integral=kind == "int")
     if problem is None and bound is not None and not bound[0](value):
         problem = bound[1]
     if problem is not None:
@@ -262,12 +247,12 @@ def _linmap(payload, pointer, n, errors):
     return LeftMulOp(element) if kind == "left" else RightMulOp(element)
 
 
-def _amplitude(node, pointer, errors, keys=("re", "im")):
+def _amplitude(node, pointer, errors):
     """complex(re, im) of a node whose parts are finite JSON numbers
     (absent parts are 0), or None after appending why it is refused.
-    Keys outside keys are refused."""
+    Other keys are refused."""
     before = len(errors)
-    unknown = sorted(str(key) for key in node if key not in keys)
+    unknown = sorted(str(key) for key in node if key not in ("re", "im"))
     if unknown:
         errors.append((pointer, "unknown keys: " + ", ".join(unknown)))
     parts = [
@@ -280,20 +265,13 @@ def _amplitude(node, pointer, errors, keys=("re", "im")):
 
 def _element_field(payload, pointer, n, errors):
     """Element of an /inline payload, each term checked at its own
-    pointer: an object with an integral mask of generators below n and
-    finite amplitudes (/terms/<i>/mask, /re, /im)."""
-    before = len(errors)
+    pointer (reporting.term_errors)."""
     terms = payload.get("terms") if isinstance(payload, dict) else None
-    mask_bound = (lambda v: 0 <= v < 2**n, f"not a mask of {n} generators")
-    for i, term in enumerate(terms if isinstance(terms, list) else []):
-        ptr = f"{pointer}/terms/{i}"
-        if not isinstance(term, dict) or "mask" not in term:
-            errors.append((ptr, "must be an object with a mask"))
-            continue
-        _check(term["mask"], "int", mask_bound, ptr + "/mask", errors)
-        _amplitude(term, ptr, errors, keys=("mask", "re", "im"))
-    if len(errors) > before:
-        return CliffordElement.zero(n)
+    if isinstance(terms, list):
+        bad = term_errors(terms, n)
+        if bad:
+            errors.extend((pointer + ptr, why) for ptr, why in bad)
+            return CliffordElement.zero(n)
     try:
         return element_from_json(payload, expect_n=n)
     except ValueError as exc:
@@ -526,6 +504,8 @@ def _pipeline_algebra(spec, rng):
         for _ in range(pairs):
             a = random_element(rng, n)
             b = random_element(rng, n)
+            s_a, s_b = singular_values(a, rep), singular_values(b, rep)
+            lhs = abs(pairing(a, b))
             for p in P_CHOICES:
                 if p == 1.0:
                     q = np.inf
@@ -533,11 +513,10 @@ def _pipeline_algebra(spec, rng):
                     q = 1.0
                 else:
                     q = p / (p - 1.0)
-                lhs = abs(pairing(a, b))
-                bound = lp_norm(a, q, rep) * lp_norm(b, p, rep)
+                bound = _spectral_lp(a, s_a, q) * _spectral_lp(b, s_b, p)
                 if lhs > bound + 1e-10:
                     holder_bad += 1
-            norms = [lp_norm(a, p, rep) for p in P_CHOICES]
+            norms = [_spectral_lp(a, s_a, p) for p in P_CHOICES]
             if any(
                 norms[i] > norms[i + 1] + 1e-10
                 for i in range(len(norms) - 1)
@@ -925,8 +904,7 @@ def _pipeline_bg(spec, rng):
     summary = {}
     for sample in range(5):
         y = _random_adapted(rng, grid, terms=4)
-        for p in P_CHOICES:
-            result = bg_ratios(grid, y, p=p)
+        for p, result in zip(P_CHOICES, bg_ratio_sweep(grid, y, P_CHOICES)):
             for side in ("right", "left"):
                 entry = result[side]
                 rows.append(

@@ -926,11 +926,14 @@ def _gram_costs(problem, grid, bounds, values):
         np.full(count, _as_scalar_amp(problem.x0)),
     )
     total = np.zeros(count)
-    for k, x_sq in enumerate(norms):
-        if k < n:
-            total += (q * x_sq + r * u_sq[step_picks[k]]) * grid.dt
-        else:
-            total = total + s * x_sq
+    # The walk runs lazily inside this loop; an overflowing candidate
+    # turns into inf or NaN there and is refused below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, x_sq in enumerate(norms):
+            if k < n:
+                total += (q * x_sq + r * u_sq[step_picks[k]]) * grid.dt
+            else:
+                total = total + s * x_sq
     if not np.isfinite(total).all():
         raise FloatingPointError(
             f"state or cost became non-finite for "

@@ -23,13 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _sparse as sp
 from .algebra import (
     CliffordElement,
+    _spectral_lp,
     cond_expect,
     jw_rep,
-    lp_norm,
     norm2,
-    pairing,
+    singular_values,
 )
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "check_martingale",
     "mrep_extract",
     "bg_ratios",
+    "bg_ratio_sweep",
     "commutation_check",
 ]
 
@@ -166,31 +168,48 @@ def brownian(grid, k):
     """W at time t_k: the sum of the first k increments (zero at k=0)."""
     if not 0 <= k <= grid.n_steps:
         raise ValueError(f"time index {k} outside 0..{grid.n_steps}")
-    out = CliffordElement.zero(grid.n)
     root = np.sqrt(grid.dt)
-    for j in range(k):
-        out = out + CliffordElement.generator(grid.n, j).scale(root)
-    return out
+    return _sum_terms(
+        grid, [CliffordElement.generator(grid.n, j).scale(root)
+               for j in range(k)]
+    )
 
 
 def right_integral(grid, integrand):
-    """Sum of Y_k dW_k over the grid; integrand adapted, length n_steps."""
+    """Sum of Y_k dW_k over the grid; integrand adapted, length n_steps.
+
+    The step terms are summed in one canonicalize. For adapted input
+    their monomials are disjoint (step k's all top out at bit k), so the
+    result equals the step-by-step sum bit for bit; otherwise the two
+    agree to rounding.
+    """
     _require_integrand(grid, integrand)
     root = np.sqrt(grid.dt)
-    out = CliffordElement.zero(grid.n)
-    for k in range(grid.n_steps):
-        out = out + integrand[k].mul_generator(k, "right").scale(root)
-    return out
+    return _sum_terms(
+        grid, [integrand[k].mul_generator(k, "right").scale(root)
+               for k in range(grid.n_steps)]
+    )
 
 
 def left_integral(grid, integrand):
-    """Sum of dW_k Y_k over the grid; integrand adapted, length n_steps."""
+    """Sum of dW_k Y_k over the grid; integrand adapted, length n_steps.
+
+    Summed in one canonicalize, as right_integral.
+    """
     _require_integrand(grid, integrand)
     root = np.sqrt(grid.dt)
-    out = CliffordElement.zero(grid.n)
-    for k in range(grid.n_steps):
-        out = out + integrand[k].mul_generator(k, "left").scale(root)
-    return out
+    return _sum_terms(
+        grid, [integrand[k].mul_generator(k, "left").scale(root)
+               for k in range(grid.n_steps)]
+    )
+
+
+def _sum_terms(grid, terms):
+    """Sum of elements on the grid, canonicalized once."""
+    masks, amps = sp.merge_sum(
+        [(t.masks, t.amps) for t in terms], sp.words_for(grid.n)
+    )
+    return CliffordElement._wrap(grid.n, masks, amps)
 
 
 def _require_integrand(grid, integrand):
@@ -241,11 +260,22 @@ def bg_ratios(grid, integrand, p=2.0):
     integral and the same with Y_k Y_k* for the left one; the L^p norm of s
     is taken spectrally, so this needs the matrix route. Returns both
     quotients for both integrals, with zero denominators flagged instead of
-    divided by.
+    divided by. bg_ratio_sweep gives the same for several p at once.
+    """
+    return bg_ratio_sweep(grid, integrand, (p,))[0]
+
+
+def bg_ratio_sweep(grid, integrand, ps):
+    """bg_ratios(grid, integrand, p) for every p in ps, in order.
+
+    Each side's square function, its eigenvalues and the integral's
+    singular values are computed once and read for all of ps.
     """
     _require_integrand(grid, integrand)
+    if not all(p >= 1 for p in ps):
+        raise ValueError("p must be at least 1")
     rep = jw_rep(grid.n)
-    out = {"p": p, "flagged_zero": False}
+    out = [{"p": p, "flagged_zero": False} for p in ps]
     for name, left in (("right", False), ("left", True)):
         total = CliffordElement.zero(grid.n)
         for k in range(grid.n_steps):
@@ -254,25 +284,29 @@ def bg_ratios(grid, integrand, p=2.0):
             total = total + sq.scale(grid.dt)
         lam = np.linalg.eigvalsh(rep.matrix(total))
         lam = np.clip(lam, 0.0, None)
-        if p == np.inf:
-            s_norm = float(np.sqrt(lam.max())) if lam.size else 0.0
-        else:
-            s_norm = float(np.mean(lam ** (p / 2.0)) ** (1.0 / p))
         integ = (
             left_integral(grid, integrand)
             if left
             else right_integral(grid, integrand)
         )
-        i_norm = lp_norm(integ, p, rep)
-        entry = {"integral_norm": i_norm, "square_function_norm": s_norm}
-        if s_norm == 0.0 or i_norm == 0.0:
-            out["flagged_zero"] = True
-            entry["ratio"] = None
-            entry["inverse_ratio"] = None
-        else:
-            entry["ratio"] = i_norm / s_norm
-            entry["inverse_ratio"] = s_norm / i_norm
-        out[name] = entry
+        spectrum = (
+            singular_values(integ, rep) if any(p != 2 for p in ps) else None
+        )
+        for result, p in zip(out, ps):
+            if p == np.inf:
+                s_norm = float(np.sqrt(lam.max())) if lam.size else 0.0
+            else:
+                s_norm = float(np.mean(lam ** (p / 2.0)) ** (1.0 / p))
+            i_norm = _spectral_lp(integ, spectrum, p)
+            entry = {"integral_norm": i_norm, "square_function_norm": s_norm}
+            if s_norm == 0.0 or i_norm == 0.0:
+                result["flagged_zero"] = True
+                entry["ratio"] = None
+                entry["inverse_ratio"] = None
+            else:
+                entry["ratio"] = i_norm / s_norm
+                entry["inverse_ratio"] = s_norm / i_norm
+            result[name] = entry
     return out
 
 

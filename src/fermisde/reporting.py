@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 import os
 import tempfile
 
@@ -27,6 +29,8 @@ __all__ = [
     "SCHEMA_VERSION",
     "element_to_json",
     "element_from_json",
+    "json_number",
+    "term_errors",
     "jsonable",
     "dump_json",
     "write_json",
@@ -49,16 +53,74 @@ def element_to_json(x):
     return {"n": x.n, "terms": terms}
 
 
+def json_number(value, integral=False):
+    """(value, None) for a finite JSON number, as an int when integral
+    and a float otherwise; (None, why) when it is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None, "not a number"
+    if integral and isinstance(value, numbers.Integral):
+        return int(value), None
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        return None, "not a finite number"
+    if integral:
+        if not value.is_integer():
+            return None, "not an integer"
+        value = int(value)
+    return value, None
+
+
+def term_errors(terms, n):
+    """(pointer, why) for every refusal among the terms of an element
+    payload on n generators: each term is an object with an integral
+    mask of generators below n and finite re and im parts (absent parts
+    are 0), and no other keys. Pointers start at /terms/<i>."""
+    if not isinstance(terms, list):
+        return [("/terms", "must be a list of terms")]
+    errors = []
+    for i, term in enumerate(terms):
+        ptr = f"/terms/{i}"
+        if not isinstance(term, dict) or "mask" not in term:
+            errors.append((ptr, "must be an object with a mask"))
+            continue
+        mask, why = json_number(term["mask"], integral=True)
+        if why is None and not 0 <= mask < 2**n:
+            why = f"not a mask of {n} generators"
+        if why is not None:
+            errors.append((ptr + "/mask", why))
+        unknown = sorted(str(k) for k in term if k not in ("mask", "re", "im"))
+        if unknown:
+            errors.append((ptr, "unknown keys: " + ", ".join(unknown)))
+        for part in ("re", "im"):
+            if part in term:
+                why = json_number(term[part])[1]
+                if why is not None:
+                    errors.append((f"{ptr}/{part}", why))
+    return errors
+
+
 def element_from_json(payload, expect_n=None):
     try:
-        n = int(payload["n"])
+        n = payload["n"]
         raw = payload["terms"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed element payload: {exc}") from exc
+    n, why = json_number(n, integral=True)
+    if why is None and n < 0:
+        why = "negative"
+    if why is not None:
+        raise ValueError(f"malformed element payload at /n: {why}")
     if expect_n is not None and n != expect_n:
         raise ValueError(
             f"element has n={n} but the grid needs n={expect_n}"
         )
+    errors = term_errors(raw, n)
+    if errors:
+        ptr, why = errors[0]
+        raise ValueError(f"malformed element payload at {ptr}: {why}")
     w = sp.words_for(n)
     masks = np.zeros((len(raw), w), dtype=np.uint64)
     amps = np.zeros(len(raw), dtype=np.complex128)

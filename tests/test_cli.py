@@ -52,6 +52,36 @@ def test_element_from_json_validation():
         element_from_json({"terms": []})
 
 
+@pytest.mark.parametrize(
+    "terms, pointer",
+    [
+        ([{"mask": 2**70, "re": 1.0}], "/terms/0/mask"),
+        ([{"mask": 1, "re": 1.0}, {"mask": 2.7, "re": 1.0}], "/terms/1/mask"),
+        ([{"mask": 2, "re": True}], "/terms/0/re"),
+        ([{"mask": 3, "re": float("nan")}], "/terms/0/re"),
+        ([{"mask": 1, "im": float("inf")}], "/terms/0/im"),
+        ([{"re": 1.0}], "/terms/0"),
+        ([{"mask": 1, "phase": 0.5}], "/terms/0"),
+    ],
+)
+def test_element_from_json_refuses_what_the_cli_refuses(terms, pointer):
+    payload = {"n": 4, "terms": terms}
+    with pytest.raises(ValueError, match=f"at {pointer}: "):
+        element_from_json(payload)
+    errors = []
+    cli._element_field(payload, "/x0", 4, errors)
+    assert {ptr for ptr, _ in errors} == {"/x0" + pointer}
+
+
+def test_element_from_json_refuses_a_bad_size_or_term_list():
+    with pytest.raises(ValueError, match="at /n: not an integer"):
+        element_from_json({"n": 2.5, "terms": []})
+    with pytest.raises(ValueError, match="at /n: negative"):
+        element_from_json({"n": -1, "terms": []})
+    with pytest.raises(ValueError, match="at /terms: must be a list"):
+        element_from_json({"n": 2, "terms": {"mask": 1}})
+
+
 def test_jsonable_coercions():
     payload = {
         "a": np.float64(1.5),

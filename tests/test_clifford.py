@@ -24,9 +24,11 @@ from fermisde.algebra import (
     norm2,
     pairing,
     random_element,
+    singular_values,
     vacuum,
     zero,
 )
+from fermisde.cli import P_CHOICES, parse_problem, run
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # annihilation
@@ -335,12 +337,54 @@ def test_holder_inequality_sampled():
             assert lhs <= lp_norm(a, p) * lp_norm(b, q) + 1e-10
 
 
+def test_singular_values_match_the_gram_eigenvalues():
+    rng = np.random.default_rng(12)
+    for n in (1, 6, 9):
+        a = rand_elem(rng, n, terms=12)
+        m = jw_rep(n).matrix(a)
+        ref = np.sqrt(np.clip(np.linalg.eigvalsh(m.conj().T @ m), 0, None))
+        s = singular_values(a)
+        assert s.shape == ref.shape
+        assert np.allclose(s, ref[::-1], rtol=0.0, atol=1e-12 * ref.max())
+
+
+def test_lp_norm_equals_the_svd_formula_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for n in (4, 8):
+        a = rand_elem(rng, n, terms=10)
+        s = np.linalg.svd(jw_rep(n).matrix(a), compute_uv=False)
+        for p in P_CHOICES:
+            if p == 2:
+                ref = norm2(a)
+            elif p == np.inf:
+                ref = float(s[0])
+            else:
+                ref = float(np.mean(s**p) ** (1.0 / p))
+            assert lp_norm(a, p) == ref
+
+
+def test_algebra_suite_takes_one_svd_per_element(monkeypatch, tmp_path):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    spec = parse_problem({"grid": {"n_steps": 14}})
+    assert run("algebra-suite", spec, str(tmp_path), seed=0)["pass"]
+    assert len(calls) == 2 * 60
+
+
 def test_large_n_refuses_matrix_norms_but_not_p2():
     n = MAX_MATRIX_GENERATORS + 1
     a = CliffordElement.from_terms(n, {(1 << n) - 1: 3.0})
     assert abs(lp_norm(a, 2) - 3.0) < 1e-12
     with pytest.raises(ValueError, match="refused"):
         lp_norm(a, np.inf)
+    with pytest.raises(ValueError, match="refused"):
+        singular_values(a)
 
 
 def test_lp_norm_rejects_p_below_one():
@@ -391,6 +435,45 @@ def test_random_element_respects_generator_ceiling_and_real_flag():
     for mask, amp in a.terms().items():
         assert mask < 32
         assert amp.imag == 0.0
+
+
+def bitwise_random_element(rng, n, n_terms, max_generator, real):
+    """Reference draw: one rng.random() per mask bit, row by row."""
+    top = n if max_generator is None else min(max_generator, n)
+    w = max(1, -(-n // 64))
+    masks = np.zeros((n_terms, w), dtype=np.uint64)
+    for i in range(n_terms):
+        mask = 0
+        for b in range(top):
+            if rng.random() < 0.5:
+                mask |= 1 << b
+        for j in range(w):
+            masks[i, j] = (mask >> (64 * j)) & 0xFFFFFFFFFFFFFFFF
+    re = rng.normal(size=n_terms)
+    im = np.zeros(n_terms) if real else rng.normal(size=n_terms)
+    return CliffordElement(n, masks, re + 1j * im)
+
+
+@pytest.mark.parametrize("n", [0, 1, 14, 64, 70])
+@pytest.mark.parametrize("max_generator", [None, 0, 5])
+@pytest.mark.parametrize("real", [False, True])
+def test_random_element_matches_the_bitwise_draw(n, max_generator, real):
+    fast_rng = np.random.default_rng(n * 10 + 3)
+    slow_rng = np.random.default_rng(n * 10 + 3)
+    for terms in (1, 7):
+        a = random_element(fast_rng, n, terms, max_generator, real)
+        b = bitwise_random_element(slow_rng, n, terms, max_generator, real)
+        assert np.array_equal(a.masks, b.masks)
+        assert np.array_equal(a.amps, b.amps)
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+def test_random_element_refuses_a_negative_generator_ceiling():
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="max_generator"):
+        random_element(rng, 8, n_terms=3, max_generator=-1)
+    assert rng.bit_generator.state == before
 
 
 # -- hypothesis properties ------------------------------------------------

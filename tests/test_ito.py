@@ -1,5 +1,7 @@
 """Discrete Brownian motion, Ito integrals, martingale representation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from fermisde.ito import (
     AdaptedProcess,
     MartingaleSeq,
     TimeGrid,
+    bg_ratio_sweep,
     bg_ratios,
     brownian,
     check_martingale,
@@ -27,6 +30,7 @@ from fermisde.ito import (
     mrep_extract,
     right_integral,
 )
+from fermisde.cli import P_CHOICES, parse_problem, run
 
 
 def random_integrand(rng, grid, terms=4):
@@ -294,6 +298,131 @@ def test_bg_ratios_refuse_the_matrix_route_before_any_product(monkeypatch):
     y = AdaptedProcess.constant_scalar(g, 1.0)
     with pytest.raises(ValueError, match="matrix representation refused"):
         bg_ratios(g, y, p=3.0)
+
+
+def test_bg_ratio_sweep_matches_one_call_per_p():
+    g = TimeGrid(1.0, 6)
+    y = random_integrand(np.random.default_rng(44), g, terms=3)
+    swept = bg_ratio_sweep(g, y, P_CHOICES)
+    assert len(swept) == len(P_CHOICES)
+    for p, got in zip(P_CHOICES, swept):
+        assert got == bg_ratios(g, y, p=p)
+    with pytest.raises(ValueError, match="at least 1"):
+        bg_ratio_sweep(g, y, (2.0, 0.5))
+
+
+def test_bg_constants_takes_one_spectrum_per_integrand_and_side(
+    monkeypatch, tmp_path
+):
+    counts = {"svd": 0, "eigvalsh": 0}
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    spec = parse_problem({"grid": {"n_steps": 14}})
+    assert run("bg-constants", spec, str(tmp_path), seed=0)["pass"]
+    assert counts == {"svd": 5 * 2, "eigvalsh": 5 * 2}
+
+
+# -- one-pass sums against the step-by-step fold --------------------------
+
+
+def folded(grid, terms):
+    out = CliffordElement.zero(grid.n)
+    for term in terms:
+        out = out + term
+    return out
+
+
+def fold_integral(grid, integrand, side):
+    root = np.sqrt(grid.dt)
+    return folded(grid, [
+        integrand[k].mul_generator(k, side).scale(root)
+        for k in range(grid.n_steps)
+    ])
+
+
+def same_bits(a, b):
+    return np.array_equal(a.masks, b.masks) and np.array_equal(a.amps, b.amps)
+
+
+@pytest.mark.parametrize("n", [1, 9, 70])
+def test_one_pass_sums_equal_the_fold_bit_for_bit_when_adapted(n):
+    g = TimeGrid(0.7, n)
+    y = random_integrand(np.random.default_rng(n), g, terms=5)
+    assert same_bits(right_integral(g, y), fold_integral(g, y, "right"))
+    assert same_bits(left_integral(g, y), fold_integral(g, y, "left"))
+    root = np.sqrt(g.dt)
+    for k in (0, 1, n):
+        steps = [CliffordElement.generator(n, j).scale(root) for j in range(k)]
+        assert same_bits(brownian(g, k), folded(g, steps))
+
+
+def test_one_pass_sums_agree_with_the_fold_when_not_adapted():
+    g = TimeGrid(1.0, 6)
+    rng = np.random.default_rng(45)
+    y = AdaptedProcess(
+        g, [random_element(rng, g.n, n_terms=20) for _ in range(g.n_steps)],
+        check=False,
+    )
+    for side, integral in (("right", right_integral), ("left", left_integral)):
+        got, ref = integral(g, y), fold_integral(g, y, side)
+        assert norm2(got - ref) <= 1e-14 * norm2(ref)
+
+
+# SHA-256 of suite report files at fixed sizes and seeds, recorded with
+# the per-p spectra, per-bit draws and step-by-step integral sums that
+# the one-spectrum, batched-draw and one-pass routes replace: those
+# routes must keep every report byte for byte. The _meta sidecar holds
+# wall-clock timings and is left out. The digests also pin the NumPy and
+# LAPACK build, whose last bits the CSV and the norms carry.
+REPORT_DIGESTS = {
+    ("algebra-suite", 8, 0): {
+        "algebra_suite.json": "ed58ee6163558ff164e9d7043da586d6"
+                              "415a6ae7267251b2db3a7852bfc0c47d",
+    },
+    ("bg-constants", 6, 0): {
+        "bg_constants.csv": "201b4b3a3940696a4c40a04ee7269cf8"
+                            "bdf15cf7b010ca3fa487f21777e45e71",
+        "bg_constants.json": "e6b099f14efa231340bb3bb989f33c5c"
+                             "489a06d87ec5ba6e00add6cbdcb8b917",
+    },
+    ("ito-suite", 16, 0): {
+        "ito_suite.json": "82527cf2fb03aed185bf757e963a31d9"
+                          "71519225e34455077d6550f4778aeb65",
+    },
+    ("algebra-suite", 8, 5): {
+        "algebra_suite.json": "8889b8f64af76133006894ea6781a7b2"
+                              "8435b10d07247066ec2595c917bf691b",
+    },
+    ("bg-constants", 6, 5): {
+        "bg_constants.csv": "d193aa829fe62cc5b1d76fe440a599fd"
+                            "28eeb2759c5da282b9021beb1212d12a",
+        "bg_constants.json": "47e5299313875e1695abef7bad5373dd"
+                             "4d511aec7a4b49604e35b2ea3422a358",
+    },
+    ("ito-suite", 16, 5): {
+        "ito_suite.json": "535d9c161f5c24ad19a43c6d3c6bab0c"
+                          "b3a1e60735a321ace8d4bb627cb0ca02",
+    },
+}
+
+
+@pytest.mark.parametrize("key", sorted(REPORT_DIGESTS))
+def test_suite_reports_keep_their_bytes(key, tmp_path):
+    subcommand, n, seed = key
+    run(subcommand, parse_problem({"grid": {"n_steps": n}}), str(tmp_path),
+        seed=seed)
+    got = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.iterdir()
+        if "_meta" not in path.name
+    }
+    assert got == REPORT_DIGESTS[key]
 
 
 # -- commutation with increments ------------------------------------------
