@@ -21,7 +21,7 @@ print("== baseline solve, n =", grid.n_steps, "==")
 print("terminal ||x||_2 :", norm2(terminal))
 print("terminal words   :", terminal.n_terms)
 print("diagnostics      :", path.diagnostics)
-growth = apriori_check(path, problem.x0, p=2.0)
+growth = apriori_check(path, problem.x0)
 print("a priori growth  :", {k: round(v, 4) if isinstance(v, float) else v
                              for k, v in growth.items()})
 

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _sparse as sp
-from .algebra import CliffordElement, lp_norm, norm2
+from .algebra import CliffordElement, norm2
 from .ito import AdaptedProcess
 from .operators import GradedScalarOp
 
@@ -87,9 +87,6 @@ class BackwardPath:
     @property
     def terminal(self):
         return self.y[-1]
-
-    def y_process(self):
-        return AdaptedProcess(self.grid, self.y, check=False)
 
     def Y_process(self):
         return AdaptedProcess(self.grid, self.Y, check=False)
@@ -384,28 +381,24 @@ def residual(path, driver, yT):
     return worst
 
 
-def apriori_backward_check(path, driver, yT, p=2.0):
+def apriori_backward_check(path, driver, yT):
     """Solution size against the data size, as a ratio.
 
-    Numerator: sup_k ||y_k||_p plus (sum_k dt ||Y_k||_p^2)^(1/2).
-    Denominator: ||yT||_p plus sum_k ||f(k, 0, 0)||_p dt. A zero-over-
+    Numerator: sup_k ||y_k||_2 plus (sum_k dt ||Y_k||_2^2)^(1/2).
+    Denominator: ||yT||_2 plus sum_k ||f(k, 0, 0)||_2 dt. A zero-over-
     zero ratio is flagged vacuous rather than divided.
     """
     grid = path.grid
     dt = grid.dt
     zero = CliffordElement.zero(grid.n)
-    y_sup = max(lp_norm(v, p) for v in path.y)
-    y_agg = np.sqrt(
-        sum(dt * lp_norm(v, p) ** 2 for v in path.Y)
-    )
+    y_sup = max(norm2(v) for v in path.y)
+    y_agg = np.sqrt(sum(dt * norm2(v) ** 2 for v in path.Y))
     numerator = y_sup + float(y_agg)
-    data = lp_norm(yT, p) + sum(
-        lp_norm(driver.f(k, zero, zero), p) * dt
-        for k in range(grid.n_steps)
+    data = norm2(yT) + sum(
+        norm2(driver.f(k, zero, zero)) * dt for k in range(grid.n_steps)
     )
     vacuous = numerator <= 1e-14 and data <= 1e-14
     report = {
-        "p": p,
         "numerator": numerator,
         "denominator": data,
         "vacuous": vacuous,

@@ -5,19 +5,18 @@ are affine in state and control also declare that structure, which
 routes their solves through the sort-free path; the full rules stay the
 source of truth and the declarations are cross-checked in the tests.
 
-All running costs are of the form q||x||^2 + r||u||^2 with terminal
-s||x||^2, so gradients are scalings and Hessians carry graded-scalar
-operator forms. The one deliberately nonlinear entry (quadratic_drift)
-exists to exercise the refusal paths: no affine declaration, a nonzero
-second derivative, and a state-dependent drift derivative.
+All running costs are RunningNormCost(q, r), q||x||^2 + r||u||^2, with
+terminal TerminalNormCost(s), s||x||^2, so gradients are scalings and
+Hessians carry graded-scalar operator forms. The one deliberately
+nonlinear entry (quadratic_drift) exists to exercise the refusal paths:
+no affine declaration, a nonzero second derivative, and a
+state-dependent drift derivative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from .algebra import CliffordElement
 from .control import ControlProblem, RunningNormCost, TerminalNormCost
@@ -52,24 +51,6 @@ class CatalogEntry:
     ladder_ubar: float = 0.3
     p_term_active: bool = False
     second_adjoint_ok: bool = True
-
-
-def _quad_cost(q, r, s):
-    """Cost rules for q||x||^2 + r||u||^2 running, s||x||^2 terminal.
-
-    L and h carry their weights, which lets the oracle cost candidates
-    exactly (see control.brute_force_optimum).
-    """
-    return {
-        "L": RunningNormCost(q, r),
-        "Lx": lambda k, x, u: x.scale(2.0 * q),
-        "Lxx": lambda k, x, u: BilinearMap(
-            operator=GradedScalarOp(2.0 * q, 0.0)
-        ),
-        "h": TerminalNormCost(s),
-        "hx": lambda x: x.scale(2.0 * s),
-        "hxx": lambda x: BilinearMap(operator=GradedScalarOp(2.0 * s, 0.0)),
-    }
 
 
 def _space(n):
@@ -107,70 +88,23 @@ def _affine_coeffs(a=0.0, b=0.0, c=0.0, g=0.0, sigma_f=0.0, sigma_g=0.0,
     )
 
 
-def _make_lq_scalar(n_steps=64, T=1.0, x0_scale=0.0):
-    grid = TimeGrid(T=T, n_steps=n_steps)
-    n = grid.n
-    coeffs = _affine_coeffs(a=0.25, b=1.0, c=0.1, lipschitz=0.35)
-    problem = ControlProblem(
-        coeffs=coeffs,
-        control_space=_space(n),
-        x0=_start(n, x0_scale),
-        p=2.0,
-        prune=1e-5,
-        **_quad_cost(q=0.5, r=1.0, s=0.5),
-    )
-    return problem, grid
+def _affine_make(L, h, x0_scale=0.0, **coeffs):
+    """Factory of a problem with _affine_coeffs(**coeffs), costs L and h,
+    the 1e-5 prune budget and x0_scale as the default start."""
 
+    def make(n_steps=64, T=1.0, x0_scale=x0_scale):
+        grid = TimeGrid(T=T, n_steps=n_steps)
+        problem = ControlProblem(
+            coeffs=_affine_coeffs(**coeffs),
+            control_space=_space(grid.n),
+            x0=_start(grid.n, x0_scale),
+            L=L,
+            h=h,
+            prune=1e-5,
+        )
+        return problem, grid
 
-def _make_control_in_noise(n_steps=64, T=1.0, x0_scale=0.0):
-    grid = TimeGrid(T=T, n_steps=n_steps)
-    n = grid.n
-    coeffs = _affine_coeffs(a=0.25, b=0.5, c=0.1, sigma_f=1.0,
-                            lipschitz=0.35)
-    problem = ControlProblem(
-        coeffs=coeffs,
-        control_space=_space(n),
-        x0=_start(n, x0_scale),
-        p=2.0,
-        prune=1e-5,
-        **_quad_cost(q=0.5, r=0.05, s=0.5),
-    )
-    return problem, grid
-
-
-def _make_odd_drift(n_steps=64, T=1.0, x0_scale=0.0):
-    grid = TimeGrid(T=T, n_steps=n_steps)
-    n = grid.n
-    coeffs = _affine_coeffs(a=0.25, b=1.0, g=0.4, lipschitz=0.65)
-    problem = ControlProblem(
-        coeffs=coeffs,
-        control_space=_space(n),
-        x0=_start(n, x0_scale),
-        p=2.0,
-        prune=1e-5,
-        **_quad_cost(q=0.5, r=1.0, s=0.5),
-    )
-    return problem, grid
-
-
-def _make_driverless(n_steps=64, T=1.0, x0_scale=1.0):
-    grid = TimeGrid(T=T, n_steps=n_steps)
-    n = grid.n
-    coeffs = _affine_coeffs(sigma_f=0.7, sigma_g=0.4)
-    cost = _quad_cost(q=0.0, r=0.0, s=0.5)
-    # Only the terminal cost survives; drop the zero running rules so the
-    # adjoint driver is literally source-free.
-    problem = ControlProblem(
-        coeffs=coeffs,
-        control_space=_space(n),
-        x0=_start(n, x0_scale),
-        p=2.0,
-        prune=1e-5,
-        h=cost["h"],
-        hx=cost["hx"],
-        hxx=cost["hxx"],
-    )
-    return problem, grid
+    return make
 
 
 def _make_quadratic_drift(n_steps=10, T=1.0, x0_scale=0.5):
@@ -204,9 +138,9 @@ def _make_quadratic_drift(n_steps=10, T=1.0, x0_scale=0.5):
         coeffs=coeffs,
         control_space=_space(n),
         x0=_start(n, x0_scale),
-        p=2.0,
         prune=None,
-        **_quad_cost(q=0.5, r=1.0, s=0.5),
+        L=RunningNormCost(0.5, 1.0),
+        h=TerminalNormCost(0.5),
     )
     return problem, grid
 
@@ -217,26 +151,40 @@ def catalog():
         CatalogEntry(
             id="lq_scalar",
             summary="linear state, control in the drift, quadratic cost",
-            make=_make_lq_scalar,
+            make=_affine_make(
+                RunningNormCost(0.5, 1.0), TerminalNormCost(0.5),
+                a=0.25, b=1.0, c=0.1, lipschitz=0.35,
+            ),
         ),
         CatalogEntry(
             id="control_in_noise",
             summary="control enters the noise coefficient; quadratic "
             "term of the optimality test is active",
-            make=_make_control_in_noise,
+            make=_affine_make(
+                RunningNormCost(0.5, 0.05), TerminalNormCost(0.5),
+                a=0.25, b=0.5, c=0.1, sigma_f=1.0, lipschitz=0.35,
+            ),
             p_term_active=True,
         ),
         CatalogEntry(
             id="odd_drift",
             summary="noise multiplies from the left, exercising the "
             "parity signs",
-            make=_make_odd_drift,
+            make=_affine_make(
+                RunningNormCost(0.5, 1.0), TerminalNormCost(0.5),
+                a=0.25, b=1.0, g=0.4, lipschitz=0.65,
+            ),
         ),
         CatalogEntry(
             id="driverless",
             summary="no drift and no running cost; adjoint identities "
             "hold exactly",
-            make=_make_driverless,
+            # Only the terminal cost survives: the zero running cost has
+            # a zero gradient, so the adjoint driver is source-free.
+            make=_affine_make(
+                RunningNormCost(0.0, 0.0), TerminalNormCost(0.5),
+                x0_scale=1.0, sigma_f=0.7, sigma_g=0.4,
+            ),
             ubar_weight=0.0,
             alt_weight=0.6,
             ladder_x0=1.0,

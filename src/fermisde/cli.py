@@ -633,7 +633,7 @@ def _pipeline_forward(spec, rng):
             },
             "terminal_terms": terminal.n_terms,
             "diagnostics": path.diagnostics,
-            "growth": apriori_check(path, x0, p=2.0),
+            "growth": apriori_check(path, x0),
             "refinement": {"skipped": "inline elements pin n to the grid"},
             "pass": True,
         }
@@ -649,7 +649,7 @@ def _pipeline_forward(spec, rng):
         "terminal_norm2": norm2(terminal),
         "terminal_terms": terminal.n_terms,
         "diagnostics": path.diagnostics,
-        "growth": apriori_check(path, problem.x0, p=2.0),
+        "growth": apriori_check(path, problem.x0),
     }
     # O(dt) convergence certificate on a fixed small sweep, independent
     # of the main grid: terminal norms on refined grids approach a limit
@@ -786,17 +786,14 @@ def _ladder_eps(spec, grid):
     return [e for e in halvings if e >= grid.dt * (1 - 1e-9)]
 
 
-def _pipeline_ladder(spec, rng):
+def _ladder_plan(spec):
+    """Problem, grid, start and eps of a ladder spec, or its refusal."""
     if spec.problem_id is None:
         raise SpecError(
             [("/inline", "ladder needs a catalog problem with cost rules")])
     entry, problem, grid, x0 = _build_problem(
         spec, ladder_start=True, least_steps=64
     )
-    ub_w = spec.control.get("ubar_weight", entry.ladder_ubar)
-    alt_w = spec.control.get("alt_weight", entry.alt_weight)
-    ubar = AdaptedProcess.constant_scalar(grid, ub_w)
-    alt = AdaptedProcess.constant_scalar(grid, alt_w)
     eps_list = _ladder_eps(spec, grid)
     if len(eps_list) < 3:
         raise SpecError([("/eps_list", "need at least 3 usable widths at or "
@@ -813,6 +810,15 @@ def _pipeline_ladder(spec, rng):
     ]
     if late:
         raise SpecError(late)
+    return entry, problem, grid, x0, eps_list
+
+
+def _pipeline_ladder(spec, rng):
+    entry, problem, grid, x0, eps_list = _ladder_plan(spec)
+    ub_w = spec.control.get("ubar_weight", entry.ladder_ubar)
+    alt_w = spec.control.get("alt_weight", entry.alt_weight)
+    ubar = AdaptedProcess.constant_scalar(grid, ub_w)
+    alt = AdaptedProcess.constant_scalar(grid, alt_w)
     per_offset = []
     tables = {}
     overall = True
@@ -844,7 +850,8 @@ def _pipeline_ladder(spec, rng):
     return report, tables
 
 
-def _pipeline_mp(spec, rng):
+def _mp_plan(spec):
+    """Problem, grid and value grid of a max-principle spec, or its refusal."""
     if spec.problem_id is None:
         raise SpecError([("/inline", "max-principle needs a catalog problem")])
     entry, problem, grid, _ = _build_problem(spec)
@@ -855,6 +862,11 @@ def _pipeline_mp(spec, rng):
     if (combos := len(value_grid) ** slots) > ORACLE_BUDGET:
         raise SpecError([("/value_grid", f"enumeration of {combos} candidates "
                           f"exceeds the budget of {ORACLE_BUDGET}")])
+    return entry, problem, grid, value_grid
+
+
+def _pipeline_mp(spec, rng):
+    entry, problem, grid, value_grid = _mp_plan(spec)
     u_opt, j_opt = brute_force_optimum(
         problem, grid, spec.steps_coarse, value_grid
     )
@@ -892,13 +904,18 @@ def _pipeline_mp(spec, rng):
     return report
 
 
-def _pipeline_bg(spec, rng):
-    n = spec.n_steps
-    if n > MAX_MATRIX_GENERATORS:
+def _bg_plan(spec):
+    """Grid of a bg-constants spec, or its refusal."""
+    if spec.n_steps > MAX_MATRIX_GENERATORS:
         raise SpecError([("/grid/n_steps", "bg-constants needs the matrix "
                           "route; n_steps must be at most "
                           f"{MAX_MATRIX_GENERATORS}")])
-    grid = TimeGrid(spec.T, n)
+    return TimeGrid(spec.T, spec.n_steps)
+
+
+def _pipeline_bg(spec, rng):
+    grid = _bg_plan(spec)
+    n = grid.n_steps
     rows = []
     worst_p2 = 0.0
     summary = {}
@@ -965,6 +982,8 @@ _PIPELINES = {
     "bg-constants": _pipeline_bg,
 }
 SUBCOMMANDS = [*_PIPELINES, "all"]
+# Refusals that need a grid or a problem; "all" runs them before any work.
+_PLANS = (_ladder_plan, _mp_plan, _bg_plan)
 _BRANCH = {name: i for i, name in enumerate(SUBCOMMANDS)}
 
 
@@ -983,6 +1002,8 @@ def run(subcommand, spec, out_dir, seed=0):
     timings = {}
     tables = {}
     if subcommand == "all":
+        for plan in _PLANS:
+            plan(spec)
         reports = {}
         overall = True
         for name in SUBCOMMANDS[:-1]:

@@ -24,12 +24,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import CliffordElement, lp_norm, norm2, pairing
+from .algebra import CliffordElement, norm2, pairing
 from .backward import Driver, solve_stepwise
 from .forward import (
     Coefficients,
     ControlSpace,
-    StatePath,
     euler_forward,
     euler_forward_difference,
     linear_euler_forward,
@@ -38,7 +37,7 @@ from .forward import (
     spike,
     spike_window,
 )
-from .ito import AdaptedProcess, TimeGrid
+from .ito import AdaptedProcess
 from .operators import (
     BilinearMap,
     ComposeOp,
@@ -73,36 +72,20 @@ __all__ = [
 ORACLE_BUDGET = 100_000
 
 
-def _zero_cost(k, x, u):
-    return 0.0
-
-
-def _zero_cost_grad(k, x, u):
-    return CliffordElement.zero(x.n)
-
-
-def _zero_cost_hess(k, x, u):
-    return BilinearMap.zero()
-
-
-def _zero_terminal(x):
-    return 0.0
-
-
-def _zero_terminal_grad(x):
-    return CliffordElement.zero(x.n)
-
-
-def _zero_terminal_hess(x):
-    return BilinearMap.zero()
+def _norm_hess(weight):
+    """Hessian of weight ||x||^2: the zero map at weight 0."""
+    if weight == 0:
+        return BilinearMap.zero()
+    return BilinearMap(operator=GradedScalarOp(2.0 * weight, 0.0))
 
 
 @dataclass(frozen=True)
 class RunningNormCost:
     """Running cost L(k, x, u) = q ||x||^2 + r ||u||^2 with its weights.
 
-    The weights declare the cost's structure: brute_force_optimum reads
-    them to cost every candidate exactly by the parity-Gram recursion.
+    grad and hess are the state derivatives Lx and Lxx. The weights
+    declare the cost's structure: brute_force_optimum reads them to cost
+    every candidate exactly by the parity-Gram recursion.
     """
 
     q: float
@@ -110,6 +93,12 @@ class RunningNormCost:
 
     def __call__(self, k, x, u):
         return self.q * x.norm2_sq() + self.r * u.norm2_sq()
+
+    def grad(self, k, x, u):
+        return x.scale(2.0 * self.q)
+
+    def hess(self, k, x, u):
+        return _norm_hess(self.q)
 
 
 @dataclass(frozen=True)
@@ -121,28 +110,31 @@ class TerminalNormCost:
     def __call__(self, x):
         return self.s * x.norm2_sq()
 
+    def grad(self, x):
+        return x.scale(2.0 * self.s)
+
+    def hess(self, x):
+        return _norm_hess(self.s)
+
 
 @dataclass
 class ControlProblem:
     """State equation, costs and admissible controls in one bundle.
 
-    L(k, x, u) and h(x) are real-valued; Lx, hx return elements and Lxx,
-    hxx bilinear maps (hxx must carry an operator form for the second
-    adjoint). p is the norm exponent for estimates (2 keeps everything
-    exact at any size). prune is the solver mass budget used by default
-    for forward and backward solves of this problem; None means exact.
+    L(k, x, u) and h(x) are real-valued and carry their state
+    derivatives: grad returns an element and hess a bilinear map (h.hess
+    must carry an operator form for the second adjoint). Any object with
+    those three rules serves; RunningNormCost and TerminalNormCost also
+    declare their weights to the exact routes. prune is the solver mass
+    budget used by default for forward and backward solves of this
+    problem; None means exact.
     """
 
     coeffs: Coefficients
     control_space: ControlSpace
     x0: CliffordElement
-    L: Callable = _zero_cost
-    Lx: Callable = _zero_cost_grad
-    Lxx: Callable = _zero_cost_hess
-    h: Callable = _zero_terminal
-    hx: Callable = _zero_terminal_grad
-    hxx: Callable = _zero_terminal_hess
-    p: float = 2.0
+    L: Callable = RunningNormCost(0.0, 0.0)
+    h: Callable = TerminalNormCost(0.0)
     prune: Optional[float] = None
 
     def budget(self, prune):
@@ -304,20 +296,12 @@ def _diff_sq_norms(parts):
     return max(total, 0.0)
 
 
-def _sup_sq(paths_signs, p, length):
-    """sup over steps of the squared p-norm of a signed element sum."""
-    out = 0.0
-    for k in range(length):
-        parts = [(s, path[k]) for s, path in paths_signs]
-        if p == 2.0:
-            val = _diff_sq_norms(parts)
-        else:
-            acc = parts[0][1].scale(parts[0][0])
-            for s, el in parts[1:]:
-                acc = acc + el.scale(s)
-            val = lp_norm(acc, p) ** 2
-        out = max(out, val)
-    return out
+def _sup_sq(paths_signs, length):
+    """sup over steps of the squared 2-norm of a signed element sum."""
+    return max(
+        _diff_sq_norms([(s, path[k]) for s, path in paths_signs])
+        for k in range(length)
+    )
 
 
 def _fit_slope(eps_list, values):
@@ -445,9 +429,8 @@ def _gram_ladder(problem, grid, eps_list, offset, ops, amps):
 def _sparse_ladder(problem, ubar, u, eps_list, offset, prune):
     """floor, per-eps sup series and pruned mass from element solves."""
     grid = ubar.grid
-    p = problem.p
     xbar = solve_state(problem, ubar, prune=prune)
-    sup_x_sq = max(lp_norm(v, p) ** 2 for v in xbar)
+    sup_x_sq = max(norm2(v) ** 2 for v in xbar)
     floor = 1e-8 * (1.0 + sup_x_sq)
     length = grid.n_steps + 1
     dropped_sq = xbar.diagnostics["pruned_mass"] ** 2
@@ -465,7 +448,7 @@ def _sparse_ladder(problem, ubar, u, eps_list, offset, prune):
             dropped_sq += path.diagnostics["pruned_mass"] ** 2
         sups.append({
             name: _sup_sq(
-                [(c, path) for c, path in zip(combo, paths) if c], p, length
+                [(c, path) for c, path in zip(combo, paths) if c], length
             )
             for name, combo in _LADDER_SERIES.items()
         })
@@ -477,7 +460,7 @@ def variation_ladder(problem, ubar, u, eps_list, offset=0.0, prune=None):
 
     For each eps, solves the spiked state difference xi, the first and
     second variational paths y and z, and the remainders eta = xi - y,
-    zeta = eta - z; reports sup-step squared p-norms and log-log slopes
+    zeta = eta - z; reports sup-step squared 2-norms and log-log slopes
     fitted against the window widths the solves use (each eps rounded to
     whole steps by spike_window; "eps" lists them). Every window must end
     by T. A series whose values stay below a resolution floor is flagged
@@ -486,8 +469,8 @@ def variation_ladder(problem, ubar, u, eps_list, offset=0.0, prune=None):
     than their guarantee (and do whenever a variational term vanishes
     identically).
 
-    With p = 2, declared linear graded-scalar coefficients and scalar
-    start state and sources, the norms and pairings come exactly from
+    With declared linear graded-scalar coefficients and scalar start
+    state and sources, the norms and pairings come exactly from
     linear_gram and prune is unused; any other problem takes element
     solves pruned at the problem's budget. pruned_mass is the
     root-sum-square of the mass those solves dropped (0 on the exact
@@ -497,7 +480,7 @@ def variation_ladder(problem, ubar, u, eps_list, offset=0.0, prune=None):
         raise ValueError("need at least two eps values to fit slopes")
     grid = ubar.grid
     widths = _require_windows(grid, eps_list, offset)
-    ops = _gram_ops(problem, grid) if problem.p == 2 else None
+    ops = _gram_ops(problem, grid)
     amps = None if ops is None else _gram_amps(problem, ubar, u)
     if amps is None:
         floor, sups, pruned = _sparse_ladder(
@@ -530,7 +513,6 @@ def variation_ladder(problem, ubar, u, eps_list, offset=0.0, prune=None):
     return {
         "eps": widths,
         "offset": offset,
-        "p": problem.p,
         "series": series,
         "slopes": slopes,
         "targets": targets,
@@ -566,12 +548,12 @@ def _adjoint_ingredients(problem, xbar, ubar):
         noise_star.append(
             (reduced if reduced is not None else mixed).adjoint()
         )
-        lx.append(problem.Lx(k, xb, ub))
+        lx.append(problem.L.grad(k, xb, ub))
     return lin, noise_star, lx
 
 
 def first_adjoint(problem, xbar, ubar, prune=None, mode="implicit"):
-    """Adjoint pair (phi, Phi) by a backward solve from -hx at the end.
+    """Adjoint pair (phi, Phi) by a backward solve from -h.grad at the end.
 
     The driver couples phi through the adjoint of the frozen drift
     derivative, Phi through the adjoint of the grading-twisted noise
@@ -590,7 +572,7 @@ def first_adjoint(problem, xbar, ubar, prune=None, mode="implicit"):
     driver = Driver(
         f=f, g1=lip, g2=lip, linear_y=lambda k: lin[k]
     )
-    terminal = problem.hx(xbar[grid.n_steps]).scale(-1.0)
+    terminal = problem.h.grad(xbar[grid.n_steps]).scale(-1.0)
     path = solve_stepwise(
         driver, grid, terminal, mode=mode,
         prune=problem.budget(prune),
@@ -631,6 +613,15 @@ def _require_graded_scalar(op, what):
     return g
 
 
+def _negated_hess_op(hess, cost_name, what):
+    """-hess as a graded-scalar operator; the zero map gives zero."""
+    if hess.is_zero:
+        return GradedScalarOp(0.0, 0.0)
+    if hess.operator is None:
+        raise ValueError(f"{cost_name} Hessian must carry an operator form")
+    return _require_graded_scalar(hess.operator, what).scale(-1.0)
+
+
 def second_adjoint_deterministic(problem, xbar, ubar, adjoints):
     """Backward operator recursion for P with vanishing martingale part.
 
@@ -644,17 +635,9 @@ def second_adjoint_deterministic(problem, xbar, ubar, adjoints):
     grid = ubar.grid
     n = grid.n_steps
     dt = grid.dt
-    hxx = problem.hxx(xbar[n])
-    if hxx.is_zero:
-        terminal = GradedScalarOp(0.0, 0.0)
-    else:
-        if hxx.operator is None:
-            raise ValueError(
-                "terminal-cost Hessian must carry an operator form"
-            )
-        terminal = _require_graded_scalar(
-            hxx.operator, "terminal Hessian"
-        ).scale(-1.0)
+    terminal = _negated_hess_op(
+        problem.h.hess(xbar[n]), "terminal-cost", "terminal Hessian"
+    )
     out = [None] * (n + 1)
     out[n] = terminal.symmetrized()
     for k in range(n - 1, -1, -1):
@@ -669,17 +652,9 @@ def second_adjoint_deterministic(problem, xbar, ubar, adjoints):
         dx = _require_graded_scalar(co.Dx(k, xb, ub), f"Dx at step {k}")
         fx = _require_graded_scalar(co.Fx(k, xb, ub), f"Fx at step {k}")
         gx = _require_graded_scalar(co.Gx(k, xb, ub), f"Gx at step {k}")
-        lxx = problem.Lxx(k, xb, ub)
-        if lxx.is_zero:
-            hxx_op = GradedScalarOp(0.0, 0.0)
-        else:
-            if lxx.operator is None:
-                raise ValueError(
-                    "running-cost Hessian must carry an operator form"
-                )
-            hxx_op = _require_graded_scalar(
-                lxx.operator, f"Lxx at step {k}"
-            ).scale(-1.0)
+        hxx_op = _negated_hess_op(
+            problem.L.hess(k, xb, ub), "running-cost", f"Lxx at step {k}"
+        )
         p_next = out[k + 1]
         drift = (
             (dx.adjoint() @ p_next)
@@ -800,7 +775,7 @@ def duality_check(problem, xbar, ubar, u, eps, adjoints, order=1,
     lhs = sum(pairing(phi[n], path[n]) for path in paths)
     rhs = 0.0 + 0.0j
     for k in range(n):
-        lx = problem.Lx(k, xbar[k], ubar[k])
+        lx = problem.L.grad(k, xbar[k], ubar[k])
         for path in paths:
             if lx.n_terms and path[k].n_terms:
                 rhs += dt * pairing(lx, path[k])
@@ -831,8 +806,8 @@ def cost_expansion_check(problem, ubar, u, eps_list, offset=0.0,
     xbar = solve_state(problem, ubar, prune=prune)
     j_base = cost(problem, ubar, prune=prune, path=xbar)
     n = grid.n_steps
-    hx = problem.hx(xbar[n])
-    hxx = problem.hxx(xbar[n])
+    hx = problem.h.grad(xbar[n])
+    hxx = problem.h.hess(xbar[n])
     residuals = []
     for eps in eps_list:
         u_eps = spike(ubar, u, eps, offset)
@@ -842,12 +817,12 @@ def cost_expansion_check(problem, ubar, u, eps_list, offset=0.0,
         expansion = j_base
         for k in range(n):
             xb, ub = xbar[k], ubar[k]
-            lx = problem.Lx(k, xb, ub)
+            lx = problem.L.grad(k, xb, ub)
             if lx.n_terms:
                 expansion += dt * (
                     pairing(lx, y[k]).real + pairing(lx, z[k]).real
                 )
-            lxx = problem.Lxx(k, xb, ub)
+            lxx = problem.L.hess(k, xb, ub)
             if not lxx.is_zero and y[k].n_terms:
                 expansion += 0.5 * dt * lxx(y[k], y[k])
             expansion += dt * (
@@ -872,22 +847,11 @@ def cost_expansion_check(problem, ubar, u, eps_list, offset=0.0,
 
 def _norm_cost_weights(problem):
     """(q, r, s) of a cost declared by RunningNormCost and
-    TerminalNormCost, the zero defaults counting as zero weights; None
-    for any other cost rule."""
+    TerminalNormCost; None for any other cost rule."""
     L, h = problem.L, problem.h
-    if L is _zero_cost:
-        q = r = 0.0
-    elif isinstance(L, RunningNormCost):
-        q, r = L.q, L.r
-    else:
-        return None
-    if h is _zero_terminal:
-        s = 0.0
-    elif isinstance(h, TerminalNormCost):
-        s = h.s
-    else:
-        return None
-    return q, r, s
+    if isinstance(L, RunningNormCost) and isinstance(h, TerminalNormCost):
+        return L.q, L.r, h.s
+    return None
 
 
 def _gram_costs(problem, grid, bounds, values):
@@ -953,10 +917,10 @@ def brute_force_optimum(problem, grid, steps_coarse, value_grid,
     result deterministic.
 
     When the cost is declared by RunningNormCost and TerminalNormCost
-    (or the zero defaults) and the problem is eligible for the
-    parity-Gram route, every candidate is costed exactly by one array
-    recursion and prune is unused; otherwise each candidate is costed
-    by a forward solve pruned at the problem's budget.
+    and the problem is eligible for the parity-Gram route, every
+    candidate is costed exactly by one array recursion and prune is
+    unused; otherwise each candidate is costed by a forward solve
+    pruned at the problem's budget.
     """
     from itertools import product
 

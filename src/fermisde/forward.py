@@ -21,8 +21,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _sparse as sp
-from .algebra import CliffordElement, lp_norm, norm2
-from .ito import AdaptedProcess, TimeGrid
+from .algebra import CliffordElement, norm2
+from .ito import AdaptedProcess
 from .operators import (
     BilinearMap,
     GradedScalarOp,
@@ -502,8 +502,8 @@ def linear_euler_forward(grid, ops, srcs, x0, prune=None):
     )
 
 
-def apriori_check(path, x0, p=2.0):
-    """Growth ratio sup_k ||x_k||_p^2 / (1 + ||x0||_p^2).
+def apriori_check(path, x0):
+    """Growth ratio sup_k ||x_k||_2^2 / (1 + ||x0||_2^2).
 
     Raises if the path is non-finite; the ratio itself is reported, not
     asserted, so families of runs can compare their constants.
@@ -512,12 +512,11 @@ def apriori_check(path, x0, p=2.0):
     for k, x in enumerate(path):
         if not x.isfinite():
             raise FloatingPointError(f"non-finite state at step {k}")
-        norms.append(lp_norm(x, p) ** 2)
+        norms.append(norm2(x) ** 2)
     sup = max(norms)
     arg = int(np.argmax(norms))
-    denom = 1.0 + lp_norm(x0, p) ** 2
+    denom = 1.0 + norm2(x0) ** 2
     return {
-        "p": p,
         "sup_norm_sq": sup,
         "argmax_step": arg,
         "ratio": sup / denom,

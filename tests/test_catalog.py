@@ -95,5 +95,5 @@ def test_driverless_has_no_running_cost():
     x = random_element(rng, grid.n, n_terms=4)
     u = random_element(rng, grid.n, n_terms=3)
     assert problem.L(0, x, u) == 0.0
-    assert norm2(problem.Lx(0, x, u)) == 0.0
+    assert norm2(problem.L.grad(0, x, u)) == 0.0
     assert abs(problem.h(x) - 0.5 * x.norm2_sq()) < 1e-14

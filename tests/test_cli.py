@@ -511,6 +511,26 @@ def test_main_ladder_offset_past_the_horizon_exit_two(tmp_path, capsys):
     assert not (out / "ladder.json").exists()
 
 
+@pytest.mark.parametrize("spec,pointer", [
+    ('{"grid": {"n_steps": 8}}', "/eps_list"),
+    ('{"grid": {"n_steps": 16}, "offsets": [0.9]}', "/offsets"),
+    ('{"inline": {}}', "/inline"),
+    ('{"value_grid": %s}' % list(range(50)), "/value_grid"),
+    ('{"grid": {"n_steps": 16}}', "/grid/n_steps"),
+], ids=["eps_list", "offsets", "inline", "value_grid", "bg_n_steps"])
+def test_main_all_refuses_before_any_pipeline_runs(
+    tmp_path, monkeypatch, capsys, spec, pointer
+):
+    def boom(spec, rng):
+        raise RuntimeError("a pipeline ran")
+
+    monkeypatch.setitem(cli._PIPELINES, "algebra-suite", boom)
+    code = main(["all", "--spec", spec, "--out", str(tmp_path)])
+    assert code == 2
+    assert f"  {pointer}: " in capsys.readouterr().err
+    assert not (tmp_path / "all.json").exists()
+
+
 def test_main_failed_assertions_exit_one(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(
         cli._PIPELINES, "algebra-suite", lambda spec, rng: {"pass": False}

@@ -8,16 +8,25 @@ dynamics admit scalar recursions that serve as independent oracles.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
 from fermisde import control, forward
-from fermisde.algebra import CliffordElement, norm2, pairing, vacuum
+from fermisde.algebra import (
+    CliffordElement,
+    norm2,
+    pairing,
+    random_element,
+    vacuum,
+)
 from fermisde.catalog import build, catalog
 from fermisde.control import (
     ORACLE_BUDGET,
     ControlProblem,
+    RunningNormCost,
+    TerminalNormCost,
     brute_force_optimum,
     cost,
     cost_expansion_check,
@@ -50,6 +59,19 @@ from fermisde.operators import (
 GRID7 = [-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9]
 
 
+class Undeclared:
+    """A cost's value, grad and hess rules without its declared weights,
+    so the exact routes leave the problem to the element solves."""
+
+    def __init__(self, declared):
+        self._declared = declared
+        self.grad = declared.grad
+        self.hess = declared.hess
+
+    def __call__(self, *args):
+        return self._declared(*args)
+
+
 def quad_problem(n_steps, T=1.0, a=0.25, b=1.0, cf=0.1, sf=0.0,
                  q=0.5, r=1.0, s=0.5, x0=0.0, prune=1e-5, vgrid=None):
     """dx = (a x + b u) dt + (cf x + sf u) dW with quadratic costs."""
@@ -74,12 +96,8 @@ def quad_problem(n_steps, T=1.0, a=0.25, b=1.0, cf=0.1, sf=0.0,
             [CliffordElement.identity(n)], value_grid=vgrid or GRID7
         ),
         x0=CliffordElement.scalar(n, x0),
-        L=lambda k, x, u: q * x.norm2_sq() + r * u.norm2_sq(),
-        Lx=lambda k, x, u: x.scale(2 * q),
-        Lxx=lambda k, x, u: BilinearMap(operator=GradedScalarOp(2 * q, 0.0)),
-        h=lambda x: s * x.norm2_sq(),
-        hx=lambda x: x.scale(2 * s),
-        hxx=lambda x: BilinearMap(operator=GradedScalarOp(2 * s, 0.0)),
+        L=Undeclared(RunningNormCost(q, r)),
+        h=Undeclared(TerminalNormCost(s)),
         prune=prune,
     )
     return problem, grid
@@ -87,6 +105,61 @@ def quad_problem(n_steps, T=1.0, a=0.25, b=1.0, cf=0.1, sf=0.0,
 
 def const_u(grid, w):
     return AdaptedProcess.constant_scalar(grid, w)
+
+
+# -- cost objects ---------------------------------------------------------
+
+def _state_rules(which, u):
+    """(value, grad, hess) of a norm cost as functions of the state."""
+    if which == "terminal":
+        c = TerminalNormCost(0.4)
+        return c, c.grad, c.hess
+    c = RunningNormCost(0.7, 1.3)
+    return tuple(
+        functools.partial(rule, 2, u=u) for rule in (c, c.grad, c.hess)
+    )
+
+
+@pytest.mark.parametrize("which", ["running", "terminal"])
+def test_cost_derivatives_match_finite_differences(which):
+    rng = np.random.default_rng(41)
+    n, h = 6, 1e-3
+    f, grad, hess = _state_rules(which, random_element(rng, n, n_terms=3))
+    for _ in range(3):
+        x, v, w = (random_element(rng, n, n_terms=5) for _ in range(3))
+        central = (f(x + v.scale(h)) - f(x + v.scale(-h))) / (2 * h)
+        slope = pairing(grad(x), v).real
+        assert central == pytest.approx(slope, rel=1e-6)
+
+        def at(i, j):
+            return f(x + v.scale(i * h) + w.scale(j * h))
+
+        mixed = (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) / (4 * h * h)
+        assert mixed == pytest.approx(hess(x)(v, w), rel=1e-6)
+
+
+def test_zero_weight_costs_vanish_with_their_derivatives():
+    rng = np.random.default_rng(43)
+    x, u = random_element(rng, 5), random_element(rng, 5)
+    running, terminal = RunningNormCost(0.0, 0.0), TerminalNormCost(0.0)
+    for value, grad, hess in (
+        (running(1, x, u), running.grad(1, x, u), running.hess(1, x, u)),
+        (terminal(x), terminal.grad(x), terminal.hess(x)),
+    ):
+        assert value == 0.0
+        assert grad.n == x.n and grad.n_terms == 0
+        assert hess.is_zero
+
+
+def test_default_costs_are_declared_zero_weights():
+    pb, _ = build("lq_scalar", n_steps=4)
+    bare = ControlProblem(pb.coeffs, pb.control_space, pb.x0)
+    assert bare.L == RunningNormCost(0.0, 0.0)
+    assert bare.h == TerminalNormCost(0.0)
+    assert control._norm_cost_weights(bare) == (0.0, 0.0, 0.0)
+    assert control._norm_cost_weights(_plain_costs(pb)) is None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pb.L.grad = lambda k, x, u: x
 
 
 # -- cost and adjoints ----------------------------------------------------
@@ -287,12 +360,12 @@ def test_second_adjoint_refusals_name_the_offender():
         second_adjoint_deterministic(stochastic, xbar, ubar, adj)
 
     bad_hess, _ = quad_problem(6)
-    bad_hess.hxx = lambda x: BilinearMap(fn=lambda v, w: 0.0)
+    bad_hess.h.hess = lambda x: BilinearMap(fn=lambda v, w: 0.0)
     with pytest.raises(ValueError, match="operator form"):
         second_adjoint_deterministic(bad_hess, xbar, ubar, adj)
 
     bad_lxx, _ = quad_problem(6)
-    bad_lxx.Lxx = lambda k, x, u: BilinearMap(fn=lambda v, w: 0.0)
+    bad_lxx.L.hess = lambda k, x, u: BilinearMap(fn=lambda v, w: 0.0)
     with pytest.raises(ValueError, match="operator form"):
         second_adjoint_deterministic(bad_lxx, xbar, ubar, adj)
 
@@ -583,11 +656,8 @@ def test_brute_force_argmin_survives_joint_cost_scaling():
 
 
 def _plain_costs(pb):
-    """The same problem with L and h wrapped in lambdas: sparse oracle."""
-    L, h = pb.L, pb.h
-    return dataclasses.replace(
-        pb, L=lambda k, x, u: L(k, x, u), h=lambda x: h(x)
-    )
+    """The same problem with undeclared costs: sparse oracle."""
+    return dataclasses.replace(pb, L=Undeclared(pb.L), h=Undeclared(pb.h))
 
 
 def _refuse(*args, **kwargs):

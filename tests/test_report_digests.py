@@ -1,0 +1,125 @@
+"""Report bytes of the control pipelines, pinned by SHA-256.
+
+Each digest is of the report as write_json would write it once the
+exponent keys ("p" of each ladder run and of the forward growth check)
+are removed, so the pins hold across that schema change; CSV tables are
+hashed as written. A change to any number in these reports shows here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from fermisde.cli import parse_problem, run
+from fermisde.reporting import dump_json
+
+
+def _strip_exponent_keys(report):
+    body = report["report"]
+    for ladder_run in body.get("runs", []):
+        ladder_run.pop("p", None)
+    if "growth" in body:
+        body["growth"].pop("p", None)
+    return report
+
+
+def report_digests(subcommand, spec, seed, out_dir):
+    run(subcommand, parse_problem(spec), str(out_dir), seed=seed)
+    got = {}
+    for path in sorted(out_dir.iterdir()):
+        if "_meta" in path.name:
+            continue
+        if path.suffix == ".json":
+            report = _strip_exponent_keys(json.loads(path.read_text()))
+            data = dump_json(report).encode()
+        else:
+            data = path.read_bytes()
+        got[path.name] = hashlib.sha256(data).hexdigest()
+    return got
+
+
+def _mp(problem_id, n, **extra):
+    return {"problem_id": problem_id, "grid": {"n_steps": n},
+            "steps_coarse": 2, **extra}
+
+
+def _ladder(problem_id):
+    return {"problem_id": problem_id, "grid": {"n_steps": 32},
+            "offsets": [0.0, 0.25]}
+
+
+CASES = {
+    "mp-lq_scalar": ("max-principle", _mp("lq_scalar", 16)),
+    "mp-control_in_noise": ("max-principle", _mp("control_in_noise", 16)),
+    "mp-odd_drift": ("max-principle", _mp("odd_drift", 16)),
+    "mp-driverless": ("max-principle", _mp("driverless", 16)),
+    "mp-quadratic_drift": (
+        "max-principle",
+        _mp("quadratic_drift", 6, value_grid=[-0.3, 0.0, 0.3]),
+    ),
+    "ladder-lq_scalar": ("ladder", _ladder("lq_scalar")),
+    "ladder-driverless": ("ladder", _ladder("driverless")),
+    # The element-solve route of variation_ladder (no linear declaration).
+    "ladder-quadratic_drift": (
+        "ladder",
+        {"problem_id": "quadratic_drift", "grid": {"n_steps": 8},
+         "eps_list": [0.5, 0.25, 0.125]},
+    ),
+    "forward-lq_scalar": ("forward", {"problem_id": "lq_scalar"}),
+}
+
+DIGESTS = {
+    "forward-lq_scalar": {
+        "forward.json": "66f1e038eb78435a38cd1bf7a302d855"
+                        "78afb9c9396a6bdb0aac63e9b1d59b66",
+    },
+    "ladder-driverless": {
+        "ladder.json": "1b75d6e11ae78acf68b1ffe42a7a4a6d"
+                       "c10b52d24702bf1db32d49610a36fa30",
+        "ladder_offset_0.csv": "a68ea3a6679aa6f4c22b6babdd00d35c"
+                               "4c17c40bdfd771cd939ede7d41c3d056",
+        "ladder_offset_1.csv": "a68ea3a6679aa6f4c22b6babdd00d35c"
+                               "4c17c40bdfd771cd939ede7d41c3d056",
+    },
+    "ladder-lq_scalar": {
+        "ladder.json": "b44d94abf1af7f41352ab1a45f19ec75"
+                       "d7b8857e002dc5c295e53bf8959eea34",
+        "ladder_offset_0.csv": "c8711f0d285a0d7cadc6bebc86030d33"
+                               "e26f3c911f104c0c064d9a5a0dae7769",
+        "ladder_offset_1.csv": "4aedb3799f02602aa575f3f874fde44d"
+                               "2283889f65e2ae3759516df77ed01cd8",
+    },
+    "ladder-quadratic_drift": {
+        "ladder.json": "5a93f2b48cb4f3fe9f2255caae0cb813"
+                       "c9bfca0fc9df18d4d56fee2471203b29",
+        "ladder_offset_0.csv": "eb0740e66d11b9bfaab3a858e6fea25f"
+                               "df3c9c2ef37653ee2a72f335e6f736c8",
+    },
+    "mp-control_in_noise": {
+        "max_principle.json": "2773da23d0ea3baec5acb28fc018b992"
+                              "b3c72c2a78d71b62c2eab3c102c9240d",
+    },
+    "mp-driverless": {
+        "max_principle.json": "2286074626e8cb00c6008b2deebbd5ee"
+                              "74ca41dc600c182b9cd54e7ed47dfeff",
+    },
+    "mp-lq_scalar": {
+        "max_principle.json": "937d4276cb7cdba634ca2f459ebed227"
+                              "87af52c36e418f2ca91f62979955c769",
+    },
+    "mp-odd_drift": {
+        "max_principle.json": "992303d7d2b4b38f984b9e9456fcfd00"
+                              "fca248171e4798a4e0b6610905de2504",
+    },
+    "mp-quadratic_drift": {
+        "max_principle.json": "4ec9e0940d29948865e8a2c3c7ad8e99"
+                              "1c820e1aeaffe5bf2d74450f2a020b1b",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_control_reports_keep_their_bytes(case, tmp_path):
+    subcommand, spec = CASES[case]
+    assert report_digests(subcommand, spec, 0, tmp_path) == DIGESTS[case]
