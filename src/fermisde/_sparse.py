@@ -8,6 +8,11 @@ complex128 of shape (m,).
 Canonical layout used throughout: rows sorted lexicographically with the
 highest word most significant, no duplicate rows, no exactly-zero amplitudes.
 All kernels here either preserve that layout or restore it explicitly.
+
+A stacked array holds the values of several steps of a process: an int64
+seg gives each row's step, and its canonical layout sorts by seg first.
+The bit kernels take a per-row int64 array wherever they take a generator
+or filtration index k, so one call serves every step, with k = seg.
 """
 
 from __future__ import annotations
@@ -58,8 +63,12 @@ def decode_mask(row: np.ndarray) -> int:
     return value
 
 
-def below_row(k: int, w: int) -> np.ndarray:
-    """(w,) row with exactly the bits 0..k-1 set."""
+def below_row(k, w: int) -> np.ndarray:
+    """Rows with exactly the bits 0..k-1 set: one (w,) row for an int k,
+    an (m, w) array for an int64 array of m indices."""
+    if np.ndim(k):
+        fill = np.clip(k[:, None] - WORD * np.arange(w), 0, WORD)
+        return np.where(fill == WORD, _FULL, LOW[np.minimum(fill, WORD - 1)])
     row = np.zeros(w, dtype=np.uint64)
     wk, b = divmod(k, WORD)
     for i in range(min(wk, w)):
@@ -69,9 +78,18 @@ def below_row(k: int, w: int) -> np.ndarray:
     return row
 
 
-def lexsort_rows(masks: np.ndarray) -> np.ndarray:
-    """Sort order for rows, highest word most significant."""
-    return np.lexsort(tuple(masks[:, i] for i in range(masks.shape[1])))
+def lexsort_rows(
+    masks: np.ndarray, seg: np.ndarray | None = None
+) -> np.ndarray:
+    """Sort order for rows, highest word most significant; seg, when
+    given, is more significant still."""
+    keys = [masks[:, i] for i in range(masks.shape[1])]
+    if seg is not None:
+        # NumPy sorts an int16 key by radix, several times faster than an
+        # int64 one; step indices fit it, and wider ones keep int64.
+        narrow = seg.astype(np.int16)
+        keys.append(narrow if np.array_equal(narrow, seg) else seg)
+    return np.lexsort(keys)
 
 
 def canonicalize(
@@ -79,24 +97,37 @@ def canonicalize(
     amps: np.ndarray,
     presorted: bool = False,
     tol: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
+    seg: np.ndarray | None = None,
+):
     """Sort rows, merge duplicates, drop zero amplitudes.
 
     tol > 0 additionally drops rows with |amp| <= tol * max|amp|; the default
     keeps everything that is not exactly zero.
+
+    With seg, the rows are a stacked array: they sort by seg first, merge
+    only within a step, and (masks, amps, seg) is returned. The sort is
+    stable, so equal rows merge in input order, as in one step's own sum.
     """
     if masks.shape[0] == 0:
-        return masks.reshape(0, masks.shape[1]), amps[:0].astype(np.complex128)
+        out = (masks.reshape(0, masks.shape[1]),
+               amps[:0].astype(np.complex128))
+        return out if seg is None else out + (seg[:0],)
     if not presorted:
-        order = lexsort_rows(masks)
+        order = lexsort_rows(masks, seg)
         masks = masks[order]
         amps = amps[order]
+        if seg is not None:
+            seg = seg[order]
     if masks.shape[0] > 1:
         differs = np.any(masks[1:] != masks[:-1], axis=1)
+        if seg is not None:
+            differs |= seg[1:] != seg[:-1]
         if not differs.all():
             starts = np.flatnonzero(np.concatenate(([True], differs)))
             amps = np.add.reduceat(amps, starts)
             masks = masks[starts]
+            if seg is not None:
+                seg = seg[starts]
     mags = np.abs(amps)
     if tol > 0.0 and mags.size:
         keep = mags > tol * mags.max()
@@ -105,13 +136,21 @@ def canonicalize(
     if not keep.all():
         masks = masks[keep]
         amps = amps[keep]
-    return masks, amps
+        if seg is not None:
+            seg = seg[keep]
+    return (masks, amps) if seg is None else (masks, amps, seg)
 
 
-def count_above_bit(masks: np.ndarray, k: int) -> np.ndarray:
+def _set_bits(masks: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(masks).sum(axis=1, dtype=np.int64)
+
+
+def count_above_bit(masks: np.ndarray, k) -> np.ndarray:
     """Per row, number of set bits with index strictly greater than k."""
-    wk, b = divmod(k, WORD)
     w = masks.shape[1]
+    if np.ndim(k):
+        return _set_bits(masks & ~below_row(k + 1, w))
+    wk, b = divmod(k, WORD)
     total = np.zeros(masks.shape[0], dtype=np.int64)
     if wk < w:
         total += np.bitwise_count(masks[:, wk] & HIGH[b]).astype(np.int64)
@@ -120,10 +159,12 @@ def count_above_bit(masks: np.ndarray, k: int) -> np.ndarray:
     return total
 
 
-def count_below_bit(masks: np.ndarray, k: int) -> np.ndarray:
+def count_below_bit(masks: np.ndarray, k) -> np.ndarray:
     """Per row, number of set bits with index strictly less than k."""
-    wk, b = divmod(k, WORD)
     w = masks.shape[1]
+    if np.ndim(k):
+        return _set_bits(masks & below_row(k, w))
+    wk, b = divmod(k, WORD)
     total = np.zeros(masks.shape[0], dtype=np.int64)
     top = min(wk, w)
     for i in range(top):
@@ -133,32 +174,35 @@ def count_below_bit(masks: np.ndarray, k: int) -> np.ndarray:
     return total
 
 
-def rows_within(masks: np.ndarray, k: int) -> np.ndarray:
+def rows_within(masks: np.ndarray, k) -> np.ndarray:
     """Boolean rows whose set bits all lie strictly below k."""
     if masks.shape[0] == 0:
         return np.zeros(0, dtype=bool)
     allowed = below_row(k, masks.shape[1])
-    return np.all((masks & ~allowed[None, :]) == 0, axis=1)
+    return np.all((masks & ~allowed) == 0, axis=1)
 
 
 def mul_generator(
     masks: np.ndarray,
     amps: np.ndarray,
-    k: int,
+    k,
     side: str,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Multiply the element by generator k on the given side.
 
-    Output is canonical. When bit k is the highest bit present (the adapted
-    situation) no sort is needed: rows split into a block without bit k and a
-    block with it, and the blocks swap.
+    For an int k the output is canonical. When bit k is the highest bit
+    present (the adapted situation) no sort is needed: rows split into a
+    block without bit k and a block with it, and the blocks swap. For an
+    int64 array k (row i times generator k[i]) rows keep their input
+    order: each maps to one row, and the caller sorts once for all.
     """
     m, w = masks.shape
     if m == 0:
         return masks, amps
-    wk, b = divmod(k, WORD)
-    if wk >= w:
-        raise ValueError(f"generator index {k} out of range for {w} words")
+    stacked = np.ndim(k) > 0
+    top = int(k.max()) if stacked else k
+    if top >= WORD * w:
+        raise ValueError(f"generator index {top} out of range for {w} words")
     above = count_above_bit(masks, k)
     if side == "right":
         flips = above
@@ -167,9 +211,12 @@ def mul_generator(
     else:
         raise ValueError("side must be 'left' or 'right'")
     signs = np.where(flips & 1, -1.0, 1.0)
+    new_amps = amps * signs
+    if stacked:
+        return masks ^ (below_row(k + 1, w) ^ below_row(k, w)), new_amps
+    wk, b = divmod(k, WORD)
     new_masks = masks.copy()
     new_masks[:, wk] ^= _U1 << np.uint64(b)
-    new_amps = amps * signs
     # Fast path: no bits above k anywhere.
     if not above.any():
         had_k = (masks[:, wk] >> np.uint64(b)) & _U1

@@ -451,13 +451,153 @@ def random_element(rng, n, n_terms=8, max_generator=None, real=False):
     if max_generator is not None and max_generator < 0:
         raise ValueError("max_generator must be nonnegative")
     top = n if max_generator is None else min(max_generator, n)
-    w = sp.words_for(n)
     if n_terms <= 0:
         return CliffordElement.zero(n)
-    bits = np.zeros((n_terms, sp.WORD * w), dtype=bool)
-    bits[:, :top] = rng.random((n_terms, top)) < 0.5
+    return CliffordElement(n, *_random_rows(rng, n, n_terms, [top], real))
+
+
+def _random_rows(rng, n, n_terms, tops, real=False):
+    """The raw (masks, amps) of random_element for each max_generator in
+    tops in turn, n_terms rows each, with the same rng calls in the same
+    order; the bits of all draws are packed at once."""
+    w = sp.words_for(n)
+    bits = np.zeros((len(tops) * n_terms, sp.WORD * w), dtype=bool)
+    amps = np.empty(len(tops) * n_terms, dtype=np.complex128)
+    for i, top in enumerate(tops):
+        rows = slice(i * n_terms, (i + 1) * n_terms)
+        bits[rows, :top] = rng.random((n_terms, top)) < 0.5
+        re = rng.normal(size=n_terms)
+        im = np.zeros(n_terms) if real else rng.normal(size=n_terms)
+        amps[rows] = re + 1j * im
     packed = np.packbits(bits, axis=1, bitorder="little")
-    masks = packed.view(np.dtype("<u8")).astype(np.uint64)
-    re = rng.normal(size=n_terms)
-    im = np.zeros(n_terms) if real else rng.normal(size=n_terms)
-    return CliffordElement(n, masks, re + 1j * im)
+    return packed.view(np.dtype("<u8")).astype(np.uint64), amps
+
+
+def _random_steps(rng, n, n_terms, tops):
+    """[random_element(rng, n, n_terms, max_generator=t) for t in tops],
+    drawn alike and canonicalized in one stacked sort."""
+    masks, amps = _random_rows(rng, n, n_terms, tops)
+    seg = np.repeat(np.arange(len(tops)), n_terms)
+    return _Stack(n, seg, masks, amps).canonical().values(0, len(tops))
+
+
+# -- stacked layout of a process ------------------------------------------
+
+
+class _Stack:
+    """Rows of the values of several steps of a process in one array.
+
+    seg[i] is the step of row i; a step's rows are its value's rows. In
+    the canonical layout rows sort by step first and then as within one
+    element, so each step is one canonical block and comes out as a
+    zero-copy view. Row-wise maps (negation, scaling, products with the
+    step's generator) may leave a stack unsorted within a step; sums take
+    any stacks whose steps hold no repeated mask and return a canonical
+    one. A sum sorts once for all steps, and its stable sort merges the
+    rows of one step in the order of the parts, as a + b does, so every
+    step of a + b equals its own sum bit for bit.
+    """
+
+    __slots__ = ("n", "seg", "masks", "amps")
+
+    def __init__(self, n, seg, masks, amps):
+        self.n = n
+        self.seg = seg
+        self.masks = masks
+        self.amps = amps
+
+    @classmethod
+    def of(cls, n, values):
+        """Canonical stack of elements on n generators; values[k] is step
+        k."""
+        counts = [v.n_terms for v in values]
+        seg = np.repeat(np.arange(len(counts)), counts)
+        masks = np.concatenate(
+            [sp.empty_masks(sp.words_for(n))] + [v.masks for v in values]
+        )
+        amps = np.concatenate(
+            [np.zeros(0, np.complex128)] + [v.amps for v in values]
+        )
+        return cls(n, seg, masks, amps)
+
+    def canonical(self):
+        masks, amps, seg = sp.canonicalize(self.masks, self.amps, seg=self.seg)
+        return _Stack(self.n, seg, masks, amps)
+
+    def __add__(self, other):
+        return _Stack(
+            self.n,
+            np.concatenate((self.seg, other.seg)),
+            np.concatenate((self.masks, other.masks)),
+            np.concatenate((self.amps, other.amps)),
+        ).canonical()
+
+    def __neg__(self):
+        return _Stack(self.n, self.seg, self.masks, -self.amps)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        return _Stack(self.n, self.seg, self.masks, self.amps * c)
+
+    def select(self, keep):
+        """The rows where keep is set."""
+        return _Stack(
+            self.n, self.seg[keep], self.masks[keep], self.amps[keep]
+        )
+
+    def within(self):
+        """Each step's conditional expectation onto its own C_k."""
+        return self.select(sp.rows_within(self.masks, self.seg))
+
+    def parity(self):
+        """Per row, 1 for odd monomials and 0 for even ones."""
+        return sp.popcount_rows(self.masks) & 1
+
+    def grading(self):
+        signs = np.where(self.parity(), -1.0, 1.0)
+        return _Stack(self.n, self.seg, self.masks, self.amps * signs)
+
+    def mul_generator(self, side):
+        """Each step's value times its own generator g_k on the given side;
+        rows keep their order."""
+        masks, amps = sp.mul_generator(self.masks, self.amps, self.seg, side)
+        return _Stack(self.n, self.seg, masks, amps)
+
+    def _bounds(self, lo, hi):
+        return np.searchsorted(self.seg, np.arange(lo, hi + 1)).tolist()
+
+    def values(self, lo, hi):
+        """Elements of steps lo..hi-1 of a canonical stack, as views."""
+        bounds = self._bounds(lo, hi)
+        return [
+            CliffordElement._wrap(self.n, self.masks[a:b], self.amps[a:b])
+            for a, b in zip(bounds, bounds[1:])
+        ]
+
+    def prefixes(self, hi):
+        """Elements made of all rows of the steps below k, k = 0..hi, as
+        views. Each is canonical when every step's rows sort after those
+        of the steps before it."""
+        return [
+            CliffordElement._wrap(self.n, self.masks[:b], self.amps[:b])
+            for b in self._bounds(0, hi)
+        ]
+
+    def norms(self, lo, hi):
+        """norm2 of each of steps lo..hi-1 of a canonical stack, each one
+        np.vdot of the step's rows as in norm2."""
+        bounds = self._bounds(lo, hi)
+        out = []
+        for a, b in zip(bounds, bounds[1:]):
+            amps = self.amps[a:b]
+            out.append(float(np.sqrt(float(np.vdot(amps, amps).real))))
+        return out
+
+
+def _distances(n, a_values, b_values):
+    """[norm2(a - b) for a, b in zip(a_values, b_values)] in one sort."""
+    count = min(len(a_values), len(b_values))
+    diff = _Stack.of(n, a_values[:count]) - _Stack.of(n, b_values[:count])
+    return diff.norms(0, count)

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _sparse as sp
-from .algebra import CliffordElement, norm2
+from .algebra import CliffordElement, _distances, _Stack, norm2
 from .ito import AdaptedProcess
 from .operators import GradedScalarOp
 
@@ -202,31 +202,34 @@ def _project_sweep(grid, yT, fs, lo, hi):
     martingale Z = yT - sum fs dt, strips it down step by step, and reads
     the integrand off the stripped bit. Returns (y values lo..hi, Y
     values lo..hi-1).
+
+    The prefix sums of fs dt are folded one step at a time: a one-shot
+    sum of several terms would round differently. The sums y_k = mart_k
+    + prefix_k of all steps are then formed in one stacked sum.
     """
     dt = grid.dt
     inv_root = 1.0 / np.sqrt(dt)
     count = hi - lo
-    prefix = [None] * (count + 1)
+    prefix = [None] * count
     acc = CliffordElement.zero(grid.n)
-    prefix[0] = acc
     for j in range(count):
+        prefix[j] = acc
         acc = acc + fs[j].scale(dt)
-        prefix[j + 1] = acc
     mart = yT - acc
-    y = [None] * (count + 1)
+    marts = [None] * count
     Y = [None] * count
-    y[count] = yT
     for k in range(hi - 1, lo - 1, -1):
         mart, integ = _split_step(mart, k, inv_root)
         Y[k - lo] = integ
-        y[k - lo] = mart + prefix[k - lo]
-    return y, Y
+        marts[k - lo] = mart
+    y = _Stack.of(grid.n, marts) + _Stack.of(grid.n, prefix)
+    return y.values(0, count) + [yT], Y
 
 
 def _pair_distance(grid, y_a, Y_a, y_b, Y_b):
     """sup_k ||dy_k||_2 plus the dt-weighted ell^2 aggregate of dY."""
-    sup = max(norm2(a - b) for a, b in zip(y_a, y_b))
-    agg = sum(norm2(a - b) ** 2 * grid.dt for a, b in zip(Y_a, Y_b))
+    sup = max(_distances(grid.n, y_a, y_b))
+    agg = sum(d**2 * grid.dt for d in _distances(grid.n, Y_a, Y_b))
     return sup + np.sqrt(agg)
 
 
@@ -265,9 +268,7 @@ def solve_picard(driver, grid, yT, max_iter=200, tol=1e-10, init=None):
     def settled(fs, fs_prev):
         if fs_prev is None:
             return False
-        change = max(
-            (norm2(a - b) for a, b in zip(fs, fs_prev)), default=0.0
-        )
+        change = max(_distances(grid.n, fs, fs_prev), default=0.0)
         return change * grid.T <= tol
 
     def run_window(lo, hi, fs_prev=None):
@@ -367,17 +368,16 @@ def residual(path, driver, yT):
     rounding for implicit stepwise output.
     """
     grid = path.grid
-    dt = grid.dt
-    root = np.sqrt(dt)
+    n, steps = grid.n, grid.n_steps
     worst = norm2(path.y[-1] - yT)
-    for k in range(grid.n_steps):
-        defect = (
-            path.y[k]
-            - path.y[k + 1]
-            + driver.f(k, path.y[k], path.Y[k]).scale(dt)
-            + path.Y[k].mul_generator(k, "right").scale(root)
-        )
-        worst = max(worst, norm2(defect))
+    fs = [driver.f(k, path.y[k], path.Y[k]) for k in range(steps)]
+    # One stacked sum per + of the per-step expression, in its order, so
+    # that every step rounds as its own fold would.
+    defect = _Stack.of(n, path.y[:steps]) - _Stack.of(n, path.y[1:])
+    defect = defect + _Stack.of(n, fs).scale(grid.dt)
+    dw = _Stack.of(n, path.Y).mul_generator("right").scale(np.sqrt(grid.dt))
+    for d in (defect + dw).norms(0, steps):
+        worst = max(worst, d)
     return worst
 
 

@@ -27,6 +27,8 @@ import numpy as np
 from .algebra import (
     MAX_MATRIX_GENERATORS,
     CliffordElement,
+    _distances,
+    _random_steps,
     _spectral_lp,
     jw_rep,
     norm2,
@@ -57,6 +59,7 @@ from .ito import (
     commutation_check,
     mrep_extract,
     right_integral,
+    right_integral_path,
 )
 from .operators import LeftMulOp, RightMulOp, ScalarOp, SumOp
 from .reporting import (
@@ -407,27 +410,17 @@ def _rng(seed, branch):
 
 
 def _random_adapted(rng, grid, terms=6, terminal=False):
-    values = []
     count = grid.n_steps + (1 if terminal else 0)
-    for k in range(count):
-        values.append(
-            random_element(
-                rng, grid.n, n_terms=terms, max_generator=min(k, grid.n)
-            )
-        )
-    return AdaptedProcess(grid, values, check=False)
+    tops = [min(k, grid.n) for k in range(count)]
+    return AdaptedProcess(
+        grid, _random_steps(rng, grid.n, terms, tops), check=False
+    )
 
 
 def _random_martingale(rng, grid, terms=5):
-    n = grid.n
-    root = np.sqrt(grid.dt)
-    current = CliffordElement.scalar(n, float(rng.standard_normal()))
-    values = [current]
-    for k in range(grid.n_steps):
-        y = random_element(rng, n, n_terms=terms, max_generator=k)
-        current = current + y.mul_generator(k, "right").scale(root)
-        values.append(current)
-    return AdaptedProcess(grid, values, check=False)
+    start = CliffordElement.scalar(grid.n, float(rng.standard_normal()))
+    steps = _random_steps(rng, grid.n, terms, range(grid.n_steps))
+    return right_integral_path(grid, steps, start)
 
 
 def _build_problem(spec, ladder_start=False, least_steps=1):
@@ -561,15 +554,7 @@ def _pipeline_ito(spec, rng):
         integ = right_integral(grid, y)
         total = sum(dt * v.norm2_sq() for v in y)
         iso = max(iso, abs(integ.norm2_sq() - total) / (1.0 + total))
-        seq = [CliffordElement.zero(n)]
-        acc = seq[0]
-        root = np.sqrt(dt)
-        for k in range(n):
-            acc = acc + y[k].mul_generator(k, "right").scale(root)
-            seq.append(acc)
-        mart = max(
-            mart, check_martingale(AdaptedProcess(grid, seq, check=False))
-        )
+        mart = max(mart, check_martingale(right_integral_path(grid, y)))
     mrep = 0.0
     for _ in range(25):
         m = _random_martingale(rng, grid)
@@ -715,9 +700,7 @@ def _pipeline_bqsde(spec, rng):
     )
     path_a = solve_stepwise(driver, grid, terminal, mode="implicit")
     path_b, sweeps = solve_picard(driver, grid, terminal)
-    gap = max(
-        norm2(path_a.y[k] - path_b.y[k]) for k in range(n + 1)
-    )
+    gap = max(_distances(n, path_a.y, path_b.y))
     res_a = residual(path_a, driver, terminal)
     res_b = residual(path_b, driver, terminal)
     y0 = path_a.y[0]

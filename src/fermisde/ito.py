@@ -15,6 +15,10 @@ exact arithmetic (discrete martingale representation).
 Because dW_k anticommutes with odd and commutes with even elements of C_k,
 moving an increment across an adapted element costs a grading:
 dW_k a = grading(a) dW_k.
+
+The integrals and checks here keep a whole process in one stacked array
+(algebra._Stack), so each makes a fixed number of sorts per process
+rather than one per step, and stays bit-identical to the per-step sums.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from . import _sparse as sp
 from .algebra import (
     CliffordElement,
     _spectral_lp,
-    cond_expect,
+    _Stack,
     jw_rep,
     norm2,
     singular_values,
@@ -41,6 +45,7 @@ __all__ = [
     "dW",
     "brownian",
     "right_integral",
+    "right_integral_path",
     "left_integral",
     "check_martingale",
     "mrep_extract",
@@ -124,9 +129,10 @@ class AdaptedProcess:
 
     def first_non_adapted(self, tol=0.0):
         """Index of the first value sticking out of its C_k, or None."""
-        for k, v in enumerate(self.values):
-            tail = v - cond_expect(v, k)
-            if norm2(tail) > tol:
+        values = _Stack.of(self.grid.n, self.values)
+        tails = (values - values.within()).norms(0, len(self.values))
+        for k, tail in enumerate(tails):
+            if tail > tol:
                 return k
         return None
 
@@ -183,12 +189,7 @@ def right_integral(grid, integrand):
     result equals the step-by-step sum bit for bit; otherwise the two
     agree to rounding.
     """
-    _require_integrand(grid, integrand)
-    root = np.sqrt(grid.dt)
-    return _sum_terms(
-        grid, [integrand[k].mul_generator(k, "right").scale(root)
-               for k in range(grid.n_steps)]
-    )
+    return _integral(grid, integrand, "right")
 
 
 def left_integral(grid, integrand):
@@ -196,12 +197,47 @@ def left_integral(grid, integrand):
 
     Summed in one canonicalize, as right_integral.
     """
+    return _integral(grid, integrand, "left")
+
+
+def _integral(grid, integrand, side):
+    terms = _steps(grid, integrand).mul_generator(side)
+    terms = terms.scale(np.sqrt(grid.dt))
+    masks, amps = sp.canonicalize(terms.masks, terms.amps)
+    return CliffordElement._wrap(grid.n, masks, amps)
+
+
+def right_integral_path(grid, integrand, start=None):
+    """The martingale M_k = start + sum_{j<k} Y_j dW_j, k = 0..n_steps.
+
+    The integrand must be adapted and start a multiple of the identity
+    (zero when None). Then the rows of step j's term all top out at bit
+    j, so M_n is one canonical array and each M_k is a prefix view of it,
+    equal bit for bit to the fold M_{k+1} = M_k + Y_k dW_k.
+    """
+    n = grid.n
+    steps = _steps(grid, integrand)
+    outside = ~sp.rows_within(steps.masks, steps.seg)
+    if outside.any():
+        bad = int(steps.seg[outside][0])
+        raise ValueError(f"integrand value at step {bad} is not adapted")
+    if start is None:
+        start = CliffordElement.zero(n)
+    if start.n != n:
+        raise ValueError(f"start has n={start.n}, grid needs {n}")
+    if start.n_terms > 1 or start.masks.any():
+        raise ValueError(
+            "start value at step 0 is not a multiple of the identity"
+        )
+    first = _Stack(n, np.full(start.n_terms, -1), start.masks, start.amps)
+    path = first + steps.mul_generator("right").scale(np.sqrt(grid.dt))
+    return MartingaleSeq(grid, path.prefixes(grid.n_steps), check=False)
+
+
+def _steps(grid, integrand):
+    """Stack of the integrand's values on steps 0..n_steps-1."""
     _require_integrand(grid, integrand)
-    root = np.sqrt(grid.dt)
-    return _sum_terms(
-        grid, [integrand[k].mul_generator(k, "left").scale(root)
-               for k in range(grid.n_steps)]
-    )
+    return _Stack.of(grid.n, [integrand[k] for k in range(grid.n_steps)])
 
 
 def _sum_terms(grid, terms):
@@ -219,10 +255,10 @@ def _require_integrand(grid, integrand):
 
 def check_martingale(seq):
     """max_k || E[M_{k+1} | C_k] - M_k ||_2 over the sequence."""
-    grid = seq.grid
+    n = seq.grid.n_steps
+    later = _Stack.of(seq.grid.n, seq[1 : n + 1]).within()
     worst = 0.0
-    for k in range(grid.n_steps):
-        gap = norm2(cond_expect(seq[k + 1], k) - seq[k])
+    for gap in (later - _Stack.of(seq.grid.n, seq[:n])).norms(0, n):
         worst = max(worst, gap)
     return worst
 
@@ -244,13 +280,13 @@ def mrep_extract(grid, seq, tol=1e-12):
         raise ValueError(
             "martingale must start at vacuum(M_n) times the identity"
         )
-    inv_root = 1.0 / np.sqrt(grid.dt)
-    out = []
-    for k in range(grid.n_steps):
-        diff = seq[k + 1] - seq[k]
-        y = cond_expect(diff.mul_generator(k, "right"), k).scale(inv_root)
-        out.append(y)
-    return AdaptedProcess(grid, out, check=False)
+    # Only rows of M_{k+1} - M_k with top bit k survive the conditional
+    # expectation; clearing that bit keeps their order, so the rows stay
+    # canonical without a second sort.
+    n = grid.n_steps
+    diff = _Stack.of(grid.n, seq[1 : n + 1]) - _Stack.of(grid.n, seq[:n])
+    y = diff.mul_generator("right").within().scale(1.0 / np.sqrt(grid.dt))
+    return AdaptedProcess(grid, y.values(0, n), check=False)
 
 
 def bg_ratios(grid, integrand, p=2.0):
@@ -317,17 +353,20 @@ def commutation_check(grid, process):
     Checks dW_k a_e - a_e dW_k, dW_k a_o + a_o dW_k, and the combined form
     dW_k a - grading(a) dW_k at every step; returns the worst 2-norm.
     """
+    count = min(len(process), grid.n_steps)
+    a = _Stack.of(grid.n, [process[k] for k in range(count)])
+    odd = a.parity() == 1
+    ae, ao = a.select(~odd), a.select(odd)
+    defects = [
+        (ae.mul_generator("left") - ae.mul_generator("right")).norms(0, count),
+        (ao.mul_generator("left") + ao.mul_generator("right")).norms(0, count),
+        (a.mul_generator("left") - a.grading().mul_generator("right")).norms(
+            0, count
+        ),
+    ]
+    root = np.sqrt(grid.dt)
     worst = 0.0
-    for k in range(min(len(process), grid.n_steps)):
-        a = process[k]
-        root = np.sqrt(grid.dt)
-        ae, ao = a.even_part(), a.odd_part()
-        lhs = ae.mul_generator(k, "left") - ae.mul_generator(k, "right")
-        worst = max(worst, norm2(lhs) * root)
-        lhs = ao.mul_generator(k, "left") + ao.mul_generator(k, "right")
-        worst = max(worst, norm2(lhs) * root)
-        lhs = a.mul_generator(k, "left") - a.grading().mul_generator(
-            k, "right"
-        )
-        worst = max(worst, norm2(lhs) * root)
+    for k in range(count):
+        for norms in defects:
+            worst = max(worst, norms[k] * root)
     return worst

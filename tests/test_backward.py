@@ -245,6 +245,39 @@ def test_residual_flags_corruption():
     assert abs(residual(broken, drv, yT) - 0.01) < 2e-3
 
 
+def ref_residual(path, driver, yT):
+    """The per-step defect fold that the stacked residual replaced."""
+    grid = path.grid
+    root = np.sqrt(grid.dt)
+    worst = norm2(path.y[-1] - yT)
+    for k in range(grid.n_steps):
+        defect = (
+            path.y[k]
+            - path.y[k + 1]
+            + driver.f(k, path.y[k], path.Y[k]).scale(grid.dt)
+            + path.Y[k].mul_generator(k, "right").scale(root)
+        )
+        worst = max(worst, norm2(defect))
+    return worst
+
+
+@pytest.mark.parametrize("n", [1, 9, 70])
+def test_stacked_residual_equals_the_per_step_fold(n):
+    grid = TimeGrid(1.0, n)
+    rng = np.random.default_rng(80 + n)
+    drv = Driver(f=lambda k, y, Y: y.scale(0.3) + Y.grading().scale(-0.2))
+    yT = random_terminal(rng, n)
+    solved = solve_stepwise(scalar_driver(0.4), grid, yT)
+    # not adapted, with empty values and exact cancellations mixed in
+    y = [random_element(rng, n, n_terms=6) for _ in range(n + 1)]
+    Y = [random_element(rng, n, n_terms=6) for _ in range(n)]
+    y[n // 2] = CliffordElement.zero(n)
+    y[n] = y[n - 1]
+    noisy = BackwardPath(grid, y, Y, check=False)
+    for path in (solved, noisy):
+        assert residual(path, drv, yT) == ref_residual(path, drv, yT)
+
+
 def test_apriori_report_and_vacuous_flag():
     grid = TimeGrid(1.0, 8)
     rng = np.random.default_rng(79)

@@ -53,6 +53,45 @@ def test_count_above_below(values, k):
         assert below[i] == want_below
 
 
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 2**150 - 1), st.integers(0, 191)),
+        min_size=1,
+        max_size=30,
+    ),
+    st.sampled_from(["left", "right"]),
+)
+def test_array_k_matches_int_k_row_by_row(rows, side):
+    """One index per row gives, row for row, what the int form gives."""
+    masks = np.stack([sp.encode_mask(v, 3) for v, _ in rows])
+    ks = np.array([k for _, k in rows], dtype=np.int64)
+    amps = np.arange(1, len(rows) + 1) * (0.5 - 0.25j)
+    got_m, got_a = sp.mul_generator(masks, amps, ks, side)
+    above = sp.count_above_bit(masks, ks)
+    below = sp.count_below_bit(masks, ks)
+    within = sp.rows_within(masks, ks)
+    for i, k in enumerate(ks.tolist()):
+        row = slice(i, i + 1)
+        assert above[i] == sp.count_above_bit(masks[row], k)[0]
+        assert below[i] == sp.count_below_bit(masks[row], k)[0]
+        assert within[i] == sp.rows_within(masks[row], k)[0]
+        want_m, want_a = sp.mul_generator(masks[row], amps[row], k, side)
+        assert np.array_equal(got_m[row], want_m)
+        assert np.array_equal(got_a[row], want_a)
+
+
+def test_stacked_canonicalize_merges_within_steps_only():
+    masks = np.stack([sp.encode_mask(v, 1) for v in [5, 3, 5, 5, 3, 9]])
+    amps = np.array([1.0, 2.0, -1.0, 4.0, 1.0, 3.0], dtype=complex)
+    seg = np.array([1, 0, 1, 0, 0, 0])
+    out_m, out_a, out_s = sp.canonicalize(masks, amps, seg=seg)
+    got = [(s, sp.decode_mask(r), a) for s, r, a in zip(out_s, out_m, out_a)]
+    # step 1's two mask-5 rows cancel; step 0's rows keep their own sums
+    assert got == [(0, 3, 3.0), (0, 5, 4.0), (0, 9, 3.0)]
+    empty = sp.canonicalize(masks[:0], amps[:0], seg=seg[:0])
+    assert [a.shape[0] for a in empty] == [0, 0, 0]
+
+
 def test_lexsort_is_integer_order():
     rng = np.random.default_rng(5)
     values = [int(v) for v in rng.integers(0, 2**63, size=50)]

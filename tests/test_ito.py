@@ -29,6 +29,7 @@ from fermisde.ito import (
     left_integral,
     mrep_extract,
     right_integral,
+    right_integral_path,
 )
 from fermisde.cli import P_CHOICES, parse_problem, run
 
@@ -374,6 +375,174 @@ def test_one_pass_sums_agree_with_the_fold_when_not_adapted():
         assert norm2(got - ref) <= 1e-14 * norm2(ref)
 
 
+# -- stacked passes against per-step references ----------------------------
+#
+# Each reference is the per-step loop that the stacked pass replaced; the
+# two must agree bit for bit on adapted and non-adapted input alike.
+
+
+def ref_check_martingale(seq):
+    worst = 0.0
+    for k in range(seq.grid.n_steps):
+        worst = max(worst, norm2(cond_expect(seq[k + 1], k) - seq[k]))
+    return worst
+
+
+def ref_mrep(grid, seq):
+    inv_root = 1.0 / np.sqrt(grid.dt)
+    return [
+        cond_expect((seq[k + 1] - seq[k]).mul_generator(k, "right"), k)
+        .scale(inv_root)
+        for k in range(grid.n_steps)
+    ]
+
+
+def ref_commutation(grid, process):
+    root = np.sqrt(grid.dt)
+    worst = 0.0
+    for k in range(min(len(process), grid.n_steps)):
+        a = process[k]
+        ae, ao = a.even_part(), a.odd_part()
+        for lhs in (
+            ae.mul_generator(k, "left") - ae.mul_generator(k, "right"),
+            ao.mul_generator(k, "left") + ao.mul_generator(k, "right"),
+            a.mul_generator(k, "left") - a.grading().mul_generator(k, "right"),
+        ):
+            worst = max(worst, norm2(lhs) * root)
+    return worst
+
+
+def ref_first_non_adapted(process, tol):
+    for k, v in enumerate(process):
+        if norm2(v - cond_expect(v, k)) > tol:
+            return k
+    return None
+
+
+def ref_path(grid, integrand, start):
+    root = np.sqrt(grid.dt)
+    seq = [start]
+    for k in range(grid.n_steps):
+        step = integrand[k].mul_generator(k, "right").scale(root)
+        seq.append(seq[-1] + step)
+    return seq
+
+
+def sample_process(rng, grid, length, adapted, terms=4):
+    """Random values with an empty one every fifth step and a repeat of
+    the previous value every seventh, so that sums of neighbours cancel
+    exactly."""
+    vals = []
+    for k in range(length):
+        if k % 5 == 2:
+            vals.append(CliffordElement.zero(grid.n))
+        elif k % 7 == 6:
+            vals.append(vals[-1])
+        else:
+            top = min(k, grid.n) if adapted else None
+            vals.append(
+                random_element(rng, grid.n, n_terms=terms, max_generator=top)
+            )
+    return AdaptedProcess(grid, vals, check=False)
+
+
+CROSS_SIZES = [1, 9, 64, 70, 130]
+
+
+@pytest.mark.parametrize("n", CROSS_SIZES)
+def test_stacked_martingale_passes_equal_the_per_step_loops(n):
+    g = TimeGrid(0.9, n)
+    rng = np.random.default_rng(100 + n)
+    y = sample_process(rng, g, n, adapted=True)
+    for start in (None, CliffordElement.scalar(n, 0.75 - 0.5j)):
+        got = right_integral_path(g, y, start)
+        ref = ref_path(
+            g, y, CliffordElement.zero(n) if start is None else start
+        )
+        assert len(got) == n + 1
+        assert all(same_bits(a, b) for a, b in zip(got, ref))
+    seq = AdaptedProcess(g, ref, check=False)
+    assert check_martingale(seq) == ref_check_martingale(seq)
+    got = mrep_extract(g, seq)
+    assert all(same_bits(a, b) for a, b in zip(got, ref_mrep(g, seq)))
+    # sequences that are no martingales, past the guards of mrep_extract
+    for adapted in (True, False):
+        seq = sample_process(rng, g, n + 1, adapted=adapted)
+        assert check_martingale(seq) == ref_check_martingale(seq)
+        got = mrep_extract(g, seq, tol=np.inf)
+        assert all(same_bits(a, b) for a, b in zip(got, ref_mrep(g, seq)))
+
+
+@pytest.mark.parametrize("n", CROSS_SIZES)
+@pytest.mark.parametrize("adapted", [True, False])
+def test_stacked_process_checks_equal_the_per_step_loops(n, adapted):
+    g = TimeGrid(1.3, n)
+    rng = np.random.default_rng(200 + n)
+    for length in (n, n + 1):
+        proc = sample_process(rng, g, length, adapted=adapted, terms=6)
+        assert commutation_check(g, proc) == ref_commutation(g, proc)
+        for tol in (0.0, 1.0, 3.0):
+            assert proc.first_non_adapted(tol) == ref_first_non_adapted(
+                proc, tol
+            )
+    if adapted:
+        assert proc.first_non_adapted() is None
+        assert commutation_check(g, proc) == 0.0
+
+
+def test_integral_path_refuses_non_adapted_integrands_by_step():
+    g = TimeGrid(1.0, 70)
+    vals = [CliffordElement.scalar(70, 1.0)] * 70
+    vals[66] = CliffordElement.generator(70, 66)
+    with pytest.raises(ValueError, match="step 66 is not adapted"):
+        right_integral_path(g, vals)
+    vals[66] = CliffordElement.generator(70, 69)
+    vals[3] = CliffordElement.generator(70, 3) + 1.0
+    with pytest.raises(ValueError, match="step 3 is not adapted"):
+        right_integral_path(g, vals)
+    with pytest.raises(ValueError, match="one value per step"):
+        right_integral_path(g, vals[:69])
+
+
+def test_integral_path_refuses_a_start_that_is_not_scalar():
+    g = TimeGrid(1.0, 4)
+    y = AdaptedProcess.constant_scalar(g, 1.0)
+    for start in (
+        CliffordElement.generator(4, 0),
+        CliffordElement.identity(4) + CliffordElement.generator(4, 3),
+    ):
+        with pytest.raises(ValueError, match="step 0 is not a multiple"):
+            right_integral_path(g, y, start)
+    with pytest.raises(ValueError, match="start has n=3"):
+        right_integral_path(g, y, CliffordElement.identity(3))
+    path = right_integral_path(g, y, CliffordElement.scalar(4, 2.0))
+    assert isinstance(path, MartingaleSeq)
+    assert check_martingale(path) == 0.0
+    assert path[0].terms() == {0: 2.0 + 0j}
+
+
+def test_ito_suite_sorts_do_not_grow_with_the_grid(monkeypatch, tmp_path):
+    """Each sample of ito-suite makes a fixed number of canonicalize calls,
+    whatever the number of steps."""
+    import fermisde._sparse as sp
+
+    original = sp.canonicalize
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "canonicalize", counted)
+    counts = []
+    for n in (16, 64):
+        calls.clear()
+        spec = parse_problem({"grid": {"n_steps": n}})
+        assert run("ito-suite", spec, str(tmp_path / str(n)), seed=0)["pass"]
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 # SHA-256 of suite report files at fixed sizes and seeds, recorded with
 # the per-p spectra, per-bit draws and step-by-step integral sums that
 # the one-spectrum, batched-draw and one-pass routes replace: those
@@ -408,6 +577,12 @@ REPORT_DIGESTS = {
     ("ito-suite", 16, 5): {
         "ito_suite.json": "535d9c161f5c24ad19a43c6d3c6bab0c"
                           "b3a1e60735a321ace8d4bb627cb0ca02",
+    },
+    # Two mask words: recorded on the per-step loops that the stacked
+    # layout replaces.
+    ("ito-suite", 70, 0): {
+        "ito_suite.json": "c9fa100966c1d1cfdb7513f54ddebf5e"
+                          "52c1a044bab97149913cf0af4517132d",
     },
 }
 

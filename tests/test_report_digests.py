@@ -1,4 +1,4 @@
-"""Report bytes of the control pipelines, pinned by SHA-256.
+"""Report bytes of the control and backward pipelines, pinned by SHA-256.
 
 Each digest is of the report as write_json would write it once the
 exponent keys ("p" of each ladder run and of the forward growth check)
@@ -49,6 +49,14 @@ def _ladder(problem_id):
             "offsets": [0.0, 0.25]}
 
 
+BQSDE_TERMINAL = [
+    {"mask": 0, "re": 1.0},
+    {"mask": 11, "re": 0.5, "im": -0.25},
+    {"mask": 48, "re": -0.75},
+    {"mask": 32769, "re": 0.125, "im": 0.5},
+    {"mask": 4660, "re": 0.3},
+]
+
 CASES = {
     "mp-lq_scalar": ("max-principle", _mp("lq_scalar", 16)),
     "mp-control_in_noise": ("max-principle", _mp("control_in_noise", 16)),
@@ -67,9 +75,35 @@ CASES = {
          "eps_list": [0.5, 0.25, 0.125]},
     ),
     "forward-lq_scalar": ("forward", {"problem_id": "lq_scalar"}),
+    # Two Picard windows on one-word masks.
+    "bqsde-n64": ("bqsde", {"grid": {"n_steps": 64}}),
+    # Five windows on two-word masks.
+    "bqsde-n70-scalar2": (
+        "bqsde",
+        {"grid": {"n_steps": 70, "T": 2.0},
+         "inline": {"driver": {"scalar": 2.0}}},
+    ),
+    # An inline terminal of five terms, odd and even.
+    "bqsde-n16-terminal": (
+        "bqsde",
+        {"grid": {"n_steps": 16},
+         "inline": {"terminal": {"n": 16, "terms": BQSDE_TERMINAL}}},
+    ),
 }
 
 DIGESTS = {
+    "bqsde-n16-terminal": {
+        "bqsde.json": "a438d1f2acbfd159ba065665f935e9f1"
+                      "d84ac43799127d6cad00baa92e4e6f59",
+    },
+    "bqsde-n64": {
+        "bqsde.json": "e62de733cc608f17e7f7ff83d9471cbf"
+                      "6300fcbabbc3fceafc5126cb50be4c84",
+    },
+    "bqsde-n70-scalar2": {
+        "bqsde.json": "8559ee39edf4322f02029b54f465025f"
+                      "72f26e31d5c14d627b0c3cf9ffcc0ab2",
+    },
     "forward-lq_scalar": {
         "forward.json": "66f1e038eb78435a38cd1bf7a302d855"
                         "78afb9c9396a6bdb0aac63e9b1d59b66",
