@@ -227,35 +227,49 @@ def mul_generator(
     return canonicalize(new_masks, new_amps)
 
 
-def pair_parity(masks_a: np.ndarray, masks_b: np.ndarray) -> np.ndarray:
-    """Inversion parity matrix for products of monomials.
+def top_bit(masks: np.ndarray) -> np.ndarray:
+    """Per row, the index of the highest set bit (int64), -1 for no bits."""
+    smeared = masks.copy()
+    for shift in (1, 2, 4, 8, 16, 32):
+        smeared |= smeared >> np.uint64(shift)
+    # a word with its bits smeared down has popcount = its bit length
+    lengths = np.bitwise_count(smeared).astype(np.int64)
+    ends = np.where(lengths > 0, lengths + WORD * np.arange(masks.shape[1]), 0)
+    return ends.max(axis=1, initial=0) - 1
+
+
+def prefix_parity(masks: np.ndarray) -> np.ndarray:
+    """Exclusive prefix-XOR of each row: bit s of P(T) is set when an odd
+    number of T's bits lie below s."""
+    inclusive = masks.copy()
+    for shift in (1, 2, 4, 8, 16, 32):
+        inclusive ^= inclusive << np.uint64(shift)
+    # the top bit of an inclusive word is the word's parity; the words
+    # below a word carry the XOR of theirs into every one of its bits
+    carry = np.bitwise_xor.accumulate(inclusive >> np.uint64(WORD - 1), axis=1)
+    out = inclusive << _U1
+    out[:, 1:] ^= carry[:, :-1] * _FULL
+    return out
+
+
+def pair_parity(
+    masks_a: np.ndarray,
+    masks_b: np.ndarray,
+    prefix_b: np.ndarray | None = None,
+) -> np.ndarray:
+    """Inversion parity matrix for products of monomials, as 0/1 uint8.
 
     Entry (i, j) is the parity of #{(s, t): s in row i of a, t in row j of b,
-    s > t}, which is the sign exponent of g_S g_T = +/- g_{S xor T}.
+    s > t}, which is the sign exponent of g_S g_T = +/- g_{S xor T}. Each
+    s of S counts the bits of T below it, so the parity is that of
+    popcount(S & P(T)) with P = prefix_parity(masks_b), which may be passed
+    in when several calls share b.
     """
-    ma, w = masks_a.shape
-    mb = masks_b.shape[0]
-    par = np.zeros((ma, mb), dtype=np.int64)
-    pc_a = np.bitwise_count(masks_a).astype(np.int64)
-    # above_w[i, v] = set bits of a-row i in words strictly above v
-    above = np.zeros_like(pc_a)
-    run = np.zeros(ma, dtype=np.int64)
-    for v in range(w - 1, -1, -1):
-        above[:, v] = run
-        run = run + pc_a[:, v]
-    for v in range(w):
-        bw = masks_b[:, v]
-        if not bw.any():
-            continue
-        pcb = np.bitwise_count(bw).astype(np.int64)
-        par += above[:, v][:, None] * pcb[None, :]
-        aw = masks_a[:, v]
-        for t in range(WORD):
-            col = (bw >> np.uint64(t)) & _U1
-            if not col.any():
-                continue
-            cnt = np.bitwise_count(aw & HIGH[t]).astype(np.int64)
-            par += cnt[:, None] * col.astype(np.int64)[None, :]
+    if prefix_b is None:
+        prefix_b = prefix_parity(masks_b)
+    par = np.zeros((masks_a.shape[0], masks_b.shape[0]), dtype=np.uint8)
+    for v in range(masks_a.shape[1]):
+        par ^= np.bitwise_count(masks_a[:, v, None] & prefix_b[None, :, v])
     return par & 1
 
 
@@ -273,10 +287,11 @@ def mul_full(
         return empty_masks(w), np.zeros(0, dtype=np.complex128)
     pieces_m = []
     pieces_a = []
+    prefix_b = prefix_parity(masks_b)
     for start in range(0, ma, chunk):
         sl = slice(start, min(start + chunk, ma))
         sub = masks_a[sl]
-        par = pair_parity(sub, masks_b)
+        par = pair_parity(sub, masks_b, prefix_b)
         signs = np.where(par == 1, -1.0, 1.0)
         prod = (amps_a[sl][:, None] * amps_b[None, :]) * signs
         xored = sub[:, None, :] ^ masks_b[None, :, :]

@@ -229,7 +229,7 @@ class CliffordElement:
 
     def norm2_sq(self):
         """Exact squared 2-norm m(a* a) = sum |amp|^2."""
-        return float(np.vdot(self.amps, self.amps).real)
+        return _sum_sq(self.amps)
 
     def prune(self, budget):
         """Drop a relative ell^2 mass of at most `budget`; returns
@@ -286,12 +286,19 @@ def pairing(a, b):
     if a.n != b.n:
         raise ValueError(f"mixing algebras with n={a.n} and n={b.n}")
     if a is b:
-        return complex(np.vdot(a.amps, a.amps))
+        return complex(_sum_sq(a.amps))
     return sp.dot_conj(a.masks, a.amps, b.masks, b.amps)
 
 
 def norm2(a):
     return float(np.sqrt(a.norm2_sq()))
+
+
+def _sum_sq(amps):
+    """sum |amp|^2 by NumPy's own pairwise sum. A BLAS dot product
+    (np.vdot) splits a long vector among its threads, so its rounding
+    would depend on the thread count; this does not."""
+    return float(np.add.reduce(amps.real**2 + amps.imag**2))
 
 
 def cond_expect(a, k):
@@ -586,14 +593,14 @@ class _Stack:
         ]
 
     def norms(self, lo, hi):
-        """norm2 of each of steps lo..hi-1 of a canonical stack, each one
-        np.vdot of the step's rows as in norm2."""
+        """norm2 of each of steps lo..hi-1 of a canonical stack, each
+        summed over the step's rows as in norm2."""
         bounds = self._bounds(lo, hi)
-        out = []
-        for a, b in zip(bounds, bounds[1:]):
-            amps = self.amps[a:b]
-            out.append(float(np.sqrt(float(np.vdot(amps, amps).real))))
-        return out
+        squares = self.amps.real**2 + self.amps.imag**2
+        return [
+            float(np.sqrt(float(np.add.reduce(squares[a:b]))))
+            for a, b in zip(bounds, bounds[1:])
+        ]
 
 
 def _distances(n, a_values, b_values):

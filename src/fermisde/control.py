@@ -882,7 +882,6 @@ def _gram_costs(problem, grid, bounds, values):
     # Per step, the value index of every candidate (its block's pick).
     step_picks = [picks[b] for b in np.repeat(range(blocks), np.diff(bounds))]
     q, r, s = weights
-    u_sq = np.array([value.norm2_sq() for value in values])
     norms = linear_norms_sq(
         grid,
         ops.__getitem__,
@@ -893,6 +892,7 @@ def _gram_costs(problem, grid, bounds, values):
     # The walk runs lazily inside this loop; an overflowing candidate
     # turns into inf or NaN there and is refused below, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
+        u_sq = np.array([value.norm2_sq() for value in values])
         for k, x_sq in enumerate(norms):
             if k < n:
                 total += (q * x_sq + r * u_sq[step_picks[k]]) * grid.dt

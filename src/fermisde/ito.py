@@ -149,7 +149,8 @@ class AdaptedProcess:
 
 
 class MartingaleSeq(AdaptedProcess):
-    """Adapted n_steps+1 sequence with the martingale property."""
+    """Adapted n_steps+1 sequence with the martingale property, checked to
+    a gap of tol relative to the sequence's size (see _size)."""
 
     def __init__(self, grid, values, check=True, tol=1e-12):
         super().__init__(grid, values, check=check)
@@ -157,7 +158,7 @@ class MartingaleSeq(AdaptedProcess):
             raise ValueError("martingale sequence must include the terminal")
         if check:
             gap = check_martingale(self)
-            if gap > tol:
+            if gap > tol * _size(self):
                 raise ValueError(
                     f"martingale property fails with gap {gap:.3e}"
                 )
@@ -263,20 +264,29 @@ def check_martingale(seq):
     return worst
 
 
+def _size(seq):
+    """1 + ||M_n||_2, the size a martingale tolerance is relative to. A
+    martingale's values are conditional expectations of M_n, so none is
+    larger; a tolerance times this is relative for large values and
+    absolute for small ones."""
+    return 1.0 + norm2(seq[-1])
+
+
 def mrep_extract(grid, seq, tol=1e-12):
     """Representing integrand of a martingale: Y_k = (M_{k+1} - M_k) dW_k / dt.
 
     Requires the martingale property and a scalar start equal to the vacuum
-    of the terminal value; then sum_k Y_k dW_k reproduces M_n - M_0 with
-    zero residual.
+    of the terminal value, both to tol relative to the sequence's size;
+    then sum_k Y_k dW_k reproduces M_n - M_0 with zero residual.
     """
     gap = check_martingale(seq)
-    if gap > tol:
+    size = _size(seq)
+    if gap > tol * size:
         raise ValueError(
             f"not a martingale: conditional-expectation gap {gap:.3e}"
         )
     start = seq[0] - CliffordElement.scalar(grid.n, seq[-1].vacuum())
-    if norm2(start) > tol:
+    if norm2(start) > tol * size:
         raise ValueError(
             "martingale must start at vacuum(M_n) times the identity"
         )

@@ -4,8 +4,10 @@ contraction windowing, and the defect/growth reports."""
 import numpy as np
 import pytest
 
+from fermisde import _sparse as sp
 from fermisde.algebra import (
     CliffordElement,
+    _Stack,
     cond_expect,
     norm2,
     random_element,
@@ -14,6 +16,8 @@ from fermisde.algebra import (
 from fermisde.backward import (
     BackwardPath,
     Driver,
+    _project_sweep,
+    _split_step,
     apriori_backward_check,
     residual,
     solve_picard,
@@ -228,6 +232,140 @@ def test_sweep_budget_is_enforced():
     yT = CliffordElement.identity(grid.n)
     with pytest.raises(RuntimeError, match="exceeded 3 sweeps"):
         solve_picard(scalar_driver(2.0), grid, yT, max_iter=3)
+
+
+# -- the one-pass Picard sweep against the per-step loop ------------------
+
+def ref_project_sweep(grid, yT, fs, lo, hi):
+    """The per-step fold and split that the one-pass sweep replaced."""
+    dt = grid.dt
+    inv_root = 1.0 / np.sqrt(dt)
+    count = hi - lo
+    prefix = [None] * count
+    acc = CliffordElement.zero(grid.n)
+    for j in range(count):
+        prefix[j] = acc
+        acc = acc + fs[j].scale(dt)
+    mart = yT - acc
+    marts = [None] * count
+    Y = [None] * count
+    for k in range(hi - 1, lo - 1, -1):
+        mart, integ = _split_step(mart, k, inv_root)
+        Y[k - lo] = integ
+        marts[k - lo] = mart
+    y = _Stack.of(grid.n, marts) + _Stack.of(grid.n, prefix)
+    return y.values(0, count) + [yT], Y
+
+
+def same_bits(a, b):
+    """Equal masks and amplitudes bit for bit, signed zeros included."""
+    return (
+        a.masks.tobytes() == b.masks.tobytes()
+        and a.amps.tobytes() == b.amps.tobytes()
+    )
+
+
+def assert_sweeps_agree(grid, yT, fs, lo, hi):
+    got_y, got_Y = _project_sweep(grid, yT, fs, lo, hi)
+    want_y, want_Y = ref_project_sweep(grid, yT, fs, lo, hi)
+    assert len(got_y) == len(want_y) and len(got_Y) == len(want_Y)
+    for got, want in zip(got_y + got_Y, want_y + want_Y):
+        assert same_bits(got, want)
+
+
+def sweep_data(rng, n, lo, hi):
+    """An adapted terminal and driver values on [lo, hi) whose masks recur
+    from step to step, with empty steps and exact cancellations."""
+    yT = random_element(rng, n, n_terms=12, max_generator=hi)
+    base = random_element(rng, n, n_terms=20, max_generator=hi)
+    fs = []
+    for j in range(lo, hi):
+        step = cond_expect(base, j).scale(rng.normal()) + random_element(
+            rng, n, n_terms=3, max_generator=j
+        )
+        fs.append(step)
+    for j in range(0, len(fs), 4):
+        fs[j] = CliffordElement.zero(n)
+    for j in range(1, len(fs) - 1, 5):
+        fs[j + 1] = fs[j + 1] - fs[j]
+    return yT, fs
+
+
+@pytest.mark.parametrize("n", [1, 9, 70, 130])
+def test_one_pass_sweep_equals_the_per_step_loop(n):
+    grid = TimeGrid(0.7, n)
+    rng = np.random.default_rng(90 + n)
+    for lo, hi in {(0, n), (n // 3, n), (n // 2, max(n // 2 + 1, n - 2))}:
+        yT, fs = sweep_data(rng, n, lo, hi)
+        assert_sweeps_agree(grid, yT, fs, lo, hi)
+        empty = [CliffordElement.zero(n)] * (hi - lo)
+        assert_sweeps_agree(grid, yT, empty, lo, hi)
+        assert_sweeps_agree(grid, CliffordElement.zero(n), fs, lo, hi)
+
+
+def test_sweep_restarts_a_prefix_sum_that_cancels_to_zero():
+    # g_0's prefix sum cancels to +0 twice and is re-entered by a term
+    # with a -0.0 real part; the fold starts it afresh, so that part
+    # stays -0.0 (and +0.0 in Y_0, which carries -acc), where a plain
+    # running sum would give +0.0.
+    n = 7
+    grid = TimeGrid(1.0, n)
+    g0 = CliffordElement.generator(n, 0)
+    a = 0.75 + 0.5j
+    b = -1.25 + 0.125j
+    fs = [
+        CliffordElement.zero(n),
+        g0.scale(a),
+        g0.scale(-a),
+        g0.scale(b) + CliffordElement.generator(n, 2),
+        g0.scale(-b),
+        g0.scale(complex(-0.0, 1.0)),
+        CliffordElement.zero(n),
+    ]
+    yT = CliffordElement.identity(n) + CliffordElement.generator(n, 4)
+    assert_sweeps_agree(grid, yT, fs, 0, n)
+    _, Y = _project_sweep(grid, yT, fs, 0, n)
+    assert Y[0].amps[0].real == 0 and not np.signbit(Y[0].amps[0].real)
+
+
+def test_sweep_refuses_non_adapted_driver_values():
+    grid = TimeGrid(1.0, 6)
+    zero = CliffordElement.zero(6)
+    fs = [zero, zero, CliffordElement.generator(6, 4), zero]
+    with pytest.raises(ValueError, match="non-adapted value at step 4"):
+        _project_sweep(grid, CliffordElement.identity(6), fs, 2, 6)
+    drv = Driver(f=lambda k, y, Y: CliffordElement.generator(6, 5), g1=0.0)
+    with pytest.raises(ValueError, match="non-adapted value at step 0"):
+        solve_picard(drv, grid, CliffordElement.identity(6))
+    # a non-adapted warm start is named as such, not as the driver's fault
+    init = ([CliffordElement.generator(6, 3)] + [zero] * 6, [zero] * 6)
+    with pytest.raises(ValueError, match="y is not adapted at step 0"):
+        solve_picard(scalar_driver(0.5), grid, CliffordElement.identity(6),
+                     init=init)
+
+
+def test_sweep_sorts_a_fixed_number_of_times(monkeypatch):
+    """Per sweep, solve_picard canonicalizes as often at n=256 as at
+    n=64: the fold and split make no per-step call."""
+    calls = [0]
+    canonicalize = sp.canonicalize
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return canonicalize(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "canonicalize", counted)
+    per_sweep = []
+    for n in (64, 256):
+        grid = TimeGrid(1.0, n)
+        yT = CliffordElement.identity(n) + random_element(
+            np.random.default_rng(5), n, n_terms=6
+        )
+        calls[0] = 0
+        _, sweeps = solve_picard(scalar_driver(1.0), grid, yT)
+        per_sweep.append(calls[0] / sweeps)
+    assert per_sweep[0] == per_sweep[1]
+    assert per_sweep[0] < 4
 
 
 # -- defects, growth, validation ------------------------------------------

@@ -184,3 +184,51 @@ def test_canonicalize_preserves_sums(pairs):
     # canonical order: strictly increasing as integers
     ints = [sp.decode_mask(r) for r in out_m]
     assert ints == sorted(ints)
+
+
+def inversion_parity(s, t):
+    """Per-bit count of the pairs (a, b), a in s, b in t, a > b, mod 2."""
+    pairs = 0
+    for a in range(s.bit_length()):
+        if s >> a & 1:
+            pairs += bin(t & ((1 << a) - 1)).count("1")
+    return pairs & 1
+
+
+EDGE_BITS = (1 << 0) | (1 << 63) | (1 << 64) | (1 << 127) | (1 << 128)
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from([1, 2, 3]),
+    st.lists(st.integers(0, 2**192 - 1), min_size=1, max_size=8),
+    st.lists(st.integers(0, 2**192 - 1), min_size=1, max_size=8),
+    st.booleans(),
+)
+def test_pair_parity_matches_per_bit_count(w, a_vals, b_vals, force):
+    top = (1 << (64 * w)) - 1
+    edges = EDGE_BITS & top
+    a_vals = [(v | edges if force else v) & top for v in a_vals]
+    b_vals = [(v ^ edges if force else v) & top for v in b_vals] + [edges]
+    masks_a = np.stack([sp.encode_mask(v, w) for v in a_vals])
+    masks_b = np.stack([sp.encode_mask(v, w) for v in b_vals])
+    got = sp.pair_parity(masks_a, masks_b)
+    want = [[inversion_parity(s, t) for t in b_vals] for s in a_vals]
+    assert got.tolist() == want
+    shared = sp.pair_parity(masks_a, masks_b, sp.prefix_parity(masks_b))
+    assert np.array_equal(shared, got)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(0, 2**192 - 1),
+            st.sampled_from([0, 1, 2**63, 2**64, 2**128, 2**191]),
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_top_bit_is_the_bit_length_less_one(values):
+    masks = np.stack([sp.encode_mask(v, 3) for v in values])
+    assert sp.top_bit(masks).tolist() == [v.bit_length() - 1 for v in values]

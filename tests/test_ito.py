@@ -348,7 +348,11 @@ def fold_integral(grid, integrand, side):
 
 
 def same_bits(a, b):
-    return np.array_equal(a.masks, b.masks) and np.array_equal(a.amps, b.amps)
+    """Equal masks and amplitudes bit for bit, signed zeros included."""
+    return (
+        a.masks.tobytes() == b.masks.tobytes()
+        and a.amps.tobytes() == b.amps.tobytes()
+    )
 
 
 @pytest.mark.parametrize("n", [1, 9, 70])
@@ -548,41 +552,44 @@ def test_ito_suite_sorts_do_not_grow_with_the_grid(monkeypatch, tmp_path):
 # the one-spectrum, batched-draw and one-pass routes replace: those
 # routes must keep every report byte for byte. The _meta sidecar holds
 # wall-clock timings and is left out. The digests also pin the NumPy and
-# LAPACK build, whose last bits the CSV and the norms carry.
+# LAPACK build, whose last bits the CSV and the norms carry. Norms are
+# NumPy pairwise sums, not BLAS dot products, so the BLAS thread count
+# does not reach them; the bg and ito digests were re-recorded when that
+# changed.
 REPORT_DIGESTS = {
     ("algebra-suite", 8, 0): {
         "algebra_suite.json": "ed58ee6163558ff164e9d7043da586d6"
                               "415a6ae7267251b2db3a7852bfc0c47d",
     },
     ("bg-constants", 6, 0): {
-        "bg_constants.csv": "201b4b3a3940696a4c40a04ee7269cf8"
-                            "bdf15cf7b010ca3fa487f21777e45e71",
+        "bg_constants.csv": "1cfa4fe22cfaac546d7e863cc62d54cc"
+                            "0501630c458a8935a34685791eb7f128",
         "bg_constants.json": "e6b099f14efa231340bb3bb989f33c5c"
                              "489a06d87ec5ba6e00add6cbdcb8b917",
     },
     ("ito-suite", 16, 0): {
-        "ito_suite.json": "82527cf2fb03aed185bf757e963a31d9"
-                          "71519225e34455077d6550f4778aeb65",
+        "ito_suite.json": "9f020a3f558b3de4a568ff7b7259521d"
+                          "4229e1e2184cd64bff39a757dc78749a",
     },
     ("algebra-suite", 8, 5): {
         "algebra_suite.json": "8889b8f64af76133006894ea6781a7b2"
                               "8435b10d07247066ec2595c917bf691b",
     },
     ("bg-constants", 6, 5): {
-        "bg_constants.csv": "d193aa829fe62cc5b1d76fe440a599fd"
-                            "28eeb2759c5da282b9021beb1212d12a",
-        "bg_constants.json": "47e5299313875e1695abef7bad5373dd"
-                             "4d511aec7a4b49604e35b2ea3422a358",
+        "bg_constants.csv": "a0600bc80c31bb67f87e071afe13ee57"
+                            "46faf2000d4b0a38a1191df28ef12914",
+        "bg_constants.json": "45bba0eafab1a0ca552182a0b65c604b"
+                             "ce6b6a305baef4bf7c27a06549170936",
     },
     ("ito-suite", 16, 5): {
-        "ito_suite.json": "535d9c161f5c24ad19a43c6d3c6bab0c"
-                          "b3a1e60735a321ace8d4bb627cb0ca02",
+        "ito_suite.json": "2140e681ddca11b33f18c082c0672503"
+                          "18ab98657803b07ed4c13c3ddfb5fe05",
     },
     # Two mask words: recorded on the per-step loops that the stacked
     # layout replaces.
     ("ito-suite", 70, 0): {
-        "ito_suite.json": "c9fa100966c1d1cfdb7513f54ddebf5e"
-                          "52c1a044bab97149913cf0af4517132d",
+        "ito_suite.json": "87c1b515c5ef1b96ffc2dfc08dc9e225"
+                          "88ff5b48405463c19610ec2cf4203280",
     },
 }
 
@@ -619,3 +626,25 @@ def test_commutation_detects_current_generator_use():
     ]
     p = AdaptedProcess(g, vals, check=False)
     assert commutation_check(g, p) > 0.5
+
+
+def test_martingale_tolerances_are_relative():
+    # Two roundings of one sum of three numbers near 1e6 (it is about
+    # -9.7e4) differ in the last place: a gap of 1.7e-10, 1.8e-15
+    # relative, is rounding, not drift.
+    a, b, c = np.random.default_rng(3).normal(size=3) * 1e6
+    s, t = (a + b) + c, a + (b + c)
+    assert 1e-10 < abs(s - t) < 1e-14 * abs(s)
+    g = TimeGrid(1.0, 2)
+    one = CliffordElement.identity(2)
+    g0, g1 = CliffordElement.generator(2, 0), CliffordElement.generator(2, 1)
+    vals = [one.scale(s), one.scale(t) + g0, one.scale(t) + g0 + g1]
+    seq = MartingaleSeq(g, vals)
+    got = mrep_extract(g, seq)
+    assert norm2(got[0] - one.scale(1.0 / np.sqrt(g.dt))) < 1e-12
+    # a gap of 1e-5 of the values is still refused
+    drift = [v + one.scale(1.0 * k) for k, v in enumerate(vals)]
+    with pytest.raises(ValueError, match="martingale property fails"):
+        MartingaleSeq(g, drift)
+    with pytest.raises(ValueError, match="not a martingale"):
+        mrep_extract(g, AdaptedProcess(g, drift, check=False))

@@ -8,6 +8,10 @@ hashed as written. A change to any number in these reports shows here.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +81,8 @@ CASES = {
     "forward-lq_scalar": ("forward", {"problem_id": "lq_scalar"}),
     # Two Picard windows on one-word masks.
     "bqsde-n64": ("bqsde", {"grid": {"n_steps": 64}}),
+    # The benchmark's bqsde call: four mask words.
+    "bqsde-n256": ("bqsde", {"grid": {"n_steps": 256}}),
     # Five windows on two-word masks.
     "bqsde-n70-scalar2": (
         "bqsde",
@@ -96,6 +102,10 @@ DIGESTS = {
         "bqsde.json": "a438d1f2acbfd159ba065665f935e9f1"
                       "d84ac43799127d6cad00baa92e4e6f59",
     },
+    "bqsde-n256": {
+        "bqsde.json": "4e6b1d860a99fde4d36e2a0abab499db"
+                      "908f81ad3693087c24c98710ff0781e5",
+    },
     "bqsde-n64": {
         "bqsde.json": "e62de733cc608f17e7f7ff83d9471cbf"
                       "6300fcbabbc3fceafc5126cb50be4c84",
@@ -105,8 +115,8 @@ DIGESTS = {
                       "72f26e31d5c14d627b0c3cf9ffcc0ab2",
     },
     "forward-lq_scalar": {
-        "forward.json": "66f1e038eb78435a38cd1bf7a302d855"
-                        "78afb9c9396a6bdb0aac63e9b1d59b66",
+        "forward.json": "719be56e517b5846a02ba06c9444ecd4"
+                        "f0f04422d958dbad00a11fd3b8128dfc",
     },
     "ladder-driverless": {
         "ladder.json": "1b75d6e11ae78acf68b1ffe42a7a4a6d"
@@ -125,10 +135,10 @@ DIGESTS = {
                                "2283889f65e2ae3759516df77ed01cd8",
     },
     "ladder-quadratic_drift": {
-        "ladder.json": "5a93f2b48cb4f3fe9f2255caae0cb813"
-                       "c9bfca0fc9df18d4d56fee2471203b29",
-        "ladder_offset_0.csv": "eb0740e66d11b9bfaab3a858e6fea25f"
-                               "df3c9c2ef37653ee2a72f335e6f736c8",
+        "ladder.json": "6a8c59b687f0136bd935c97d96723754"
+                       "c5c60994a16ea0a22676aa845d91f91a",
+        "ladder_offset_0.csv": "52a0e8874f67007ab2a172137002578b"
+                               "e630352619bbac56ed6eeed2bc68b3b0",
     },
     "mp-control_in_noise": {
         "max_principle.json": "2773da23d0ea3baec5acb28fc018b992"
@@ -157,3 +167,40 @@ DIGESTS = {
 def test_control_reports_keep_their_bytes(case, tmp_path):
     subcommand, spec = CASES[case]
     assert report_digests(subcommand, spec, 0, tmp_path) == DIGESTS[case]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+THREAD_CASES = {
+    "forward": {"problem_id": "lq_scalar"},
+    "bqsde": {"grid": {"n_steps": 64}},
+}
+
+
+def reports_with_threads(threads, out_dir):
+    """Report bytes of THREAD_CASES, each run by the CLI in a fresh process
+    with the BLAS and OpenMP thread counts set to threads."""
+    env = dict(os.environ)
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = str(threads)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH")))
+    )
+    for subcommand, spec in THREAD_CASES.items():
+        done = subprocess.run(
+            [sys.executable, "-m", "fermisde.cli", subcommand,
+             "--spec", json.dumps(spec), "--out", str(out_dir / subcommand)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+    return {
+        str(path.relative_to(out_dir)): path.read_bytes()
+        for path in sorted(out_dir.rglob("*"))
+        if path.is_file() and "_meta" not in path.name
+    }
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    one = reports_with_threads(1, tmp_path / "one")
+    two = reports_with_threads(2, tmp_path / "two")
+    assert sorted(one) == ["bqsde/bqsde.json", "forward/forward.json"]
+    assert one == two
