@@ -21,6 +21,10 @@ import numpy as np
 
 WORD = 64
 
+# Most rows a frame step or a product may allocate. Beyond this a step or
+# product is refused before it allocates, naming the row count.
+MAX_ROWS = 1 << 23
+
 _U1 = np.uint64(1)
 _U0 = np.uint64(0)
 _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -285,6 +289,11 @@ def mul_full(
     mb = masks_b.shape[0]
     if ma == 0 or mb == 0:
         return empty_masks(w), np.zeros(0, dtype=np.complex128)
+    if ma * mb > MAX_ROWS:
+        raise ValueError(
+            f"product of {ma} by {mb} terms refused: {ma * mb} rows "
+            f"(> {MAX_ROWS})"
+        )
     pieces_m = []
     pieces_a = []
     prefix_b = prefix_parity(masks_b)

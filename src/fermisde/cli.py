@@ -27,6 +27,7 @@ import numpy as np
 from .algebra import (
     MAX_MATRIX_GENERATORS,
     CliffordElement,
+    _block_singular_values,
     _distances,
     _random_steps,
     _spectral_lp,
@@ -34,7 +35,6 @@ from .algebra import (
     norm2,
     pairing,
     random_element,
-    singular_values,
 )
 from .backward import Driver, residual, solve_picard, solve_stepwise
 from .catalog import build, catalog
@@ -490,14 +490,13 @@ def _pipeline_algebra(spec, rng):
     }
     checks = [car <= 1e-12, bro <= 1e-12, props <= 1e-12]
     if n <= MAX_MATRIX_GENERATORS:
-        rep = jw_rep(n)
         holder_bad = 0
         mono_bad = 0
         pairs = 60
         for _ in range(pairs):
             a = random_element(rng, n)
             b = random_element(rng, n)
-            s_a, s_b = singular_values(a, rep), singular_values(b, rep)
+            s_a, s_b = _block_singular_values(a), _block_singular_values(b)
             lhs = abs(pairing(a, b))
             for p in P_CHOICES:
                 if p == 1.0:
@@ -638,16 +637,19 @@ def _pipeline_forward(spec, rng):
     }
     # O(dt) convergence certificate on a fixed small sweep, independent
     # of the main grid: terminal norms on refined grids approach a limit
-    # with first-order gaps.
+    # with first-order gaps. A sweep count equal to the main grid's takes
+    # the main solve's terminal: it is the same problem and control.
     norms = {}
     vacua = {}
     for steps in (16, 32, 64):
-        prob_f, grid_f = build(
-            spec.problem_id, n_steps=steps, T=spec.T, x0_scale=x0_scale
-        )
-        u_f = AdaptedProcess.constant_scalar(grid_f, weight)
-        path_f = solve_state(prob_f, u_f)
-        t_f = path_f[steps]
+        if steps == grid.n_steps:
+            t_f = terminal
+        else:
+            prob_f, grid_f = build(
+                spec.problem_id, n_steps=steps, T=spec.T, x0_scale=x0_scale
+            )
+            u_f = AdaptedProcess.constant_scalar(grid_f, weight)
+            t_f = solve_state(prob_f, u_f)[steps]
         norms[steps] = norm2(t_f)
         vacua[steps] = t_f.vacuum().real
     gaps = [abs(norms[16] - norms[32]), abs(norms[32] - norms[64])]

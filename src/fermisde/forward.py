@@ -347,6 +347,12 @@ class _Frame:
                 block = np.zeros_like(self.amps)
             block[0] += s_f + s_g * self.par[0]
         if block is not None and np.any(block):
+            rows = 2 * self.masks.shape[0]
+            if rows > sp.MAX_ROWS:
+                raise ValueError(
+                    f"step {k} refused: the frame would grow to {rows} "
+                    f"rows (> {sp.MAX_ROWS})"
+                )
             block *= np.sqrt(dt)
             wk, b = divmod(k, 64)
             shifted = self.masks.copy()

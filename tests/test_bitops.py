@@ -232,3 +232,13 @@ def test_pair_parity_matches_per_bit_count(w, a_vals, b_vals, force):
 def test_top_bit_is_the_bit_length_less_one(values):
     masks = np.stack([sp.encode_mask(v, 3) for v in values])
     assert sp.top_bit(masks).tolist() == [v.bit_length() - 1 for v in values]
+
+
+def test_mul_full_refuses_a_product_past_the_row_limit(monkeypatch):
+    monkeypatch.setattr(sp, "MAX_ROWS", 20)
+    masks = np.arange(5, dtype=np.uint64)[:, None]
+    amps = np.ones(5, dtype=np.complex128)
+    out_m, _ = sp.mul_full(masks[:4], amps[:4], masks, amps)
+    assert out_m.shape[0] == 8
+    with pytest.raises(ValueError, match="5 by 5 terms refused: 25 rows"):
+        sp.mul_full(masks, amps, masks, amps)

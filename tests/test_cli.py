@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from fermisde import cli
+from fermisde import cli, forward
 from fermisde.algebra import CliffordElement, norm2, random_element
 from fermisde.cli import (
     SpecError,
@@ -379,6 +379,25 @@ def test_run_forward_catalog_refinement(tmp_path):
     ref = body["refinement"]
     assert ref["sweep_steps"] == [16, 32, 64]
     assert ref["vacuous"] or 1.5 <= ref["ratio"] <= 2.6
+
+
+def test_run_forward_reuses_the_main_solve_in_the_sweep(
+    tmp_path, monkeypatch
+):
+    calls = []
+    solve = forward.linear_euler_forward
+
+    def counted(grid, *args, **kwargs):
+        calls.append(grid.n_steps)
+        return solve(grid, *args, **kwargs)
+
+    monkeypatch.setattr(forward, "linear_euler_forward", counted)
+    spec = parse_problem({"problem_id": "lq_scalar"})
+    body = run("forward", spec, str(tmp_path))["report"]
+    # the main grid has 64 steps, which the (16, 32, 64) sweep shares
+    assert body["n_steps"] == 64
+    assert calls == [64, 16, 32]
+    assert body["refinement"]["terminal_norms"]["64"] == body["terminal_norm2"]
 
 
 def test_run_ladder_small_grid(tmp_path):

@@ -14,6 +14,9 @@ from hypothesis import given, settings, strategies as st
 from fermisde.algebra import (
     MAX_MATRIX_GENERATORS,
     CliffordElement,
+    MatrixRep,
+    _block_singular_values,
+    _symplectic_basis,
     adjoint,
     cond_expect,
     grading,
@@ -392,6 +395,79 @@ def test_lp_norm_rejects_p_below_one():
         lp_norm(identity(3), 0.5)
 
 
+# -- block spectra against the Jordan-Wigner route -------------------------
+
+
+def assert_block_spectrum_matches_jw(a):
+    """The block route's means of s^p and its maximum equal the JW ones
+    to 1e-12 relative; its largest value comes first."""
+    ref = singular_values(a)
+    got = _block_singular_values(a)
+    assert got[0] == got.max()
+    assert abs(got[0] - ref[0]) <= 1e-12 * ref[0]
+    for p in (1.0, 1.5, 2.0, 3.0, 4.0):
+        want = np.mean(ref**p)
+        assert abs(np.mean(got**p) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("n", [0, 1, 6, 14])
+def test_block_spectrum_of_zero_and_identity(n):
+    assert_block_spectrum_matches_jw(zero(n))
+    assert_block_spectrum_matches_jw(CliffordElement.scalar(n, 2.5 - 1j))
+
+
+@pytest.mark.parametrize("n, mask", [(1, 0b1), (5, 0b100), (6, 0b11),
+                                     (9, 0b111), (14, 0b1111 << 10)])
+def test_block_spectrum_of_one_generator_word(n, mask):
+    # g_v^2 = +1 for |v| = 1 and 4, -1 for |v| = 2 and 3
+    assert_block_spectrum_matches_jw(
+        CliffordElement.from_terms(n, {mask: 0.75 + 0.5j})
+    )
+
+
+def test_block_spectrum_of_all_commuting_words():
+    # disjoint even words commute with each other and with their products
+    words = [0b11, 0b1100, 0b110000, 0b1111, 0b111111, 0b11 << 12]
+    assert _symplectic_basis(words[:3] + words[5:])[0] == []
+    rng = np.random.default_rng(40)
+    for n in (6, 14):
+        used = [v for v in words if v < 1 << n]
+        amps = rng.normal(size=len(used)) + 1j * rng.normal(size=len(used))
+        a = CliffordElement.from_terms(n, dict(zip(used, amps)))
+        assert_block_spectrum_matches_jw(a)
+
+
+def test_block_spectrum_of_even_elements():
+    rng = np.random.default_rng(41)
+    for n in (4, 9, 14):
+        for _ in range(5):
+            a = random_element(rng, n, n_terms=16).even_part()
+            assert_block_spectrum_matches_jw(a)
+
+
+def test_block_spectrum_refuses_rank_above_the_matrix_limit():
+    n = 20
+    a = CliffordElement.from_terms(
+        n, {1 << k: 1.0 for k in range(MAX_MATRIX_GENERATORS + 1)}
+    )
+    with pytest.raises(ValueError, match="rank 15"):
+        _block_singular_values(a)
+
+
+def test_algebra_suite_builds_no_jw_matrix_at_n14(monkeypatch, tmp_path):
+    calls = []
+    matrix = MatrixRep.matrix
+
+    def counted(self, a):
+        calls.append(1)
+        return matrix(self, a)
+
+    monkeypatch.setattr(MatrixRep, "matrix", counted)
+    spec = parse_problem({"grid": {"n_steps": 14}})
+    assert run("algebra-suite", spec, str(tmp_path), seed=0)["pass"]
+    assert calls == []
+
+
 # -- matrix representation ------------------------------------------------
 
 
@@ -529,3 +605,19 @@ def test_scalars_pull_out_of_products(a, lam):
     s = CliffordElement.scalar(5, lam)
     assert close(mul(s, a), a.scale(lam))
     assert close(mul(a, s), a.scale(lam))
+
+
+@st.composite
+def small_elements(draw):
+    n = draw(st.integers(1, 14))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                          max_size=12, unique=True))
+    amps = draw(st.lists(amps_st, min_size=len(masks),
+                         max_size=len(masks)))
+    return CliffordElement.from_terms(n, dict(zip(masks, amps)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_elements())
+def test_block_spectrum_matches_jw_on_random_elements(a):
+    assert_block_spectrum_matches_jw(a)

@@ -4,6 +4,7 @@ the generic one, spikes, derivative cross-checks, and failure guards."""
 import numpy as np
 import pytest
 
+from fermisde import _sparse as sp
 from fermisde.algebra import (
     CliffordElement,
     mul,
@@ -497,3 +498,21 @@ def test_state_path_length_guard():
     grid = TimeGrid(1.0, 4)
     with pytest.raises(ValueError, match="n_steps \\+ 1"):
         StatePath(grid, [CliffordElement.zero(4)] * 4)
+
+
+def test_frame_growth_past_the_row_limit_is_refused(monkeypatch):
+    monkeypatch.setattr(sp, "MAX_ROWS", 16)
+
+    def solve(n_steps):
+        # B = 0.4 I doubles the frame every step: 1, 2, 4, .. rows
+        zero = CliffordElement.zero(n_steps)
+        return linear_euler_forward(
+            TimeGrid(1.0, n_steps),
+            lambda k: (ScalarOp(0.0), ScalarOp(0.4), ScalarOp(0.0)),
+            lambda k: (zero, zero, zero),
+            CliffordElement.identity(n_steps),
+        )
+
+    assert solve(4).terminal.n_terms == 16
+    with pytest.raises(ValueError, match=r"step 4 refused: .* 32 rows"):
+        solve(8)

@@ -1,4 +1,5 @@
-"""Report bytes of the control and backward pipelines, pinned by SHA-256.
+"""Report bytes of the control, backward and algebra-suite pipelines,
+pinned by SHA-256.
 
 Each digest is of the report as write_json would write it once the
 exponent keys ("p" of each ladder run and of the forward growth check)
@@ -167,6 +168,28 @@ DIGESTS = {
 def test_control_reports_keep_their_bytes(case, tmp_path):
     subcommand, spec = CASES[case]
     assert report_digests(subcommand, spec, 0, tmp_path) == DIGESTS[case]
+
+
+# algebra-suite draws its elements from the seed, so two seeds each at a
+# size with and without the JW homomorphism check (n <= 10).
+ALGEBRA_SUITE_DIGESTS = {
+    (6, 0): "9560206cf7246749292e626c8cd33f36"
+            "7c48952c1717c5f155e8ce4c64f01ca3",
+    (6, 1): "ad7ad01890172ef31b9d25405cf714d9"
+            "dd5805df230d86c66511e71b0f94be1b",
+    (14, 0): "7f51d554f399e38ef6e330c363f2734c"
+             "0b6ca468a38fcc87bfc2ad3e71df72a5",
+    (14, 1): "652e4ac67da2a7979984a5a28d33957f"
+             "d499d46d3ed39071e8cb7552c2f682e9",
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(ALGEBRA_SUITE_DIGESTS))
+def test_algebra_suite_reports_keep_their_bytes(n, seed, tmp_path):
+    got = report_digests(
+        "algebra-suite", {"grid": {"n_steps": n}}, seed, tmp_path
+    )
+    assert got == {"algebra_suite.json": ALGEBRA_SUITE_DIGESTS[n, seed]}
 
 
 ROOT = Path(__file__).resolve().parents[1]
