@@ -51,6 +51,9 @@ class CatalogEntry:
     ladder_ubar: float = 0.3
     p_term_active: bool = False
     second_adjoint_ok: bool = True
+    # forward's refinement sweep solves the entry at 16, 32 and 64 steps,
+    # whatever the spec's grid; False where that outgrows the row limit.
+    forward_ok: bool = True
 
 
 def _space(n):
@@ -174,6 +177,7 @@ def catalog():
                 RunningNormCost(0.5, 1.0), TerminalNormCost(0.5),
                 a=0.25, b=1.0, g=0.4, lipschitz=0.65,
             ),
+            forward_ok=False,
         ),
         CatalogEntry(
             id="driverless",
@@ -197,6 +201,7 @@ def catalog():
             make=_make_quadratic_drift,
             default_steps=10,
             second_adjoint_ok=False,
+            forward_ok=False,
         ),
     ]
     return {e.id: e for e in entries}

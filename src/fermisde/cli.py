@@ -369,7 +369,8 @@ def catalog_listing():
     """Catalog ids with parameter schemas and supported pipelines."""
     out = []
     for entry in catalog().values():
-        supports = ["forward", "max-principle", "ladder"]
+        supports = ["forward"] if entry.forward_ok else []
+        supports += ["max-principle", "ladder"]
         if entry.second_adjoint_ok:
             supports.append("second-adjoint")
         out.append(
@@ -603,7 +604,19 @@ def _inline_state_solve(spec):
     return grid, x0, path
 
 
+def _forward_plan(spec):
+    """Refusal of a forward spec whose entry the refinement sweep cannot
+    solve at 64 steps."""
+    pid = spec.problem_id
+    if pid is not None and not catalog()[pid].forward_ok:
+        raise SpecError([("/problem_id", f"forward does not support "
+                          f"{pid}: its refinement sweep solves "
+                          f"at 16, 32 and 64 steps, and at 64 steps the solve "
+                          f"outgrows the row limit")])
+
+
 def _pipeline_forward(spec, rng):
+    _forward_plan(spec)
     if spec.inline is not None:
         grid, x0, path = _inline_state_solve(spec)
         terminal = path[grid.n_steps]
@@ -968,7 +981,7 @@ _PIPELINES = {
 }
 SUBCOMMANDS = [*_PIPELINES, "all"]
 # Refusals that need a grid or a problem; "all" runs them before any work.
-_PLANS = (_ladder_plan, _mp_plan, _bg_plan)
+_PLANS = (_forward_plan, _ladder_plan, _mp_plan, _bg_plan)
 _BRANCH = {name: i for i, name in enumerate(SUBCOMMANDS)}
 
 

@@ -682,25 +682,45 @@ def mp_lhs(problem, k, u_cand, xbar, ubar, adjoints, P=None,
     Candidates that change F or G need P; omitting it is an error unless
     first_order_only explicitly waives the quadratic term.
     """
+    reference = _mp_reference(problem, k, xbar, ubar, adjoints, P)
+    return _mp_value(problem, k, u_cand, xbar, adjoints, reference,
+                     first_order_only)
+
+
+def _mp_reference(problem, k, xbar, ubar, adjoints, P):
+    """The side of mp_lhs at step k that no candidate changes: the
+    Hamiltonian's real part, F and G at ubar, and P_k twisted by the
+    grading (None without P)."""
     co = problem.coeffs
     xb, ub = xbar[k], ubar[k]
-    phi, Phi = adjoints.phi[k], adjoints.Phi[k]
-    base = hamiltonian(problem, k, xb, ub, phi, Phi).real
-    cand = hamiltonian(problem, k, xb, u_cand, phi, Phi).real
+    base = hamiltonian(
+        problem, k, xb, ub, adjoints.phi[k], adjoints.Phi[k]
+    ).real
+    twisted = None if P is None else P.P[k].conjugate_by_grading()
+    return base, co.F(k, xb, ub), co.G(k, xb, ub), twisted
+
+
+def _mp_value(problem, k, u_cand, xbar, adjoints, reference,
+              first_order_only=False):
+    """mp_lhs at step k for a candidate, given _mp_reference at k."""
+    base, f_ref, g_ref, twisted = reference
+    co = problem.coeffs
+    xb = xbar[k]
+    cand = hamiltonian(
+        problem, k, xb, u_cand, adjoints.phi[k], adjoints.Phi[k]
+    ).real
     value = base - cand
-    dF = co.F(k, xb, u_cand) - co.F(k, xb, ub)
-    dG = co.G(k, xb, u_cand) - co.G(k, xb, ub)
+    dF = co.F(k, xb, u_cand) - f_ref
+    dG = co.G(k, xb, u_cand) - g_ref
     if dF.n_terms == 0 and dG.n_terms == 0:
         return float(value)
-    if P is None:
+    if twisted is None:
         if not first_order_only:
             raise ValueError(
                 "candidate changes the noise coefficients; supply the "
                 "second adjoint P or request first_order_only"
             )
         return float(value)
-    p_op = P.P[k]
-    twisted = p_op.conjugate_by_grading()
     left = twisted.apply(dF + dG.grading())
     right = dF.grading() + dG
     value -= 0.5 * pairing(left, right).real
@@ -714,22 +734,29 @@ def mp_scan(problem, xbar, ubar, adjoints, P=None, candidates=None,
     candidates is a list of weight vectors for the control basis
     (defaults to the single-basis value grid). Returns an MPReport with
     the minimum, its location and the pass verdict at tolerance tol.
+    Entries run over candidates, then steps; each step's reference side
+    (see _mp_reference) is evaluated once for all candidates.
     """
     grid = ubar.grid
     space = problem.control_space
     if candidates is None:
         candidates = [[v] for v in space.value_grid]
+    references = [
+        _mp_reference(problem, k, xbar, ubar, adjoints, P)
+        for k in range(grid.n_steps)
+    ]
     entries = []
     minimum = np.inf
     argmin = {}
     for weights in candidates:
         u_el = space.element(weights)
-        for k in range(grid.n_steps):
-            val = mp_lhs(problem, k, u_el, xbar, ubar, adjoints, P=P)
+        floats = list(np.atleast_1d(weights).astype(float))
+        for k, reference in enumerate(references):
+            val = _mp_value(problem, k, u_el, xbar, adjoints, reference)
             entry = {
                 "step": k,
                 "t": k * grid.dt,
-                "weights": list(np.atleast_1d(weights).astype(float)),
+                "weights": list(floats),
                 "lhs": val,
             }
             entries.append(entry)

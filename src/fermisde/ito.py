@@ -19,6 +19,8 @@ dW_k a = grading(a) dW_k.
 The integrals and checks here keep a whole process in one stacked array
 (algebra._Stack), so each makes a fixed number of sorts per process
 rather than one per step, and stays bit-identical to the per-step sums.
+A martingale from right_integral_path keeps the layout of its rows, so
+its martingale check and representation read every step off M_n alone.
 """
 
 from __future__ import annotations
@@ -150,7 +152,13 @@ class AdaptedProcess:
 
 class MartingaleSeq(AdaptedProcess):
     """Adapted n_steps+1 sequence with the martingale property, checked to
-    a gap of tol relative to the sequence's size (see _size)."""
+    a gap of tol relative to the sequence's size (see _size).
+
+    A sequence from right_integral_path keeps its prefix layout: the
+    canonical stack of M_n's rows, seg -1 for the start and k for the rows
+    entering at step k, so M_k is rows[:b_k] with b_k the first row of
+    step k; and the value objects built on it (see _prefix_layout).
+    """
 
     def __init__(self, grid, values, check=True, tol=1e-12):
         super().__init__(grid, values, check=check)
@@ -232,7 +240,9 @@ def right_integral_path(grid, integrand, start=None):
         )
     first = _Stack(n, np.full(start.n_terms, -1), start.masks, start.amps)
     path = first + steps.mul_generator("right").scale(np.sqrt(grid.dt))
-    return MartingaleSeq(grid, path.prefixes(grid.n_steps), check=False)
+    seq = MartingaleSeq(grid, path.prefixes(grid.n_steps), check=False)
+    seq._layout = (path, tuple(seq.values))
+    return seq
 
 
 def _steps(grid, integrand):
@@ -254,8 +264,48 @@ def _require_integrand(grid, integrand):
         raise ValueError("integrand must provide one value per step")
 
 
+def _prefix_layout(seq):
+    """The stack of M_n's rows of a sequence from right_integral_path, or
+    None when the prefix route does not apply.
+
+    It applies while the values are still the objects the path built (one
+    identity check per step) and the data bear out the layout: every row
+    entering at step k has top bit exactly k, the start's rows none (a
+    multiple of the identity), and every amplitude is finite. Then
+    E[M_{k+1} | C_k] keeps exactly the rows of M_k, and M_{k+1} - M_k is
+    exactly the rows entering at step k.
+    """
+    layout = getattr(seq, "_layout", None)
+    if layout is None:
+        return None
+    path, built = layout
+    if len(seq.values) != len(built) or any(
+        a is not b for a, b in zip(seq.values, built)
+    ):
+        return None
+    if not (
+        np.array_equal(sp.top_bit(path.masks), path.seg)
+        and np.isfinite(path.amps).all()
+    ):
+        return None
+    return path
+
+
 def check_martingale(seq):
-    """max_k || E[M_{k+1} | C_k] - M_k ||_2 over the sequence."""
+    """max_k || E[M_{k+1} | C_k] - M_k ||_2 over the sequence.
+
+    On a sequence from right_integral_path (see _prefix_layout) the gap is
+    read off the prefix layout in time linear in M_n's rows, and is
+    exactly 0.0. Any other sequence takes the stacked route, the
+    reference: it stacks M_1..M_n and M_0..M_{n-1} and sorts them, so its
+    cost grows with the sum of all the values' rows.
+    """
+    if _prefix_layout(seq) is not None:
+        return 0.0
+    return _stacked_gap(seq)
+
+
+def _stacked_gap(seq):
     n = seq.grid.n_steps
     later = _Stack.of(seq.grid.n, seq[1 : n + 1]).within()
     worst = 0.0
@@ -278,8 +328,17 @@ def mrep_extract(grid, seq, tol=1e-12):
     Requires the martingale property and a scalar start equal to the vacuum
     of the terminal value, both to tol relative to the sequence's size;
     then sum_k Y_k dW_k reproduces M_n - M_0 with zero residual.
+
+    On a sequence from right_integral_path with grid's step count (see
+    _prefix_layout) the increments are the row blocks of M_n that enter
+    at each step, so the whole extraction is linear in M_n's rows and
+    sorts nothing. Any other sequence takes the stacked route, the
+    reference, which stacks and sorts all 2 n_steps values. Both give the
+    same result bit for bit.
     """
-    gap = check_martingale(seq)
+    same_steps = seq.grid.n_steps == grid.n_steps
+    path = _prefix_layout(seq) if same_steps else None
+    gap = 0.0 if path is not None else _stacked_gap(seq)
     size = _size(seq)
     if gap > tol * size:
         raise ValueError(
@@ -290,11 +349,15 @@ def mrep_extract(grid, seq, tol=1e-12):
         raise ValueError(
             "martingale must start at vacuum(M_n) times the identity"
         )
+    n = grid.n_steps
+    if path is not None:
+        b0 = int(np.searchsorted(path.seg, 0))
+        diff = _Stack(grid.n, path.seg[b0:], path.masks[b0:], path.amps[b0:])
+    else:
+        diff = _Stack.of(grid.n, seq[1 : n + 1]) - _Stack.of(grid.n, seq[:n])
     # Only rows of M_{k+1} - M_k with top bit k survive the conditional
     # expectation; clearing that bit keeps their order, so the rows stay
     # canonical without a second sort.
-    n = grid.n_steps
-    diff = _Stack.of(grid.n, seq[1 : n + 1]) - _Stack.of(grid.n, seq[:n])
     y = diff.mul_generator("right").within().scale(1.0 / np.sqrt(grid.dt))
     return AdaptedProcess(grid, y.values(0, n), check=False)
 

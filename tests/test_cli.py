@@ -298,6 +298,7 @@ def test_catalog_listing_shape():
     by_id = {entry["id"]: entry for entry in listing}
     assert "second-adjoint" in by_id["lq_scalar"]["supports"]
     assert "second-adjoint" not in by_id["quadratic_drift"]["supports"]
+    assert "forward" in by_id["lq_scalar"]["supports"]
     for entry in listing:
         assert entry["summary"]
         assert entry["defaults"]["n_steps"] > 0
@@ -398,6 +399,27 @@ def test_run_forward_reuses_the_main_solve_in_the_sweep(
     assert body["n_steps"] == 64
     assert calls == [64, 16, 32]
     assert body["refinement"]["terminal_norms"]["64"] == body["terminal_norm2"]
+
+
+@pytest.mark.parametrize("pid", ["odd_drift", "quadratic_drift"])
+def test_main_forward_refuses_entries_its_sweep_cannot_solve(
+    tmp_path, monkeypatch, capsys, pid
+):
+    """The refinement sweep solves at 64 steps whatever the grid, which
+    these entries outgrow; forward refuses them before any solve."""
+    def solve_anyway(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(cli, "solve_state", solve_anyway)
+    for grid in ({}, {"grid": {"n_steps": 8}}):
+        spec = json.dumps({"problem_id": pid, **grid})
+        assert main(["forward", "--spec", spec, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"  /problem_id: forward does not support {pid}" in err
+    assert not (tmp_path / "forward.json").exists()
+    by_id = {entry["id"]: entry for entry in catalog_listing()}
+    assert "forward" not in by_id[pid]["supports"]
+    assert "max-principle" in by_id[pid]["supports"]
 
 
 def test_run_ladder_small_grid(tmp_path):
@@ -536,7 +558,10 @@ def test_main_ladder_offset_past_the_horizon_exit_two(tmp_path, capsys):
     ('{"inline": {}}', "/inline"),
     ('{"value_grid": %s}' % list(range(50)), "/value_grid"),
     ('{"grid": {"n_steps": 16}}', "/grid/n_steps"),
-], ids=["eps_list", "offsets", "inline", "value_grid", "bg_n_steps"])
+    ('{"problem_id": "odd_drift", "grid": {"n_steps": 12}, '
+     '"eps_list": [0.5, 0.25, 0.125]}', "/problem_id"),
+], ids=["eps_list", "offsets", "inline", "value_grid", "bg_n_steps",
+        "forward_problem_id"])
 def test_main_all_refuses_before_any_pipeline_runs(
     tmp_path, monkeypatch, capsys, spec, pointer
 ):

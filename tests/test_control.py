@@ -254,6 +254,36 @@ def test_mp_scan_shape_and_verdict():
     assert set(d) == {"entries", "minimum", "argmin", "tol", "passed"}
 
 
+@pytest.mark.parametrize("pid", list(catalog()))
+def test_mp_scan_equals_a_loop_of_mp_lhs_bit_for_bit(pid):
+    entry = catalog()[pid]
+    pb, grid = build(pid, n_steps=8, x0_scale=1.0)
+    ubar = AdaptedProcess(grid, [
+        CliffordElement.scalar(grid.n, GRID7[k % len(GRID7)])
+        for k in range(grid.n_steps)
+    ])
+    xbar = solve_state(pb, ubar)
+    adj = first_adjoint(pb, xbar, ubar)
+    P = None
+    if entry.second_adjoint_ok:
+        P = second_adjoint_deterministic(pb, xbar, ubar, adj)
+    rep = mp_scan(pb, xbar, ubar, adj, P=P)
+    space = pb.control_space
+    want = []
+    for v in space.value_grid:
+        u_el = space.element([v])
+        for k in range(grid.n_steps):
+            val = mp_lhs(pb, k, u_el, xbar, ubar, adj, P=P)
+            want.append((k, [v], val))
+    got = [(e["step"], e["weights"], e["lhs"]) for e in rep.entries]
+    assert [g[:2] for g in got] == [w[:2] for w in want]
+    assert (
+        np.array([g[2] for g in got]).tobytes()
+        == np.array([w[2] for w in want]).tobytes()
+    )
+    assert any(w[2] != 0.0 for w in want)
+
+
 def test_mp_lhs_noise_candidates_need_P():
     pb, grid = quad_problem(8, sf=1.0)
     ubar = const_u(grid, 0.0)

@@ -7,6 +7,7 @@ import pytest
 
 from fermisde.algebra import (
     CliffordElement,
+    _Stack,
     cond_expect,
     jw_rep,
     mul,
@@ -465,6 +466,10 @@ def test_stacked_martingale_passes_equal_the_per_step_loops(n):
         )
         assert len(got) == n + 1
         assert all(same_bits(a, b) for a, b in zip(got, ref))
+        # the prefix layout route, on the path itself
+        assert check_martingale(got) == ref_check_martingale(got) == 0.0
+        rep = mrep_extract(g, got)
+        assert all(same_bits(a, b) for a, b in zip(rep, ref_mrep(g, got)))
     seq = AdaptedProcess(g, ref, check=False)
     assert check_martingale(seq) == ref_check_martingale(seq)
     got = mrep_extract(g, seq)
@@ -475,6 +480,64 @@ def test_stacked_martingale_passes_equal_the_per_step_loops(n):
         assert check_martingale(seq) == ref_check_martingale(seq)
         got = mrep_extract(g, seq, tol=np.inf)
         assert all(same_bits(a, b) for a, b in zip(got, ref_mrep(g, seq)))
+
+
+def layout_path(n, seed=7):
+    g = TimeGrid(1.1, n)
+    y = sample_process(np.random.default_rng(seed), g, n, adapted=True)
+    return g, right_integral_path(g, y, CliffordElement.scalar(n, 0.5))
+
+
+def test_layout_route_stacks_nothing(monkeypatch):
+    g, path = layout_path(70)
+    want_gap = ref_check_martingale(path)
+    want = ref_mrep(g, path)
+
+    def refuse(cls, n, values):
+        raise AssertionError("values were stacked")
+
+    monkeypatch.setattr(_Stack, "of", classmethod(refuse))
+    assert check_martingale(path) == want_gap
+    got = mrep_extract(g, path)
+    assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("replace", ["copy", "shift"])
+def test_a_replaced_value_takes_the_stacked_route(replace):
+    g, path = layout_path(70)
+    k = 40
+    value = path.values[k]
+    if replace == "copy":
+        path.values[k] = CliffordElement._wrap(
+            g.n, value.masks.copy(), value.amps.copy()
+        )
+    else:
+        path.values[k] = value + CliffordElement.generator(g.n, k + 3)
+    assert check_martingale(path) == ref_check_martingale(path)
+    got = mrep_extract(g, path, tol=np.inf)
+    assert all(same_bits(a, b) for a, b in zip(got, ref_mrep(g, path)))
+    if replace == "shift":
+        assert check_martingale(path) > 0.5
+
+
+def test_layout_route_sorts_rows_linear_in_the_terminal(monkeypatch):
+    """At n=256 the two calls together pass at most twice M_n's rows
+    through canonicalize; the stacked route passes a multiple that grows
+    with n."""
+    import fermisde._sparse as sp
+
+    g, path = layout_path(256)
+    original = sp.canonicalize
+    rows = []
+
+    def counted(masks, *args, **kwargs):
+        rows.append(masks.shape[0])
+        return original(masks, *args, **kwargs)
+
+    monkeypatch.setattr(sp, "canonicalize", counted)
+    assert check_martingale(path) == 0.0
+    mrep_extract(g, path)
+    assert sum(rows) <= 2 * path[-1].n_terms
 
 
 @pytest.mark.parametrize("n", CROSS_SIZES)
