@@ -50,6 +50,10 @@ __all__ = [
 MAX_MATRIX_GENERATORS = 14
 
 
+# The zero element of each algebra size, built once by CliffordElement.zero.
+_ZEROS = {}
+
+
 class CliffordElement:
     """Immutable sparse element: canonical (masks, amps) over n generators."""
 
@@ -81,7 +85,13 @@ class CliffordElement:
 
     @classmethod
     def zero(cls, n):
-        return cls(n, sp.empty_masks(sp.words_for(n)), np.zeros(0, complex))
+        """The zero element; one shared instance per n (elements are
+        immutable and their arrays read-only)."""
+        z = _ZEROS.get(n)
+        if z is None:
+            z = cls(n, sp.empty_masks(sp.words_for(n)), np.zeros(0, complex))
+            _ZEROS[n] = z
+        return z
 
     @classmethod
     def scalar(cls, n, value):

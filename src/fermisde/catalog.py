@@ -16,7 +16,7 @@ state-dependent drift derivative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from .algebra import CliffordElement
 from .control import ControlProblem, RunningNormCost, TerminalNormCost
@@ -54,6 +54,16 @@ class CatalogEntry:
     # forward's refinement sweep solves the entry at 16, 32 and 64 steps,
     # whatever the spec's grid; False where that outgrows the row limit.
     forward_ok: bool = True
+    # Most steps any pipeline may run the entry on; None for no ceiling.
+    max_steps: Optional[int] = None
+
+    def check_steps(self, n_steps):
+        """Raise ValueError when n_steps passes the entry's max_steps."""
+        if self.max_steps is not None and n_steps > self.max_steps:
+            raise ValueError(
+                f"{self.id} runs on at most {self.max_steps} steps, beyond "
+                f"which its solves outgrow the row limit; got {n_steps}"
+            )
 
 
 def _space(n):
@@ -202,6 +212,9 @@ def catalog():
             default_steps=10,
             second_adjoint_ok=False,
             forward_ok=False,
+            # From 13 steps on, the ladder and max-principle solves meet
+            # a product of 4096 by 4096 terms, past _sparse.MAX_ROWS.
+            max_steps=12,
         ),
     ]
     return {e.id: e for e in entries}
@@ -218,6 +231,7 @@ def build(problem_id, n_steps=None, T=None, x0_scale=None):
     entry = entries[problem_id]
     kwargs = {}
     kwargs["n_steps"] = entry.default_steps if n_steps is None else n_steps
+    entry.check_steps(kwargs["n_steps"])
     kwargs["T"] = entry.default_T if T is None else T
     if x0_scale is not None:
         kwargs["x0_scale"] = x0_scale

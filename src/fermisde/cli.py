@@ -392,6 +392,7 @@ def catalog_listing():
                     "control.alt_weight": "alternative control weight",
                     "control.x0_scale": "initial state, multiple of I",
                 },
+                "max_steps": entry.max_steps,
                 "p_term_active": entry.p_term_active,
                 "second_adjoint_ok": entry.second_adjoint_ok,
                 "supports": supports,
@@ -428,7 +429,8 @@ def _build_problem(spec, ladder_start=False, least_steps=1):
     """Catalog entry, problem, grid and x0 scale of a catalog spec.
 
     The grid takes the spec's steps when it gives them and otherwise the
-    entry's default, raised to least_steps. An unset x0_scale takes the
+    entry's default, raised to least_steps; a grid past the entry's
+    max_steps is refused, whichever way it came. An unset x0_scale takes the
     entry's ladder start when ladder_start is set and the catalog's
     default otherwise.
     """
@@ -436,6 +438,11 @@ def _build_problem(spec, ladder_start=False, least_steps=1):
     steps = spec.n_steps if spec.explicit_grid else max(
         least_steps, entry.default_steps
     )
+    try:
+        entry.check_steps(steps)
+    except ValueError as exc:
+        given = "" if spec.explicit_grid else " (the default grid)"
+        raise SpecError([("/grid/n_steps", f"{exc}{given}")]) from None
     x0 = spec.control.get(
         "x0_scale", entry.ladder_x0 if ladder_start else None
     )

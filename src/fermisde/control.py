@@ -358,7 +358,8 @@ _GRAM_SOURCES = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
 
 
 def _gram_ops(problem, grid):
-    """Per-step (A, B, C) of the parity-Gram routes, None if they cannot run.
+    """Per-step (A, B, C) of the parity-Gram routes, each in its
+    graded-scalar form, None if the routes cannot run.
 
     The routes need declared linear coefficients whose operators reduce
     to graded-scalar form at every step and a start state that is a
@@ -368,8 +369,11 @@ def _gram_ops(problem, grid):
     lin = problem.coeffs.linear
     if lin is None or _as_scalar_amp(problem.x0) is None:
         return None
-    ops = [(lin.A(k), lin.B(k), lin.C(k)) for k in range(grid.n_steps)]
-    if any(op.as_graded_scalar() is None for step in ops for op in step):
+    ops = [
+        tuple(op.as_graded_scalar() for op in (lin.A(k), lin.B(k), lin.C(k)))
+        for k in range(grid.n_steps)
+    ]
+    if any(op is None for step in ops for op in step):
         return None
     return ops
 
@@ -398,28 +402,34 @@ def _gram_amps(problem, ubar, u):
 
 
 def _gram_ladder(problem, grid, eps_list, offset, ops, amps):
-    """floor and per-eps sup series from linear_gram; nothing is pruned."""
+    """floor and per-eps sup series from one linear_gram walk; nothing
+    is pruned.
+
+    Path 0 is x under ubar from x0; paths 1 + 3r .. 3 + 3r are rung r's
+    (xi, y, z), started at 0 and driven inside its spike window only.
+    """
     base, alt = amps
-    x_gram = linear_gram(
-        grid, ops.__getitem__, lambda k: base[k][:, None],
-        [_as_scalar_amp(problem.x0)],
-    )
-    floor = 1e-8 * (1.0 + float(x_gram[:, 0, 0].real.max()))
+    n_rungs = len(eps_list)
+    table = np.zeros((grid.n_steps, 3, 1 + 3 * n_rungs), dtype=np.complex128)
+    table[:, :, 0] = base
     delta = alt - base
-    idle = np.zeros_like(_GRAM_SOURCES)
-    sups = []
-    for eps in eps_list:
+    for r, eps in enumerate(eps_list):
         k0, k1 = spike_window(grid, eps, offset)
-
-        def srcs(k):
-            if k0 <= k < k1:
-                return delta[k][:, None] * _GRAM_SOURCES
-            return idle
-
-        gram = linear_gram(grid, ops.__getitem__, srcs, np.zeros(3))
+        table[k0:k1, :, 1 + 3 * r:4 + 3 * r] = (
+            delta[k0:k1, :, None] * _GRAM_SOURCES
+        )
+    x0_amps = np.zeros(1 + 3 * n_rungs, dtype=np.complex128)
+    x0_amps[0] = _as_scalar_amp(problem.x0)
+    gram = linear_gram(grid, ops.__getitem__, table.__getitem__, x0_amps)
+    floor = 1e-8 * (1.0 + float(gram[:, 0, 0].real.max()))
+    sups = []
+    for r in range(n_rungs):
+        rung = slice(1 + 3 * r, 4 + 3 * r)
+        # A contiguous copy, so the reduction runs as on a rung's own walk.
+        block = np.ascontiguousarray(gram[:, rung, rung])
         sups.append({
             name: max(
-                float(np.einsum("i,kij,j->k", c, gram, c).real.max()), 0.0
+                float(np.einsum("i,kij,j->k", c, block, c).real.max()), 0.0
             )
             for name, c in _LADDER_SERIES.items()
         })

@@ -372,17 +372,23 @@ class _Frame:
         return dropped
 
 
-def _parity_coefs(op):
-    """(c(+1), c(-1)) with c(p) = alpha + beta p, as in _Frame.coef.
+def _parity_table(ops, n_steps):
+    """(n_steps, 3, 2) coefficients (c(+1), c(-1)) of ops(k)'s (A, B, C).
 
-    NumPy scalars, so an overflow gives inf (caught by linear_gram's
-    finite check) instead of raising from Python float arithmetic.
+    c(p) = alpha + beta p, as in _Frame.coef, so each operator is reduced
+    to graded-scalar form once per walk. Read back as NumPy scalars, an
+    overflow gives inf (caught by linear_gram's finite check) instead of
+    raising from Python float arithmetic.
     """
-    g = op.as_graded_scalar()
-    return np.complex128(g.alpha + g.beta), np.complex128(g.alpha - g.beta)
+    table = np.empty((n_steps, 3, 2), dtype=np.complex128)
+    for k in range(n_steps):
+        for j, op in enumerate(ops(k)):
+            g = op.as_graded_scalar()
+            table[k, j] = g.alpha + g.beta, g.alpha - g.beta
+    return table
 
 
-def _gram_walk(grid, ops, srcs, x0_amps, pair):
+def _gram_walk(grid, coefs, srcs, x0_amps, pair):
     """Yield pair-form pairings of K linear solves at steps 0..n_steps.
 
     The bilinear form of _Frame.step, unpruned: with graded-scalar
@@ -393,10 +399,14 @@ def _gram_walk(grid, ops, srcs, x0_amps, pair):
     non-empty even rows and over the odd rows (the p=2 isometry applied
     step by step).
 
-    pair(v) forms the pairings of the amplitude vector v: its outer
-    product for whole Gram matrices, |v|^2 for their diagonals alone.
-    Overflow is passed on (NaN and inf persist through later steps), so
-    consumers check what they keep.
+    coefs is the _parity_table of the shared operators. pair(v) forms
+    the pairings of the amplitude vector v: its outer product for whole
+    Gram matrices, |v|^2 for their diagonals alone. Every update is
+    entrywise in the path indices, so batching groups of paths into one
+    walk gives each group's pairings bit for bit (the cross-group
+    entries are the pairings between groups). Overflow is passed on (NaN
+    and inf persist through later steps), so consumers check what they
+    keep.
     """
     dt = grid.dt
     root = np.sqrt(dt)
@@ -405,7 +415,7 @@ def _gram_walk(grid, ops, srcs, x0_amps, pair):
     g_odd = np.zeros_like(g_even)
     yield pair(e0)
     for k in range(grid.n_steps):
-        (a_e, a_o), (b_e, b_o), (c_e, c_o) = map(_parity_coefs, ops(k))
+        (a_e, a_o), (b_e, b_o), (c_e, c_o) = coefs[k]
         s_d, s_f, s_g = srcs(k)
         m_even = 1.0 + dt * a_e
         m_odd = 1.0 + dt * a_o
@@ -429,10 +439,12 @@ def linear_gram(grid, ops, srcs, x0_amps):
     graded-scalar form; srcs(k) the (3, K) scalar amplitudes of (sD, sF,
     sG) for each path; x0_amps the K start amplitudes (multiples of I).
     Returns the (n_steps + 1, K, K) array of <x_i(k), x_j(k)>, exact up
-    to rounding (see _gram_walk).
+    to rounding (see _gram_walk). Batching is exact blockwise: the block
+    of a group of paths equals, bit for bit, that group's own call.
     """
     out = np.array(list(_gram_walk(
-        grid, ops, srcs, x0_amps, lambda v: np.outer(v.conj(), v)
+        grid, _parity_table(ops, grid.n_steps), srcs, x0_amps,
+        lambda v: np.outer(v.conj(), v),
     )))
     bad = ~np.isfinite(out).all(axis=(1, 2))
     if bad.any():
@@ -447,11 +459,13 @@ def linear_norms_sq(grid, ops, srcs, x0_amps):
 
     The diagonal of linear_gram with the same arguments, one length-K
     real array per step, so memory stays O(K) however many paths run.
-    Unlike linear_gram it does not check for overflow: NaN and inf
-    persist, so the caller checks what it accumulates.
+    The operators are tabulated at the call; the walk runs as the
+    values are taken. Unlike linear_gram it does not check for overflow:
+    NaN and inf persist, so the caller checks what it accumulates.
     """
     return _gram_walk(
-        grid, ops, srcs, x0_amps, lambda v: v.real**2 + v.imag**2
+        grid, _parity_table(ops, grid.n_steps), srcs, x0_amps,
+        lambda v: v.real**2 + v.imag**2,
     )
 
 

@@ -25,6 +25,14 @@ def test_catalog_metadata():
     assert not entries["lq_scalar"].p_term_active
     assert not entries["quadratic_drift"].second_adjoint_ok
     assert entries["quadratic_drift"].default_steps == 10
+    assert entries["quadratic_drift"].max_steps == 12
+    assert all(entries[pid].max_steps is None for pid in AFFINE_IDS)
+
+
+def test_build_refuses_grids_past_the_step_ceiling():
+    assert build("quadratic_drift", n_steps=12)[1].n_steps == 12
+    with pytest.raises(ValueError, match="at most 12 steps, .*; got 13"):
+        build("quadratic_drift", n_steps=13)
 
 
 def test_build_defaults_and_overrides():

@@ -422,6 +422,34 @@ def test_main_forward_refuses_entries_its_sweep_cannot_solve(
     assert "max-principle" in by_id[pid]["supports"]
 
 
+@pytest.mark.parametrize("command, grid", [
+    ("ladder", {}),
+    ("ladder", {"grid": {"n_steps": 13}, "eps_list": [0.5, 0.25, 0.125]}),
+    ("ladder", {"grid": {"n_steps": 20}, "eps_list": [0.5, 0.25, 0.125]}),
+    ("max-principle", {"grid": {"n_steps": 13}}),
+    ("max-principle", {"grid": {"n_steps": 16}}),
+])
+def test_main_refuses_grids_past_the_entry_step_ceiling(
+    tmp_path, monkeypatch, capsys, command, grid
+):
+    """quadratic_drift's products outgrow the row limit from 13 steps on;
+    the ladder's default grid of 64 steps is refused the same way, before
+    any solve."""
+    def solve_anyway(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    for name in ("variation_ladder", "brute_force_optimum", "solve_state"):
+        monkeypatch.setattr(cli, name, solve_anyway)
+    spec = json.dumps({"problem_id": "quadratic_drift", **grid})
+    assert main([command, "--spec", spec, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "  /grid/n_steps: quadratic_drift runs on at most 12 steps" in err
+    assert list(tmp_path.iterdir()) == []
+    by_id = {entry["id"]: entry for entry in catalog_listing()}
+    assert by_id["quadratic_drift"]["max_steps"] == 12
+    assert by_id["lq_scalar"]["max_steps"] is None
+
+
 def test_run_ladder_small_grid(tmp_path):
     spec = parse_problem({"problem_id": "lq_scalar", "n_steps": 16})
     report = run("ladder", spec, str(tmp_path))

@@ -222,6 +222,18 @@ def test_car_holds_at_twelve_generators():
 # -- constructors, validation, immutability -------------------------------
 
 
+def test_zero_is_one_shared_read_only_element_per_size():
+    z = CliffordElement.zero(5)
+    assert z is CliffordElement.zero(5) is zero(5)
+    assert z is identity(5).scale(0.0) is CliffordElement.scalar(5, 0.0)
+    assert z is not CliffordElement.zero(6)
+    assert (z.n, z.n_terms) == (5, 0)
+    assert not z.masks.flags.writeable
+    assert not z.amps.flags.writeable
+    with pytest.raises(ValueError):
+        z.amps[...] = 1.0
+
+
 def test_constructors_and_terms_roundtrip():
     assert zero(4).terms() == {}
     assert identity(4).terms() == {0: 1.0 + 0j}

@@ -13,7 +13,7 @@ import functools
 import numpy as np
 import pytest
 
-from fermisde import control, forward
+from fermisde import control, forward, operators
 from fermisde.algebra import (
     CliffordElement,
     norm2,
@@ -575,6 +575,88 @@ def test_sparse_ladder_reports_the_mass_its_solves_pruned(monkeypatch):
     assert lad["pruned_mass"] == pytest.approx(
         np.sqrt(np.sum(np.square(masses))), rel=1e-12
     )
+
+
+def _per_rung_gram_ladder(problem, grid, eps_list, offset, ops, amps):
+    """Reference for control._gram_ladder: one linear_gram walk for the
+    base path and one more per eps, each rung on its own (xi, y, z)."""
+    base, alt = amps
+    x_gram = forward.linear_gram(
+        grid, ops.__getitem__, lambda k: base[k][:, None],
+        [problem.x0.vacuum()],
+    )
+    floor = 1e-8 * (1.0 + float(x_gram[:, 0, 0].real.max()))
+    delta = alt - base
+    idle = np.zeros_like(control._GRAM_SOURCES)
+    sups = []
+    for eps in eps_list:
+        k0, k1 = spike_window(grid, eps, offset)
+
+        def srcs(k):
+            if k0 <= k < k1:
+                return delta[k][:, None] * control._GRAM_SOURCES
+            return idle
+
+        gram = forward.linear_gram(grid, ops.__getitem__, srcs, np.zeros(3))
+        sups.append({
+            name: max(
+                float(np.einsum("i,kij,j->k", c, gram, c).real.max()), 0.0
+            )
+            for name, c in control._LADDER_SERIES.items()
+        })
+    return floor, sups
+
+
+def _halvings(grid):
+    """The CLI's default eps: T/4 halved while at least one step wide."""
+    halvings = (grid.T / 4.0 / 2**i for i in range(5))
+    return [e for e in halvings if e >= grid.dt * (1 - 1e-9)]
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.25])
+@pytest.mark.parametrize("n_steps", [24, 32, 128])
+@pytest.mark.parametrize("pid", ["lq_scalar", "control_in_noise",
+                                 "driverless"])
+def test_gram_ladder_equals_the_per_rung_walks_bit_for_bit(
+    monkeypatch, pid, n_steps, offset
+):
+    """At n=24 the 0.0625 rung rounds to a 2-step window."""
+    pb, ubar, alt = _ladder_inputs(pid, n_steps)
+    eps = _halvings(ubar.grid)
+    _forbid(monkeypatch, "solve_state", "euler_forward_difference",
+            "linear_euler_forward")
+    got = variation_ladder(pb, ubar, alt, eps, offset)
+    monkeypatch.setattr(control, "_gram_ladder", _per_rung_gram_ladder)
+    want = variation_ladder(pb, ubar, alt, eps, offset)
+    assert got == want
+    assert not all(got["vacuous"].values())
+
+
+def test_gram_ladder_walks_once_and_reduces_each_operator_twice(monkeypatch):
+    """n=128 with five rungs: one linear_gram call, and as_graded_scalar
+    at most twice per step operator (the route check and the walk's
+    table), so at most 6 n_steps calls."""
+    pb, ubar, alt = _ladder_inputs("lq_scalar", 128)
+    eps = [0.25, 0.125, 0.0625, 0.03125, 0.015625]
+    walks = []
+
+    def counted_gram(*args, **kwargs):
+        walks.append(1)
+        return forward.linear_gram(*args, **kwargs)
+
+    reductions = []
+    for cls in vars(operators).values():
+        if isinstance(cls, type) and "as_graded_scalar" in vars(cls):
+            def counted(self, _reduce=cls.as_graded_scalar):
+                reductions.append(1)
+                return _reduce(self)
+
+            monkeypatch.setattr(cls, "as_graded_scalar", counted)
+    monkeypatch.setattr(control, "linear_gram", counted_gram)
+    lad = variation_ladder(pb, ubar, alt, eps)
+    assert lad["pass"]
+    assert len(walks) == 1
+    assert 0 < len(reductions) <= 6 * ubar.grid.n_steps
 
 
 # -- duality and cost expansion -------------------------------------------

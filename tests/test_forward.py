@@ -246,6 +246,32 @@ def test_linear_gram_matches_pairings_of_unpruned_solves():
         np.testing.assert_allclose(gram[k], want, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("sizes", [(1, 3), (3, 3, 3), (2, 1, 4, 2)])
+def test_linear_gram_batches_path_groups_bit_for_bit(sizes):
+    """One walk over concatenated groups of paths gives each group's own
+    Gram matrices on the diagonal blocks, to the last bit."""
+    grid = TimeGrid(1.0, 12)
+    rng = np.random.default_rng(len(sizes))
+    cx = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    coefs = cx(grid.n_steps, 3, 2)
+    srcs = [cx(grid.n_steps, 3, size) for size in sizes]
+    x0s = [cx(size) for size in sizes]
+
+    def ops(k):
+        return tuple(GradedScalarOp(*coefs[k, i]) for i in range(3))
+
+    stacked = np.concatenate(srcs, axis=2)
+    whole = linear_gram(
+        grid, ops, lambda k: stacked[k], np.concatenate(x0s)
+    )
+    lo = 0
+    for src, x0 in zip(srcs, x0s):
+        own = linear_gram(grid, ops, lambda k, src=src: src[k], x0)
+        hi = lo + len(x0)
+        assert np.array_equal(whole[:, lo:hi, lo:hi], own)
+        lo = hi
+
+
 def test_linear_gram_raises_on_overflow():
     grid = TimeGrid(1.0, 8)
     huge = lambda k: (GradedScalarOp(1e300, 0.0),) * 3

@@ -73,6 +73,15 @@ CASES = {
     ),
     "ladder-lq_scalar": ("ladder", _ladder("lq_scalar")),
     "ladder-driverless": ("ladder", _ladder("driverless")),
+    "ladder-control_in_noise": ("ladder", _ladder("control_in_noise")),
+    # The benchmark's ladder call: n=128, five rungs.
+    "ladder-lq_scalar-n128": (
+        "ladder",
+        {"problem_id": "lq_scalar", "grid": {"n_steps": 128},
+         "eps_list": [0.25, 0.125, 0.0625, 0.03125, 0.015625],
+         "control": {"ubar_weight": 0.3, "alt_weight": -0.9,
+                     "x0_scale": 1.0}},
+    ),
     # The element-solve route of variation_ladder (no linear declaration).
     "ladder-quadratic_drift": (
         "ladder",
@@ -119,6 +128,14 @@ DIGESTS = {
         "forward.json": "719be56e517b5846a02ba06c9444ecd4"
                         "f0f04422d958dbad00a11fd3b8128dfc",
     },
+    "ladder-control_in_noise": {
+        "ladder.json": "659cbfae6d2ffc198a69b097cf5b2e8c"
+                       "a12e89c1873bef26c848ca0d44bf35d1",
+        "ladder_offset_0.csv": "4f3a7de92d74a71d85626139aa6f51f7"
+                               "747627669f071d5a1636a072d13cde89",
+        "ladder_offset_1.csv": "1567d2909e15bfa4b05d922f38b6e2f1"
+                               "c10b019be223794d97084d95d16f3b9c",
+    },
     "ladder-driverless": {
         "ladder.json": "1b75d6e11ae78acf68b1ffe42a7a4a6d"
                        "c10b52d24702bf1db32d49610a36fa30",
@@ -134,6 +151,12 @@ DIGESTS = {
                                "e26f3c911f104c0c064d9a5a0dae7769",
         "ladder_offset_1.csv": "4aedb3799f02602aa575f3f874fde44d"
                                "2283889f65e2ae3759516df77ed01cd8",
+    },
+    "ladder-lq_scalar-n128": {
+        "ladder.json": "4fa9da8c6ec059c7b241d0b84a4a507c"
+                       "d1fe5bde355b79618a743c58e083671a",
+        "ladder_offset_0.csv": "c494530d522a8cceab51f2bd5b039749"
+                               "e54477d543a398271b4eaf0ecd38bc15",
     },
     "ladder-quadratic_drift": {
         "ladder.json": "6a8c59b687f0136bd935c97d96723754"
