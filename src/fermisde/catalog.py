@@ -52,7 +52,8 @@ class CatalogEntry:
     p_term_active: bool = False
     second_adjoint_ok: bool = True
     # forward's refinement sweep solves the entry at 16, 32 and 64 steps,
-    # whatever the spec's grid; False where that outgrows the row limit.
+    # whatever the spec's grid; False where that outgrows the row limit on
+    # an entry without a ceiling (a max_steps below 64 refuses it anyway).
     forward_ok: bool = True
     # Most steps any pipeline may run the entry on; None for no ceiling.
     max_steps: Optional[int] = None
@@ -211,7 +212,6 @@ def catalog():
             make=_make_quadratic_drift,
             default_steps=10,
             second_adjoint_ok=False,
-            forward_ok=False,
             # From 13 steps on, the ladder and max-principle solves meet
             # a product of 4096 by 4096 terms, past _sparse.MAX_ROWS.
             max_steps=12,

@@ -369,7 +369,7 @@ def catalog_listing():
     """Catalog ids with parameter schemas and supported pipelines."""
     out = []
     for entry in catalog().values():
-        supports = ["forward"] if entry.forward_ok else []
+        supports = ["forward"] if _forward_refusal(entry) is None else []
         supports += ["max-principle", "ladder"]
         if entry.second_adjoint_ok:
             supports.append("second-adjoint")
@@ -611,15 +611,32 @@ def _inline_state_solve(spec):
     return grid, x0, path
 
 
+# forward's refinement sweep: the grids it solves at, whatever the spec's.
+_SWEEP_STEPS = (16, 32, 64)
+
+
+def _forward_refusal(entry):
+    """Why forward's refinement sweep cannot solve entry, None if it can:
+    an entry flagged as outgrowing the row limit at 64 steps, or one
+    whose step ceiling is below the sweep's finest grid."""
+    sweep = "its refinement sweep solves at 16, 32 and 64 steps"
+    if not entry.forward_ok:
+        return f"{sweep}, and at 64 steps the solve outgrows the row limit"
+    try:
+        entry.check_steps(max(_SWEEP_STEPS))
+    except ValueError:
+        return f"{sweep}, past its ceiling of {entry.max_steps} steps"
+    return None
+
+
 def _forward_plan(spec):
     """Refusal of a forward spec whose entry the refinement sweep cannot
-    solve at 64 steps."""
+    solve."""
     pid = spec.problem_id
-    if pid is not None and not catalog()[pid].forward_ok:
-        raise SpecError([("/problem_id", f"forward does not support "
-                          f"{pid}: its refinement sweep solves "
-                          f"at 16, 32 and 64 steps, and at 64 steps the solve "
-                          f"outgrows the row limit")])
+    reason = None if pid is None else _forward_refusal(catalog()[pid])
+    if reason is not None:
+        raise SpecError([("/problem_id",
+                          f"forward does not support {pid}: {reason}")])
 
 
 def _pipeline_forward(spec, rng):
@@ -661,7 +678,7 @@ def _pipeline_forward(spec, rng):
     # the main solve's terminal: it is the same problem and control.
     norms = {}
     vacua = {}
-    for steps in (16, 32, 64):
+    for steps in _SWEEP_STEPS:
         if steps == grid.n_steps:
             t_f = terminal
         else:

@@ -405,28 +405,31 @@ def _gram_ladder(problem, grid, eps_list, offset, ops, amps):
     """floor and per-eps sup series from one linear_gram walk; nothing
     is pruned.
 
-    Path 0 is x under ubar from x0; paths 1 + 3r .. 3 + 3r are rung r's
-    (xi, y, z), started at 0 and driven inside its spike window only.
+    The walk runs 3 + 3R paths in blocks of three and pairs only within
+    a block, so memory grows as n_steps R. Block 0 is x under ubar from
+    x0 and two idle paths; block 1 + r is rung r's (xi, y, z), started
+    at 0 and driven inside its spike window only.
     """
     base, alt = amps
     n_rungs = len(eps_list)
-    table = np.zeros((grid.n_steps, 3, 1 + 3 * n_rungs), dtype=np.complex128)
+    table = np.zeros((grid.n_steps, 3, 3 + 3 * n_rungs), dtype=np.complex128)
     table[:, :, 0] = base
     delta = alt - base
     for r, eps in enumerate(eps_list):
         k0, k1 = spike_window(grid, eps, offset)
-        table[k0:k1, :, 1 + 3 * r:4 + 3 * r] = (
+        table[k0:k1, :, 3 + 3 * r:6 + 3 * r] = (
             delta[k0:k1, :, None] * _GRAM_SOURCES
         )
-    x0_amps = np.zeros(1 + 3 * n_rungs, dtype=np.complex128)
+    x0_amps = np.zeros(3 + 3 * n_rungs, dtype=np.complex128)
     x0_amps[0] = _as_scalar_amp(problem.x0)
-    gram = linear_gram(grid, ops.__getitem__, table.__getitem__, x0_amps)
-    floor = 1e-8 * (1.0 + float(gram[:, 0, 0].real.max()))
+    gram = linear_gram(
+        grid, ops.__getitem__, table.__getitem__, x0_amps, block=3
+    )
+    floor = 1e-8 * (1.0 + float(gram[:, 0, 0, 0].real.max()))
     sups = []
     for r in range(n_rungs):
-        rung = slice(1 + 3 * r, 4 + 3 * r)
         # A contiguous copy, so the reduction runs as on a rung's own walk.
-        block = np.ascontiguousarray(gram[:, rung, rung])
+        block = np.ascontiguousarray(gram[:, 1 + r])
         sups.append({
             name: max(
                 float(np.einsum("i,kij,j->k", c, block, c).real.max()), 0.0

@@ -401,7 +401,8 @@ def _gram_walk(grid, coefs, srcs, x0_amps, pair):
 
     coefs is the _parity_table of the shared operators. pair(v) forms
     the pairings of the amplitude vector v: its outer product for whole
-    Gram matrices, |v|^2 for their diagonals alone. Every update is
+    Gram matrices, the outer products of consecutive runs of v for their
+    diagonal blocks, |v|^2 for their diagonals alone. Every update is
     entrywise in the path indices, so batching groups of paths into one
     walk gives each group's pairings bit for bit (the cross-group
     entries are the pairings between groups). Overflow is passed on (NaN
@@ -432,7 +433,7 @@ def _gram_walk(grid, coefs, srcs, x0_amps, pair):
         yield pair(e0) + g_even + g_odd
 
 
-def linear_gram(grid, ops, srcs, x0_amps):
+def linear_gram(grid, ops, srcs, x0_amps, block=None):
     """Gram matrices <x_i, x_j> of K linear solves that share ops.
 
     ops(k) returns the operator triple (A, B, C), each reducing to
@@ -441,12 +442,35 @@ def linear_gram(grid, ops, srcs, x0_amps):
     Returns the (n_steps + 1, K, K) array of <x_i(k), x_j(k)>, exact up
     to rounding (see _gram_walk). Batching is exact blockwise: the block
     of a group of paths equals, bit for bit, that group's own call.
+
+    With block=b (K a multiple of b) only the pairings inside each run
+    of b consecutive paths are formed: the result is the (n_steps + 1,
+    K // b, b, b) array of those diagonal blocks, bit for bit, in
+    O(n_steps K b) memory instead of O(n_steps K^2).
     """
-    out = np.array(list(_gram_walk(
-        grid, _parity_table(ops, grid.n_steps), srcs, x0_amps,
-        lambda v: np.outer(v.conj(), v),
-    )))
-    bad = ~np.isfinite(out).all(axis=(1, 2))
+    x0_amps = np.asarray(x0_amps, dtype=np.complex128)
+    if block is None:
+        shape = (len(x0_amps),) * 2
+
+        def pair(v):
+            return np.outer(v.conj(), v)
+    else:
+        if len(x0_amps) % block:
+            raise ValueError(
+                f"{len(x0_amps)} paths do not split into blocks of {block}"
+            )
+        shape = (len(x0_amps) // block, block, block)
+
+        def pair(v):
+            w = v.reshape(shape[:2])
+            return w.conj()[:, :, None] * w[:, None, :]
+    out = np.empty((grid.n_steps + 1,) + shape, dtype=np.complex128)
+    walk = _gram_walk(
+        grid, _parity_table(ops, grid.n_steps), srcs, x0_amps, pair
+    )
+    for k, pairs in enumerate(walk):
+        out[k] = pairs
+    bad = ~np.isfinite(out.reshape(grid.n_steps + 1, -1)).all(axis=1)
     if bad.any():
         raise FloatingPointError(
             f"state became non-finite at step {int(np.argmax(bad))}"

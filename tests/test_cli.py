@@ -401,12 +401,16 @@ def test_run_forward_reuses_the_main_solve_in_the_sweep(
     assert body["refinement"]["terminal_norms"]["64"] == body["terminal_norm2"]
 
 
-@pytest.mark.parametrize("pid", ["odd_drift", "quadratic_drift"])
+@pytest.mark.parametrize("pid, reason", [
+    ("odd_drift", "at 64 steps the solve outgrows the row limit"),
+    ("quadratic_drift", "past its ceiling of 12 steps"),
+])
 def test_main_forward_refuses_entries_its_sweep_cannot_solve(
-    tmp_path, monkeypatch, capsys, pid
+    tmp_path, monkeypatch, capsys, pid, reason
 ):
     """The refinement sweep solves at 64 steps whatever the grid, which
-    these entries outgrow; forward refuses them before any solve."""
+    odd_drift outgrows and quadratic_drift's step ceiling forbids; forward
+    refuses them before any solve."""
     def solve_anyway(*args, **kwargs):
         raise AssertionError("a solve ran")
 
@@ -416,6 +420,7 @@ def test_main_forward_refuses_entries_its_sweep_cannot_solve(
         assert main(["forward", "--spec", spec, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"  /problem_id: forward does not support {pid}" in err
+        assert reason in err
     assert not (tmp_path / "forward.json").exists()
     by_id = {entry["id"]: entry for entry in catalog_listing()}
     assert "forward" not in by_id[pid]["supports"]

@@ -659,6 +659,26 @@ def test_gram_ladder_walks_once_and_reduces_each_operator_twice(monkeypatch):
     assert 0 < len(reductions) <= 6 * ubar.grid.n_steps
 
 
+def test_gram_ladder_memory_grows_linearly_in_the_rungs(monkeypatch):
+    """64 one-step rungs at n=4096: the walk keeps each rung's 3x3 block
+    and the base block only, not the (1 + 3R)^2 cross-rung pairings."""
+    n_steps, n_rungs = 4096, 64
+    pb, ubar, alt = _ladder_inputs("lq_scalar", n_steps)
+    eps = [j / n_steps for j in range(1, n_rungs + 1)]
+    outs = []
+
+    def kept_gram(*args, **kwargs):
+        outs.append(forward.linear_gram(*args, **kwargs))
+        return outs[-1]
+
+    monkeypatch.setattr(control, "linear_gram", kept_gram)
+    lad = variation_ladder(pb, ubar, alt, eps)
+    assert lad["pass"]
+    [gram] = outs
+    assert gram.shape == (n_steps + 1, 1 + n_rungs, 3, 3)
+    assert gram.nbytes == (n_steps + 1) * (1 + n_rungs) * 9 * 16
+
+
 # -- duality and cost expansion -------------------------------------------
 
 def test_duality_defect_is_zero_without_cost_gradients():

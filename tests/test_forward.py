@@ -246,10 +246,13 @@ def test_linear_gram_matches_pairings_of_unpruned_solves():
         np.testing.assert_allclose(gram[k], want, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("sizes", [(1, 3), (3, 3, 3), (2, 1, 4, 2)])
+@pytest.mark.parametrize(
+    "sizes", [(1, 3), (3, 3, 3), (2, 1, 4, 2), (1, 1, 1, 1)]
+)
 def test_linear_gram_batches_path_groups_bit_for_bit(sizes):
     """One walk over concatenated groups of paths gives each group's own
-    Gram matrices on the diagonal blocks, to the last bit."""
+    Gram matrices on the diagonal blocks, to the last bit; with groups of
+    one size, block= returns just those blocks."""
     grid = TimeGrid(1.0, 12)
     rng = np.random.default_rng(len(sizes))
     cx = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -264,12 +267,30 @@ def test_linear_gram_batches_path_groups_bit_for_bit(sizes):
     whole = linear_gram(
         grid, ops, lambda k: stacked[k], np.concatenate(x0s)
     )
+    blocks = None
+    if len(set(sizes)) == 1:
+        blocks = linear_gram(
+            grid, ops, lambda k: stacked[k], np.concatenate(x0s),
+            block=sizes[0],
+        )
+        assert blocks.shape == (grid.n_steps + 1,) + (len(sizes),) + (
+            sizes[0],) * 2
     lo = 0
-    for src, x0 in zip(srcs, x0s):
+    for g, (src, x0) in enumerate(zip(srcs, x0s)):
         own = linear_gram(grid, ops, lambda k, src=src: src[k], x0)
         hi = lo + len(x0)
         assert np.array_equal(whole[:, lo:hi, lo:hi], own)
+        if blocks is not None:
+            assert np.array_equal(blocks[:, g], own)
         lo = hi
+
+
+def test_linear_gram_blocks_must_split_the_paths():
+    grid = TimeGrid(1.0, 4)
+    ops = lambda k: (GradedScalarOp(0.1, 0.0),) * 3
+    with pytest.raises(ValueError, match="5 paths do not split"):
+        linear_gram(grid, ops, lambda k: np.zeros((3, 5)), np.ones(5),
+                    block=3)
 
 
 def test_linear_gram_raises_on_overflow():
@@ -278,6 +299,9 @@ def test_linear_gram_raises_on_overflow():
     with pytest.raises(FloatingPointError, match="non-finite"):
         with np.errstate(over="ignore", invalid="ignore"):
             linear_gram(grid, huge, lambda k: np.zeros((3, 1)), [1.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            linear_gram(grid, huge, lambda k: np.zeros((3, 2)), [1.0, 0.0],
+                        block=2)
 
 
 def test_difference_solver_equals_subtracted_solves():
