@@ -401,16 +401,17 @@ def test_run_forward_reuses_the_main_solve_in_the_sweep(
     assert body["refinement"]["terminal_norms"]["64"] == body["terminal_norm2"]
 
 
-@pytest.mark.parametrize("pid, reason", [
-    ("odd_drift", "at 64 steps the solve outgrows the row limit"),
-    ("quadratic_drift", "past its ceiling of 12 steps"),
-])
+@pytest.mark.parametrize("pid", ["odd_drift", "quadratic_drift"])
 def test_main_forward_refuses_entries_its_sweep_cannot_solve(
-    tmp_path, monkeypatch, capsys, pid, reason
+    tmp_path, monkeypatch, capsys, pid
 ):
     """The refinement sweep solves at 64 steps whatever the grid, which
     odd_drift outgrows and quadratic_drift's step ceiling forbids; forward
     refuses them before any solve."""
+    reason = {
+        "odd_drift": "at 64 steps the solve outgrows the row limit",
+        "quadratic_drift": "past its ceiling of 12 steps",
+    }[pid]
     def solve_anyway(*args, **kwargs):
         raise AssertionError("a solve ran")
 
