@@ -36,6 +36,8 @@ from .forward import (
     linear_norms_sq,
     spike,
     spike_window,
+    _adjoint_vacua,
+    _parity_table,
 )
 from .ito import AdaptedProcess
 from .operators import (
@@ -364,7 +366,7 @@ def _gram_ops(problem, grid):
     The routes need declared linear coefficients whose operators reduce
     to graded-scalar form at every step and a start state that is a
     multiple of I; each consumer also checks its control sources with
-    _source_amps.
+    _source_table.
     """
     lin = problem.coeffs.linear
     if lin is None or _as_scalar_amp(problem.x0) is None:
@@ -378,26 +380,40 @@ def _gram_ops(problem, grid):
     return ops
 
 
-def _source_amps(problem, k, value):
-    """Scalar amplitudes of (uD, uF, uG) under control value value at
-    step k, None unless every source is a multiple of I."""
+def _source_table(problem, steps, at):
+    """(len(steps), 3, V) amplitudes of (uD, uF, uG) at each step k in
+    steps under each of the V control values at(k), None unless every
+    source is a multiple of I."""
     lin = problem.coeffs.linear
-    amps = [
-        _as_scalar_amp(rule(k, value)) for rule in (lin.uD, lin.uF, lin.uG)
-    ]
-    return None if any(a is None for a in amps) else amps
+    rules = (lin.uD, lin.uF, lin.uG)
+    rows = []
+    for k in steps:
+        row = [[_as_scalar_amp(rule(k, value)) for value in at(k)]
+               for rule in rules]
+        if any(amp is None for amps in row for amp in amps):
+            return None
+        rows.append(row)
+    return np.array(rows, dtype=np.complex128)
 
 
-def _gram_amps(problem, ubar, u):
+def _gram_amps(problem, ubar, u, windows):
     """The (2, n_steps, 3) amplitudes of (sD, sF, sG) under ubar and
-    under u, None if any source is not a multiple of I."""
-    amps = np.empty((2, ubar.grid.n_steps, 3), dtype=np.complex128)
-    for k in range(ubar.grid.n_steps):
-        for i, control in enumerate((ubar, u)):
-            step = _source_amps(problem, k, control[k])
-            if step is None:
-                return None
-            amps[i, k] = step
+    under u, None if any source is not a multiple of I.
+
+    u is read only on the union of the step ranges in windows; on the
+    other steps its row repeats ubar's, so the two differ nowhere else.
+    """
+    steps = sorted(set().union(*(range(k0, k1) for k0, k1 in windows)))
+    base = _source_table(
+        problem, range(ubar.grid.n_steps), lambda k: (ubar[k],)
+    )
+    alt = None if base is None else _source_table(
+        problem, steps, lambda k: (u[k],)
+    )
+    if alt is None:
+        return None
+    amps = np.stack((base[:, :, 0], base[:, :, 0]))
+    amps[1, steps] = alt[:, :, 0]
     return amps
 
 
@@ -494,7 +510,10 @@ def variation_ladder(problem, ubar, u, eps_list, offset=0.0, prune=None):
     grid = ubar.grid
     widths = _require_windows(grid, eps_list, offset)
     ops = _gram_ops(problem, grid)
-    amps = None if ops is None else _gram_amps(problem, ubar, u)
+    amps = None if ops is None else _gram_amps(
+        problem, ubar, u,
+        [spike_window(grid, eps, offset) for eps in eps_list],
+    )
     if amps is None:
         floor, sups, pruned = _sparse_ladder(
             problem, ubar, u, eps_list, offset, prune
@@ -668,21 +687,25 @@ def second_adjoint_deterministic(problem, xbar, ubar, adjoints):
         hxx_op = _negated_hess_op(
             problem.L.hess(k, xb, ub), "running-cost", f"Lxx at step {k}"
         )
-        p_next = out[k + 1]
-        drift = (
-            (dx.adjoint() @ p_next)
-            + (p_next @ dx)
-            + (
-                (_grade_compose(fx) + gx).adjoint()
-                @ p_next
-                @ (fx + _grade_compose(gx))
-            )
-            + hxx_op
-        )
-        out[k] = (p_next + drift.scale(dt)).symmetrized()
+        out[k] = _second_adjoint_step(out[k + 1], dx, fx, gx, hxx_op, dt)
     return SecondAdjointPath(
         P=out, diagnostics={"terminal_alpha": terminal.alpha.real}
     )
+
+
+def _second_adjoint_step(p_next, dx, fx, gx, hxx_op, dt):
+    """P_k from P_{k+1}, graded-scalar derivatives and -Lxx at step k."""
+    drift = (
+        (dx.adjoint() @ p_next)
+        + (p_next @ dx)
+        + (
+            (_grade_compose(fx) + gx).adjoint()
+            @ p_next
+            @ (fx + _grade_compose(gx))
+        )
+        + hxx_op
+    )
+    return (p_next + drift.scale(dt)).symmetrized()
 
 
 def mp_lhs(problem, k, u_cand, xbar, ubar, adjoints, P=None,
@@ -713,6 +736,12 @@ def _mp_reference(problem, k, xbar, ubar, adjoints, P):
     return base, co.F(k, xb, ub), co.G(k, xb, ub), twisted
 
 
+_NEEDS_P = (
+    "candidate changes the noise coefficients; supply the second adjoint "
+    "P or request first_order_only"
+)
+
+
 def _mp_value(problem, k, u_cand, xbar, adjoints, reference,
               first_order_only=False):
     """mp_lhs at step k for a candidate, given _mp_reference at k."""
@@ -729,10 +758,7 @@ def _mp_value(problem, k, u_cand, xbar, adjoints, reference,
         return float(value)
     if twisted is None:
         if not first_order_only:
-            raise ValueError(
-                "candidate changes the noise coefficients; supply the "
-                "second adjoint P or request first_order_only"
-            )
+            raise ValueError(_NEEDS_P)
         return float(value)
     left = twisted.apply(dF + dG.grading())
     right = dF.grading() + dG
@@ -759,30 +785,40 @@ def mp_scan(problem, xbar, ubar, adjoints, P=None, candidates=None,
         for k in range(grid.n_steps)
     ]
     entries = []
-    minimum = np.inf
-    argmin = {}
     for weights in candidates:
         u_el = space.element(weights)
-        floats = list(np.atleast_1d(weights).astype(float))
         for k, reference in enumerate(references):
             val = _mp_value(problem, k, u_el, xbar, adjoints, reference)
-            entry = {
-                "step": k,
-                "t": k * grid.dt,
-                "weights": list(floats),
-                "lhs": val,
-            }
-            entries.append(entry)
-            if val < minimum:
-                minimum = val
-                argmin = dict(entry)
+            entries.append(_mp_entry(grid, k, weights, val))
+    at, minimum = _first_minimum([entry["lhs"] for entry in entries])
     return MPReport(
         entries=entries,
-        minimum=float(minimum),
-        argmin=argmin,
+        minimum=minimum,
+        argmin={} if at is None else dict(entries[at]),
         tol=tol,
         passed=bool(minimum >= -tol),
     )
+
+
+def _mp_entry(grid, k, weights, val):
+    """One lattice entry of the scan: step, time, candidate and value."""
+    return {
+        "step": k,
+        "t": k * grid.dt,
+        "weights": list(np.atleast_1d(weights).astype(float)),
+        "lhs": val,
+    }
+
+
+def _first_minimum(values):
+    """(index, value) of the first strict minimum of values in flat order,
+    NaN and inf never winning; (None, inf) when nothing is below inf."""
+    flat = np.asarray(values, dtype=float).ravel()
+    live = flat < np.inf
+    if not live.any():
+        return None, float(np.inf)
+    at = int(np.argmin(np.where(live, flat, np.inf)))
+    return at, float(flat[at])
 
 
 def duality_check(problem, xbar, ubar, u, eps, adjoints, order=1,
@@ -894,34 +930,57 @@ def _norm_cost_weights(problem):
     return None
 
 
-def _gram_costs(problem, grid, bounds, values):
-    """J of every candidate from one diagonal parity-Gram recursion.
-
-    values are the distinct block control values; candidate c takes
-    values[i_b] on block b, where (i_0, i_1, ...) unravels c in
-    itertools.product order. Returns the costs in that order, None when
-    the cost is not a declared norm cost or the problem is not
-    eligible for the Gram route (_gram_ops, _source_amps). Memory is
-    O(K blocks + n_steps len(values)) for K candidates.
-    """
+def _cost_channel(problem, grid):
+    """(ops, (q, r, s)) of a problem whose cost the exact routes can
+    take: declared norm costs and _gram_ops's operators; None for any
+    other problem (each consumer still checks its sources)."""
     weights = _norm_cost_weights(problem)
     ops = None if weights is None else _gram_ops(problem, grid)
-    if ops is None:
-        return None
+    return None if ops is None else (ops, weights)
+
+
+def _oracle_layout(problem, grid, steps_coarse, value_grid):
+    """Block bounds and distinct block values of brute_force_optimum's
+    enumeration, refusing what it refuses."""
+    from itertools import product
+
+    if steps_coarse < 1 or steps_coarse > 4:
+        raise ValueError("coarse steps must lie in 1..4")
+    basis_size = len(problem.control_space.basis)
+    combos = len(value_grid) ** (steps_coarse * basis_size)
+    if combos > ORACLE_BUDGET:
+        raise ValueError(
+            f"enumeration of {combos} candidates exceeds the budget "
+            f"of {ORACLE_BUDGET}"
+        )
     n = grid.n_steps
-    table = np.empty((n, 3, len(values)), dtype=np.complex128)
-    for k in range(n):
-        for i, value in enumerate(values):
-            amps = _source_amps(problem, k, value)
-            if amps is None:
-                return None
-            table[k, :, i] = amps
+    bounds = [round(i * n / steps_coarse) for i in range(steps_coarse + 1)]
+    space = problem.control_space
+    values = [
+        space.element(list(weights))
+        for weights in product(value_grid, repeat=basis_size)
+    ]
+    return bounds, values
+
+
+def _gram_oracle(problem, grid, channel, bounds, values, table):
+    """The cheapest candidate's block picks and its J, every candidate
+    costed by one diagonal parity-Gram recursion.
+
+    values are the distinct block control values and table their
+    (n_steps, 3, len(values)) _source_table; candidate c takes
+    values[i_b] on block b, where (i_0, i_1, ...) unravels c in
+    itertools.product order, and ties keep the earliest. Memory is
+    O(K blocks + n_steps len(values)) for K candidates.
+    """
+    ops, (q, r, s) = channel
+    n = grid.n_steps
     blocks = len(bounds) - 1
+    shape = (len(values),) * blocks
     count = len(values) ** blocks
-    picks = np.unravel_index(np.arange(count), (len(values),) * blocks)
+    picks = np.unravel_index(np.arange(count), shape)
     # Per step, the value index of every candidate (its block's pick).
     step_picks = [picks[b] for b in np.repeat(range(blocks), np.diff(bounds))]
-    q, r, s = weights
     norms = linear_norms_sq(
         grid,
         ops.__getitem__,
@@ -943,7 +1002,8 @@ def _gram_costs(problem, grid, bounds, values):
             f"state or cost became non-finite for "
             f"{int(np.sum(~np.isfinite(total)))} of {count} candidates"
         )
-    return total
+    best = int(np.argmin(total))
+    return np.unravel_index(best, shape), float(total[best])
 
 
 def brute_force_optimum(problem, grid, steps_coarse, value_grid,
@@ -964,41 +1024,171 @@ def brute_force_optimum(problem, grid, steps_coarse, value_grid,
     """
     from itertools import product
 
-    if steps_coarse < 1 or steps_coarse > 4:
-        raise ValueError("coarse steps must lie in 1..4")
-    basis_size = len(problem.control_space.basis)
-    slots = steps_coarse * basis_size
-    combos = len(value_grid) ** slots
-    if combos > ORACLE_BUDGET:
-        raise ValueError(
-            f"enumeration of {combos} candidates exceeds the budget "
-            f"of {ORACLE_BUDGET}"
-        )
-    n = grid.n_steps
-    bounds = [round(i * n / steps_coarse) for i in range(steps_coarse + 1)]
-    space = problem.control_space
-    values = [
-        space.element(list(weights))
-        for weights in product(value_grid, repeat=basis_size)
-    ]
-
-    def candidate(picks):
-        steps = []
-        for b, i in enumerate(picks):
-            steps.extend([values[i]] * (bounds[b + 1] - bounds[b]))
-        return AdaptedProcess(grid, steps, check=False)
-
-    costs = _gram_costs(problem, grid, bounds, values)
-    if costs is not None:
-        best = int(np.argmin(costs))
-        shape = (len(values),) * steps_coarse
-        return candidate(np.unravel_index(best, shape)), float(costs[best])
+    bounds, values = _oracle_layout(problem, grid, steps_coarse, value_grid)
+    channel = _cost_channel(problem, grid)
+    table = None if channel is None else _source_table(
+        problem, range(grid.n_steps), lambda k: values
+    )
+    if table is not None:
+        picks, j = _gram_oracle(problem, grid, channel, bounds, values, table)
+        return _block_control(grid, bounds, values, picks), j
     best = None
     best_cost = np.inf
     for picks in product(range(len(values)), repeat=steps_coarse):
-        u = candidate(picks)
+        u = _block_control(grid, bounds, values, picks)
         j = cost(problem, u, prune=prune)
         if j < best_cost:
             best_cost = j
             best = u
     return best, float(best_cost)
+
+
+def _block_control(grid, bounds, values, picks):
+    """The control that takes values[picks[b]] on block b."""
+    steps = []
+    for b, i in enumerate(picks):
+        steps.extend([values[i]] * (bounds[b + 1] - bounds[b]))
+    return AdaptedProcess(grid, steps, check=False)
+
+
+def _channel_second_adjoint(grid, ops, weights):
+    """alpha + beta of P_0..P_{n-1}: second_adjoint_deterministic's
+    recursion on the declared operators and norm-cost weights."""
+    q, _, s = weights
+    p_next = _negated_hess_op(
+        _norm_hess(s), "terminal-cost", "terminal Hessian"
+    ).symmetrized()
+    hxx_op = _negated_hess_op(_norm_hess(q), "running-cost", "Lxx")
+    out = np.empty(grid.n_steps, dtype=np.complex128)
+    for k in range(grid.n_steps - 1, -1, -1):
+        p_next = _second_adjoint_step(p_next, *ops[k], hxx_op, grid.dt)
+        out[k] = p_next.alpha + p_next.beta
+    return out
+
+
+def _channel_scan(grid, r, base, base_sq, cands, cand_sq, phi, Phi,
+                  pab=None):
+    """(V, n_steps) mp_lhs values of V candidates from per-step scalars.
+
+    base is ubar's (n_steps, 3) source amplitudes and base_sq its
+    ||ubar_k||^2, cands the candidates' (n_steps, 3, V) _source_table and
+    cand_sq their ||w||^2; phi and Phi are the adjoint vacua. The
+    differences dD, dF, dG are multiples of I, so the Hamiltonians'
+    difference pairs them with the vacua alone and the quadratic term
+    with pab, the alpha + beta of P_k (None without P).
+    """
+    n = grid.n_steps
+    delta = (cands - base[:, :, None]).transpose(1, 2, 0)
+    noise = delta[1] + delta[2]
+    lhs = (
+        -(phi[:n].conj() * delta[0]).real
+        - (Phi.conj() * noise).real
+        + r * (cand_sq[:, None] - base_sq[None, :])
+    )
+    moved = (delta[1] != 0) | (delta[2] != 0)
+    if moved.any():
+        if pab is None:
+            raise ValueError(_NEEDS_P)
+        quad = 0.5 * (pab.conj() * (noise.real**2 + noise.imag**2)).real
+        lhs = lhs - np.where(moved, quad, 0.0)
+    return lhs
+
+
+def _channel_duality(problem, grid, ops, weights, base, delta, window,
+                     phi, Phi, order):
+    """duality_check from one linear_gram walk over (xbar, y[, z]).
+
+    delta is u's source amplitudes minus ubar's on the spike window
+    (k0, k1): y takes the noise ones, z (order 2) the drift one. The
+    terminal pairing is -2s <xbar_n, path_n> and the running one
+    2q dt <xbar_k, path_k>; the spike sources pair with the vacua.
+    """
+    q, _, s = weights
+    n = grid.n_steps
+    dt = grid.dt
+    k0, k1 = window
+    table = np.zeros((n, 3, 1 + order), dtype=np.complex128)
+    table[:, :, 0] = base
+    table[k0:k1, :, 1:] = delta[:, :, None] * _GRAM_SOURCES[:, 1:1 + order]
+    x0_amps = np.zeros(1 + order, dtype=np.complex128)
+    x0_amps[0] = _as_scalar_amp(problem.x0)
+    gram = linear_gram(grid, ops.__getitem__, table.__getitem__, x0_amps)
+    cross = gram[:, 0, 1:].sum(axis=1)
+    lhs = -2.0 * s * cross[n]
+    rhs = 2.0 * q * dt * cross[:n].sum() + dt * np.sum(
+        Phi[k0:k1].conj() * (delta[:, 1] + delta[:, 2])
+    )
+    if order == 2:
+        rhs += dt * np.sum(phi[k0:k1].conj() * delta[:, 0])
+    return float(abs(lhs - rhs))
+
+
+def _channel_max_principle(problem, grid, steps_coarse, value_grid, u, eps,
+                           order=1, second=True):
+    """The max-principle numbers of an eligible problem, no element solve.
+
+    Eligible: _cost_channel accepts the problem and every source is a
+    multiple of I under every control value used (the oracle's values,
+    the scan's candidates and u on the spike window). The oracle is
+    brute_force_optimum's Gram route, bit for bit; the scan runs over
+    the control space's value grid, as mp_scan's default lattice, and
+    shares the oracle's source table when the two grids agree. The
+    adjoint vacua come from forward._adjoint_vacua, P (when second is
+    set) from the declared operators, the duality defect of order 1 or 2
+    on the spike window [0, eps) from _channel_duality.
+
+    Returns (u_opt, j_opt, minimum, argmin, duality) with minimum and
+    argmin as mp_scan reports them, or None when the problem is not
+    eligible.
+    """
+    channel = _cost_channel(problem, grid)
+    if channel is None:
+        return None
+    bounds, values = _oracle_layout(problem, grid, steps_coarse, value_grid)
+    n = grid.n_steps
+    table = _source_table(problem, range(n), lambda k: values)
+    if table is None:
+        return None
+    space = problem.control_space
+    candidates = [[v] for v in space.value_grid]
+    cand_values = [space.element(weights) for weights in candidates]
+    if len(space.basis) == 1 and [float(v) for v in value_grid] == [
+        float(v) for v in space.value_grid
+    ]:
+        cands = table
+    else:
+        cands = _source_table(problem, range(n), lambda k: cand_values)
+    window = spike_window(grid, eps)
+    alt = None if cands is None else _source_table(
+        problem, range(*window), lambda k: (u[k],)
+    )
+    if alt is None:
+        return None
+    ops, weights = channel
+    picks, j_opt = _gram_oracle(problem, grid, channel, bounds, values, table)
+    step_picks = np.repeat(picks, np.diff(bounds))
+    base = table[np.arange(n), :, step_picks]
+    phi, Phi = _adjoint_vacua(
+        grid, _parity_table(ops.__getitem__, n), base,
+        _as_scalar_amp(problem.x0), weights[0], weights[2],
+    )
+    if not (np.isfinite(phi).all() and np.isfinite(Phi).all()):
+        raise FloatingPointError("adjoint became non-finite")
+    u_sq = np.array([value.norm2_sq() for value in values])
+    lhs = _channel_scan(
+        grid, weights[1], base, u_sq[step_picks], cands,
+        np.array([value.norm2_sq() for value in cand_values]), phi, Phi,
+        _channel_second_adjoint(grid, ops, weights) if second else None,
+    )
+    at, minimum = _first_minimum(lhs)
+    argmin = {}
+    if at is not None:
+        c, k = divmod(at, n)
+        argmin = _mp_entry(grid, k, candidates[c], minimum)
+    k0, k1 = window
+    duality = _channel_duality(
+        problem, grid, ops, weights, base, alt[:, :, 0] - base[k0:k1],
+        window, phi, Phi, order,
+    )
+    u_opt = _block_control(grid, bounds, values, picks)
+    return u_opt, j_opt, minimum, argmin, duality

@@ -433,6 +433,68 @@ def _gram_walk(grid, coefs, srcs, x0_amps, pair):
         yield pair(e0) + g_even + g_odd
 
 
+def _adjoint_vacua(grid, coefs, srcs, x0_amp, q, s):
+    """Vacuum amplitudes of the first adjoint pair along one linear solve.
+
+    The transpose of _gram_walk's recursion: the adjoint (phi, Phi) that
+    control.first_adjoint solves by the implicit backward step from
+    phi_n = -2s x_n, with drift A, noise B, C and running-cost gradient
+    2q x. coefs is the _parity_table of (A, B, C), srcs the (n_steps, 3)
+    scalar amplitudes (sD, sF, sG) of the solve x and x0_amp its start
+    amplitude.
+
+    Off the empty row, phi_k is R_k(p) times x_k row by row, p the row's
+    parity: the implicit step divides a row by 1 - dt conj(a_p), and the
+    row's child (bit k added, parity -p) feeds it back through the noise
+    terms, so with m_p = 1 + dt a_p, f_p = sqrt(dt)(b_p + p c_p) and
+    n_p = conj(p b_p + c_p),
+
+        R_n(p) = -2s,
+        R_k(p) = (m_p R_{k+1}(p) + sqrt(dt) p f_p n_p R_{k+1}(-p)
+                  - 2q dt) / (1 - dt conj(a_p)).
+
+    The vacua then need only x's vacuum amplitudes e0_k and the
+    amplitude v_k of its row {k} at step k + 1: Phi_k's is
+    v_k R_{k+1}(-1) / sqrt(dt) and phi_k's follows from phi_{k+1}'s by
+    the same implicit step. O(n_steps) time and memory, nothing pruned.
+
+    Returns (phi, Phi): vacuum(phi_k) for k = 0..n_steps and
+    vacuum(Phi_k) for k < n_steps. Overflow is passed on as in
+    _gram_walk.
+    """
+    n = grid.n_steps
+    dt = grid.dt
+    root = np.sqrt(dt)
+    parity = np.array([1.0, -1.0])
+    a, b, c = coefs[:, 0], coefs[:, 1], coefs[:, 2]
+    grow = 1.0 + dt * a
+    e0 = np.empty(n + 1, dtype=np.complex128)
+    e0[0] = x0_amp
+    for k in range(n):
+        e0[k + 1] = grow[k, 0] * e0[k] + dt * srcs[k, 0]
+    v = root * ((b[:, 0] + c[:, 0]) * e0[:n] + srcs[:, 1] + srcs[:, 2])
+    solve = 1.0 / (1.0 - dt * a.conj())
+    back = (parity * b + c).conj()
+    own = (solve * grow).tolist()
+    cross = (dt * parity * solve * (b + parity * c) * back).tolist()
+    drive = (-2.0 * q * dt * solve).tolist()
+    # r_odd[k] = R_{k+1}(-1), the weight of x's row {k} at step k + 1.
+    r_odd = [0j] * n
+    even = odd = complex(-2.0 * s)
+    for k in range(n - 1, -1, -1):
+        r_odd[k] = odd
+        (oe, oo), (ce, co), (de, do) = own[k], cross[k], drive[k]
+        even, odd = oe * even + ce * odd + de, oo * odd + co * even + do
+    Phi = v * np.array(r_odd, dtype=np.complex128) / root
+    feed = (dt * back[:, 0] * Phi - 2.0 * q * dt * e0[:n]).tolist()
+    step = solve[:, 0].tolist()
+    phi = [0j] * (n + 1)
+    phi[n] = complex(-2.0 * s * e0[n])
+    for k in range(n - 1, -1, -1):
+        phi[k] = step[k] * (phi[k + 1] + feed[k])
+    return np.array(phi, dtype=np.complex128), Phi
+
+
 def linear_gram(grid, ops, srcs, x0_amps, block=None):
     """Gram matrices <x_i, x_j> of K linear solves that share ops.
 

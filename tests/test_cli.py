@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from fermisde import cli, forward
+from fermisde import algebra, backward, cli, control, forward
 from fermisde.algebra import CliffordElement, norm2, random_element
 from fermisde.cli import (
     SpecError,
@@ -529,6 +529,88 @@ def test_run_max_principle_small_grid(tmp_path):
     assert body["second_adjoint_used"]
     assert body["duality_order"] == 2
     assert set(body["oracle_weights"]) == {0.0}
+
+
+def _refuse_element_work(monkeypatch):
+    """Make every element solve and pairing the CLI could reach raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact max-principle route did element work")
+
+    for module, name in [
+        (forward, "linear_euler_forward"), (control, "linear_euler_forward"),
+        (backward, "solve_stepwise"), (control, "solve_stepwise"),
+        (cli, "solve_stepwise"), (algebra, "pairing"), (control, "pairing"),
+        (cli, "pairing"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.mark.parametrize("pid, n_steps", [
+    ("lq_scalar", 1024), ("control_in_noise", 1024),
+    # Ran out of memory on element solves (a 5,971,154-row array).
+    ("control_in_noise", 128),
+])
+def test_main_max_principle_exact_route_does_no_element_work(
+    tmp_path, monkeypatch, pid, n_steps
+):
+    _refuse_element_work(monkeypatch)
+    spec = json.dumps({"problem_id": pid, "grid": {"n_steps": n_steps}})
+    assert main(
+        ["max-principle", "--spec", spec, "--out", str(tmp_path)]
+    ) == 0
+    body = json.loads((tmp_path / "max_principle.json").read_text())
+    assert body["report"]["mp_min"] == 0.0
+    assert body["report"]["duality_residual"] == 0.0
+
+
+def _count_first_adjoint(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return control.first_adjoint(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "first_adjoint", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "pid", ["lq_scalar", "control_in_noise", "odd_drift", "driverless"]
+)
+def test_max_principle_routes_agree_when_the_channel_is_refused(
+    tmp_path, monkeypatch, pid
+):
+    """x0_scale 1, where every reported number is nonzero (lq_scalar's
+    mp_min fails the maximum principle on both routes alike)."""
+    spec = parse_problem({"problem_id": pid, "grid": {"n_steps": 12},
+                          "control": {"x0_scale": 1.0}})
+    calls = _count_first_adjoint(monkeypatch)
+    exact = run("max-principle", spec, str(tmp_path / "exact"))["report"]
+    assert calls == []
+    monkeypatch.setattr(control, "_gram_ops", lambda problem, grid: None)
+    element = run("max-principle", spec, str(tmp_path / "element"))["report"]
+    assert calls == [1]
+    assert exact.keys() == element.keys()
+    for key in ("oracle_cost", "mp_min", "duality_residual"):
+        assert abs(exact[key] - element[key]) <= 1e-8
+    assert exact["mp_argmin"]["step"] == element["mp_argmin"]["step"]
+    assert exact["mp_argmin"]["weights"] == element["mp_argmin"]["weights"]
+    np.testing.assert_allclose(
+        exact["oracle_weights"], element["oracle_weights"], rtol=0, atol=0
+    )
+    assert exact["pass"] == element["pass"]
+
+
+def test_max_principle_keeps_the_element_route_for_quadratic_drift(
+    tmp_path, monkeypatch
+):
+    calls = _count_first_adjoint(monkeypatch)
+    spec = parse_problem({"problem_id": "quadratic_drift",
+                          "grid": {"n_steps": 6}, "steps_coarse": 2,
+                          "value_grid": [-0.3, 0.0, 0.3]})
+    body = run("max-principle", spec, str(tmp_path))["report"]
+    assert calls == [1]
+    assert not body["second_adjoint_used"]
 
 
 def test_run_bg_constants_and_matrix_cap(tmp_path):

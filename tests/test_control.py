@@ -854,6 +854,239 @@ def test_exact_oracle_raises_on_an_overflowing_candidate():
         brute_force_optimum(pb, grid, 2, [0.0, 1e200])
 
 
+# -- the exact max-principle route ----------------------------------------
+
+def channel_problem(n_steps, seed, x0=1.0):
+    """Random step-dependent complex alpha + beta G operators (beta != 0)
+    and complex control sources, with declared norm costs."""
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(1.0, n_steps)
+    coefs = 0.5 * (rng.normal(size=(n_steps, 3, 2))
+                   + 1j * rng.normal(size=(n_steps, 3, 2)))
+    ops = [[GradedScalarOp(*coefs[k, j]) for j in range(3)]
+           for k in range(n_steps)]
+    amp = rng.normal(size=3) + 1j * rng.normal(size=3)
+
+    def rule(j):
+        return lambda k, x, u: ops[k][j].apply(x) + u.scale(amp[j])
+
+    def derivative(j):
+        return lambda k, x, u: ops[k][j]
+
+    co = Coefficients(
+        D=rule(0), F=rule(1), G=rule(2),
+        Dx=derivative(0), Fx=derivative(1), Gx=derivative(2),
+        lipschitz_bound=2.0,
+        linear=LinearStructure(
+            A=lambda k: ops[k][0], B=lambda k: ops[k][1],
+            C=lambda k: ops[k][2],
+            uD=lambda k, u: u.scale(amp[0]),
+            uF=lambda k, u: u.scale(amp[1]),
+            uG=lambda k, u: u.scale(amp[2]),
+        ),
+    )
+    problem = ControlProblem(
+        coeffs=co,
+        control_space=ControlSpace([CliffordElement.identity(grid.n)], GRID7),
+        x0=CliffordElement.scalar(grid.n, x0),
+        L=RunningNormCost(0.6, 0.3),
+        h=TerminalNormCost(0.4),
+    )
+    return problem, grid
+
+
+CHANNEL_CASES = ELIGIBLE + ["random0", "random1"]
+
+
+def _channel_case(pid, n_steps, x0):
+    """Problem, grid and a random per-step control ubar."""
+    if pid.startswith("random"):
+        pb, grid = channel_problem(n_steps, int(pid[-1]), x0)
+    else:
+        pb, grid = build(pid, n_steps=n_steps, x0_scale=x0)
+    rng = np.random.default_rng(n_steps)
+    ubar = AdaptedProcess(grid, [
+        CliffordElement.scalar(grid.n, w)
+        for w in rng.uniform(-1.0, 1.0, n_steps)
+    ], check=False)
+    return pb, grid, ubar
+
+
+def _channel_inputs(pb, grid, ubar):
+    """(ops, weights, ubar's source amplitudes, vacuum phi, vacuum Phi)."""
+    n = grid.n_steps
+    ops, weights = control._cost_channel(pb, grid)
+    base = control._source_table(pb, range(n), lambda k: (ubar[k],))[:, :, 0]
+    phi, Phi = forward._adjoint_vacua(
+        grid, forward._parity_table(ops.__getitem__, n), base,
+        vacuum(pb.x0), weights[0], weights[2],
+    )
+    return ops, weights, base, phi, Phi
+
+
+def _unpruned_adjoints(pb, ubar):
+    xbar = solve_state(pb, ubar, prune=0.0)
+    return xbar, first_adjoint(pb, xbar, ubar, prune=0.0)
+
+
+@pytest.mark.parametrize("x0", [0.0, 1.0])
+@pytest.mark.parametrize("n_steps", [4, 8, 12])
+@pytest.mark.parametrize("pid", CHANNEL_CASES)
+def test_channel_vacua_match_the_unpruned_adjoint(pid, n_steps, x0):
+    pb, grid, ubar = _channel_case(pid, n_steps, x0)
+    *_, phi, Phi = _channel_inputs(pb, grid, ubar)
+    _, adj = _unpruned_adjoints(pb, ubar)
+    want_phi = np.array([vacuum(v) for v in adj.phi])
+    want_Phi = np.array([vacuum(v) for v in adj.Phi])
+    scale = max(np.abs(want_phi).max(), np.abs(want_Phi).max())
+    assert scale > 0.0
+    np.testing.assert_allclose(phi, want_phi, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(Phi, want_Phi, rtol=0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("x0", [0.0, 1.0])
+@pytest.mark.parametrize("pid", CHANNEL_CASES)
+def test_channel_scan_matches_mp_scan_over_unpruned_adjoints(pid, x0):
+    pb, grid, ubar = _channel_case(pid, 10, x0)
+    n = grid.n_steps
+    ops, weights, base, phi, Phi = _channel_inputs(pb, grid, ubar)
+    space = pb.control_space
+    cands = [space.element([v]) for v in space.value_grid]
+    pab = control._channel_second_adjoint(grid, ops, weights)
+    lhs = control._channel_scan(
+        grid, weights[1], base,
+        np.array([ubar[k].norm2_sq() for k in range(n)]),
+        control._source_table(pb, range(n), lambda k: cands),
+        np.array([c.norm2_sq() for c in cands]), phi, Phi, pab,
+    )
+    xbar, adj = _unpruned_adjoints(pb, ubar)
+    P = second_adjoint_deterministic(pb, xbar, ubar, adj)
+    # One step body for both routes: P agrees bit for bit.
+    assert pab.tolist() == [P.P[k].alpha + P.P[k].beta for k in range(n)]
+    rep = mp_scan(pb, xbar, ubar, adj, P=P)
+    want = np.array([e["lhs"] for e in rep.entries]).reshape(lhs.shape)
+    np.testing.assert_allclose(
+        lhs, want, rtol=0, atol=1e-12 * np.abs(want).max()
+    )
+    at, minimum = control._first_minimum(lhs)
+    assert divmod(at, n) == (
+        GRID7.index(rep.argmin["weights"][0]), rep.argmin["step"]
+    )
+    assert abs(minimum - rep.minimum) <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("pid", CHANNEL_CASES)
+def test_channel_duality_matches_the_unpruned_check(pid, order):
+    pb, grid, ubar = _channel_case(pid, 16, 1.0)
+    ops, weights, base, phi, Phi = _channel_inputs(pb, grid, ubar)
+    alt = const_u(grid, -0.9)
+    window = spike_window(grid, 0.25, 0.25)
+    delta = control._source_table(
+        pb, range(*window), lambda k: (alt[k],)
+    )[:, :, 0] - base[slice(*window)]
+    got = control._channel_duality(
+        pb, grid, ops, weights, base, delta, window, phi, Phi, order
+    )
+    xbar, adj = _unpruned_adjoints(pb, ubar)
+    want = duality_check(
+        pb, xbar, ubar, alt, 0.25, adj, order=order, offset=0.25, prune=0.0
+    )
+    # driverless has no cost gradient, and at first order lq_scalar and
+    # odd_drift have no control in the noise: their defects vanish.
+    idle = pid == "driverless" or (order == 1 and pid in ("lq_scalar",
+                                                          "odd_drift"))
+    assert (want == 0.0) == idle
+    assert abs(got - want) <= 1e-13
+
+
+@pytest.mark.parametrize("x0", [0.0, 1.0])
+@pytest.mark.parametrize("pid", ELIGIBLE)
+def test_channel_max_principle_equals_the_unpruned_element_chain(
+    monkeypatch, pid, x0
+):
+    """The oracle bit for bit, the scan's minimum and argmin and the
+    duality defect against the element route without pruning."""
+    entry = catalog()[pid]
+    pb, grid = build(pid, n_steps=12, x0_scale=x0)
+    pb = dataclasses.replace(pb, prune=None)
+    alt = const_u(grid, entry.alt_weight)
+    order = 1 if entry.p_term_active else 2
+    u_s, j_s = brute_force_optimum(pb, grid, 2, GRID7)
+    xbar = solve_state(pb, u_s)
+    adj = first_adjoint(pb, xbar, u_s)
+    P = second_adjoint_deterministic(pb, xbar, u_s, adj)
+    scan = mp_scan(pb, xbar, u_s, adj, P=P)
+    dual = duality_check(pb, xbar, u_s, alt, 0.25, adj, order=order)
+    for name in ("solve_state", "first_adjoint", "linear_euler_forward",
+                 "solve_stepwise", "pairing", "mp_scan", "duality_check"):
+        monkeypatch.setattr(control, name, _refuse)
+    u_e, j_e, minimum, argmin, dual_e = control._channel_max_principle(
+        pb, grid, 2, GRID7, alt, 0.25, order=order
+    )
+    assert j_e == j_s
+    assert [vacuum(v) for v in u_e] == [vacuum(v) for v in u_s]
+    assert {k: v for k, v in argmin.items() if k != "lhs"} == {
+        k: v for k, v in scan.argmin.items() if k != "lhs"
+    }
+    assert abs(minimum - scan.minimum) <= 1e-12
+    assert argmin["lhs"] == minimum
+    assert (minimum == 0.0) == (scan.minimum == 0.0)
+    assert abs(dual_e - dual) <= 1e-13
+
+
+def test_channel_scan_refuses_noise_candidates_without_P():
+    pb, grid = build("control_in_noise", n_steps=8)
+    alt = const_u(grid, -0.9)
+    with pytest.raises(ValueError, match="second adjoint"):
+        control._channel_max_principle(
+            pb, grid, 2, GRID7, alt, 0.25, second=False
+        )
+    pb, grid = build("lq_scalar", n_steps=8)
+    found = control._channel_max_principle(
+        pb, grid, 2, GRID7, alt, 0.25, order=2, second=False
+    )
+    assert found[2] == 0.0
+
+
+def test_channel_max_principle_leaves_ineligible_problems_alone():
+    pb, grid = build("quadratic_drift", n_steps=6)
+    alt = const_u(grid, -0.9)
+    assert control._channel_max_principle(
+        pb, grid, 2, GRID7, alt, 0.25
+    ) is None
+    pb, grid = quad_problem(6)
+    assert control._channel_max_principle(
+        pb, grid, 2, GRID7, alt, 0.25
+    ) is None
+
+
+def test_gram_ladder_reads_u_only_on_its_spike_windows():
+    """The benchmark's n=128 ladder: every step under ubar, the 32 steps
+    of the widest window under u, three source rules each."""
+    pb, ubar, alt = _ladder_inputs("lq_scalar", 128)
+    eps = [0.25, 0.125, 0.0625, 0.03125, 0.015625]
+    want = variation_ladder(pb, ubar, alt, eps)
+    calls = []
+
+    def counted(rule):
+        def wrapped(k, u):
+            calls.append(k)
+            return rule(k, u)
+        return wrapped
+
+    lin = pb.coeffs.linear
+    lin = dataclasses.replace(
+        lin, uD=counted(lin.uD), uF=counted(lin.uF), uG=counted(lin.uG)
+    )
+    pb = dataclasses.replace(
+        pb, coeffs=dataclasses.replace(pb.coeffs, linear=lin)
+    )
+    assert variation_ladder(pb, ubar, alt, eps) == want
+    assert len(calls) == 3 * (128 + 32)
+    assert sum(k >= 32 for k in calls) == 3 * 96
+
+
 def test_brute_force_winner_sits_within_one_cell_of_refined_optimum():
     """Coordinate-wise parabolic refinement (exact for a quadratic cost)
     must land within one grid cell of the enumerated winner."""
