@@ -40,12 +40,7 @@ from .backward import Driver, residual, solve_picard, solve_stepwise
 from .catalog import build, catalog
 from .control import (
     ORACLE_BUDGET,
-    _channel_max_principle,
-    brute_force_optimum,
-    duality_check,
-    first_adjoint,
-    mp_scan,
-    second_adjoint_deterministic,
+    _max_principle,
     solve_state,
     variation_ladder,
 )
@@ -888,43 +883,18 @@ def _mp_plan(spec):
     return entry, problem, grid, value_grid
 
 
-def _element_mp(entry, problem, grid, spec, value_grid, alt, order):
-    """max-principle's numbers from element solves: the oracle, x-bar,
-    the adjoints, P where the entry has it, mp_scan and duality_check."""
-    u_opt, j_opt = brute_force_optimum(
-        problem, grid, spec.steps_coarse, value_grid
-    )
-    xbar = solve_state(problem, u_opt)
-    adjoints = first_adjoint(problem, xbar, u_opt)
-    P = None
-    if entry.second_adjoint_ok:
-        P = second_adjoint_deterministic(problem, xbar, u_opt, adjoints)
-    scan = mp_scan(problem, xbar, u_opt, adjoints, P=P)
-    dual = duality_check(
-        problem, xbar, u_opt, alt, grid.T / 4.0, adjoints, order=order
-    )
-    return u_opt, j_opt, scan.minimum, scan.argmin, dual
-
-
 def _pipeline_mp(spec, rng):
     """The oracle's winner, the maximum-principle scan over it and the
-    duality defect; an eligible problem (see
-    control._channel_max_principle) takes per-step scalars, any other
-    the element solves."""
+    duality defect (see control._max_principle, which picks the route)."""
     entry, problem, grid, value_grid = _mp_plan(spec)
     alt = AdaptedProcess.constant_scalar(
         grid, spec.control.get("alt_weight", entry.alt_weight)
     )
     order = 1 if entry.p_term_active else 2
-    found = _channel_max_principle(
-        problem, grid, spec.steps_coarse, value_grid, alt, grid.T / 4.0,
+    u_opt, j_opt, mp_min, mp_argmin, dual = _max_principle(
+        problem, grid, spec.steps_coarse, value_grid, alt,
         order=order, second=entry.second_adjoint_ok,
     )
-    if found is None:
-        found = _element_mp(
-            entry, problem, grid, spec, value_grid, alt, order
-        )
-    u_opt, j_opt, mp_min, mp_argmin, dual = found
     tol = max(1e-6, 1.0 * grid.dt)
     report = {
         "problem_id": entry.id,

@@ -20,10 +20,12 @@ or report decides pass/fail at its own tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import _channel
 from .algebra import CliffordElement, norm2, pairing
 from .backward import Driver, solve_stepwise
 from .forward import (
@@ -32,12 +34,8 @@ from .forward import (
     euler_forward,
     euler_forward_difference,
     linear_euler_forward,
-    linear_gram,
-    linear_norms_sq,
     spike,
     spike_window,
-    _adjoint_vacua,
-    _parity_table,
 )
 from .ito import AdaptedProcess
 from .operators import (
@@ -46,7 +44,6 @@ from .operators import (
     GradingOp,
     GradedScalarOp,
     SumOp,
-    _as_scalar_amp,
 )
 
 __all__ = [
@@ -102,6 +99,9 @@ class RunningNormCost:
     def hess(self, k, x, u):
         return _norm_hess(self.q)
 
+    # The declaration _channel.gate reads.
+    _running_weights = property(lambda self: (self.q, self.r))
+
 
 @dataclass(frozen=True)
 class TerminalNormCost:
@@ -117,6 +117,8 @@ class TerminalNormCost:
 
     def hess(self, x):
         return _norm_hess(self.s)
+
+    _terminal_weight = property(lambda self: self.s)
 
 
 @dataclass
@@ -352,98 +354,25 @@ _LADDER_SERIES = {
     "zeta_sq": (1.0, -1.0, -1.0),
 }
 
-# Which control-increment sources (rows sD, sF, sG) drive xi, y and z
-# (columns) on the spike window of declared-linear coefficients: xi takes
-# all three, y the noise ones and z the drift one (the derivative
-# differences and second derivatives vanish).
-_GRAM_SOURCES = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+def _gram_ladder(grid, windows, ch, steps):
+    """floor and per-window sup series from one _channel.gram walk;
+    nothing is pruned.
 
-
-def _gram_ops(problem, grid):
-    """Per-step (A, B, C) of the parity-Gram routes, each in its
-    graded-scalar form, None if the routes cannot run.
-
-    The routes need declared linear coefficients whose operators reduce
-    to graded-scalar form at every step and a start state that is a
-    multiple of I; each consumer also checks its control sources with
-    _source_table.
+    ch is the gate's Channel with the source tables under ubar at every
+    step and under u at steps. The walk runs 3 + 3R paths in blocks of
+    three and pairs only within a block, so memory grows as n_steps R.
+    Block 0 is x under ubar from x0 and two idle paths; block 1 + r is
+    rung r's (xi, y, z), started at 0 and driven inside its spike
+    window only.
     """
-    lin = problem.coeffs.linear
-    if lin is None or _as_scalar_amp(problem.x0) is None:
-        return None
-    ops = [
-        tuple(op.as_graded_scalar() for op in (lin.A(k), lin.B(k), lin.C(k)))
-        for k in range(grid.n_steps)
-    ]
-    if any(op is None for step in ops for op in step):
-        return None
-    return ops
-
-
-def _source_table(problem, steps, at):
-    """(len(steps), 3, V) amplitudes of (uD, uF, uG) at each step k in
-    steps under each of the V control values at(k), None unless every
-    source is a multiple of I."""
-    lin = problem.coeffs.linear
-    rules = (lin.uD, lin.uF, lin.uG)
-    rows = []
-    for k in steps:
-        row = [[_as_scalar_amp(rule(k, value)) for value in at(k)]
-               for rule in rules]
-        if any(amp is None for amps in row for amp in amps):
-            return None
-        rows.append(row)
-    return np.array(rows, dtype=np.complex128)
-
-
-def _gram_amps(problem, ubar, u, windows):
-    """The (2, n_steps, 3) amplitudes of (sD, sF, sG) under ubar and
-    under u, None if any source is not a multiple of I.
-
-    u is read only on the union of the step ranges in windows; on the
-    other steps its row repeats ubar's, so the two differ nowhere else.
-    """
-    steps = sorted(set().union(*(range(k0, k1) for k0, k1 in windows)))
-    base = _source_table(
-        problem, range(ubar.grid.n_steps), lambda k: (ubar[k],)
+    base, alt = (table[:, :, 0] for table in ch.tables)
+    table, starts = ch.spike_layout(
+        base, steps, alt, windows, slice(None), lead=3
     )
-    alt = None if base is None else _source_table(
-        problem, steps, lambda k: (u[k],)
-    )
-    if alt is None:
-        return None
-    amps = np.stack((base[:, :, 0], base[:, :, 0]))
-    amps[1, steps] = alt[:, :, 0]
-    return amps
-
-
-def _gram_ladder(problem, grid, eps_list, offset, ops, amps):
-    """floor and per-eps sup series from one linear_gram walk; nothing
-    is pruned.
-
-    The walk runs 3 + 3R paths in blocks of three and pairs only within
-    a block, so memory grows as n_steps R. Block 0 is x under ubar from
-    x0 and two idle paths; block 1 + r is rung r's (xi, y, z), started
-    at 0 and driven inside its spike window only.
-    """
-    base, alt = amps
-    n_rungs = len(eps_list)
-    table = np.zeros((grid.n_steps, 3, 3 + 3 * n_rungs), dtype=np.complex128)
-    table[:, :, 0] = base
-    delta = alt - base
-    for r, eps in enumerate(eps_list):
-        k0, k1 = spike_window(grid, eps, offset)
-        table[k0:k1, :, 3 + 3 * r:6 + 3 * r] = (
-            delta[k0:k1, :, None] * _GRAM_SOURCES
-        )
-    x0_amps = np.zeros(3 + 3 * n_rungs, dtype=np.complex128)
-    x0_amps[0] = _as_scalar_amp(problem.x0)
-    gram = linear_gram(
-        grid, ops.__getitem__, table.__getitem__, x0_amps, block=3
-    )
+    gram = _channel.gram(grid, ch.coefs, table, starts, block=3)
     floor = 1e-8 * (1.0 + float(gram[:, 0, 0, 0].real.max()))
     sups = []
-    for r in range(n_rungs):
+    for r in range(len(windows)):
         # A contiguous copy, so the reduction runs as on a rung's own walk.
         block = np.ascontiguousarray(gram[:, 1 + r])
         sups.append({
@@ -498,9 +427,9 @@ def variation_ladder(problem, ubar, u, eps_list, offset=0.0, prune=None):
     than their guarantee (and do whenever a variational term vanishes
     identically).
 
-    With declared linear graded-scalar coefficients and scalar start
-    state and sources, the norms and pairings come exactly from
-    linear_gram and prune is unused; any other problem takes element
+    On a parity channel (see _channel.gate; the sources under ubar and
+    under u must be multiples of I), the norms and pairings come exactly
+    from one walk and prune is unused; any other problem takes element
     solves pruned at the problem's budget. pruned_mass is the
     root-sum-square of the mass those solves dropped (0 on the exact
     route).
@@ -509,19 +438,19 @@ def variation_ladder(problem, ubar, u, eps_list, offset=0.0, prune=None):
         raise ValueError("need at least two eps values to fit slopes")
     grid = ubar.grid
     widths = _require_windows(grid, eps_list, offset)
-    ops = _gram_ops(problem, grid)
-    amps = None if ops is None else _gram_amps(
-        problem, ubar, u,
-        [spike_window(grid, eps, offset) for eps in eps_list],
+    windows = [spike_window(grid, eps, offset) for eps in eps_list]
+    # u is read only on the windows; elsewhere it does not differ from ubar.
+    steps = sorted(set().union(*(range(k0, k1) for k0, k1 in windows)))
+    ch = _channel.gate(
+        problem, grid, (range(grid.n_steps), lambda k: (ubar[k],)),
+        (steps, lambda k: (u[k],)),
     )
-    if amps is None:
+    if ch is None:
         floor, sups, pruned = _sparse_ladder(
             problem, ubar, u, eps_list, offset, prune
         )
     else:
-        floor, sups = _gram_ladder(
-            problem, grid, eps_list, offset, ops, amps
-        )
+        floor, sups = _gram_ladder(grid, windows, ch, steps)
         pruned = 0.0
     targets = {"xi_sq": 1.0, "y_sq": 1.0, "z_sq": 2.0,
                "eta_sq": 2.0, "zeta_sq": 2.0}
@@ -921,32 +850,14 @@ def cost_expansion_check(problem, ubar, u, eps_list, offset=0.0,
     }
 
 
-def _norm_cost_weights(problem):
-    """(q, r, s) of a cost declared by RunningNormCost and
-    TerminalNormCost; None for any other cost rule."""
-    L, h = problem.L, problem.h
-    if isinstance(L, RunningNormCost) and isinstance(h, TerminalNormCost):
-        return L.q, L.r, h.s
-    return None
-
-
-def _cost_channel(problem, grid):
-    """(ops, (q, r, s)) of a problem whose cost the exact routes can
-    take: declared norm costs and _gram_ops's operators; None for any
-    other problem (each consumer still checks its sources)."""
-    weights = _norm_cost_weights(problem)
-    ops = None if weights is None else _gram_ops(problem, grid)
-    return None if ops is None else (ops, weights)
-
-
 def _oracle_layout(problem, grid, steps_coarse, value_grid):
-    """Block bounds and distinct block values of brute_force_optimum's
-    enumeration, refusing what it refuses."""
-    from itertools import product
-
+    """Block bounds, block weight vectors (itertools.product order) and
+    their control values for brute_force_optimum's enumeration, refusing
+    what it refuses."""
     if steps_coarse < 1 or steps_coarse > 4:
         raise ValueError("coarse steps must lie in 1..4")
-    basis_size = len(problem.control_space.basis)
+    space = problem.control_space
+    basis_size = len(space.basis)
     combos = len(value_grid) ** (steps_coarse * basis_size)
     if combos > ORACLE_BUDGET:
         raise ValueError(
@@ -955,25 +866,21 @@ def _oracle_layout(problem, grid, steps_coarse, value_grid):
         )
     n = grid.n_steps
     bounds = [round(i * n / steps_coarse) for i in range(steps_coarse + 1)]
-    space = problem.control_space
-    values = [
-        space.element(list(weights))
-        for weights in product(value_grid, repeat=basis_size)
-    ]
-    return bounds, values
+    weights = list(product(value_grid, repeat=basis_size))
+    return bounds, weights, [space.element(list(w)) for w in weights]
 
 
-def _gram_oracle(problem, grid, channel, bounds, values, table):
-    """The cheapest candidate's block picks and its J, every candidate
-    costed by one diagonal parity-Gram recursion.
+def _gram_oracle(grid, ch, bounds, values):
+    """The cheapest candidate's block picks, its J and the values'
+    ||u||^2, every candidate costed by one diagonal parity-channel walk.
 
-    values are the distinct block control values and table their
-    (n_steps, 3, len(values)) _source_table; candidate c takes
-    values[i_b] on block b, where (i_0, i_1, ...) unravels c in
-    itertools.product order, and ties keep the earliest. Memory is
-    O(K blocks + n_steps len(values)) for K candidates.
+    ch.tables[0] holds the (n_steps, 3, V) sources of the V distinct
+    block values; candidate c takes value i_b on block b, where (i_0,
+    i_1, ...) unravels c in itertools.product order, and ties keep the
+    earliest. Memory is O(K blocks + n_steps V) for K candidates.
     """
-    ops, (q, r, s) = channel
+    q, r, s = ch.weights
+    table = ch.tables[0]
     n = grid.n_steps
     blocks = len(bounds) - 1
     shape = (len(values),) * blocks
@@ -981,11 +888,10 @@ def _gram_oracle(problem, grid, channel, bounds, values, table):
     picks = np.unravel_index(np.arange(count), shape)
     # Per step, the value index of every candidate (its block's pick).
     step_picks = [picks[b] for b in np.repeat(range(blocks), np.diff(bounds))]
-    norms = linear_norms_sq(
-        grid,
-        ops.__getitem__,
-        lambda k: table[k][:, step_picks[k]],
-        np.full(count, _as_scalar_amp(problem.x0)),
+    norms = _channel.norms_sq(
+        grid, ch.coefs,
+        (table[k][:, step_picks[k]] for k in range(n)),
+        np.full(count, ch.x0),
     )
     total = np.zeros(count)
     # The walk runs lazily inside this loop; an overflowing candidate
@@ -1003,7 +909,35 @@ def _gram_oracle(problem, grid, channel, bounds, values, table):
             f"{int(np.sum(~np.isfinite(total)))} of {count} candidates"
         )
     best = int(np.argmin(total))
-    return np.unravel_index(best, shape), float(total[best])
+    return np.unravel_index(best, shape), float(total[best]), u_sq
+
+
+def _oracle(problem, grid, steps_coarse, value_grid, *requests, prune=None):
+    """brute_force_optimum, with what the max-principle scan reuses.
+
+    Returns (u_opt, j_opt, weights, exact): weights are the block weight
+    vectors, the scan's lattice. On the channel route exact is the
+    gate's Channel (source tables of the weights' values at every step,
+    then of requests), the winner's value index per step and the
+    values' ||u||^2; None when each candidate took a forward solve.
+    """
+    bounds, weights, values = _oracle_layout(
+        problem, grid, steps_coarse, value_grid
+    )
+    ch = _channel.gate(
+        problem, grid, (range(grid.n_steps), lambda k: values), *requests,
+        costs=True,
+    )
+    if ch is None:
+        best, best_cost = None, np.inf
+        for picks in product(range(len(values)), repeat=steps_coarse):
+            u = _block_control(grid, bounds, values, picks)
+            if (j := cost(problem, u, prune=prune)) < best_cost:
+                best, best_cost = u, j
+        return best, float(best_cost), weights, None
+    picks, j, u_sq = _gram_oracle(grid, ch, bounds, values)
+    exact = (ch, np.repeat(picks, np.diff(bounds)), u_sq)
+    return _block_control(grid, bounds, values, picks), j, weights, exact
 
 
 def brute_force_optimum(problem, grid, steps_coarse, value_grid,
@@ -1017,30 +951,15 @@ def brute_force_optimum(problem, grid, steps_coarse, value_grid,
     result deterministic.
 
     When the cost is declared by RunningNormCost and TerminalNormCost
-    and the problem is eligible for the parity-Gram route, every
+    and the problem is a parity channel (see _channel.gate), every
     candidate is costed exactly by one array recursion and prune is
     unused; otherwise each candidate is costed by a forward solve
     pruned at the problem's budget.
     """
-    from itertools import product
-
-    bounds, values = _oracle_layout(problem, grid, steps_coarse, value_grid)
-    channel = _cost_channel(problem, grid)
-    table = None if channel is None else _source_table(
-        problem, range(grid.n_steps), lambda k: values
+    u_opt, j_opt, _, _ = _oracle(
+        problem, grid, steps_coarse, value_grid, prune=prune
     )
-    if table is not None:
-        picks, j = _gram_oracle(problem, grid, channel, bounds, values, table)
-        return _block_control(grid, bounds, values, picks), j
-    best = None
-    best_cost = np.inf
-    for picks in product(range(len(values)), repeat=steps_coarse):
-        u = _block_control(grid, bounds, values, picks)
-        j = cost(problem, u, prune=prune)
-        if j < best_cost:
-            best_cost = j
-            best = u
-    return best, float(best_cost)
+    return u_opt, j_opt
 
 
 def _block_control(grid, bounds, values, picks):
@@ -1051,17 +970,17 @@ def _block_control(grid, bounds, values, picks):
     return AdaptedProcess(grid, steps, check=False)
 
 
-def _channel_second_adjoint(grid, ops, weights):
+def _channel_second_adjoint(grid, ch):
     """alpha + beta of P_0..P_{n-1}: second_adjoint_deterministic's
-    recursion on the declared operators and norm-cost weights."""
-    q, _, s = weights
+    recursion on the channel's operators and norm-cost weights."""
+    q, _, s = ch.weights
     p_next = _negated_hess_op(
         _norm_hess(s), "terminal-cost", "terminal Hessian"
     ).symmetrized()
     hxx_op = _negated_hess_op(_norm_hess(q), "running-cost", "Lxx")
     out = np.empty(grid.n_steps, dtype=np.complex128)
     for k in range(grid.n_steps - 1, -1, -1):
-        p_next = _second_adjoint_step(p_next, *ops[k], hxx_op, grid.dt)
+        p_next = _second_adjoint_step(p_next, *ch.ops[k], hxx_op, grid.dt)
         out[k] = p_next.alpha + p_next.beta
     return out
 
@@ -1071,7 +990,7 @@ def _channel_scan(grid, r, base, base_sq, cands, cand_sq, phi, Phi,
     """(V, n_steps) mp_lhs values of V candidates from per-step scalars.
 
     base is ubar's (n_steps, 3) source amplitudes and base_sq its
-    ||ubar_k||^2, cands the candidates' (n_steps, 3, V) _source_table and
+    ||ubar_k||^2, cands the candidates' (n_steps, 3, V) source table and
     cand_sq their ||w||^2; phi and Phi are the adjoint vacua. The
     differences dD, dF, dG are multiples of I, so the Hamiltonians'
     difference pairs them with the vacua alone and the quadratic term
@@ -1094,26 +1013,25 @@ def _channel_scan(grid, r, base, base_sq, cands, cand_sq, phi, Phi,
     return lhs
 
 
-def _channel_duality(problem, grid, ops, weights, base, delta, window,
-                     phi, Phi, order):
-    """duality_check from one linear_gram walk over (xbar, y[, z]).
+def _channel_duality(grid, ch, base, alt, window, phi, Phi, order):
+    """duality_check from one _channel.gram walk over (xbar, y[, z]).
 
-    delta is u's source amplitudes minus ubar's on the spike window
-    (k0, k1): y takes the noise ones, z (order 2) the drift one. The
-    terminal pairing is -2s <xbar_n, path_n> and the running one
-    2q dt <xbar_k, path_k>; the spike sources pair with the vacua.
+    base is ubar's (n_steps, 3) source amplitudes and alt u's on the
+    spike window (k0, k1): y takes the noise differences, z (order 2)
+    the drift one. The terminal pairing is -2s <xbar_n, path_n> and the
+    running one 2q dt <xbar_k, path_k>; the spike sources pair with the
+    vacua.
     """
-    q, _, s = weights
+    q, _, s = ch.weights
     n = grid.n_steps
     dt = grid.dt
     k0, k1 = window
-    table = np.zeros((n, 3, 1 + order), dtype=np.complex128)
-    table[:, :, 0] = base
-    table[k0:k1, :, 1:] = delta[:, :, None] * _GRAM_SOURCES[:, 1:1 + order]
-    x0_amps = np.zeros(1 + order, dtype=np.complex128)
-    x0_amps[0] = _as_scalar_amp(problem.x0)
-    gram = linear_gram(grid, ops.__getitem__, table.__getitem__, x0_amps)
+    table, starts = ch.spike_layout(
+        base, range(k0, k1), alt, [window], slice(1, 1 + order)
+    )
+    gram = _channel.gram(grid, ch.coefs, table, starts)
     cross = gram[:, 0, 1:].sum(axis=1)
+    delta = alt - base[k0:k1]
     lhs = -2.0 * s * cross[n]
     rhs = 2.0 * q * dt * cross[:n].sum() + dt * np.sum(
         Phi[k0:k1].conj() * (delta[:, 1] + delta[:, 2])
@@ -1123,72 +1041,55 @@ def _channel_duality(problem, grid, ops, weights, base, delta, window,
     return float(abs(lhs - rhs))
 
 
-def _channel_max_principle(problem, grid, steps_coarse, value_grid, u, eps,
-                           order=1, second=True):
-    """The max-principle numbers of an eligible problem, no element solve.
+def _max_principle(problem, grid, steps_coarse, value_grid, u, order=1,
+                   second=True):
+    """(u_opt, j_opt, minimum, argmin, duality) of max-principle.
 
-    Eligible: _cost_channel accepts the problem and every source is a
-    multiple of I under every control value used (the oracle's values,
-    the scan's candidates and u on the spike window). The oracle is
-    brute_force_optimum's Gram route, bit for bit; the scan runs over
-    the control space's value grid, as mp_scan's default lattice, and
-    shares the oracle's source table when the two grids agree. The
-    adjoint vacua come from forward._adjoint_vacua, P (when second is
-    set) from the declared operators, the duality defect of order 1 or 2
-    on the spike window [0, eps) from _channel_duality.
-
-    Returns (u_opt, j_opt, minimum, argmin, duality) with minimum and
-    argmin as mp_scan reports them, or None when the problem is not
-    eligible.
+    The oracle enumerates steps_coarse blocks of value_grid, the scan
+    runs over the same lattice at its winner (with P when second is
+    set) and the duality defect of order 1 or 2 puts u on the spike
+    window [0, T/4). When the gate takes the problem with its costs, the
+    oracle's values and u on the window, all comes from per-step
+    scalars: the oracle's channel route, the adjoint vacua by the
+    transposed walk, P from the declared operators and the defect from
+    one Gram walk. Any other problem takes solve_state, first_adjoint,
+    second_adjoint_deterministic, mp_scan and duality_check.
     """
-    channel = _cost_channel(problem, grid)
-    if channel is None:
-        return None
-    bounds, values = _oracle_layout(problem, grid, steps_coarse, value_grid)
-    n = grid.n_steps
-    table = _source_table(problem, range(n), lambda k: values)
-    if table is None:
-        return None
-    space = problem.control_space
-    candidates = [[v] for v in space.value_grid]
-    cand_values = [space.element(weights) for weights in candidates]
-    if len(space.basis) == 1 and [float(v) for v in value_grid] == [
-        float(v) for v in space.value_grid
-    ]:
-        cands = table
-    else:
-        cands = _source_table(problem, range(n), lambda k: cand_values)
+    eps = grid.T / 4.0
     window = spike_window(grid, eps)
-    alt = None if cands is None else _source_table(
-        problem, range(*window), lambda k: (u[k],)
+    u_opt, j_opt, weights, exact = _oracle(
+        problem, grid, steps_coarse, value_grid,
+        (range(*window), lambda k: (u[k],)),
     )
-    if alt is None:
-        return None
-    ops, weights = channel
-    picks, j_opt = _gram_oracle(problem, grid, channel, bounds, values, table)
-    step_picks = np.repeat(picks, np.diff(bounds))
+    if exact is None:
+        xbar = solve_state(problem, u_opt)
+        adjoints = first_adjoint(problem, xbar, u_opt)
+        P = (second_adjoint_deterministic(problem, xbar, u_opt, adjoints)
+             if second else None)
+        scan = mp_scan(problem, xbar, u_opt, adjoints, P=P,
+                       candidates=weights)
+        dual = duality_check(
+            problem, xbar, u_opt, u, eps, adjoints, order=order
+        )
+        return u_opt, j_opt, scan.minimum, scan.argmin, dual
+    ch, step_picks, u_sq = exact
+    table, alt = ch.tables
+    q, r, s = ch.weights
+    n = grid.n_steps
     base = table[np.arange(n), :, step_picks]
-    phi, Phi = _adjoint_vacua(
-        grid, _parity_table(ops.__getitem__, n), base,
-        _as_scalar_amp(problem.x0), weights[0], weights[2],
-    )
+    phi, Phi = _channel.adjoint_vacua(grid, ch.coefs, base, ch.x0, q, s)
     if not (np.isfinite(phi).all() and np.isfinite(Phi).all()):
         raise FloatingPointError("adjoint became non-finite")
-    u_sq = np.array([value.norm2_sq() for value in values])
     lhs = _channel_scan(
-        grid, weights[1], base, u_sq[step_picks], cands,
-        np.array([value.norm2_sq() for value in cand_values]), phi, Phi,
-        _channel_second_adjoint(grid, ops, weights) if second else None,
+        grid, r, base, u_sq[step_picks], table, u_sq, phi, Phi,
+        _channel_second_adjoint(grid, ch) if second else None,
     )
     at, minimum = _first_minimum(lhs)
     argmin = {}
     if at is not None:
         c, k = divmod(at, n)
-        argmin = _mp_entry(grid, k, candidates[c], minimum)
-    k0, k1 = window
+        argmin = _mp_entry(grid, k, weights[c], minimum)
     duality = _channel_duality(
-        problem, grid, ops, weights, base, alt[:, :, 0] - base[k0:k1],
-        window, phi, Phi, order,
+        grid, ch, base, alt[:, :, 0], window, phi, Phi, order
     )
-    u_opt = _block_control(grid, bounds, values, picks)
     return u_opt, j_opt, minimum, argmin, duality

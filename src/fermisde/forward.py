@@ -20,6 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import _channel
 from . import _sparse as sp
 from .algebra import CliffordElement, norm2
 from .ito import AdaptedProcess
@@ -372,127 +373,13 @@ class _Frame:
         return dropped
 
 
-def _parity_table(ops, n_steps):
-    """(n_steps, 3, 2) coefficients (c(+1), c(-1)) of ops(k)'s (A, B, C).
-
-    c(p) = alpha + beta p, as in _Frame.coef, so each operator is reduced
-    to graded-scalar form once per walk. Read back as NumPy scalars, an
-    overflow gives inf (caught by linear_gram's finite check) instead of
-    raising from Python float arithmetic.
-    """
-    table = np.empty((n_steps, 3, 2), dtype=np.complex128)
-    for k in range(n_steps):
-        for j, op in enumerate(ops(k)):
-            g = op.as_graded_scalar()
-            table[k, j] = g.alpha + g.beta, g.alpha - g.beta
-    return table
-
-
-def _gram_walk(grid, coefs, srcs, x0_amps, pair):
-    """Yield pair-form pairings of K linear solves at steps 0..n_steps.
-
-    The bilinear form of _Frame.step, unpruned: with graded-scalar
-    operators and scalar sources a step scales each row by a factor of
-    its parity alone and moves it to a new row of the other parity,
-    while the sources touch only the empty row and {k}. So the pairings
-    follow from the vacuum amplitudes e0 and the pairings over the
-    non-empty even rows and over the odd rows (the p=2 isometry applied
-    step by step).
-
-    coefs is the _parity_table of the shared operators. pair(v) forms
-    the pairings of the amplitude vector v: its outer product for whole
-    Gram matrices, the outer products of consecutive runs of v for their
-    diagonal blocks, |v|^2 for their diagonals alone. Every update is
-    entrywise in the path indices, so batching groups of paths into one
-    walk gives each group's pairings bit for bit (the cross-group
-    entries are the pairings between groups). Overflow is passed on (NaN
-    and inf persist through later steps), so consumers check what they
-    keep.
-    """
-    dt = grid.dt
-    root = np.sqrt(dt)
-    e0 = np.asarray(x0_amps, dtype=np.complex128)
-    g_even = np.zeros_like(pair(e0))
-    g_odd = np.zeros_like(g_even)
-    yield pair(e0)
-    for k in range(grid.n_steps):
-        (a_e, a_o), (b_e, b_o), (c_e, c_o) = coefs[k]
-        s_d, s_f, s_g = srcs(k)
-        m_even = 1.0 + dt * a_e
-        m_odd = 1.0 + dt * a_o
-        # Right mult by g_k keeps the row's sign, left mult takes the
-        # row's parity.
-        f_even = root * (b_e + c_e)
-        f_odd = root * (b_o - c_o)
-        v = f_even * e0 + root * (s_f + s_g)
-        g_even, g_odd = (
-            abs(m_even) ** 2 * g_even + abs(f_odd) ** 2 * g_odd,
-            abs(m_odd) ** 2 * g_odd + abs(f_even) ** 2 * g_even + pair(v),
-        )
-        e0 = m_even * e0 + dt * s_d
-        yield pair(e0) + g_even + g_odd
-
-
-def _adjoint_vacua(grid, coefs, srcs, x0_amp, q, s):
-    """Vacuum amplitudes of the first adjoint pair along one linear solve.
-
-    The transpose of _gram_walk's recursion: the adjoint (phi, Phi) that
-    control.first_adjoint solves by the implicit backward step from
-    phi_n = -2s x_n, with drift A, noise B, C and running-cost gradient
-    2q x. coefs is the _parity_table of (A, B, C), srcs the (n_steps, 3)
-    scalar amplitudes (sD, sF, sG) of the solve x and x0_amp its start
-    amplitude.
-
-    Off the empty row, phi_k is R_k(p) times x_k row by row, p the row's
-    parity: the implicit step divides a row by 1 - dt conj(a_p), and the
-    row's child (bit k added, parity -p) feeds it back through the noise
-    terms, so with m_p = 1 + dt a_p, f_p = sqrt(dt)(b_p + p c_p) and
-    n_p = conj(p b_p + c_p),
-
-        R_n(p) = -2s,
-        R_k(p) = (m_p R_{k+1}(p) + sqrt(dt) p f_p n_p R_{k+1}(-p)
-                  - 2q dt) / (1 - dt conj(a_p)).
-
-    The vacua then need only x's vacuum amplitudes e0_k and the
-    amplitude v_k of its row {k} at step k + 1: Phi_k's is
-    v_k R_{k+1}(-1) / sqrt(dt) and phi_k's follows from phi_{k+1}'s by
-    the same implicit step. O(n_steps) time and memory, nothing pruned.
-
-    Returns (phi, Phi): vacuum(phi_k) for k = 0..n_steps and
-    vacuum(Phi_k) for k < n_steps. Overflow is passed on as in
-    _gram_walk.
-    """
+def _channel_adapter(grid, ops, srcs):
+    """ops(k)'s coefficient table and srcs(k) lazily, for _channel."""
     n = grid.n_steps
-    dt = grid.dt
-    root = np.sqrt(dt)
-    parity = np.array([1.0, -1.0])
-    a, b, c = coefs[:, 0], coefs[:, 1], coefs[:, 2]
-    grow = 1.0 + dt * a
-    e0 = np.empty(n + 1, dtype=np.complex128)
-    e0[0] = x0_amp
-    for k in range(n):
-        e0[k + 1] = grow[k, 0] * e0[k] + dt * srcs[k, 0]
-    v = root * ((b[:, 0] + c[:, 0]) * e0[:n] + srcs[:, 1] + srcs[:, 2])
-    solve = 1.0 / (1.0 - dt * a.conj())
-    back = (parity * b + c).conj()
-    own = (solve * grow).tolist()
-    cross = (dt * parity * solve * (b + parity * c) * back).tolist()
-    drive = (-2.0 * q * dt * solve).tolist()
-    # r_odd[k] = R_{k+1}(-1), the weight of x's row {k} at step k + 1.
-    r_odd = [0j] * n
-    even = odd = complex(-2.0 * s)
-    for k in range(n - 1, -1, -1):
-        r_odd[k] = odd
-        (oe, oo), (ce, co), (de, do) = own[k], cross[k], drive[k]
-        even, odd = oe * even + ce * odd + de, oo * odd + co * even + do
-    Phi = v * np.array(r_odd, dtype=np.complex128) / root
-    feed = (dt * back[:, 0] * Phi - 2.0 * q * dt * e0[:n]).tolist()
-    step = solve[:, 0].tolist()
-    phi = [0j] * (n + 1)
-    phi[n] = complex(-2.0 * s * e0[n])
-    for k in range(n - 1, -1, -1):
-        phi[k] = step[k] * (phi[k + 1] + feed[k])
-    return np.array(phi, dtype=np.complex128), Phi
+    reduced = _channel.reduced(ops(k) for k in range(n))
+    if reduced is None:
+        raise ValueError("every operator must reduce to graded-scalar form")
+    return _channel.coefficients(reduced), (srcs(k) for k in range(n))
 
 
 def linear_gram(grid, ops, srcs, x0_amps, block=None):
@@ -502,42 +389,16 @@ def linear_gram(grid, ops, srcs, x0_amps, block=None):
     graded-scalar form; srcs(k) the (3, K) scalar amplitudes of (sD, sF,
     sG) for each path; x0_amps the K start amplitudes (multiples of I).
     Returns the (n_steps + 1, K, K) array of <x_i(k), x_j(k)>, exact up
-    to rounding (see _gram_walk). Batching is exact blockwise: the block
-    of a group of paths equals, bit for bit, that group's own call.
+    to rounding (see _channel.walk). Batching is exact blockwise: the
+    block of a group of paths equals, bit for bit, that group's own call.
 
     With block=b (K a multiple of b) only the pairings inside each run
     of b consecutive paths are formed: the result is the (n_steps + 1,
     K // b, b, b) array of those diagonal blocks, bit for bit, in
     O(n_steps K b) memory instead of O(n_steps K^2).
     """
-    x0_amps = np.asarray(x0_amps, dtype=np.complex128)
-    if block is None:
-        shape = (len(x0_amps),) * 2
-
-        def pair(v):
-            return np.outer(v.conj(), v)
-    else:
-        if len(x0_amps) % block:
-            raise ValueError(
-                f"{len(x0_amps)} paths do not split into blocks of {block}"
-            )
-        shape = (len(x0_amps) // block, block, block)
-
-        def pair(v):
-            w = v.reshape(shape[:2])
-            return w.conj()[:, :, None] * w[:, None, :]
-    out = np.empty((grid.n_steps + 1,) + shape, dtype=np.complex128)
-    walk = _gram_walk(
-        grid, _parity_table(ops, grid.n_steps), srcs, x0_amps, pair
-    )
-    for k, pairs in enumerate(walk):
-        out[k] = pairs
-    bad = ~np.isfinite(out.reshape(grid.n_steps + 1, -1)).all(axis=1)
-    if bad.any():
-        raise FloatingPointError(
-            f"state became non-finite at step {int(np.argmax(bad))}"
-        )
-    return out
+    return _channel.gram(grid, *_channel_adapter(grid, ops, srcs),
+                         x0_amps, block)
 
 
 def linear_norms_sq(grid, ops, srcs, x0_amps):
@@ -549,10 +410,8 @@ def linear_norms_sq(grid, ops, srcs, x0_amps):
     values are taken. Unlike linear_gram it does not check for overflow:
     NaN and inf persist, so the caller checks what it accumulates.
     """
-    return _gram_walk(
-        grid, _parity_table(ops, grid.n_steps), srcs, x0_amps,
-        lambda v: v.real**2 + v.imag**2,
-    )
+    return _channel.norms_sq(grid, *_channel_adapter(grid, ops, srcs),
+                             x0_amps)
 
 
 def linear_euler_forward(grid, ops, srcs, x0, prune=None):

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from fermisde import algebra, backward, cli, control, forward
+from fermisde import _channel, algebra, backward, cli, control, forward
 from fermisde.algebra import CliffordElement, norm2, random_element
 from fermisde.cli import (
     SpecError,
@@ -444,8 +444,9 @@ def test_main_refuses_grids_past_the_entry_step_ceiling(
     def solve_anyway(*args, **kwargs):
         raise AssertionError("a solve ran")
 
-    for name in ("variation_ladder", "brute_force_optimum", "solve_state"):
-        monkeypatch.setattr(cli, name, solve_anyway)
+    for module, name in [(cli, "variation_ladder"), (cli, "solve_state"),
+                         (control, "_oracle"), (control, "solve_state")]:
+        monkeypatch.setattr(module, name, solve_anyway)
     spec = json.dumps({"problem_id": "quadratic_drift", **grid})
     assert main([command, "--spec", spec, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
@@ -508,7 +509,7 @@ def test_main_max_principle_refuses_an_oracle_over_budget(
     def enumerate_anyway(*args, **kwargs):
         raise AssertionError("the oracle ran")
 
-    monkeypatch.setattr(cli, "brute_force_optimum", enumerate_anyway)
+    monkeypatch.setattr(control, "_oracle", enumerate_anyway)
     spec = json.dumps(
         {"problem_id": "lq_scalar", "grid": {"n_steps": 8},
          "value_grid": list(range(21)), "steps_coarse": 4}
@@ -566,11 +567,11 @@ def test_main_max_principle_exact_route_does_no_element_work(
 def _count_first_adjoint(monkeypatch):
     calls = []
 
-    def counted(*args, **kwargs):
+    def counted(*args, first_adjoint=control.first_adjoint, **kwargs):
         calls.append(1)
-        return control.first_adjoint(*args, **kwargs)
+        return first_adjoint(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "first_adjoint", counted)
+    monkeypatch.setattr(control, "first_adjoint", counted)
     return calls
 
 
@@ -587,7 +588,7 @@ def test_max_principle_routes_agree_when_the_channel_is_refused(
     calls = _count_first_adjoint(monkeypatch)
     exact = run("max-principle", spec, str(tmp_path / "exact"))["report"]
     assert calls == []
-    monkeypatch.setattr(control, "_gram_ops", lambda problem, grid: None)
+    monkeypatch.setattr(_channel, "gate", lambda *args, **kwargs: None)
     element = run("max-principle", spec, str(tmp_path / "element"))["report"]
     assert calls == [1]
     assert exact.keys() == element.keys()
@@ -599,6 +600,32 @@ def test_max_principle_routes_agree_when_the_channel_is_refused(
         exact["oracle_weights"], element["oracle_weights"], rtol=0, atol=0
     )
     assert exact["pass"] == element["pass"]
+
+
+def test_max_principle_scans_the_lattice_the_oracle_enumerated(
+    tmp_path, monkeypatch
+):
+    """A spec's value_grid is the oracle's lattice and the scan's, on both
+    routes: the argmin lies in the reported grid (this spec used to scan
+    the entry's 7 values and fail at -0.9 with mp_min -0.690)."""
+    spec = json.dumps({"problem_id": "lq_scalar", "grid": {"n_steps": 16},
+                       "steps_coarse": 2, "value_grid": [-0.3, 0.0, 0.3],
+                       "control": {"x0_scale": 1.0}})
+    calls = _count_first_adjoint(monkeypatch)
+    bodies = []
+    for route in ("exact", "element"):
+        if route == "element":
+            monkeypatch.setattr(_channel, "gate", lambda *a, **k: None)
+        out = tmp_path / route
+        assert main(["max-principle", "--spec", spec, "--out", str(out)]) == 0
+        bodies.append(
+            json.loads((out / "max_principle.json").read_text())["report"]
+        )
+    assert calls == [1]
+    for body in bodies:
+        assert body["value_grid"] == [-0.3, 0.0, 0.3]
+        assert body["mp_argmin"]["weights"][0] in body["value_grid"]
+        assert body["mp_min"] == 0.0
 
 
 def test_max_principle_keeps_the_element_route_for_quadratic_drift(

@@ -13,7 +13,7 @@ import functools
 import numpy as np
 import pytest
 
-from fermisde import control, forward, operators
+from fermisde import _channel, control, forward, operators
 from fermisde.algebra import (
     CliffordElement,
     norm2,
@@ -152,12 +152,12 @@ def test_zero_weight_costs_vanish_with_their_derivatives():
 
 
 def test_default_costs_are_declared_zero_weights():
-    pb, _ = build("lq_scalar", n_steps=4)
+    pb, grid = build("lq_scalar", n_steps=4)
     bare = ControlProblem(pb.coeffs, pb.control_space, pb.x0)
     assert bare.L == RunningNormCost(0.0, 0.0)
     assert bare.h == TerminalNormCost(0.0)
-    assert control._norm_cost_weights(bare) == (0.0, 0.0, 0.0)
-    assert control._norm_cost_weights(_plain_costs(pb)) is None
+    assert _channel.gate(bare, grid).weights == (0.0, 0.0, 0.0)
+    assert _channel.gate(_plain_costs(pb), grid).weights is None
     with pytest.raises(dataclasses.FrozenInstanceError):
         pb.L.grad = lambda k, x, u: x
 
@@ -577,24 +577,24 @@ def test_sparse_ladder_reports_the_mass_its_solves_pruned(monkeypatch):
     )
 
 
-def _per_rung_gram_ladder(problem, grid, eps_list, offset, ops, amps):
+def _per_rung_gram_ladder(grid, windows, ch, steps):
     """Reference for control._gram_ladder: one linear_gram walk for the
     base path and one more per eps, each rung on its own (xi, y, z)."""
-    base, alt = amps
+    base, alt = (table[:, :, 0] for table in ch.tables)
+    delta = np.zeros_like(base)
+    delta[steps] = alt - base[steps]
+    ops = ch.ops
     x_gram = forward.linear_gram(
-        grid, ops.__getitem__, lambda k: base[k][:, None],
-        [problem.x0.vacuum()],
+        grid, ops.__getitem__, lambda k: base[k][:, None], [ch.x0],
     )
     floor = 1e-8 * (1.0 + float(x_gram[:, 0, 0].real.max()))
-    delta = alt - base
-    idle = np.zeros_like(control._GRAM_SOURCES)
+    idle = np.zeros_like(_channel.SPIKE_SOURCES)
     sups = []
-    for eps in eps_list:
-        k0, k1 = spike_window(grid, eps, offset)
+    for k0, k1 in windows:
 
         def srcs(k):
             if k0 <= k < k1:
-                return delta[k][:, None] * control._GRAM_SOURCES
+                return delta[k][:, None] * _channel.SPIKE_SOURCES
             return idle
 
         gram = forward.linear_gram(grid, ops.__getitem__, srcs, np.zeros(3))
@@ -632,17 +632,17 @@ def test_gram_ladder_equals_the_per_rung_walks_bit_for_bit(
     assert not all(got["vacuous"].values())
 
 
-def test_gram_ladder_walks_once_and_reduces_each_operator_twice(monkeypatch):
-    """n=128 with five rungs: one linear_gram call, and as_graded_scalar
-    at most twice per step operator (the route check and the walk's
-    table), so at most 6 n_steps calls."""
+def test_gram_ladder_walks_once_and_reduces_each_operator_once(monkeypatch):
+    """n=128 with five rungs: one walk, and as_graded_scalar once per
+    step operator (the gate reduces each and tabulates the reductions),
+    so at most 3 n_steps calls."""
     pb, ubar, alt = _ladder_inputs("lq_scalar", 128)
     eps = [0.25, 0.125, 0.0625, 0.03125, 0.015625]
     walks = []
 
-    def counted_gram(*args, **kwargs):
+    def counted_gram(*args, gram=_channel.gram, **kwargs):
         walks.append(1)
-        return forward.linear_gram(*args, **kwargs)
+        return gram(*args, **kwargs)
 
     reductions = []
     for cls in vars(operators).values():
@@ -652,11 +652,11 @@ def test_gram_ladder_walks_once_and_reduces_each_operator_twice(monkeypatch):
                 return _reduce(self)
 
             monkeypatch.setattr(cls, "as_graded_scalar", counted)
-    monkeypatch.setattr(control, "linear_gram", counted_gram)
+    monkeypatch.setattr(_channel, "gram", counted_gram)
     lad = variation_ladder(pb, ubar, alt, eps)
     assert lad["pass"]
     assert len(walks) == 1
-    assert 0 < len(reductions) <= 6 * ubar.grid.n_steps
+    assert 0 < len(reductions) <= 3 * ubar.grid.n_steps
 
 
 def test_gram_ladder_memory_grows_linearly_in_the_rungs(monkeypatch):
@@ -667,11 +667,11 @@ def test_gram_ladder_memory_grows_linearly_in_the_rungs(monkeypatch):
     eps = [j / n_steps for j in range(1, n_rungs + 1)]
     outs = []
 
-    def kept_gram(*args, **kwargs):
-        outs.append(forward.linear_gram(*args, **kwargs))
+    def kept_gram(*args, gram=_channel.gram, **kwargs):
+        outs.append(gram(*args, **kwargs))
         return outs[-1]
 
-    monkeypatch.setattr(control, "linear_gram", kept_gram)
+    monkeypatch.setattr(_channel, "gram", kept_gram)
     lad = variation_ladder(pb, ubar, alt, eps)
     assert lad["pass"]
     [gram] = outs
@@ -913,15 +913,14 @@ def _channel_case(pid, n_steps, x0):
 
 
 def _channel_inputs(pb, grid, ubar):
-    """(ops, weights, ubar's source amplitudes, vacuum phi, vacuum Phi)."""
+    """(channel, ubar's source amplitudes, vacuum phi, vacuum Phi)."""
     n = grid.n_steps
-    ops, weights = control._cost_channel(pb, grid)
-    base = control._source_table(pb, range(n), lambda k: (ubar[k],))[:, :, 0]
-    phi, Phi = forward._adjoint_vacua(
-        grid, forward._parity_table(ops.__getitem__, n), base,
-        vacuum(pb.x0), weights[0], weights[2],
+    ch = _channel.gate(pb, grid, (range(n), lambda k: (ubar[k],)), costs=True)
+    base = ch.tables[0][:, :, 0]
+    phi, Phi = _channel.adjoint_vacua(
+        grid, ch.coefs, base, vacuum(pb.x0), ch.weights[0], ch.weights[2],
     )
-    return ops, weights, base, phi, Phi
+    return ch, base, phi, Phi
 
 
 def _unpruned_adjoints(pb, ubar):
@@ -949,14 +948,14 @@ def test_channel_vacua_match_the_unpruned_adjoint(pid, n_steps, x0):
 def test_channel_scan_matches_mp_scan_over_unpruned_adjoints(pid, x0):
     pb, grid, ubar = _channel_case(pid, 10, x0)
     n = grid.n_steps
-    ops, weights, base, phi, Phi = _channel_inputs(pb, grid, ubar)
+    ch, base, phi, Phi = _channel_inputs(pb, grid, ubar)
     space = pb.control_space
     cands = [space.element([v]) for v in space.value_grid]
-    pab = control._channel_second_adjoint(grid, ops, weights)
+    pab = control._channel_second_adjoint(grid, ch)
     lhs = control._channel_scan(
-        grid, weights[1], base,
+        grid, ch.weights[1], base,
         np.array([ubar[k].norm2_sq() for k in range(n)]),
-        control._source_table(pb, range(n), lambda k: cands),
+        _channel.sources(pb.coeffs.linear, range(n), lambda k: cands),
         np.array([c.norm2_sq() for c in cands]), phi, Phi, pab,
     )
     xbar, adj = _unpruned_adjoints(pb, ubar)
@@ -979,14 +978,14 @@ def test_channel_scan_matches_mp_scan_over_unpruned_adjoints(pid, x0):
 @pytest.mark.parametrize("pid", CHANNEL_CASES)
 def test_channel_duality_matches_the_unpruned_check(pid, order):
     pb, grid, ubar = _channel_case(pid, 16, 1.0)
-    ops, weights, base, phi, Phi = _channel_inputs(pb, grid, ubar)
+    ch, base, phi, Phi = _channel_inputs(pb, grid, ubar)
     alt = const_u(grid, -0.9)
     window = spike_window(grid, 0.25, 0.25)
-    delta = control._source_table(
-        pb, range(*window), lambda k: (alt[k],)
-    )[:, :, 0] - base[slice(*window)]
+    alt_amps = _channel.sources(
+        pb.coeffs.linear, range(*window), lambda k: (alt[k],)
+    )[:, :, 0]
     got = control._channel_duality(
-        pb, grid, ops, weights, base, delta, window, phi, Phi, order
+        grid, ch, base, alt_amps, window, phi, Phi, order
     )
     xbar, adj = _unpruned_adjoints(pb, ubar)
     want = duality_check(
@@ -1021,8 +1020,8 @@ def test_channel_max_principle_equals_the_unpruned_element_chain(
     for name in ("solve_state", "first_adjoint", "linear_euler_forward",
                  "solve_stepwise", "pairing", "mp_scan", "duality_check"):
         monkeypatch.setattr(control, name, _refuse)
-    u_e, j_e, minimum, argmin, dual_e = control._channel_max_principle(
-        pb, grid, 2, GRID7, alt, 0.25, order=order
+    u_e, j_e, minimum, argmin, dual_e = control._max_principle(
+        pb, grid, 2, GRID7, alt, order=order
     )
     assert j_e == j_s
     assert [vacuum(v) for v in u_e] == [vacuum(v) for v in u_s]
@@ -1039,26 +1038,90 @@ def test_channel_scan_refuses_noise_candidates_without_P():
     pb, grid = build("control_in_noise", n_steps=8)
     alt = const_u(grid, -0.9)
     with pytest.raises(ValueError, match="second adjoint"):
-        control._channel_max_principle(
-            pb, grid, 2, GRID7, alt, 0.25, second=False
-        )
+        control._max_principle(pb, grid, 2, GRID7, alt, second=False)
     pb, grid = build("lq_scalar", n_steps=8)
-    found = control._channel_max_principle(
-        pb, grid, 2, GRID7, alt, 0.25, order=2, second=False
+    found = control._max_principle(
+        pb, grid, 2, GRID7, alt, order=2, second=False
     )
     assert found[2] == 0.0
 
 
-def test_channel_max_principle_leaves_ineligible_problems_alone():
-    pb, grid = build("quadratic_drift", n_steps=6)
-    alt = const_u(grid, -0.9)
-    assert control._channel_max_principle(
-        pb, grid, 2, GRID7, alt, 0.25
-    ) is None
-    pb, grid = quad_problem(6)
-    assert control._channel_max_principle(
-        pb, grid, 2, GRID7, alt, 0.25
-    ) is None
+class _Routed(Exception):
+    """Raised by a patched element solve: the element route was taken."""
+
+
+def _raise_routed(*args, **kwargs):
+    raise _Routed
+
+
+def _gate_refusal(cause):
+    """lq_scalar at n=8 with one cause for the gate to refuse it, or
+    quadratic_drift, which declares no linear structure."""
+    if cause == "undeclared":
+        return build("quadratic_drift", n_steps=8)
+    pb, grid = build("lq_scalar", n_steps=8)
+    g0 = CliffordElement.generator(grid.n, 0)
+    declared = pb.coeffs.linear
+    if cause == "costs":
+        return _plain_costs(pb), grid
+    if cause == "x0":
+        return dataclasses.replace(pb, x0=g0), grid
+    if cause == "last_operator":
+        def A(k):
+            return LeftMulOp(g0) if k == grid.n_steps - 1 else declared.A(k)
+
+        lin = dataclasses.replace(declared, A=A)
+    else:
+        # Non-scalar under the control value -0.9 only.
+        def uG(k, u):
+            odd = g0 if u.vacuum() == -0.9 else CliffordElement.zero(grid.n)
+            return declared.uG(k, u) + odd
+
+        lin = dataclasses.replace(declared, uG=uG)
+    coeffs = dataclasses.replace(pb.coeffs, linear=lin)
+    return dataclasses.replace(pb, coeffs=coeffs), grid
+
+
+@pytest.mark.parametrize(
+    "cause", ["undeclared", "last_operator", "x0", "costs", "source"]
+)
+def test_each_gate_refusal_sends_every_consumer_to_its_element_route(
+    monkeypatch, cause
+):
+    """The ladder, the oracle and max-principle start their element
+    routes (whose first solve raises here) when the gate refuses; the
+    ladder needs no declared costs, so undeclared ones leave it exact."""
+    pb, grid = _gate_refusal(cause)
+    ubar, u = const_u(grid, 0.3), const_u(grid, -0.9)
+    eps = [0.5, 0.25, 0.125]
+    monkeypatch.setattr(control, "solve_state", _raise_routed)
+    monkeypatch.setattr(control, "cost", _raise_routed)
+    if cause == "costs":
+        assert variation_ladder(pb, ubar, u, eps)["pruned_mass"] == 0.0
+    else:
+        with pytest.raises(_Routed):
+            variation_ladder(pb, ubar, u, eps)
+    with pytest.raises(_Routed):
+        brute_force_optimum(pb, grid, 2, GRID7)
+    with pytest.raises(_Routed):
+        control._max_principle(pb, grid, 2, GRID7, u)
+
+
+def test_channel_max_principle_tabulates_the_operators_once(monkeypatch):
+    """The benchmark's max-principle call at n=32: one coefficient table
+    serves the oracle, the adjoint vacua and the duality walk."""
+    pb, grid = build("lq_scalar", n_steps=32)
+    tables = []
+
+    def counted(ops, coefficients=_channel.coefficients):
+        tables.append(1)
+        return coefficients(ops)
+
+    monkeypatch.setattr(_channel, "coefficients", counted)
+    monkeypatch.setattr(control, "first_adjoint", _refuse)
+    found = control._max_principle(pb, grid, 3, GRID7, const_u(grid, -0.9))
+    assert found[2] == 0.0
+    assert len(tables) == 1
 
 
 def test_gram_ladder_reads_u_only_on_its_spike_windows():
