@@ -182,27 +182,23 @@ def walk(grid, coefs, srcs, x0_amps, pair):
         yield pair(e0) + g_even + g_odd
 
 
-def gram(grid, coefs, srcs, x0_amps, block=None):
-    """The (n_steps + 1, K, K) Gram matrices <x_i(k), x_j(k)> of walk,
-    or with block=b (K a multiple of b) the (n_steps + 1, K // b, b, b)
-    diagonal blocks alone, in O(n_steps K b) memory; raises on overflow.
+def gram(grid, coefs, srcs, x0_amps, block):
+    """The (n_steps + 1, K // b, b, b) Gram matrices <x_i(k), x_j(k)> of
+    walk within each run of block=b consecutive paths (K a multiple of
+    b), in O(n_steps K b) memory; block=K gives every pairing. Raises on
+    overflow.
     """
     x0_amps = np.asarray(x0_amps, dtype=np.complex128)
-    if block is None:
-        shape = (len(x0_amps),) * 2
+    if len(x0_amps) % block:
+        raise ValueError(
+            f"{len(x0_amps)} paths do not split into blocks of {block}"
+        )
+    shape = (len(x0_amps) // block, block, block)
 
-        def pair(v):
-            return np.outer(v.conj(), v)
-    else:
-        if len(x0_amps) % block:
-            raise ValueError(
-                f"{len(x0_amps)} paths do not split into blocks of {block}"
-            )
-        shape = (len(x0_amps) // block, block, block)
+    def pair(v):
+        w = v.reshape(shape[:2])
+        return w.conj()[:, :, None] * w[:, None, :]
 
-        def pair(v):
-            w = v.reshape(shape[:2])
-            return w.conj()[:, :, None] * w[:, None, :]
     out = np.empty((grid.n_steps + 1,) + shape, dtype=np.complex128)
     for k, pairs in enumerate(walk(grid, coefs, srcs, x0_amps, pair)):
         out[k] = pairs

@@ -39,12 +39,13 @@ from .algebra import (
 from .backward import Driver, residual, solve_picard, solve_stepwise
 from .catalog import build, catalog
 from .control import (
-    ORACLE_BUDGET,
     _max_principle,
+    _require_oracle_budget,
+    _window_refusals,
     solve_state,
     variation_ladder,
 )
-from .forward import apriori_check, linear_euler_forward, spike_window
+from .forward import apriori_check, linear_euler_forward
 from .ito import (
     MAX_GRID_STEPS,
     AdaptedProcess,
@@ -426,25 +427,24 @@ def _build_problem(spec, ladder_start=False, least_steps=1):
 
     The grid takes the spec's steps when it gives them and otherwise the
     entry's default, raised to least_steps; a grid past the entry's
-    max_steps is refused, whichever way it came. An unset x0_scale takes the
-    entry's ladder start when ladder_start is set and the catalog's
-    default otherwise.
+    max_steps, which build refuses, is refused at /grid/n_steps whichever
+    way it came. An unset x0_scale takes the entry's ladder start when
+    ladder_start is set and the catalog's default otherwise.
     """
     entry = catalog()[spec.problem_id]
     steps = spec.n_steps if spec.explicit_grid else max(
         least_steps, entry.default_steps
     )
-    try:
-        entry.check_steps(steps)
-    except ValueError as exc:
-        given = "" if spec.explicit_grid else " (the default grid)"
-        raise SpecError([("/grid/n_steps", f"{exc}{given}")]) from None
     x0 = spec.control.get(
         "x0_scale", entry.ladder_x0 if ladder_start else None
     )
-    problem, grid = build(
-        spec.problem_id, n_steps=steps, T=spec.T, x0_scale=x0
-    )
+    try:
+        problem, grid = build(
+            spec.problem_id, n_steps=steps, T=spec.T, x0_scale=x0
+        )
+    except ValueError as exc:
+        given = "" if spec.explicit_grid else " (the default grid)"
+        raise SpecError([("/grid/n_steps", f"{exc}{given}")]) from None
     return entry, problem, grid, x0
 
 
@@ -779,33 +779,17 @@ def _pipeline_bqsde(spec, rng):
 
 
 def _ladder_eps(spec, grid):
+    """The spec's eps_list, by default T/4 halved up to four times while
+    it spans a whole step."""
     if spec.eps_list is not None:
-        errors = []
-        first = {}
-        for i, e in enumerate(spec.eps_list):
-            steps = spike_window(grid, e)[1]
-            if e < grid.dt * (1 - 1e-9):
-                errors.append(
-                    (f"/eps_list/{i}",
-                     f"eps {e:g} is below one grid step dt={grid.dt:g}")
-                )
-            elif steps in first:
-                errors.append(
-                    (f"/eps_list/{i}",
-                     f"runs on the same {steps}-step window as "
-                     f"/eps_list/{first[steps]}")
-                )
-            else:
-                first[steps] = i
-        if errors:
-            raise SpecError(errors)
         return list(spec.eps_list)
-    halvings = (grid.T / 4.0 / 2**i for i in range(5))
-    return [e for e in halvings if e >= grid.dt * (1 - 1e-9)]
+    return [grid.T / 4.0 / 2**i for i in range(5) if 4 * 2**i <= grid.n_steps]
 
 
 def _ladder_plan(spec):
-    """Problem, grid, start and eps of a ladder spec, or its refusal."""
+    """Problem, grid, start and eps of a ladder spec, or its refusal: the
+    library's window refusals (control._window_refusals) at each offset,
+    at the eps they name or else at /offsets."""
     if spec.problem_id is None:
         raise SpecError(
             [("/inline", "ladder needs a catalog problem with cost rules")])
@@ -816,18 +800,12 @@ def _ladder_plan(spec):
     if len(eps_list) < 3:
         raise SpecError([("/eps_list", "need at least 3 usable widths at or "
                           f"above dt ({grid.dt:g}); got {len(eps_list)}")])
-    widest = max(eps_list)
-    late = [
-        (
-            "/offsets",
-            f"offset {o:g} plus the widest eps {widest:g} passes the "
-            f"horizon T={grid.T:g}",
+    refusals = _window_refusals(grid, eps_list, spec.offsets)
+    if refusals:
+        raise SpecError(
+            ("/offsets" if i is None else f"/eps_list/{i}", why)
+            for i, why in refusals
         )
-        for o in spec.offsets
-        if o + widest > grid.T * (1 + 1e-9)
-    ]
-    if late:
-        raise SpecError(late)
     return entry, problem, grid, x0, eps_list
 
 
@@ -876,10 +854,10 @@ def _mp_plan(spec):
     value_grid = spec.value_grid or list(
         problem.control_space.value_grid
     )
-    slots = spec.steps_coarse * len(problem.control_space.basis)
-    if (combos := len(value_grid) ** slots) > ORACLE_BUDGET:
-        raise SpecError([("/value_grid", f"enumeration of {combos} candidates "
-                          f"exceeds the budget of {ORACLE_BUDGET}")])
+    try:
+        _require_oracle_budget(problem, spec.steps_coarse, value_grid)
+    except ValueError as exc:
+        raise SpecError([("/value_grid", str(exc))]) from None
     return entry, problem, grid, value_grid
 
 

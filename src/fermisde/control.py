@@ -31,6 +31,7 @@ from .backward import Driver, solve_stepwise
 from .forward import (
     Coefficients,
     ControlSpace,
+    _require_step,
     euler_forward,
     euler_forward_difference,
     linear_euler_forward,
@@ -315,34 +316,59 @@ def _fit_slope(eps_list, values):
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _require_windows(grid, eps_list, offset):
-    """Widths of the spike windows that spike_window gives for eps_list.
+def _window_refusals(grid, eps_list, offsets):
+    """(eps index, why) of each refusal of the spike windows of eps_list
+    at each of offsets; the index is None where the offset is at fault.
 
-    Refuses widths below one step, windows that pass T and two eps that
-    round to the same window, so that slopes are fitted against the
-    widths the solves use.
+    The ladder's rules, so that slopes are fitted against the widths the
+    solves use: every width spans a whole step (forward._require_step),
+    every window starts inside [0, T) (spike_window) and ends by T, and
+    no two eps run on one window at the same offset.
     """
-    widths = []
-    for eps in eps_list:
-        if eps < grid.dt * (1 - 1e-9):
-            raise ValueError(
-                f"eps {eps:g} below grid resolution dt={grid.dt:g}"
-            )
-        if offset + eps > grid.T * (1 + 1e-9):
+    refusals = []
+    for i, eps in enumerate(eps_list):
+        try:
+            _require_step(grid, eps)
+        except ValueError as exc:
+            refusals.append((i, str(exc)))
+    if refusals:
+        return refusals
+    widest = max(eps_list)
+    for offset in offsets:
+        try:
+            spike_window(grid, widest, offset)
+        except ValueError as exc:
+            refusals.append((None, str(exc)))
+            continue
+        if offset + widest > grid.T * (1 + 1e-9):
             # A window clipped at T would be fitted against the nominal eps.
-            raise ValueError(
-                f"spike window [{offset:g}, {offset + eps:g}) passes the "
+            refusals.append((None, (
+                f"spike window [{offset:g}, {offset + widest:g}) passes the "
                 f"horizon T={grid.T:g}"
-            )
-        k0, k1 = spike_window(grid, eps, offset)
-        width = (k1 - k0) * grid.dt
-        if width in widths:
-            raise ValueError(
-                f"eps {eps:g} runs on the same {k1 - k0}-step window as "
-                f"an earlier eps"
-            )
-        widths.append(width)
-    return widths
+            )))
+            continue
+        first = {}
+        for i, eps in enumerate(eps_list):
+            k0, k1 = spike_window(grid, eps, offset)
+            j = first.setdefault(k1 - k0, i)
+            if j != i:
+                refusals.append((i, (
+                    f"eps {eps:g} runs on the same {k1 - k0}-step window "
+                    f"as eps {eps_list[j]:g} at offset {offset:g}"
+                )))
+    return refusals
+
+
+def _require_windows(grid, eps_list, offset):
+    """The spike windows of eps_list at offset and their widths, raising
+    the first of _window_refusals; a slope needs at least two eps."""
+    if len(eps_list) < 2:
+        raise ValueError("need at least two eps values to fit slopes")
+    refusals = _window_refusals(grid, eps_list, [offset])
+    if refusals:
+        raise ValueError(refusals[0][1])
+    windows = [spike_window(grid, eps, offset) for eps in eps_list]
+    return windows, [(k1 - k0) * grid.dt for k0, k1 in windows]
 
 
 # Coefficients of (xi, y, z) in each ladder series.
@@ -434,11 +460,8 @@ def variation_ladder(problem, ubar, u, eps_list, offset=0.0, prune=None):
     root-sum-square of the mass those solves dropped (0 on the exact
     route).
     """
-    if len(eps_list) < 2:
-        raise ValueError("need at least two eps values to fit slopes")
     grid = ubar.grid
-    widths = _require_windows(grid, eps_list, offset)
-    windows = [spike_window(grid, eps, offset) for eps in eps_list]
+    windows, widths = _require_windows(grid, eps_list, offset)
     # u is read only on the windows; elsewhere it does not differ from ubar.
     steps = sorted(set().union(*(range(k0, k1) for k0, k1 in windows)))
     ch = _channel.gate(
@@ -513,7 +536,7 @@ def _adjoint_ingredients(problem, xbar, ubar):
     return lin, noise_star, lx
 
 
-def first_adjoint(problem, xbar, ubar, prune=None, mode="implicit"):
+def first_adjoint(problem, xbar, ubar, prune=None):
     """Adjoint pair (phi, Phi) by a backward solve from -h.grad at the end.
 
     The driver couples phi through the adjoint of the frozen drift
@@ -535,8 +558,7 @@ def first_adjoint(problem, xbar, ubar, prune=None, mode="implicit"):
     )
     terminal = problem.h.grad(xbar[grid.n_steps]).scale(-1.0)
     path = solve_stepwise(
-        driver, grid, terminal, mode=mode,
-        prune=problem.budget(prune),
+        driver, grid, terminal, prune=problem.budget(prune)
     )
     return AdjointPair(
         phi=path.y, Phi=path.Y, diagnostics=dict(path.diagnostics)
@@ -807,7 +829,7 @@ def cost_expansion_check(problem, ubar, u, eps_list, offset=0.0,
     """
     grid = ubar.grid
     dt = grid.dt
-    widths = _require_windows(grid, eps_list, offset)
+    _, widths = _require_windows(grid, eps_list, offset)
     xbar = solve_state(problem, ubar, prune=prune)
     j_base = cost(problem, ubar, prune=prune, path=xbar)
     n = grid.n_steps
@@ -850,20 +872,26 @@ def cost_expansion_check(problem, ubar, u, eps_list, offset=0.0,
     }
 
 
+def _require_oracle_budget(problem, steps_coarse, value_grid):
+    """Refuse an enumeration of more than ORACLE_BUDGET candidates: one
+    weight vector over value_grid on each of steps_coarse blocks."""
+    slots = steps_coarse * len(problem.control_space.basis)
+    if (combos := len(value_grid) ** slots) > ORACLE_BUDGET:
+        raise ValueError(
+            f"enumeration of {combos} candidates exceeds the budget "
+            f"of {ORACLE_BUDGET}"
+        )
+
+
 def _oracle_layout(problem, grid, steps_coarse, value_grid):
     """Block bounds, block weight vectors (itertools.product order) and
     their control values for brute_force_optimum's enumeration, refusing
     what it refuses."""
     if steps_coarse < 1 or steps_coarse > 4:
         raise ValueError("coarse steps must lie in 1..4")
+    _require_oracle_budget(problem, steps_coarse, value_grid)
     space = problem.control_space
     basis_size = len(space.basis)
-    combos = len(value_grid) ** (steps_coarse * basis_size)
-    if combos > ORACLE_BUDGET:
-        raise ValueError(
-            f"enumeration of {combos} candidates exceeds the budget "
-            f"of {ORACLE_BUDGET}"
-        )
     n = grid.n_steps
     bounds = [round(i * n / steps_coarse) for i in range(steps_coarse + 1)]
     weights = list(product(value_grid, repeat=basis_size))
@@ -1029,8 +1057,8 @@ def _channel_duality(grid, ch, base, alt, window, phi, Phi, order):
     table, starts = ch.spike_layout(
         base, range(k0, k1), alt, [window], slice(1, 1 + order)
     )
-    gram = _channel.gram(grid, ch.coefs, table, starts)
-    cross = gram[:, 0, 1:].sum(axis=1)
+    gram = _channel.gram(grid, ch.coefs, table, starts, block=len(starts))
+    cross = gram[:, 0, 0, 1:].sum(axis=1)
     delta = alt - base[k0:k1]
     lhs = -2.0 * s * cross[n]
     rhs = 2.0 * q * dt * cross[:n].sum() + dt * np.sum(

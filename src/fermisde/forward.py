@@ -20,7 +20,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import _channel
 from . import _sparse as sp
 from .algebra import CliffordElement, norm2
 from .ito import AdaptedProcess
@@ -39,8 +38,6 @@ __all__ = [
     "euler_forward",
     "euler_forward_difference",
     "linear_euler_forward",
-    "linear_gram",
-    "linear_norms_sq",
     "apriori_check",
     "spike",
     "numeric_frechet",
@@ -373,47 +370,6 @@ class _Frame:
         return dropped
 
 
-def _channel_adapter(grid, ops, srcs):
-    """ops(k)'s coefficient table and srcs(k) lazily, for _channel."""
-    n = grid.n_steps
-    reduced = _channel.reduced(ops(k) for k in range(n))
-    if reduced is None:
-        raise ValueError("every operator must reduce to graded-scalar form")
-    return _channel.coefficients(reduced), (srcs(k) for k in range(n))
-
-
-def linear_gram(grid, ops, srcs, x0_amps, block=None):
-    """Gram matrices <x_i, x_j> of K linear solves that share ops.
-
-    ops(k) returns the operator triple (A, B, C), each reducing to
-    graded-scalar form; srcs(k) the (3, K) scalar amplitudes of (sD, sF,
-    sG) for each path; x0_amps the K start amplitudes (multiples of I).
-    Returns the (n_steps + 1, K, K) array of <x_i(k), x_j(k)>, exact up
-    to rounding (see _channel.walk). Batching is exact blockwise: the
-    block of a group of paths equals, bit for bit, that group's own call.
-
-    With block=b (K a multiple of b) only the pairings inside each run
-    of b consecutive paths are formed: the result is the (n_steps + 1,
-    K // b, b, b) array of those diagonal blocks, bit for bit, in
-    O(n_steps K b) memory instead of O(n_steps K^2).
-    """
-    return _channel.gram(grid, *_channel_adapter(grid, ops, srcs),
-                         x0_amps, block)
-
-
-def linear_norms_sq(grid, ops, srcs, x0_amps):
-    """Yield ||x_i(k)||^2 of K linear solves that share ops, k = 0..n.
-
-    The diagonal of linear_gram with the same arguments, one length-K
-    real array per step, so memory stays O(K) however many paths run.
-    The operators are tabulated at the call; the walk runs as the
-    values are taken. Unlike linear_gram it does not check for overflow:
-    NaN and inf persist, so the caller checks what it accumulates.
-    """
-    return _channel.norms_sq(grid, *_channel_adapter(grid, ops, srcs),
-                             x0_amps)
-
-
 def linear_euler_forward(grid, ops, srcs, x0, prune=None):
     """Euler solve of dx = (A x + sD)dt + (B x + sF)dW + dW (C x + sG).
 
@@ -496,14 +452,9 @@ def spike(ubar, u, eps, offset=0.0):
     being silently dropped (refine the grid to resolve them).
     """
     grid = ubar.grid
-    dt = grid.dt
     if not 0 < eps <= grid.T + 1e-12:
         raise ValueError("spike width must lie in (0, T]")
-    if eps < dt * (1 - 1e-9):
-        raise ValueError(
-            f"spike width {eps:g} is below one grid step {dt:g}; "
-            "refine the grid to resolve it"
-        )
+    _require_step(grid, eps)
     k0, k1 = spike_window(grid, eps, offset)
     values = list(ubar.values[: grid.n_steps])
     for k in range(k0, k1):
@@ -511,14 +462,27 @@ def spike(ubar, u, eps, offset=0.0):
     return AdaptedProcess(grid, values, check=False)
 
 
+def _require_step(grid, eps):
+    """Refuse a spike width below one grid step: the grid cannot resolve
+    it (the tolerance admits a full step with rounding slack)."""
+    if eps < grid.dt * (1 - 1e-9):
+        raise ValueError(
+            f"eps {eps:g} is below one grid step dt={grid.dt:g}; "
+            "refine the grid to resolve it"
+        )
+
+
 def spike_window(grid, eps, offset=0.0):
     """Step indices [k0, k1) of the window [offset, offset + eps).
 
-    Both ends are rounded to whole steps and the window is clipped at T;
-    a window that starts at or past T would be empty and raises.
+    Both ends are rounded to whole steps (a width below one step to one
+    step) and the window is clipped at T; a window that starts before 0
+    or at or past T raises.
     """
     dt = grid.dt
-    k0 = max(0, int(round(offset / dt)))
+    if offset < 0:
+        raise ValueError(f"spike window at offset {offset:g} starts before 0")
+    k0 = int(round(offset / dt))
     if k0 >= grid.n_steps:
         raise ValueError(
             f"spike window at offset {offset:g} starts at or past "

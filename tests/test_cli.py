@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fermisde import _channel, algebra, backward, cli, control, forward
 from fermisde.algebra import CliffordElement, norm2, random_element
@@ -16,6 +18,7 @@ from fermisde.cli import (
     parse_problem,
     run,
 )
+from fermisde.ito import AdaptedProcess
 from fermisde.reporting import (
     dump_json,
     element_from_json,
@@ -500,7 +503,67 @@ def test_main_ladder_refuses_two_eps_on_one_window(tmp_path, capsys):
             '"eps_list": [0.25, 0.07, 0.0625]}')
     assert main(["ladder", "--spec", spec, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert "/eps_list/2: runs on the same 2-step window as /eps_list/1" in err
+    assert ("/eps_list/2: eps 0.0625 runs on the same 2-step window as "
+            "eps 0.07 at offset 0") in err
+
+
+def ladder_spec(n_steps, eps_list, offsets):
+    return {"problem_id": "lq_scalar", "grid": {"n_steps": n_steps},
+            "eps_list": eps_list, "offsets": offsets}
+
+
+# At n=65, eps 0.977 and 0.969 run on 64 and 63 steps at offset 0, but
+# at offset 1.5 dt both are clipped to steps [2, 65).
+WINDOWS_MEET_LATE = (
+    65,
+    [0.976923076923077, 0.9692307692307693, 0.46153846153846156],
+    [0.0, 0.023076923076923078],
+)
+
+
+def test_main_ladder_refuses_windows_that_meet_at_a_later_offset(
+    tmp_path, monkeypatch, capsys
+):
+    def ladder_anyway(*args, **kwargs):
+        raise AssertionError("a ladder ran")
+
+    monkeypatch.setattr(cli, "variation_ladder", ladder_anyway)
+    spec = json.dumps(ladder_spec(*WINDOWS_MEET_LATE))
+    argv = ["ladder", "--spec", spec, "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert ("  /eps_list/1: eps 0.969231 runs on the same 63-step window as "
+            "eps 0.976923 at offset 0.0230769") in capsys.readouterr().err
+    assert not (tmp_path / "ladder.json").exists()
+
+
+@st.composite
+def half_step_ladders(draw):
+    """(n_steps, eps_list, offsets) on half steps, each window inside
+    [0, T]: rounding both ends of a window up can clip it at T, so two
+    eps may share a window at one offset and not at another."""
+    n = draw(st.integers(8, 80))
+    widths = draw(st.lists(st.integers(2, 2 * n), min_size=3, max_size=5,
+                           unique=True))
+    starts = draw(st.lists(st.integers(0, 2 * n - max(widths)),
+                           min_size=1, max_size=3))
+    dt = 1 / n
+    return n, [h / 2 * dt for h in widths], [h / 2 * dt for h in starts]
+
+
+@settings(max_examples=40, deadline=None)
+@given(half_step_ladders())
+@example(WINDOWS_MEET_LATE)
+def test_every_ladder_plan_the_cli_accepts_runs_at_each_offset(ladder):
+    n, eps_list, offsets = ladder
+    spec = parse_problem(ladder_spec(n, eps_list, offsets))
+    try:
+        entry, problem, grid, _, eps_list = cli._ladder_plan(spec)
+    except SpecError:
+        return
+    ubar = AdaptedProcess.constant_scalar(grid, entry.ladder_ubar)
+    alt = AdaptedProcess.constant_scalar(grid, entry.alt_weight)
+    for offset in offsets:
+        control.variation_ladder(problem, ubar, alt, eps_list, offset=offset)
 
 
 def test_main_max_principle_refuses_an_oracle_over_budget(
@@ -703,8 +766,9 @@ def test_main_ladder_offset_past_the_horizon_exit_two(tmp_path, capsys):
     ('{"grid": {"n_steps": 16}}', "/grid/n_steps"),
     ('{"problem_id": "odd_drift", "grid": {"n_steps": 12}, '
      '"eps_list": [0.5, 0.25, 0.125]}', "/problem_id"),
+    (json.dumps(ladder_spec(*WINDOWS_MEET_LATE)), "/eps_list/1"),
 ], ids=["eps_list", "offsets", "inline", "value_grid", "bg_n_steps",
-        "forward_problem_id"])
+        "forward_problem_id", "windows_meet_late"])
 def test_main_all_refuses_before_any_pipeline_runs(
     tmp_path, monkeypatch, capsys, spec, pointer
 ):

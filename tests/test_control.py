@@ -454,9 +454,10 @@ def test_ladder_input_validation():
     pb, grid = quad_problem(16)
     u = const_u(grid, 0.3)
     alt = const_u(grid, -0.9)
-    with pytest.raises(ValueError, match="at least two eps"):
-        variation_ladder(pb, u, alt, [0.25])
-    with pytest.raises(ValueError, match="below grid resolution"):
+    for check in (variation_ladder, cost_expansion_check):
+        with pytest.raises(ValueError, match="at least two eps"):
+            check(pb, u, alt, [0.25])
+    with pytest.raises(ValueError, match="below one grid step"):
         variation_ladder(pb, u, alt, [0.25, grid.dt / 4])
 
 
@@ -578,26 +579,19 @@ def test_sparse_ladder_reports_the_mass_its_solves_pruned(monkeypatch):
 
 
 def _per_rung_gram_ladder(grid, windows, ch, steps):
-    """Reference for control._gram_ladder: one linear_gram walk for the
+    """Reference for control._gram_ladder: one _channel.gram walk for the
     base path and one more per eps, each rung on its own (xi, y, z)."""
     base, alt = (table[:, :, 0] for table in ch.tables)
     delta = np.zeros_like(base)
     delta[steps] = alt - base[steps]
-    ops = ch.ops
-    x_gram = forward.linear_gram(
-        grid, ops.__getitem__, lambda k: base[k][:, None], [ch.x0],
-    )
-    floor = 1e-8 * (1.0 + float(x_gram[:, 0, 0].real.max()))
-    idle = np.zeros_like(_channel.SPIKE_SOURCES)
+    coefs = _channel.coefficients(_channel.reduced(ch.ops))
+    x_gram = _channel.gram(grid, coefs, base[:, :, None], [ch.x0], block=1)
+    floor = 1e-8 * (1.0 + float(x_gram[:, 0, 0, 0].real.max()))
     sups = []
     for k0, k1 in windows:
-
-        def srcs(k):
-            if k0 <= k < k1:
-                return delta[k][:, None] * _channel.SPIKE_SOURCES
-            return idle
-
-        gram = forward.linear_gram(grid, ops.__getitem__, srcs, np.zeros(3))
+        srcs = np.zeros((grid.n_steps, 3, 3), dtype=np.complex128)
+        srcs[k0:k1] = delta[k0:k1, :, None] * _channel.SPIKE_SOURCES
+        gram = _channel.gram(grid, coefs, srcs, np.zeros(3), block=3)[:, 0]
         sups.append({
             name: max(
                 float(np.einsum("i,kij,j->k", c, gram, c).real.max()), 0.0

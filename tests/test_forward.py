@@ -4,6 +4,7 @@ the generic one, spikes, derivative cross-checks, and failure guards."""
 import numpy as np
 import pytest
 
+from fermisde import _channel
 from fermisde import _sparse as sp
 from fermisde.algebra import (
     CliffordElement,
@@ -13,6 +14,8 @@ from fermisde.algebra import (
     random_element,
     vacuum,
 )
+from fermisde.catalog import build
+from fermisde.control import cost_expansion_check, variation_ladder
 from fermisde.forward import (
     Coefficients,
     ControlSpace,
@@ -22,7 +25,6 @@ from fermisde.forward import (
     euler_forward,
     euler_forward_difference,
     linear_euler_forward,
-    linear_gram,
     numeric_frechet,
     numeric_second_frechet,
     spike,
@@ -217,6 +219,13 @@ def test_linear_solver_generic_fallback_steps_match_full_rules():
         assert norm2(a - b) < 1e-13
 
 
+def coefficient_table(grid, ops):
+    """The parity channel's coefficient table of ops(k), k < n_steps."""
+    return _channel.coefficients(
+        _channel.reduced(ops(k) for k in range(grid.n_steps))
+    )
+
+
 def test_linear_gram_matches_pairings_of_unpruned_solves():
     """Complex, step-varying graded-scalar operators with a grading part,
     and complex scalar sources: the Gram recursion against pairings of
@@ -232,7 +241,9 @@ def test_linear_gram_matches_pairings_of_unpruned_solves():
     def ops(k):
         return tuple(GradedScalarOp(*coefs[k, i]) for i in range(3))
 
-    gram = linear_gram(grid, ops, lambda k: srcs[k], x0_amps)
+    gram = _channel.gram(
+        grid, coefficient_table(grid, ops), srcs, x0_amps, block=3
+    )[:, 0]
     paths = []
     for j in range(3):
         scalars = lambda k, j=j: tuple(
@@ -263,21 +274,21 @@ def test_linear_gram_batches_path_groups_bit_for_bit(sizes):
     def ops(k):
         return tuple(GradedScalarOp(*coefs[k, i]) for i in range(3))
 
+    table = coefficient_table(grid, ops)
     stacked = np.concatenate(srcs, axis=2)
-    whole = linear_gram(
-        grid, ops, lambda k: stacked[k], np.concatenate(x0s)
-    )
+    whole = _channel.gram(
+        grid, table, stacked, np.concatenate(x0s), block=sum(sizes)
+    )[:, 0]
     blocks = None
     if len(set(sizes)) == 1:
-        blocks = linear_gram(
-            grid, ops, lambda k: stacked[k], np.concatenate(x0s),
-            block=sizes[0],
+        blocks = _channel.gram(
+            grid, table, stacked, np.concatenate(x0s), block=sizes[0]
         )
         assert blocks.shape == (grid.n_steps + 1,) + (len(sizes),) + (
             sizes[0],) * 2
     lo = 0
     for g, (src, x0) in enumerate(zip(srcs, x0s)):
-        own = linear_gram(grid, ops, lambda k, src=src: src[k], x0)
+        own = _channel.gram(grid, table, src, x0, block=len(x0))[:, 0]
         hi = lo + len(x0)
         assert np.array_equal(whole[:, lo:hi, lo:hi], own)
         if blocks is not None:
@@ -287,21 +298,19 @@ def test_linear_gram_batches_path_groups_bit_for_bit(sizes):
 
 def test_linear_gram_blocks_must_split_the_paths():
     grid = TimeGrid(1.0, 4)
-    ops = lambda k: (GradedScalarOp(0.1, 0.0),) * 3
+    table = coefficient_table(grid, lambda k: (GradedScalarOp(0.1, 0.0),) * 3)
     with pytest.raises(ValueError, match="5 paths do not split"):
-        linear_gram(grid, ops, lambda k: np.zeros((3, 5)), np.ones(5),
-                    block=3)
+        _channel.gram(grid, table, np.zeros((4, 3, 5)), np.ones(5), block=3)
 
 
 def test_linear_gram_raises_on_overflow():
     grid = TimeGrid(1.0, 8)
-    huge = lambda k: (GradedScalarOp(1e300, 0.0),) * 3
-    with pytest.raises(FloatingPointError, match="non-finite"):
-        with np.errstate(over="ignore", invalid="ignore"):
-            linear_gram(grid, huge, lambda k: np.zeros((3, 1)), [1.0])
-        with np.errstate(over="ignore", invalid="ignore"):
-            linear_gram(grid, huge, lambda k: np.zeros((3, 2)), [1.0, 0.0],
-                        block=2)
+    huge = coefficient_table(grid, lambda k: (GradedScalarOp(1e300, 0.0),) * 3)
+    for x0_amps in ([1.0], [1.0, 0.0]):
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                _channel.gram(grid, huge, np.zeros((8, 3, len(x0_amps))),
+                              x0_amps, block=len(x0_amps))
 
 
 def test_difference_solver_equals_subtracted_solves():
@@ -368,14 +377,23 @@ def test_spike_window_rounding_and_clipping():
 
 
 def test_spike_window_starting_at_or_past_the_horizon_raises():
-    grid = TimeGrid(1.0, 16)
+    """Or before 0: every consumer of the window refuses it, none clamps
+    its start."""
+    problem, grid = build("lq_scalar", n_steps=16)
     ubar = AdaptedProcess.constant_scalar(grid, 1.0)
     alt = AdaptedProcess.constant_scalar(grid, -1.0)
-    for offset in (1.0, 5.0):
-        with pytest.raises(ValueError, match="at or past T"):
-            spike_window(grid, 0.25, offset)
-        with pytest.raises(ValueError, match="at or past T"):
-            spike(ubar, alt, eps=0.25, offset=offset)
+    eps_list = [0.25, 0.125]
+    for offset, why in [(1.0, "at or past T"), (5.0, "at or past T"),
+                        (-0.2, "starts before 0")]:
+        for call in (
+            lambda: spike_window(grid, 0.25, offset),
+            lambda: spike(ubar, alt, eps=0.25, offset=offset),
+            lambda: variation_ladder(problem, ubar, alt, eps_list, offset),
+            lambda: cost_expansion_check(problem, ubar, alt, eps_list,
+                                         offset),
+        ):
+            with pytest.raises(ValueError, match=why):
+                call()
 
 
 def test_spike_validation():
