@@ -584,8 +584,9 @@ def random_element(rng, n, n_terms=8, max_generator=None, real=False):
     """Random element with about n_terms monomials, amplitudes O(1).
 
     Masks draw uniformly over subsets of generators below `max_generator`
-    (default n), one rng.random() per bit, row by row; the normals come
-    after. Deterministic given the generator state.
+    (default n): bit b of row i is set when the (i * top + b)-th of one
+    rng.random draw of n_terms * top floats is below one half. The normals
+    come after. Deterministic given the generator state.
     """
     if max_generator is not None and max_generator < 0:
         raise ValueError("max_generator must be nonnegative")
@@ -595,29 +596,41 @@ def random_element(rng, n, n_terms=8, max_generator=None, real=False):
     return CliffordElement(n, *_random_rows(rng, n, n_terms, [top], real))
 
 
-def _random_rows(rng, n, n_terms, tops, real=False):
+def _random_rows(rng, n, n_terms, tops, real=False, samples=1, starts=None):
     """The raw (masks, amps) of random_element for each max_generator in
     tops in turn, n_terms rows each, with the same rng calls in the same
-    order; the bits of all draws are packed at once."""
+    order; the whole of tops is drawn `samples` times over. With starts,
+    an array of `samples` floats, each sample first draws one standard
+    normal into it.
+
+    The calls fill preallocated buffers, and one masked assignment sets
+    the bits of every draw: row by row, the drawn columns of a boolean
+    array take the uniforms in the order they were drawn. The real and
+    imaginary normals of a draw follow one another in the stream, so one
+    call of 2 n_terms draws both.
+    """
     w = sp.words_for(n)
-    bits = np.zeros((len(tops) * n_terms, sp.WORD * w), dtype=bool)
-    amps = np.empty(len(tops) * n_terms, dtype=np.complex128)
-    for i, top in enumerate(tops):
-        rows = slice(i * n_terms, (i + 1) * n_terms)
-        bits[rows, :top] = rng.random((n_terms, top)) < 0.5
-        re = rng.normal(size=n_terms)
-        im = np.zeros(n_terms) if real else rng.normal(size=n_terms)
-        amps[rows] = re + 1j * im
+    tops = np.asarray(tops, dtype=np.int64)
+    sizes = (n_terms * tops).tolist()
+    uniforms = np.empty(samples * sum(sizes))
+    normals = np.zeros((samples * len(sizes), 2, n_terms))
+    parts = normals[:, :1] if real else normals
+    pos = block = 0
+    for s in range(samples):
+        if starts is not None:
+            rng.standard_normal(out=starts[s : s + 1])
+        for size in sizes:
+            rng.random(out=uniforms[pos : pos + size])
+            pos += size
+            rng.standard_normal(out=parts[block])
+            block += 1
+    row_tops = np.repeat(np.tile(tops, samples), n_terms)
+    drawn = np.arange(sp.WORD * w) < row_tops[:, None]
+    bits = np.zeros_like(drawn)
+    bits[drawn] = uniforms < 0.5
     packed = np.packbits(bits, axis=1, bitorder="little")
+    amps = normals[:, 0].reshape(-1) + 1j * normals[:, 1].reshape(-1)
     return packed.view(np.dtype("<u8")).astype(np.uint64), amps
-
-
-def _random_steps(rng, n, n_terms, tops):
-    """[random_element(rng, n, n_terms, max_generator=t) for t in tops],
-    drawn alike and canonicalized in one stacked sort."""
-    masks, amps = _random_rows(rng, n, n_terms, tops)
-    seg = np.repeat(np.arange(len(tops)), n_terms)
-    return _Stack(n, seg, masks, amps).canonical().values(0, len(tops))
 
 
 # -- stacked layout of a process ------------------------------------------
@@ -635,15 +648,24 @@ class _Stack:
     one. A sum sorts once for all steps, and its stable sort merges the
     rows of one step in the order of the parts, as a + b does, so every
     step of a + b equals its own sum bit for bit.
+
+    A stack with a period holds a batch of processes on one grid, one per
+    sample: with period = n_steps + 1, row i belongs to step
+    step[i] = (seg[i] + 1) % period - 1 of sample (seg[i] + 1) // period,
+    so step k of sample s is seg s * period + k, for k = -1 (a start
+    value) to n_steps - 1. Sample 0 is laid out as one process is, every
+    step map reads step[i] where one process reads seg[i], and each
+    sample of a batch equals that process on its own bit for bit.
     """
 
-    __slots__ = ("n", "seg", "masks", "amps")
+    __slots__ = ("n", "seg", "masks", "amps", "period")
 
-    def __init__(self, n, seg, masks, amps):
+    def __init__(self, n, seg, masks, amps, period=None):
         self.n = n
         self.seg = seg
         self.masks = masks
         self.amps = amps
+        self.period = period
 
     @classmethod
     def of(cls, n, values):
@@ -659,36 +681,60 @@ class _Stack:
         )
         return cls(n, seg, masks, amps)
 
+    def _like(self, seg, masks, amps):
+        return _Stack(self.n, seg, masks, amps, self.period)
+
+    @property
+    def step(self):
+        """Per row, its step within its sample."""
+        if self.period is None:
+            return self.seg
+        return (self.seg + 1) % self.period - 1
+
+    @property
+    def sample(self):
+        """Per row, its sample (0 for one process)."""
+        if self.period is None:
+            return np.zeros_like(self.seg)
+        return (self.seg + 1) // self.period
+
     def canonical(self):
         masks, amps, seg = sp.canonicalize(self.masks, self.amps, seg=self.seg)
+        return self._like(seg, masks, amps)
+
+    def sums(self):
+        """Each sample's rows summed over all its steps: a canonical stack
+        whose seg is the sample. Its stable sort keeps each sample's rows
+        in their order, so every sample's sum equals one canonicalize of
+        that sample's rows bit for bit."""
+        masks, amps, seg = sp.canonicalize(
+            self.masks, self.amps, seg=self.sample
+        )
         return _Stack(self.n, seg, masks, amps)
 
     def __add__(self, other):
-        return _Stack(
-            self.n,
+        return self._like(
             np.concatenate((self.seg, other.seg)),
             np.concatenate((self.masks, other.masks)),
             np.concatenate((self.amps, other.amps)),
         ).canonical()
 
     def __neg__(self):
-        return _Stack(self.n, self.seg, self.masks, -self.amps)
+        return self._like(self.seg, self.masks, -self.amps)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        return _Stack(self.n, self.seg, self.masks, self.amps * c)
+        return self._like(self.seg, self.masks, self.amps * c)
 
     def select(self, keep):
         """The rows where keep is set."""
-        return _Stack(
-            self.n, self.seg[keep], self.masks[keep], self.amps[keep]
-        )
+        return self._like(self.seg[keep], self.masks[keep], self.amps[keep])
 
     def within(self):
         """Each step's conditional expectation onto its own C_k."""
-        return self.select(sp.rows_within(self.masks, self.seg))
+        return self.select(sp.rows_within(self.masks, self.step))
 
     def parity(self):
         """Per row, 1 for odd monomials and 0 for even ones."""
@@ -696,13 +742,13 @@ class _Stack:
 
     def grading(self):
         signs = np.where(self.parity(), -1.0, 1.0)
-        return _Stack(self.n, self.seg, self.masks, self.amps * signs)
+        return self._like(self.seg, self.masks, self.amps * signs)
 
     def mul_generator(self, side):
         """Each step's value times its own generator g_k on the given side;
         rows keep their order."""
-        masks, amps = sp.mul_generator(self.masks, self.amps, self.seg, side)
-        return _Stack(self.n, self.seg, masks, amps)
+        masks, amps = sp.mul_generator(self.masks, self.amps, self.step, side)
+        return self._like(self.seg, masks, amps)
 
     def _bounds(self, lo, hi):
         return np.searchsorted(self.seg, np.arange(lo, hi + 1)).tolist()
@@ -724,14 +770,38 @@ class _Stack:
             for b in self._bounds(0, hi)
         ]
 
+    def squares(self, segs):
+        """norm2_sq of the rows of each seg in segs (an int64 array) of a
+        canonical stack, as an array of segs' shape. Each is one
+        np.add.reduce over its seg's rows, as in norm2_sq; np.add.reduceat
+        sums in another order and would differ in the last bits. A seg of
+        at most two rows takes at most one addition, which every order
+        rounds alike, so those are summed at once."""
+        lo = np.searchsorted(self.seg, segs.ravel())
+        hi = np.searchsorted(self.seg, segs.ravel() + 1)
+        mags = self.amps.real**2 + self.amps.imag**2
+        padded = np.append(mags, 0.0)
+        rows = hi - lo
+        out = (
+            padded[np.where(rows > 0, lo, mags.size)]
+            + padded[np.where(rows > 1, lo + 1, mags.size)]
+        )
+        for i in np.flatnonzero(rows > 2).tolist():
+            out[i] = np.add.reduce(mags[lo[i] : hi[i]])
+        return out.reshape(segs.shape)
+
+    def step_squares(self, samples, steps):
+        """norm2_sq of steps 0..steps-1 of each of the first samples
+        samples, as an array of shape (samples, steps); see squares."""
+        stride = self.period or 0
+        segs = np.arange(samples)[:, None] * stride + np.arange(steps)
+        return self.squares(segs)
+
     def norms(self, lo, hi):
         """norm2 of each of steps lo..hi-1 of a canonical stack, each
         summed over the step's rows as in norm2."""
-        bounds = self._bounds(lo, hi)
-        squares = self.amps.real**2 + self.amps.imag**2
         return [
-            float(np.sqrt(float(np.add.reduce(squares[a:b]))))
-            for a, b in zip(bounds, bounds[1:])
+            float(np.sqrt(x)) for x in self.squares(np.arange(lo, hi))
         ]
 
 

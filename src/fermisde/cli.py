@@ -29,8 +29,9 @@ from .algebra import (
     CliffordElement,
     _block_singular_values,
     _distances,
-    _random_steps,
+    _random_rows,
     _spectral_lp,
+    _Stack,
     jw_rep,
     norm2,
     pairing,
@@ -50,6 +51,9 @@ from .ito import (
     MAX_GRID_STEPS,
     AdaptedProcess,
     TimeGrid,
+    _commutation_worst,
+    _isometry_batch,
+    _representation_batch,
     bg_ratio_sweep,
     brownian,
     check_martingale,
@@ -408,18 +412,19 @@ def _rng(seed, branch):
     )
 
 
-def _random_adapted(rng, grid, terms=6, terminal=False):
-    count = grid.n_steps + (1 if terminal else 0)
-    tops = [min(k, grid.n) for k in range(count)]
-    return AdaptedProcess(
-        grid, _random_steps(rng, grid.n, terms, tops), check=False
+def _random_batch(rng, grid, samples, terms, starts=None):
+    """samples random adapted processes on grid in one canonical stack
+    with period n_steps + 1 (see algebra._Stack). Step k of each is
+    random_element(rng, grid.n, terms, max_generator=k), drawn sample
+    after sample; with starts, each sample first draws its start into
+    it (see algebra._random_rows)."""
+    n = grid.n_steps
+    masks, amps = _random_rows(
+        rng, grid.n, terms, range(n), samples=samples, starts=starts
     )
-
-
-def _random_martingale(rng, grid, terms=5):
-    start = CliffordElement.scalar(grid.n, float(rng.standard_normal()))
-    steps = _random_steps(rng, grid.n, terms, range(grid.n_steps))
-    return right_integral_path(grid, steps, start)
+    keys = np.arange(samples)[:, None] * (n + 1) + np.arange(n)
+    seg = np.repeat(keys.ravel(), terms)
+    return _Stack(grid.n, seg, masks, amps, n + 1).canonical()
 
 
 def _build_problem(spec, ladder_start=False, least_steps=1):
@@ -547,30 +552,30 @@ def _pipeline_algebra(spec, rng):
 
 
 def _pipeline_ito(spec, rng):
+    """Each section draws all its samples into one stack, in the rng
+    order of one draw per sample, and checks them all at once; sample 0
+    of each is checked again through the public per-process functions,
+    which must give the same numbers bit for bit."""
     n = spec.n_steps
     grid = TimeGrid(spec.T, n)
-    dt = grid.dt
-    iso = 0.0
+    ys = _random_batch(rng, grid, 25, 6)
+    isos = _isometry_batch(grid, ys, 25)
+    starts = np.empty(25)
+    ms = _random_batch(rng, grid, 25, 5, starts)
+    mreps = _representation_batch(grid, ms, starts)
+    procs = _random_batch(rng, grid, 10, 6)
+    comms = _commutation_worst(grid, procs, 10)
+    # Every path passed _isometry_batch's prefix-layout check, so each
+    # sample's martingale gap reads exactly 0.0 (see check_martingale).
     mart = 0.0
-    for _ in range(25):
-        y = _random_adapted(rng, grid)
-        integ = right_integral(grid, y)
-        total = sum(dt * v.norm2_sq() for v in y)
-        iso = max(iso, abs(integ.norm2_sq() - total) / (1.0 + total))
-        mart = max(mart, check_martingale(right_integral_path(grid, y)))
-    mrep = 0.0
-    for _ in range(25):
-        m = _random_martingale(rng, grid)
-        y = mrep_extract(grid, m)
-        recon = right_integral(grid, y)
-        target = m[n] - m[0]
-        mrep = max(
-            mrep, norm2(recon - target) / (1.0 + norm2(target))
+    got = _ito_sample_zero(grid, ys, ms, starts[0], procs)
+    if got != (isos[0], mart, mreps[0], comms[0]):
+        raise RuntimeError(
+            "ito-suite: sample 0 of the batch differs from the "
+            f"per-process route: {got}"
         )
-    comm = 0.0
-    for _ in range(10):
-        proc = _random_adapted(rng, grid)
-        comm = max(comm, commutation_check(grid, proc))
+    iso = max(0.0, *isos)
+    mrep, comm = max(0.0, *mreps), max(0.0, *comms)
     report = {
         "n": n,
         "isometry_residual": iso,
@@ -583,6 +588,24 @@ def _pipeline_ito(spec, rng):
         v <= 1e-12 for v in (iso, mart, mrep, comm)
     )
     return report
+
+
+def _ito_sample_zero(grid, ys, ms, start, procs):
+    """The isometry residual, martingale gap, representation residual and
+    commutation defect of sample 0 of each ito-suite section, through the
+    public per-process functions."""
+    n = grid.n_steps
+    y = AdaptedProcess(grid, ys.values(0, n), check=False)
+    total = sum(grid.dt * v.norm2_sq() for v in y)
+    iso = abs(right_integral(grid, y).norm2_sq() - total) / (1.0 + total)
+    gap = check_martingale(right_integral_path(grid, y))
+    start = CliffordElement.scalar(grid.n, float(start))
+    m = right_integral_path(grid, ms.values(0, n), start)
+    target = m[n] - m[0]
+    recon = right_integral(grid, mrep_extract(grid, m))
+    mrep = norm2(recon - target) / (1.0 + norm2(target))
+    comm = commutation_check(grid, procs.values(0, n))
+    return iso, gap, mrep, comm
 
 
 def _inline_state_solve(spec):
@@ -909,8 +932,12 @@ def _pipeline_bg(spec, rng):
     rows = []
     worst_p2 = 0.0
     summary = {}
+    batch = _random_batch(rng, grid, 5, 4)
     for sample in range(5):
-        y = _random_adapted(rng, grid, terms=4)
+        first = sample * (n + 1)
+        y = AdaptedProcess(
+            grid, batch.values(first, first + n), check=False
+        )
         for p, result in zip(P_CHOICES, bg_ratio_sweep(grid, y, P_CHOICES)):
             for side in ("right", "left"):
                 entry = result[side]

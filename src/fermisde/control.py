@@ -321,9 +321,11 @@ def _window_refusals(grid, eps_list, offsets):
     at each of offsets; the index is None where the offset is at fault.
 
     The ladder's rules, so that slopes are fitted against the widths the
-    solves use: every width spans a whole step (forward._require_step),
-    every window starts inside [0, T) (spike_window) and ends by T, and
-    no two eps run on one window at the same offset.
+    solves use: every width spans a whole step (forward._require_step)
+    and fits in [0, T], every window starts inside [0, T) (spike_window)
+    and ends by T, and no two eps run on one window at the same offset.
+    A width wider than T is refused at its own index, since no offset
+    could hold it.
     """
     refusals = []
     for i, eps in enumerate(eps_list):
@@ -331,6 +333,11 @@ def _window_refusals(grid, eps_list, offsets):
             _require_step(grid, eps)
         except ValueError as exc:
             refusals.append((i, str(exc)))
+            continue
+        if eps > grid.T * (1 + 1e-9):
+            refusals.append((i, (
+                f"eps {eps:g} is wider than the horizon T={grid.T:g}"
+            )))
     if refusals:
         return refusals
     widest = max(eps_list)

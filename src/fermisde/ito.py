@@ -21,6 +21,13 @@ The integrals and checks here keep a whole process in one stacked array
 rather than one per step, and stays bit-identical to the per-step sums.
 A martingale from right_integral_path keeps the layout of its rows, so
 its martingale check and representation read every step off M_n alone.
+
+The same stacked helpers take a batch of processes, one per sample, in
+one array keyed by sample and step (a _Stack with a period). A public
+function is the one-sample case of its helper, and the ito-suite checks
+(_isometry_batch, _representation_batch, _commutation_worst) run each
+section over all its samples with a fixed number of sorts, whatever the
+sample count, equal bit for bit to one call per sample.
 """
 
 from __future__ import annotations
@@ -210,10 +217,15 @@ def left_integral(grid, integrand):
 
 
 def _integral(grid, integrand, side):
-    terms = _steps(grid, integrand).mul_generator(side)
-    terms = terms.scale(np.sqrt(grid.dt))
-    masks, amps = sp.canonicalize(terms.masks, terms.amps)
-    return CliffordElement._wrap(grid.n, masks, amps)
+    total = _integrals(_steps(grid, integrand), side, np.sqrt(grid.dt))
+    return CliffordElement._wrap(grid.n, total.masks, total.amps)
+
+
+def _integrals(steps, side, root):
+    """Each sample's sum of Y_k dW_k (side "right") or dW_k Y_k ("left")
+    over a stack of integrands, dW_k = root g_k: a canonical stack with
+    seg the sample."""
+    return steps.mul_generator(side).scale(root).sums()
 
 
 def right_integral_path(grid, integrand, start=None):
@@ -226,10 +238,7 @@ def right_integral_path(grid, integrand, start=None):
     """
     n = grid.n
     steps = _steps(grid, integrand)
-    outside = ~sp.rows_within(steps.masks, steps.seg)
-    if outside.any():
-        bad = int(steps.seg[outside][0])
-        raise ValueError(f"integrand value at step {bad} is not adapted")
+    _require_adapted(steps)
     if start is None:
         start = CliffordElement.zero(n)
     if start.n != n:
@@ -239,10 +248,64 @@ def right_integral_path(grid, integrand, start=None):
             "start value at step 0 is not a multiple of the identity"
         )
     first = _Stack(n, np.full(start.n_terms, -1), start.masks, start.amps)
-    path = first + steps.mul_generator("right").scale(np.sqrt(grid.dt))
+    path = _paths(steps, np.sqrt(grid.dt), first)
     seq = MartingaleSeq(grid, path.prefixes(grid.n_steps), check=False)
     seq._layout = (path, tuple(seq.values))
     return seq
+
+
+def _require_adapted(steps):
+    """Refuse a stack of integrands with a row outside its step's C_k,
+    naming that step: the first such step of the first such sample."""
+    step = steps.step
+    outside = ~sp.rows_within(steps.masks, step)
+    if outside.any():
+        bad = int(step[outside][0])
+        raise ValueError(f"integrand value at step {bad} is not adapted")
+
+
+def _paths(steps, root, first=None):
+    """The martingales M_k = M_0 + sum_{j<k} Y_j dW_j of each sample of a
+    stack of adapted integrands, dW_j = root g_j, in one canonical stack:
+    first holds each sample's start rows M_0 at step -1 (none when None).
+    """
+    terms = steps.mul_generator("right").scale(root)
+    return terms.canonical() if first is None else first + terms
+
+
+def _layout_breaks(path):
+    """Per row of a path stack, whether it breaks the prefix layout: its
+    top bit is not its step, or its amplitude is not finite."""
+    return (sp.top_bit(path.masks) != path.step) | ~np.isfinite(path.amps)
+
+
+def _require_layout(path):
+    """Refuse a batch of paths with a row that breaks the prefix layout,
+    naming its sample; the batch checks read every sample off it."""
+    breaks = _layout_breaks(path)
+    if breaks.any():
+        bad = int(path.sample[breaks][0])
+        raise ValueError(
+            f"path of sample {bad} leaves the prefix layout "
+            "(a non-finite amplitude)"
+        )
+
+
+def _require_batch(grid, stack, samples):
+    """Refuse a stack that is not one process (no period) or a batch of
+    processes on grid (period n_steps + 1, see algebra._Stack) with rows
+    of samples 0..samples-1 only. A trailing sample may have no rows, so
+    the count is given, not read off the stack."""
+    if stack.period not in (None, grid.n_steps + 1):
+        raise ValueError(
+            f"batch period {stack.period} does not fit a grid of "
+            f"{grid.n_steps} steps"
+        )
+    if stack.seg.size and int(stack.sample.max()) >= samples:
+        raise ValueError(
+            f"batch holds rows of sample {int(stack.sample.max())}, "
+            f"past its {samples} samples"
+        )
 
 
 def _steps(grid, integrand):
@@ -283,10 +346,7 @@ def _prefix_layout(seq):
         a is not b for a, b in zip(seq.values, built)
     ):
         return None
-    if not (
-        np.array_equal(sp.top_bit(path.masks), path.seg)
-        and np.isfinite(path.amps).all()
-    ):
+    if _layout_breaks(path).any():
         return None
     return path
 
@@ -351,15 +411,82 @@ def mrep_extract(grid, seq, tol=1e-12):
         )
     n = grid.n_steps
     if path is not None:
-        b0 = int(np.searchsorted(path.seg, 0))
-        diff = _Stack(grid.n, path.seg[b0:], path.masks[b0:], path.amps[b0:])
+        diff = path.select(path.seg >= 0)
     else:
         diff = _Stack.of(grid.n, seq[1 : n + 1]) - _Stack.of(grid.n, seq[:n])
-    # Only rows of M_{k+1} - M_k with top bit k survive the conditional
-    # expectation; clearing that bit keeps their order, so the rows stay
-    # canonical without a second sort.
-    y = diff.mul_generator("right").within().scale(1.0 / np.sqrt(grid.dt))
+    y = _representing(diff, np.sqrt(grid.dt))
     return AdaptedProcess(grid, y.values(0, n), check=False)
+
+
+def _representing(diff, root):
+    """Y_k = (M_{k+1} - M_k) dW_k / dt, dW_k = root g_k, from a stack of
+    the increments M_{k+1} - M_k at their steps k. Only rows with top bit
+    k survive the conditional expectation; clearing that bit keeps their
+    order, so the rows stay canonical without a second sort."""
+    return diff.mul_generator("right").within().scale(1.0 / root)
+
+
+def _isometry_batch(grid, steps, samples):
+    """The isometry residual of each of samples samples of adapted
+    integrands on grid in one canonical batch stack (see _require_batch).
+
+    Per sample with integral I = right_integral and sum
+    S = sum_k dt ||Y_k||^2 (Python's sum over the steps), the residual is
+    | ||I||^2 - S | / (1 + S), as a list of floats equal bit for bit to
+    those calls on each sample alone. Every sample's path is checked to
+    keep the prefix layout, so its right_integral_path has martingale gap
+    exactly 0.0 (see check_martingale).
+    """
+    _require_batch(grid, steps, samples)
+    _require_adapted(steps)
+    path = _paths(steps, np.sqrt(grid.dt))
+    _require_layout(path)
+    # In the layout the rows of step k top out at bit k, so a sample's
+    # rows in step order are already its integral's canonical rows.
+    integral = _Stack(grid.n, path.sample, path.masks, path.amps)
+    norm_sq = integral.squares(np.arange(samples))
+    # Python's sum, not a NumPy reduction: from Python 3.12 on it adds
+    # floats with compensation, and S must match the per-process sum.
+    steps_sq = grid.dt * steps.step_squares(samples, grid.n_steps)
+    total = np.array([sum(row) for row in steps_sq.tolist()])
+    return (np.abs(norm_sq - total) / (1.0 + total)).tolist()
+
+
+def _representation_batch(grid, steps, starts):
+    """The representation residual of the martingale of each sample s of
+    adapted integrands on grid in one canonical batch stack (see
+    _require_batch), started at the scalar starts[s]: with
+    M = right_integral_path, D = M_n - M_0 and
+    R = right_integral(grid, mrep_extract(grid, M)), the residual
+    ||R - D|| / (1 + ||D||), as a list of floats equal bit for bit to
+    those calls on each sample alone.
+    """
+    root = np.sqrt(grid.dt)
+    samples = len(starts)
+    _require_batch(grid, steps, samples)
+    _require_adapted(steps)
+    held = np.flatnonzero(starts)
+    first = _Stack(
+        grid.n,
+        held * steps.period - 1,
+        np.zeros((held.size, sp.words_for(grid.n)), np.uint64),
+        starts[held].astype(np.complex128),
+        steps.period,
+    )
+    path = _paths(steps, root, first)
+    _require_layout(path)
+    # In the layout M_0 is the start row, whose amplitude is vacuum(M_n),
+    # so mrep_extract's guards read a gap and a start defect of 0.0, and
+    # D is the rows past the start, canonical per sample.
+    increments = path.select(path.step >= 0)
+    recon = _integrals(_representing(increments, root), "right", root)
+    target = _Stack(
+        grid.n, increments.sample, increments.masks, increments.amps
+    )
+    every = np.arange(samples)
+    err = np.sqrt((recon - target).squares(every))
+    size = np.sqrt(target.squares(every))
+    return (err / (1.0 + size)).tolist()
 
 
 def bg_ratios(grid, integrand, p=2.0):
@@ -428,18 +555,30 @@ def commutation_check(grid, process):
     """
     count = min(len(process), grid.n_steps)
     a = _Stack.of(grid.n, [process[k] for k in range(count)])
+    return _commutation_worst(grid, a, 1, count)[0]
+
+
+def _commutation_worst(grid, a, samples, steps=None):
+    """commutation_check of each of samples samples of values on grid in
+    one canonical stack (see _require_batch), over steps 0..steps-1 (all
+    of grid's when None), as a list of floats equal bit for bit to the
+    call on each sample alone."""
+    _require_batch(grid, a, samples)
+    steps = grid.n_steps if steps is None else steps
+    root = np.sqrt(grid.dt)
     odd = a.parity() == 1
     ae, ao = a.select(~odd), a.select(odd)
-    defects = [
-        (ae.mul_generator("left") - ae.mul_generator("right")).norms(0, count),
-        (ao.mul_generator("left") + ao.mul_generator("right")).norms(0, count),
-        (a.mul_generator("left") - a.grading().mul_generator("right")).norms(
-            0, count
-        ),
-    ]
-    root = np.sqrt(grid.dt)
-    worst = 0.0
-    for k in range(count):
-        for norms in defects:
-            worst = max(worst, norms[k] * root)
-    return worst
+    defects = (
+        ae.mul_generator("left") - ae.mul_generator("right"),
+        ao.mul_generator("left") + ao.mul_generator("right"),
+        a.mul_generator("left") - a.grading().mul_generator("right"),
+    )
+    norms = np.stack(
+        [np.sqrt(d.step_squares(samples, steps)) for d in defects], axis=2
+    )
+    # The worst over steps, then defects, from 0.0; np.fmax skips a NaN
+    # as a fold of max(worst, x) does.
+    worst = np.fmax.reduce(
+        (norms * root).reshape(samples, -1), axis=1, initial=0.0
+    )
+    return worst.tolist()

@@ -758,6 +758,19 @@ def test_main_ladder_offset_past_the_horizon_exit_two(tmp_path, capsys):
     assert not (out / "ladder.json").exists()
 
 
+def test_main_ladder_eps_wider_than_the_horizon_points_at_the_eps(
+    tmp_path, capsys
+):
+    spec = ('{"problem_id": "lq_scalar", "grid": {"n_steps": 16}, '
+            '"eps_list": [1.5, 0.5, 0.25]}')
+    code = main(["ladder", "--spec", spec, "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "  /eps_list/0: eps 1.5 is wider than the horizon T=1" in err
+    assert "/offsets" not in err
+    assert not (tmp_path / "ladder.json").exists()
+
+
 @pytest.mark.parametrize("spec,pointer", [
     ('{"grid": {"n_steps": 8}}', "/eps_list"),
     ('{"grid": {"n_steps": 16}, "offsets": [0.9]}', "/offsets"),

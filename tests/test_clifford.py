@@ -16,6 +16,7 @@ from fermisde.algebra import (
     CliffordElement,
     MatrixRep,
     _block_singular_values,
+    _random_rows,
     _symplectic_basis,
     adjoint,
     cond_expect,
@@ -554,6 +555,56 @@ def test_random_element_matches_the_bitwise_draw(n, max_generator, real):
         assert np.array_equal(a.masks, b.masks)
         assert np.array_equal(a.amps, b.amps)
     assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+def per_top_rows(rng, n, n_terms, tops, real, samples, starts):
+    """Reference draw of _random_rows: one block at a time, each with
+    its own arrays, as the loop it replaced drew them."""
+    w = max(1, -(-n // 64))
+    bits = np.zeros((samples * len(tops) * n_terms, 64 * w), dtype=bool)
+    amps = np.empty(samples * len(tops) * n_terms, dtype=np.complex128)
+    block = 0
+    for s in range(samples):
+        if starts is not None:
+            starts[s] = float(rng.standard_normal())
+        for top in tops:
+            rows = slice(block * n_terms, (block + 1) * n_terms)
+            bits[rows, :top] = rng.random((n_terms, top)) < 0.5
+            re = rng.normal(size=n_terms)
+            im = np.zeros(n_terms) if real else rng.normal(size=n_terms)
+            amps[rows] = re + 1j * im
+            block += 1
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view(np.dtype("<u8")).astype(np.uint64), amps
+
+
+@pytest.mark.parametrize("n", [1, 2, 14, 63, 64, 65, 100, 130])
+@pytest.mark.parametrize("real", [False, True])
+def test_random_rows_keep_the_stream_of_the_per_top_loop(n, real):
+    """Masks, amplitudes, starts and the generator's state after the
+    draw equal the per-top loop's bit for bit, over one and two mask
+    words, tops from 0 to n (across bit 64), and batches of samples."""
+    tops_choices = [
+        [0], [n], [min(n, 14)], list(range(n + 1)), [n, 0, n // 2, 1],
+    ]
+    for n_terms in (1, 3, 8):
+        for tops in tops_choices:
+            for samples, with_starts in ((1, False), (3, False), (2, True)):
+                seed = n * 1000 + n_terms * 10 + samples
+                fast, slow = (np.random.default_rng(seed) for _ in range(2))
+                got_starts = np.empty(samples) if with_starts else None
+                want_starts = np.empty(samples) if with_starts else None
+                got = _random_rows(
+                    fast, n, n_terms, tops, real, samples, got_starts
+                )
+                want = per_top_rows(
+                    slow, n, n_terms, tops, real, samples, want_starts
+                )
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].tobytes() == want[1].tobytes()
+                if with_starts:
+                    assert got_starts.tobytes() == want_starts.tobytes()
+                assert fast.bit_generator.state == slow.bit_generator.state
 
 
 def test_random_element_refuses_a_negative_generator_ceiling():

@@ -469,6 +469,16 @@ def test_ladder_refuses_windows_past_the_horizon():
         variation_ladder(pb, u, alt, [0.25, 0.125], offset=0.875)
 
 
+def test_window_refusals_name_an_eps_wider_than_the_horizon():
+    pb, grid = quad_problem(16)
+    refusals = control._window_refusals(grid, [1.5, 0.5, 0.25], [0.0, 0.5])
+    assert refusals == [(0, "eps 1.5 is wider than the horizon T=1")]
+    with pytest.raises(ValueError, match="eps 1.5 is wider than the horizon"):
+        variation_ladder(
+            pb, const_u(grid, 0.3), const_u(grid, -0.9), [1.5, 0.5, 0.25]
+        )
+
+
 def test_ladder_with_every_series_vacuous_fails():
     pb, grid = quad_problem(16, x0=1.0)
     u = const_u(grid, 0.3)

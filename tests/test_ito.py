@@ -21,6 +21,11 @@ from fermisde.ito import (
     AdaptedProcess,
     MartingaleSeq,
     TimeGrid,
+    _commutation_worst,
+    _integrals,
+    _isometry_batch,
+    _paths,
+    _representation_batch,
     bg_ratio_sweep,
     bg_ratios,
     brownian,
@@ -589,8 +594,9 @@ def test_integral_path_refuses_a_start_that_is_not_scalar():
 
 
 def test_ito_suite_sorts_do_not_grow_with_the_grid(monkeypatch, tmp_path):
-    """Each sample of ito-suite makes a fixed number of canonicalize calls,
-    whatever the number of steps."""
+    """ito-suite makes a fixed number of canonicalize calls, whatever the
+    number of steps, and fewer than the 25 samples of one section: each
+    section sorts its samples together, not one by one."""
     import fermisde._sparse as sp
 
     original = sp.canonicalize
@@ -603,11 +609,154 @@ def test_ito_suite_sorts_do_not_grow_with_the_grid(monkeypatch, tmp_path):
     monkeypatch.setattr(sp, "canonicalize", counted)
     counts = []
     for n in (16, 64):
+        # the shared zero of each size is built, and sorted, only once
+        CliffordElement.zero(n)
         calls.clear()
         spec = parse_problem({"grid": {"n_steps": n}})
         assert run("ito-suite", spec, str(tmp_path / str(n)), seed=0)["pass"]
         counts.append(len(calls))
-    assert counts[0] == counts[1]
+    assert counts[0] == counts[1] < 25
+
+
+# -- a batch of processes against each process on its own -----------------
+
+
+def batch_of(grid, processes):
+    """One canonical stack of several processes on grid, one per sample."""
+    period = grid.n_steps + 1
+    parts = [_Stack.of(grid.n, list(p)) for p in processes]
+    return _Stack(
+        grid.n,
+        np.concatenate([p.seg + s * period for s, p in enumerate(parts)]),
+        np.concatenate([p.masks for p in parts]),
+        np.concatenate([p.amps for p in parts]),
+        period,
+    )
+
+
+def suite_samples(n, seed):
+    """Four adapted processes on a grid of n steps. Step 4 of sample 1
+    has 12 rows, so its norm is no running sum (np.add.reduceat rounds
+    one otherwise); sample 2 repeats sample 0, and sample 3 is zero at
+    every step."""
+    g = TimeGrid(0.8, n)
+    rng = np.random.default_rng(seed)
+    a = sample_process(rng, g, n, adapted=True, terms=6)
+    b = sample_process(rng, g, n, adapted=True, terms=3)
+    b.values[4] = random_element(rng, n, n_terms=40, max_generator=4)
+    assert b.values[4].n_terms >= 8
+    zero = AdaptedProcess.constant_scalar(g, 0.0)
+    return g, [a, b, a, zero]
+
+
+@pytest.mark.parametrize("n", [5, 9, 70])
+def test_batched_helpers_equal_each_sample_alone(n):
+    g, samples = suite_samples(n, 300 + n)
+    root = np.sqrt(g.dt)
+    batch = batch_of(g, samples)
+    count = len(samples)
+    # integrals and paths, sample by sample
+    for side, integral in (("right", right_integral), ("left", left_integral)):
+        got = _integrals(batch, side, root).values(0, count)
+        for s, y in enumerate(samples):
+            assert same_bits(got[s], integral(g, y))
+    path = _paths(batch, root)
+    for s, y in enumerate(samples):
+        lo = s * (n + 1)
+        steps = path.values(lo, lo + n)
+        want = right_integral_path(g, y)
+        for k in range(n):
+            assert same_bits(steps[k], want[k + 1] - want[k])
+    # per-step norms, and the three suite sections
+    squares = batch.step_squares(count, n)
+    for s, y in enumerate(samples):
+        assert squares[s].tolist() == [v.norm2_sq() for v in y]
+    isos = _isometry_batch(g, batch, count)
+    starts = np.array([0.75, -1.5, 0.0, 2.0])
+    reps = _representation_batch(g, batch, starts)
+    comms = _commutation_worst(g, batch, count)
+    for s, y in enumerate(samples):
+        total = sum(g.dt * v.norm2_sq() for v in y)
+        iso = abs(right_integral(g, y).norm2_sq() - total) / (1.0 + total)
+        assert isos[s] == iso
+        assert check_martingale(right_integral_path(g, y)) == 0.0
+        start = CliffordElement.scalar(g.n, starts[s])
+        m = right_integral_path(g, y, start)
+        target = m[n] - m[0]
+        recon = right_integral(g, mrep_extract(g, m))
+        assert reps[s] == norm2(recon - target) / (1.0 + norm2(target))
+        assert comms[s] == commutation_check(g, y)
+    assert isos[0] == isos[2] and reps[3] == comms[3] == 0.0
+
+
+def test_batched_helpers_refuse_a_late_sample_at_its_own_step():
+    g, samples = suite_samples(9, 1)
+    samples[2].values[6] = CliffordElement.generator(g.n, 7).scale(0.5)
+    with pytest.raises(ValueError) as alone:
+        right_integral_path(g, samples[2])
+    assert "integrand value at step 6 is not adapted" in str(alone.value)
+    batch = batch_of(g, samples)
+    for check in (
+        lambda: _isometry_batch(g, batch, 4),
+        lambda: _representation_batch(g, batch, np.ones(4)),
+    ):
+        with pytest.raises(ValueError) as batched:
+            check()
+        assert str(batched.value) == str(alone.value)
+
+
+def test_batched_checks_refuse_a_path_that_leaves_the_layout():
+    g, samples = suite_samples(9, 2)
+    samples[1].values[3] = CliffordElement.scalar(g.n, np.nan)
+    with pytest.raises(ValueError, match="path of sample 1 leaves"):
+        _isometry_batch(g, batch_of(g, samples), 4)
+
+
+def test_batched_checks_refuse_a_stack_that_does_not_fit():
+    # sample 3 has no rows, so its count can only be given
+    g, samples = suite_samples(9, 3)
+    batch = batch_of(g, samples)
+    with pytest.raises(ValueError, match="rows of sample 2, past its 2"):
+        _isometry_batch(g, batch, 2)
+    with pytest.raises(ValueError, match="rows of sample 2, past its 1"):
+        _representation_batch(g, batch, np.ones(1))
+    with pytest.raises(ValueError, match="period 10 does not fit"):
+        _commutation_worst(TimeGrid(0.8, 8), batch, 4)
+
+
+def test_isometry_sum_is_pythons_sum():
+    """S sums the steps' dt ||Y_k||^2 with Python's sum, which adds with
+    compensation from Python 3.12 on; a left-to-right NumPy fold would
+    differ from the per-process route in the last bits there: with
+    dt = 1 the terms 1, 1e-16, 1e-16 fold to 1.0 but sum to 1 + 2e-16."""
+    g = TimeGrid(3.0, 3)
+    values = [
+        CliffordElement.scalar(g.n, 1.0),
+        CliffordElement.generator(g.n, 0).scale(1e-8),
+        CliffordElement.generator(g.n, 1).scale(1e-8),
+    ]
+    y = AdaptedProcess(g, values, check=False)
+    batch = batch_of(g, [y])
+    total = sum(g.dt * v.norm2_sq() for v in y)
+    iso = abs(right_integral(g, y).norm2_sq() - total) / (1.0 + total)
+    assert _isometry_batch(g, batch, 1) == [iso]
+
+
+def test_ito_suite_refuses_a_batch_that_mixes_up_its_samples(
+    monkeypatch, tmp_path
+):
+    import fermisde.cli as cli
+
+    batched = cli._isometry_batch
+
+    def rotated(grid, steps, samples):
+        isos = batched(grid, steps, samples)
+        return isos[1:] + isos[:1]
+
+    monkeypatch.setattr(cli, "_isometry_batch", rotated)
+    spec = parse_problem({"grid": {"n_steps": 9}})
+    with pytest.raises(RuntimeError, match="sample 0 of the batch differs"):
+        run("ito-suite", spec, str(tmp_path), seed=0)
 
 
 # SHA-256 of suite report files at fixed sizes and seeds, recorded with
@@ -653,6 +802,16 @@ REPORT_DIGESTS = {
     ("ito-suite", 70, 0): {
         "ito_suite.json": "87c1b515c5ef1b96ffc2dfc08dc9e225"
                           "88ff5b48405463c19610ec2cf4203280",
+    },
+    # The benchmark's own ito-suite call: recorded on the per-sample loops
+    # that the one-stack-per-section pipeline replaces.
+    ("ito-suite", 64, 0): {
+        "ito_suite.json": "8d0eb84453d6d2df8d7af4296c39b8ed"
+                          "5e5fc5b01e97fdf7267cde4a80cd1672",
+    },
+    ("ito-suite", 64, 1): {
+        "ito_suite.json": "97263151944555eb3185e23ce758f6d9"
+                          "e380ceac24b1099c66f3530608ac910d",
     },
 }
 
