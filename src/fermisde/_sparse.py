@@ -82,6 +82,15 @@ def below_row(k, w: int) -> np.ndarray:
     return row
 
 
+def generator_rows(k: int, w: int) -> np.ndarray:
+    """The (k, w) rows of the generators g_0..g_{k-1}, in canonical
+    order."""
+    j = np.arange(k)
+    rows = np.zeros((k, w), dtype=np.uint64)
+    rows[j, j // WORD] = _U1 << (j % WORD).astype(np.uint64)
+    return rows
+
+
 def lexsort_rows(
     masks: np.ndarray, seg: np.ndarray | None = None
 ) -> np.ndarray:

@@ -211,11 +211,8 @@ class CliffordElement:
     # -- star structure and grading ---------------------------------------
 
     def adjoint(self):
-        pc = sp.popcount_rows(self.masks)
-        flip = (pc * (pc - 1) // 2) & 1
-        signs = np.where(flip == 1, -1.0, 1.0)
         return CliffordElement._wrap(
-            self.n, self.masks, np.conj(self.amps) * signs
+            self.n, self.masks, _adjoint_amps(self.masks, self.amps)
         )
 
     def grading(self):
@@ -306,6 +303,14 @@ def norm2(a):
     return float(np.sqrt(a.norm2_sq()))
 
 
+def _adjoint_amps(masks, amps):
+    """Amplitudes of the adjoint: g_S* reverses the |S| factors of g_S,
+    a sign of (-1)^(|S|(|S|-1)/2)."""
+    pc = sp.popcount_rows(masks)
+    signs = np.where((pc * (pc - 1) // 2) & 1, -1.0, 1.0)
+    return np.conj(amps) * signs
+
+
 def _sum_sq(amps):
     """sum |amp|^2 by NumPy's own pairwise sum. A BLAS dot product
     (np.vdot) splits a long vector among its threads, so its rounding
@@ -331,8 +336,11 @@ def cond_expect(a, k):
 class MatrixRep:
     """Jordan-Wigner matrices for n generators on d = 2^ceil(n/2) dimensions.
 
-    Generators are kept as signed permutations (column j maps to row
-    perm[j] with factor phase[j]); monomial images compose in O(d) each.
+    Every monomial maps to a Pauli string (x, z, w): column j goes to row
+    j ^ x with phase i^w (-1)^popcount(j & z). Generator k, with q = k // 2
+    and low_q the bits below q, is the string (1 << q, low_q, 0) for even
+    k and (1 << q, low_q | 1 << q, 1) for odd k; the tables hold these
+    per generator.
     """
 
     def __init__(self, n):
@@ -346,66 +354,105 @@ class MatrixRep:
         self.n = n
         self.qubits = max(1, -(-n // 2))
         self.d = 1 << self.qubits
-        idx = np.arange(self.d)
-        self._gens = []
-        for k in range(n):
-            q, odd = divmod(k, 2)
-            low = (1 << q) - 1
-            zsign = np.where(
-                np.bitwise_count(idx & low) & 1, -1.0 + 0j, 1.0 + 0j
-            )
-            perm = idx ^ (1 << q)
-            if odd:
-                phase = zsign * np.where((idx >> q) & 1, -1j, 1j)
-            else:
-                phase = zsign
-            self._gens.append((perm, phase))
+        self._x = tuple(1 << (k // 2) for k in range(n))
+        self._z = tuple(
+            ((1 << (k // 2)) - 1) | ((k & 1) << (k // 2)) for k in range(n)
+        )
+        self._w = tuple(k & 1 for k in range(n))
+
+    def strings(self, masks):
+        """Per row of masks (one word), the Pauli string (x, z, w) of its
+        ordered monomial, as int64 arrays with w in 0..3.
+
+        Left-multiplying a string (x, z, w) by g_k gives (x ^ x_k,
+        z ^ z_k, w + w_k + 2 popcount(x & z_k)). Composed from the highest
+        generator down, x is made of the generators above k, whose X bits
+        lie at q or above (above q when k is odd), while z_k holds the bits
+        below q and, for odd k only, bit q. So the popcount is always 0:
+        x and z are the XOR of the generators' strings and w counts the
+        odd generators.
+        """
+        bits = masks[:, 0].astype(np.int64)
+        x = np.zeros_like(bits)
+        z = np.zeros_like(bits)
+        w = np.zeros_like(bits)
+        for k in range(self.n):
+            has = (bits >> k) & 1
+            x ^= has * self._x[k]
+            z ^= has * self._z[k]
+            w += has * self._w[k]
+        return x, z, w & 3
 
     def monomial(self, mask_bits):
-        """(perm, phase) image of the ordered product over mask_bits."""
-        idx = np.arange(self.d)
-        perm = idx
-        phase = np.ones(self.d, dtype=np.complex128)
-        for k in mask_bits:
-            gp, gf = self._gens[k]
-            phase = gf * phase[gp]
-            perm = perm[gp]
-        return perm, phase
+        """(perm, phase) image of the ordered monomial over the generator
+        indices mask_bits."""
+        mask = sum(1 << k for k in set(mask_bits))
+        x, z, w = self.strings(np.array([[mask]], dtype=np.uint64))
+        cols = np.arange(self.d)
+        sign = 1.0 - 2.0 * (np.bitwise_count(cols & z[0]) & 1)
+        re, im = _turn(np.ones(1, np.complex128), w)
+        phase = np.empty(self.d, np.complex128)
+        phase.real = re * sign
+        phase.imag = im * sign
+        return cols ^ x[0], phase
 
     def matrix(self, a):
-        """Dense image of a CliffordElement."""
+        """Dense image of a CliffordElement.
+
+        Each term adds amp i^w (-1)^popcount(j & z) at (j ^ x, j) for
+        every column j. One np.bincount per real and imaginary part
+        scatters a chunk of terms, term after term, which is the order
+        of a per-term loop of additions into a zero matrix, so the sums
+        round alike; a later chunk takes the earlier sums as its first
+        weights. Temporaries hold at most _CHUNK_ENTRIES entries.
+        """
         if a.n != self.n:
             raise ValueError("element and representation sizes differ")
-        out = np.zeros((self.d, self.d), dtype=np.complex128)
-        cols = np.arange(self.d)
-        for i in range(a.n_terms):
-            bits = _mask_bits(a.masks[i])
-            perm, phase = self.monomial(bits)
-            out[perm, cols] += a.amps[i] * phase
+        d = self.d
+        x, z, w = self.strings(a.masks)
+        turned_re, turned_im = _turn(a.amps, w)
+        cols = np.arange(d)
+        sums = [np.zeros(d * d), np.zeros(d * d)]
+        step = max(1, _CHUNK_ENTRIES // d)
+        for lo in range(0, a.n_terms, step):
+            part = slice(lo, lo + step)
+            where = ((cols ^ x[part, None]) * d + cols).ravel()
+            sign = 1.0 - 2.0 * (np.bitwise_count(cols & z[part, None]) & 1)
+            if lo:
+                where = np.concatenate((np.arange(d * d), where))
+            for i, turned in enumerate((turned_re, turned_im)):
+                weights = (turned[part, None] * sign).ravel()
+                if lo:
+                    weights = np.concatenate((sums[i], weights))
+                sums[i] = np.bincount(where, weights, minlength=d * d)
+        out = np.empty((d, d), dtype=np.complex128)
+        out.real = sums[0].reshape(d, d)
+        out.imag = sums[1].reshape(d, d)
         return out
 
     def trace_state(self, a):
-        """Normalized trace of the image, computed without densifying."""
-        total = 0.0 + 0.0j
-        idx = np.arange(self.d)
-        for i in range(a.n_terms):
-            perm, phase = self.monomial(_mask_bits(a.masks[i]))
-            fixed = perm == idx
-            if fixed.any():
-                total += a.amps[i] * phase[fixed].sum()
-        return total / self.d
+        """Normalized trace of the image, computed without densifying.
+
+        A term with x != 0 has no diagonal entry, and one with x = 0 and
+        z != 0 has as many phases +i^w as -i^w on it; the trace is the sum
+        of i^w amp over the terms with x = z = 0.
+        """
+        x, z, w = self.strings(a.masks)
+        on = (x == 0) & (z == 0)
+        re, im = _turn(a.amps[on], w[on])
+        return complex(np.sum(re), np.sum(im))
 
 
-def _mask_bits(row):
-    bits = []
-    for w in range(row.shape[0]):
-        word = int(row[w])
-        base = 64 * w
-        while word:
-            low = word & -word
-            bits.append(base + low.bit_length() - 1)
-            word ^= low
-    return bits
+# Most entries matrix scatters in one np.bincount call.
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _turn(amps, w):
+    """Real and imaginary parts of i^w amps, read off the parts of amps
+    without a multiplication."""
+    parts = np.stack((amps.real, amps.imag, -amps.real, -amps.imag))
+    rows = np.arange(amps.shape[0])
+    return parts[-w & 3, rows], parts[(1 - w) & 3, rows]
 
 
 _REP_CACHE: dict[int, MatrixRep] = {}
@@ -485,19 +532,39 @@ def _coordinates(basis, vecs):
 
 def _block_singular_values(a):
     """Singular values of a in the algebra its monomials generate, largest
-    first.
+    first: the singular values of its blocks (_block_stacks)."""
+    return _sorted_down(
+        np.linalg.svd(_block_stacks([a])[0], compute_uv=False)
+    )
 
-    The masks of a span an r-dimensional GF(2) space whose commutation
-    form omega splits into m anticommuting pairs (e_i, f_i) and c central
-    vectors z_j. With eps_v = g_v^2 = +-1, g_{e_i} -> sqrt(eps) X_i and
-    g_{f_i} -> sqrt(eps) Z_i on m qubits and g_{z_j} -> sqrt(eps) (+-1) on
-    each of 2^c sectors is a *-representation of that algebra whose
-    normalized trace is the vacuum, so its 2^c blocks of 2^m x 2^m carry
-    the same spectral distribution as the Jordan-Wigner image: the mean
-    of s^p and the maximum agree, and _spectral_lp reads them unchanged.
-    The blocks hold 2^r entries, and r above MAX_MATRIX_GENERATORS is
-    refused.
-    """
+
+def _block_spectra(elements):
+    """[_block_singular_values(a) for a in elements], with one SVD call
+    per block shape. A stacked SVD factors each matrix on its own, by the
+    same LAPACK call with the same workspace, so every spectrum keeps its
+    bits."""
+    blocks = _block_stacks(elements)
+    out = [None] * len(blocks)
+    for shape in sorted({b.shape[1:] for b in blocks}):
+        group = [i for i, b in enumerate(blocks) if b.shape[1:] == shape]
+        stacked = np.linalg.svd(
+            np.concatenate([blocks[i] for i in group]), compute_uv=False
+        )
+        ends = np.cumsum([blocks[i].shape[0] for i in group])
+        for i, s in zip(group, np.split(stacked, ends[:-1])):
+            out[i] = _sorted_down(s)
+    return out
+
+
+def _sorted_down(s):
+    return np.sort(s.ravel())[::-1]
+
+
+def _block_basis(a):
+    """(basis, m, coords) of the masks of a: a symplectic basis of their
+    GF(2) span, m pairs (e_i, f_i) then the central words, as Python
+    ints; per term, the int whose bit k says whether basis[k] enters its
+    mask. A span of rank above MAX_MATRIX_GENERATORS is refused."""
     vals = [sp.decode_mask(row) for row in a.masks]
     echelon = {}
     for v in vals:
@@ -513,42 +580,84 @@ def _block_singular_values(a):
         )
     pairs, central = _symplectic_basis(echelon.values())
     basis = [b for pair in pairs for b in pair] + central
-    m, c = len(pairs), len(central)
-    coords = np.array(_coordinates(basis, vals), dtype=np.int64)
-    bits = (coords[:, None] >> np.arange(r)) & 1
-    # parity[k, l] is the sign exponent of g_{b_k} g_{b_l}; its diagonal
-    # is that of g_b^2 = eps_b. A term's monomial is the ordered product
-    # of its basis words times (-1)^(sum over k < l of its pair signs).
-    w = sp.words_for(a.n)
-    words = np.array(
-        [sp.encode_mask(b, w) for b in basis], dtype=np.uint64
-    ).reshape(r, w)
-    parity = sp.pair_parity(words, words).astype(np.int64)
-    pair_signs = ((bits @ np.triu(parity, 1)) * bits).sum(axis=1)
-    quarter = 2 * pair_signs + bits @ np.diag(parity)
-    phase = a.amps * np.array([1, 1j, -1, -1j])[quarter & 3]
-    # g_v acts on column j of sector t as
-    # (-1)^(|z & j| + |s & t|) |j ^ x>, x and z its X and Z bits and s
-    # its central bits.
-    qubit = 1 << np.arange(m)
-    x = bits[:, 0:2 * m:2] @ qubit
-    z = bits[:, 1:2 * m:2] @ qubit
-    s_bits = coords >> 2 * m
-    cols = np.arange(1 << m)
-    sector = np.arange(1 << c)
-    flips = (
-        np.bitwise_count(s_bits[:, None] & sector)[:, :, None]
-        + np.bitwise_count(z[:, None] & cols)[:, None, :]
-    )
-    sign = np.where(flips & 1, -1.0, 1.0)
-    blocks = np.zeros((1 << c, 1 << m, 1 << m), dtype=np.complex128)
-    np.add.at(
-        blocks,
-        (sector[None, :, None], x[:, None, None] ^ cols, cols),
-        phase[:, None, None] * sign,
-    )
-    s = np.linalg.svd(blocks, compute_uv=False).ravel()
-    return np.sort(s)[::-1]
+    return basis, len(pairs), _coordinates(basis, vals)
+
+
+def _block_stacks(elements):
+    """Per element a, its (2^c, 2^m, 2^m) blocks in the algebra its
+    monomials generate, built for all elements of one (m, c) at once.
+
+    The masks of a span an r-dimensional GF(2) space whose commutation
+    form omega splits into m anticommuting pairs (e_i, f_i) and c central
+    vectors z_j. With eps_v = g_v^2 = +-1, g_{e_i} -> sqrt(eps) X_i and
+    g_{f_i} -> sqrt(eps) Z_i on m qubits and g_{z_j} -> sqrt(eps) (+-1) on
+    each of 2^c sectors is a *-representation of that algebra whose
+    normalized trace is the vacuum, so its 2^c blocks of 2^m x 2^m carry
+    the same spectral distribution as the Jordan-Wigner image: the mean
+    of s^p and the maximum agree, and _spectral_lp reads them unchanged.
+    The blocks hold 2^r entries, and r above MAX_MATRIX_GENERATORS is
+    refused. Each entry sums its terms in term order, as one element's
+    own build does, so an element's blocks do not depend on the others.
+    """
+    found = [_block_basis(a) for a in elements]
+    groups = {}
+    for i, (basis, m, _) in enumerate(found):
+        groups.setdefault((m, len(basis) - 2 * m), []).append(i)
+    out = [None] * len(elements)
+    for (m, c), group in groups.items():
+        r = 2 * m + c
+        owner = np.repeat(
+            np.arange(len(group)), [elements[i].n_terms for i in group]
+        )
+        coords = np.array(
+            [x for i in group for x in found[i][2]], dtype=np.int64
+        )
+        amps = np.concatenate([elements[i].amps for i in group])
+        bits = (coords[:, None] >> np.arange(r)) & 1
+        # parity[g, k, l] is the sign exponent of g_{b_k} g_{b_l} of
+        # element g; its diagonal is that of g_b^2 = eps_b. A term's
+        # monomial is the ordered product of its basis words times
+        # (-1)^(sum over k < l of its pair signs).
+        w = max(sp.words_for(elements[i].n) for i in group)
+        words = np.array(
+            [sp.encode_mask(b, w) for i in group for b in found[i][0]],
+            dtype=np.uint64,
+        ).reshape(len(group), r, w)
+        prefix = sp.prefix_parity(words.reshape(-1, w)).reshape(words.shape)
+        parity = (
+            np.bitwise_count(words[:, :, None] & prefix[:, None])
+            .sum(axis=3, dtype=np.int64) & 1
+        )
+        ahead = (bits[:, None, :] @ np.triu(parity, 1)[owner])[:, 0]
+        diag = np.diagonal(parity, axis1=1, axis2=2)[owner]
+        quarter = 2 * (ahead * bits).sum(axis=1) + (bits * diag).sum(axis=1)
+        phase = amps * np.array([1, 1j, -1, -1j])[quarter & 3]
+        # g_v acts on column j of sector t as
+        # (-1)^(|z & j| + |s & t|) |j ^ x>, x and z its X and Z bits and s
+        # its central bits.
+        qubit = 1 << np.arange(m)
+        x = bits[:, 0:2 * m:2] @ qubit
+        z = bits[:, 1:2 * m:2] @ qubit
+        s_bits = coords >> 2 * m
+        cols = np.arange(1 << m)
+        sector = np.arange(1 << c)
+        flips = (
+            np.bitwise_count(s_bits[:, None] & sector)[:, :, None]
+            + np.bitwise_count(z[:, None] & cols)[:, None, :]
+        )
+        sign = np.where(flips & 1, -1.0, 1.0)
+        blocks = np.zeros(
+            (len(group), 1 << c, 1 << m, 1 << m), dtype=np.complex128
+        )
+        np.add.at(
+            blocks,
+            (owner[:, None, None], sector[None, :, None],
+             x[:, None, None] ^ cols, cols),
+            phase[:, None, None] * sign,
+        )
+        for g, i in enumerate(group):
+            out[i] = blocks[g]
+    return out
 
 
 def _spectral_lp(a, s, p):
@@ -712,6 +821,30 @@ class _Stack:
         )
         return _Stack(self.n, seg, masks, amps)
 
+    def folds(self):
+        """Each sample's rows summed over all its steps as the fold
+        ((v_0 + v_1) + v_2) + .. of its step values: a canonical stack
+        whose seg is the sample. np.add.reduceat, and so sums, adds a
+        run of three or more rows in another order; here each mask's
+        rows are added one step at a time, in step order."""
+        order = sp.lexsort_rows(self.masks, self.sample)
+        masks, amps = self.masks[order], self.amps[order]
+        sample = self.sample[order]
+        new = np.ones(amps.shape[0], dtype=bool)
+        new[1:] = (masks[1:] != masks[:-1]).any(axis=1) | (
+            sample[1:] != sample[:-1]
+        )
+        starts = np.flatnonzero(new)
+        group = np.cumsum(new) - 1
+        rank = np.arange(amps.shape[0]) - starts[group]
+        total = amps[starts]
+        for r in range(1, int(rank.max(initial=0)) + 1):
+            at = rank == r
+            total[group[at]] += amps[at]
+        keep = total != 0
+        return _Stack(self.n, sample[starts][keep], masks[starts][keep],
+                      total[keep])
+
     def __add__(self, other):
         return self._like(
             np.concatenate((self.seg, other.seg)),
@@ -743,6 +876,39 @@ class _Stack:
     def grading(self):
         signs = np.where(self.parity(), -1.0, 1.0)
         return self._like(self.seg, self.masks, self.amps * signs)
+
+    def adjoint(self):
+        """Each step's adjoint; rows keep their order."""
+        return self._like(
+            self.seg, self.masks, _adjoint_amps(self.masks, self.amps)
+        )
+
+    def products(self, other):
+        """Each step's value times other's value at the same step, as a
+        canonical stack; both stacks canonical.
+
+        The rows of each step's product come in mul_full's order (rows of
+        self major), with its signs and its two multiplications, and one
+        canonicalize merges them, so every step equals a * b of its two
+        values bit for bit.
+        """
+        lo = np.searchsorted(other.seg, self.seg, side="left")
+        count = np.searchsorted(other.seg, self.seg, side="right") - lo
+        total = int(count.sum())
+        if total > sp.MAX_ROWS:
+            raise ValueError(
+                f"stacked product refused: {total} rows (> {sp.MAX_ROWS})"
+            )
+        left = np.repeat(np.arange(self.seg.shape[0]), count)
+        right = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(
+            total
+        )
+        prefix = sp.prefix_parity(other.masks)
+        odd = sp.popcount_rows(self.masks[left] & prefix[right]) & 1
+        signs = np.where(odd == 1, -1.0, 1.0)
+        amps = (self.amps[left] * other.amps[right]) * signs
+        masks = self.masks[left] ^ other.masks[right]
+        return self._like(self.seg[left], masks, amps).canonical()
 
     def mul_generator(self, side):
         """Each step's value times its own generator g_k on the given side;

@@ -187,14 +187,15 @@ def dW(grid, k):
 
 
 def brownian(grid, k):
-    """W at time t_k: the sum of the first k increments (zero at k=0)."""
+    """W at time t_k: the sum of the first k increments (zero at k=0).
+
+    Its rows are the generators g_0..g_{k-1}, each with amplitude
+    sqrt(dt), which is already the canonical order."""
     if not 0 <= k <= grid.n_steps:
         raise ValueError(f"time index {k} outside 0..{grid.n_steps}")
-    root = np.sqrt(grid.dt)
-    return _sum_terms(
-        grid, [CliffordElement.generator(grid.n, j).scale(root)
-               for j in range(k)]
-    )
+    masks = sp.generator_rows(k, sp.words_for(grid.n))
+    amps = np.full(k, np.sqrt(grid.dt), dtype=np.complex128)
+    return CliffordElement._wrap(grid.n, masks, amps)
 
 
 def right_integral(grid, integrand):
@@ -312,14 +313,6 @@ def _steps(grid, integrand):
     """Stack of the integrand's values on steps 0..n_steps-1."""
     _require_integrand(grid, integrand)
     return _Stack.of(grid.n, [integrand[k] for k in range(grid.n_steps)])
-
-
-def _sum_terms(grid, terms):
-    """Sum of elements on the grid, canonicalized once."""
-    masks, amps = sp.merge_sum(
-        [(t.masks, t.amps) for t in terms], sp.words_for(grid.n)
-    )
-    return CliffordElement._wrap(grid.n, masks, amps)
 
 
 def _require_integrand(grid, integrand):
@@ -507,18 +500,15 @@ def bg_ratio_sweep(grid, integrand, ps):
     Each side's square function, its eigenvalues and the integral's
     singular values are computed once and read for all of ps.
     """
-    _require_integrand(grid, integrand)
+    steps = _steps(grid, integrand)
     if not all(p >= 1 for p in ps):
         raise ValueError("p must be at least 1")
     rep = jw_rep(grid.n)
     out = [{"p": p, "flagged_zero": False} for p in ps]
     for name, left in (("right", False), ("left", True)):
-        total = CliffordElement.zero(grid.n)
-        for k in range(grid.n_steps):
-            y = integrand[k]
-            sq = (y.adjoint() * y) if not left else (y * y.adjoint())
-            total = total + sq.scale(grid.dt)
-        lam = np.linalg.eigvalsh(rep.matrix(total))
+        lam = np.linalg.eigvalsh(
+            rep.matrix(_square_function(grid, steps, left))
+        )
         lam = np.clip(lam, 0.0, None)
         integ = (
             left_integral(grid, integrand)
@@ -544,6 +534,17 @@ def bg_ratio_sweep(grid, integrand, ps):
                 entry["inverse_ratio"] = s_norm / i_norm
             result[name] = entry
     return out
+
+
+def _square_function(grid, steps, left):
+    """sum_k dt Y_k* Y_k (Y_k Y_k* when left) of a stack of integrand
+    values, as an element: one stacked product for all steps, scaled,
+    then summed over the steps in step order, equal bit for bit to the
+    fold total + dt Y_k* Y_k of elements."""
+    star = steps.adjoint()
+    squares = steps.products(star) if left else star.products(steps)
+    total = squares.scale(grid.dt).folds()
+    return CliffordElement._wrap(grid.n, total.masks, total.amps)
 
 
 def commutation_check(grid, process):

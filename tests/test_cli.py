@@ -256,6 +256,30 @@ def test_echo_holds_the_checked_fields():
     }
 
 
+@pytest.mark.parametrize(
+    "subcommand", ["forward", "max-principle", "ladder", "all"]
+)
+def test_echo_names_no_grid_the_spec_did_not_give(subcommand, tmp_path):
+    """lq_scalar runs on its entry's 64-step grid when the spec gives no
+    n_steps; the echo used to name the parse default 8, which did not
+    run. Each body names the grid it ran on."""
+    run(subcommand, parse_problem({"problem_id": "lq_scalar"}),
+        str(tmp_path))
+    stem = subcommand.replace("-", "_")
+    report = json.loads((tmp_path / f"{stem}.json").read_text())
+    assert report["spec"]["grid"] == {"T": 1.0}
+    bodies = report.get("reports") or {subcommand: report["report"]}
+    if "forward" in bodies:
+        assert bodies["forward"]["n_steps"] == 64
+    for name in ("max-principle", "ladder"):
+        if name in bodies:
+            assert bodies[name]["grid"]["n_steps"] == 64
+    if subcommand == "all":
+        assert bodies["algebra-suite"]["n"] == 8
+    given = parse_problem({"problem_id": "lq_scalar", "n_steps": 16})
+    assert given.echo()["grid"] == {"T": 1.0, "n_steps": 16}
+
+
 def test_parse_inline_maps_and_elements():
     left = element_to_json(CliffordElement.generator(6, 1))
     spec = parse_problem(
@@ -826,3 +850,55 @@ def test_main_honors_output_env_var(tmp_path, monkeypatch, capsys):
     assert main(["algebra-suite", "--spec", '{"n_steps": 4}']) == 0
     capsys.readouterr()
     assert (target / "algebra_suite.json").exists()
+
+
+# -- algebra-suite --------------------------------------------------------
+
+
+def car_by_products(n):
+    """The per-pair reference: worst norm2(g_j g_k + g_k g_j - 2 delta_jk)
+    over j <= k from element products."""
+    worst = 0.0
+    for j in range(n):
+        gj = CliffordElement.generator(n, j)
+        for k in range(j, n):
+            gk = CliffordElement.generator(n, k)
+            target = CliffordElement.scalar(n, 2.0 if j == k else 0.0)
+            worst = max(worst, norm2(gj * gk + gk * gj - target))
+    return worst
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 65])
+def test_car_residual_reads_the_generator_table(n, monkeypatch):
+    """The table equals the per-pair products, also when the sign kernel
+    is broken: all signs + makes every off-diagonal anticommutator 2 g,
+    all signs - makes every square -1."""
+    assert cli._car_residual(n) == car_by_products(n) == 0.0
+    pair_parity = cli.sp.pair_parity
+    for fill, want in ((0, 2.0 if n > 1 else 0.0), (1, 4.0)):
+        monkeypatch.setattr(
+            cli.sp, "pair_parity",
+            lambda a, b, prefix=None, fill=fill: np.full(
+                (a.shape[0], b.shape[0]), fill, np.uint8
+            ),
+        )
+        assert cli._car_residual(n) == car_by_products(n) == want
+        monkeypatch.setattr(cli.sp, "pair_parity", pair_parity)
+
+
+def test_car_residual_reads_the_table_in_blocks(monkeypatch):
+    """Past one block of rows each block reads its own rows' signs both
+    ways round: a sign flipped for one pair across two blocks shows."""
+    n = 2 * cli._CAR_CHUNK + 3
+    assert cli._car_residual(n) == 0.0
+    pair_parity = cli.sp.pair_parity
+
+    def flipped(a, b, prefix=None):
+        out = pair_parity(a, b, prefix)
+        j = np.flatnonzero(a[:, 4] == 1 << 10)   # generator 266
+        k = np.flatnonzero(b[:, 0] == 1 << 3)    # generator 3
+        out[np.ix_(j, k)] ^= 1
+        return out
+
+    monkeypatch.setattr(cli.sp, "pair_parity", flipped)
+    assert cli._car_residual(n) == 2.0

@@ -11,11 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fermisde import _sparse as sp
+from fermisde import algebra
 from fermisde.algebra import (
     MAX_MATRIX_GENERATORS,
     CliffordElement,
     MatrixRep,
     _block_singular_values,
+    _block_spectra,
+    _block_stacks,
     _random_rows,
     _symplectic_basis,
     adjoint,
@@ -32,7 +36,14 @@ from fermisde.algebra import (
     vacuum,
     zero,
 )
-from fermisde.cli import P_CHOICES, parse_problem, run
+from fermisde.cli import (
+    _BRANCH,
+    P_CHOICES,
+    _random_elements,
+    _rng,
+    parse_problem,
+    run,
+)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # annihilation
@@ -379,18 +390,136 @@ def test_lp_norm_equals_the_svd_formula_bit_for_bit():
             assert lp_norm(a, p) == ref
 
 
-def test_algebra_suite_takes_one_svd_per_element(monkeypatch, tmp_path):
-    calls = []
+def test_algebra_suite_takes_one_svd_per_block_shape(monkeypatch, tmp_path):
+    """The Hoelder sweep factors the blocks of its 120 elements with one
+    SVD call per block shape, and each call holds every block of that
+    shape."""
+    shapes = []
     svd = np.linalg.svd
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     spec = parse_problem({"grid": {"n_steps": 14}})
     assert run("algebra-suite", spec, str(tmp_path), seed=0)["pass"]
-    assert len(calls) == 2 * 60
+    kinds = [shape[1:] for shape in shapes]
+    assert len(kinds) == len(set(kinds))
+    assert 1 < len(kinds) <= 8
+    draw = _random_elements(
+        _rng(0, _BRANCH["algebra-suite"]), 14, 200
+    ).values(0, 200)
+    want = {}
+    for a in draw[80:]:
+        block = _block_stacks([a])[0]
+        want[block.shape[1:]] = want.get(block.shape[1:], 0) + block.shape[0]
+    assert {shape[1:]: shape[0] for shape in shapes} == want
+
+
+def test_algebra_suite_draws_construct_no_element_each(monkeypatch, tmp_path):
+    """The suite's 200 elements at n=14 come from one draw and one sort as
+    views; the constructor runs only for the scalars t_k I of the
+    Brownian check (k = 1..14)."""
+    calls = []
+    init = CliffordElement.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CliffordElement, "__init__", counted)
+    spec = parse_problem({"grid": {"n_steps": 14}})
+    assert run("algebra-suite", spec, str(tmp_path), seed=0)["pass"]
+    assert len(calls) <= 14
+
+
+@pytest.mark.parametrize("n", [1, 6, 14, 70])
+def test_batched_draws_equal_sequential_random_elements(n):
+    """_random_elements gives each element of K random_element calls bit
+    for bit, and leaves the generator in the same state."""
+    for count in (1, 2, 80, 260):
+        fast, slow = (np.random.default_rng(n * 7 + count) for _ in range(2))
+        got = _random_elements(fast, n, count).values(0, count)
+        want = [random_element(slow, n) for _ in range(count)]
+        assert len(got) == count
+        for a, b in zip(got, want):
+            assert a.n == b.n
+            assert a.masks.tobytes() == b.masks.tobytes()
+            assert a.masks.shape == b.masks.shape
+            assert a.amps.tobytes() == b.amps.tobytes()
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def per_element_blocks(a):
+    """Reference block build: one element at a time, with its own parity
+    table from pair_parity and its own np.add.at."""
+    basis, m, coords = algebra._block_basis(a)
+    c = len(basis) - 2 * m
+    r = len(basis)
+    coords = np.array(coords, dtype=np.int64)
+    bits = (coords[:, None] >> np.arange(r)) & 1
+    w = sp.words_for(a.n)
+    words = np.array(
+        [sp.encode_mask(b, w) for b in basis], dtype=np.uint64
+    ).reshape(r, w)
+    parity = sp.pair_parity(words, words).astype(np.int64)
+    pair_signs = ((bits @ np.triu(parity, 1)) * bits).sum(axis=1)
+    quarter = 2 * pair_signs + bits @ np.diag(parity)
+    phase = a.amps * np.array([1, 1j, -1, -1j])[quarter & 3]
+    qubit = 1 << np.arange(m)
+    x = bits[:, 0:2 * m:2] @ qubit
+    z = bits[:, 1:2 * m:2] @ qubit
+    s_bits = coords >> 2 * m
+    cols = np.arange(1 << m)
+    sector = np.arange(1 << c)
+    flips = (
+        np.bitwise_count(s_bits[:, None] & sector)[:, :, None]
+        + np.bitwise_count(z[:, None] & cols)[:, None, :]
+    )
+    sign = np.where(flips & 1, -1.0, 1.0)
+    blocks = np.zeros((1 << c, 1 << m, 1 << m), dtype=np.complex128)
+    np.add.at(
+        blocks,
+        (sector[None, :, None], x[:, None, None] ^ cols, cols),
+        phase[:, None, None] * sign,
+    )
+    return blocks
+
+
+def test_block_stacks_equal_the_per_element_build():
+    """Blocks built for many elements of one shape at once equal each
+    element's own build bit for bit, over one and two mask words."""
+    rng = np.random.default_rng(45)
+    for n in (3, 9, 14, 70):
+        elements = [zero(n), CliffordElement.scalar(n, 1.5 - 0.5j)]
+        for n_terms in (1, 3, 8, 11):
+            elements += [random_element(rng, n, n_terms) for _ in range(8)]
+        for a, got in zip(elements, _block_stacks(elements)):
+            want = per_element_blocks(a)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_stacked_block_spectra_equal_each_element_alone():
+    """One SVD per block shape gives every element the bits of its own
+    _block_singular_values, with the zero element, an element whose span
+    is all central, scalars and random elements of several ranks mixed."""
+    rng = np.random.default_rng(44)
+    central = CliffordElement.from_terms(
+        14, {0b11: 0.5 - 1j, 0b1100: 2.0, 0b1111: -0.25j, 0b11 << 12: 1.5}
+    )
+    assert _symplectic_basis([0b11, 0b1100, 0b11 << 12])[0] == []
+    elements = [zero(14), central, CliffordElement.scalar(14, 3.0 - 2j)]
+    for n_terms in (1, 2, 5, 8, 12):
+        elements += [random_element(rng, 14, n_terms) for _ in range(6)]
+    elements += [zero(14), central]
+    got = _block_spectra(elements)
+    for a, s in zip(elements, got):
+        want = _block_singular_values(a)
+        assert s.shape == want.shape
+        assert s.tobytes() == want.tobytes()
+    assert len({b.shape[1:] for b in _block_stacks(elements)}) > 2
 
 
 def test_large_n_refuses_matrix_norms_but_not_p2():
@@ -497,6 +626,86 @@ def test_jw_rep_is_star_homomorphism_with_vacuum_trace(n):
         assert np.allclose(rep.matrix(adjoint(a)), ma.conj().T, atol=1e-12)
         assert abs(np.trace(ma) / rep.d - vacuum(a)) < 1e-12
         assert abs(rep.trace_state(a) - vacuum(a)) < 1e-12
+
+
+def per_term_matrix(rep, a):
+    """Reference image: each term's signed permutation composed generator
+    by generator, as signed-permutation columns, and added in term order
+    into a zero matrix."""
+    idx = np.arange(rep.d)
+    gens = []
+    for k in range(rep.n):
+        q, odd = divmod(k, 2)
+        zsign = np.where(
+            np.bitwise_count(idx & ((1 << q) - 1)) & 1, -1.0 + 0j, 1.0 + 0j
+        )
+        phase = zsign * np.where((idx >> q) & 1, -1j, 1j) if odd else zsign
+        gens.append((idx ^ (1 << q), phase))
+    out = np.zeros((rep.d, rep.d), dtype=np.complex128)
+    for mask, amp in zip(a.masks[:, 0].tolist(), a.amps):
+        perm, phase = idx, np.ones(rep.d, dtype=np.complex128)
+        for k in range(rep.n):
+            if mask >> k & 1:
+                gp, gf = gens[k]
+                phase = gf * phase[gp]
+                perm = perm[gp]
+        out[perm, idx] += amp * phase
+    return out
+
+
+def zeroed_parts(rng, count, real):
+    """Amplitudes with real or imaginary parts exactly 0 (of either
+    sign) among ordinary ones."""
+    re = rng.normal(size=count)
+    im = np.zeros(count) if real else rng.normal(size=count)
+    re[::3] = 0.0
+    im[1::4] = -0.0
+    re[2::5] = -0.0
+    return re + 1j * im
+
+
+@pytest.mark.parametrize("n", range(0, MAX_MATRIX_GENERATORS + 1))
+def test_pauli_images_equal_the_per_term_composition(n):
+    """matrix adds each term's Pauli string with bincount; every entry
+    keeps the bits of the per-term loop, for real and complex amplitudes,
+    parts exactly 0, and elements past one bincount chunk."""
+    rep = jw_rep(n)
+    rng = np.random.default_rng(300 + n)
+    for real in (False, True):
+        for n_terms in (1, 8, 40):
+            a = random_element(rng, n, n_terms, real=real)
+            assert rep.matrix(a).tobytes() == per_term_matrix(rep, a).tobytes()
+            b = CliffordElement(
+                n, a.masks, zeroed_parts(rng, a.n_terms, real)
+            )
+            assert rep.matrix(b).tobytes() == per_term_matrix(rep, b).tobytes()
+    full = CliffordElement(
+        n, np.arange(1 << n, dtype=np.uint64)[:, None],
+        zeroed_parts(rng, 1 << n, False),
+    )
+    assert full.n_terms * rep.d > algebra._CHUNK_ENTRIES or n < 12
+    assert rep.matrix(full).tobytes() == per_term_matrix(rep, full).tobytes()
+    assert rep.matrix(zero(n)).tobytes() == bytes(16 * rep.d * rep.d)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 14])
+def test_trace_state_is_the_vacuum(n):
+    rep = jw_rep(n)
+    rng = np.random.default_rng(500 + n)
+    for n_terms in (0, 1, 8, 30):
+        a = random_element(rng, n, n_terms)
+        assert rep.trace_state(a) == a.vacuum()
+        assert rep.trace_state(a + 2.5j) == (a + 2.5j).vacuum()
+
+
+def test_monomial_reads_the_pauli_tables():
+    rep = jw_rep(9)
+    for bits in ([], [0], [3], [0, 1], [2, 5, 8], list(range(9))):
+        perm, phase = rep.monomial(bits)
+        a = CliffordElement.from_terms(9, {sum(1 << k for k in bits): 1.0})
+        m = per_term_matrix(rep, a)
+        assert np.array_equal(m[perm, np.arange(rep.d)], phase)
+        assert np.count_nonzero(m) == rep.d
 
 
 def test_jw_rep_is_cached():

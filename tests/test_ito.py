@@ -26,6 +26,7 @@ from fermisde.ito import (
     _isometry_batch,
     _paths,
     _representation_batch,
+    _square_function,
     bg_ratio_sweep,
     bg_ratios,
     brownian,
@@ -143,6 +144,24 @@ def test_brownian_square_is_time_exactly():
         assert norm2(mul(w, w) - eye.scale(times[k])) < 1e-13
     with pytest.raises(ValueError, match="outside"):
         brownian(g, 21)
+
+
+@pytest.mark.parametrize("n", [1, 5, 14, 64, 65, 130])
+def test_brownian_equals_the_sum_of_its_increments(n):
+    """W_k, built from its k generator rows at once, equals the sum of
+    the increments sqrt(dt) g_j, j < k, bit for bit."""
+    for T in (1.0, 0.3):
+        g = TimeGrid(T, n)
+        total = CliffordElement.zero(n)
+        for k in range(n + 1):
+            w = brownian(g, k)
+            assert w.masks.shape == total.masks.shape
+            assert w.masks.tobytes() == total.masks.tobytes()
+            assert w.amps.tobytes() == total.amps.tobytes()
+            if k < n:
+                total = total + CliffordElement.generator(n, k).scale(
+                    np.sqrt(g.dt)
+                )
 
 
 def test_brownian_path_is_a_martingale():
@@ -301,6 +320,7 @@ def test_bg_ratios_refuse_the_matrix_route_before_any_product(monkeypatch):
         raise AssertionError("a product ran before the size guard")
 
     monkeypatch.setattr(sp, "mul_full", no_products)
+    monkeypatch.setattr(_Stack, "products", no_products)
     g = TimeGrid(1.0, 15)
     y = AdaptedProcess.constant_scalar(g, 1.0)
     with pytest.raises(ValueError, match="matrix representation refused"):
@@ -333,6 +353,67 @@ def test_bg_constants_takes_one_spectrum_per_integrand_and_side(
     spec = parse_problem({"grid": {"n_steps": 14}})
     assert run("bg-constants", spec, str(tmp_path), seed=0)["pass"]
     assert counts == {"svd": 5 * 2, "eigvalsh": 5 * 2}
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 9, 14])
+def test_square_function_equals_the_per_step_fold(n):
+    """sum_k dt Y_k* Y_k and sum_k dt Y_k Y_k*, from one stacked product
+    and one step-ordered sum, equal the fold of element products bit for
+    bit, with empty steps and steps of many terms."""
+    g = TimeGrid(0.7, n)
+    rng = np.random.default_rng(60 + n)
+    for terms in (1, 4, 12):
+        values = [
+            random_element(rng, n, terms, max_generator=k)
+            for k in range(n)
+        ]
+        values[n // 2] = CliffordElement.zero(n)
+        y = AdaptedProcess(g, values)
+        for left in (False, True):
+            want = CliffordElement.zero(n)
+            for v in values:
+                square = v * v.adjoint() if left else v.adjoint() * v
+                want = want + square.scale(g.dt)
+            got = _square_function(g, _Stack.of(n, values), left)
+            assert got.masks.tobytes() == want.masks.tobytes()
+            assert got.amps.tobytes() == want.amps.tobytes()
+
+
+def test_stacked_products_equal_each_steps_product():
+    """Each step of a.products(b) is a_k * b_k bit for bit, also when a
+    step holds rows in only one of the two stacks."""
+    n = 9
+    rng = np.random.default_rng(62)
+    a_values = [random_element(rng, n, 5) for _ in range(6)]
+    b_values = [random_element(rng, n, 7) for _ in range(6)]
+    a_values[1] = CliffordElement.zero(n)
+    b_values[4] = CliffordElement.zero(n)
+    got = _Stack.of(n, a_values).products(_Stack.of(n, b_values))
+    for k, value in enumerate(got.values(0, 6)):
+        want = a_values[k] * b_values[k]
+        assert value.masks.tobytes() == want.masks.tobytes()
+        assert value.amps.tobytes() == want.amps.tobytes()
+
+
+def test_stacked_products_refuse_past_the_row_limit(monkeypatch):
+    import fermisde._sparse as sp
+
+    monkeypatch.setattr(sp, "MAX_ROWS", 40)
+    five = CliffordElement.from_terms(4, {m: 1.0 + m for m in range(5)})
+    a = _Stack.of(4, [five, five])
+    with pytest.raises(ValueError, match="50 rows"):
+        a.products(a)
+
+
+def test_folds_add_each_mask_in_step_order():
+    """Three steps of one mask add as ((v_0 + v_1) + v_2); np.add.reduceat,
+    which sums uses, adds them as v_0 + (v_1 + v_2)."""
+    n = 3
+    values = [CliffordElement.scalar(n, v) for v in (1e16, 1.0, 1.0)]
+    values.append(CliffordElement.from_terms(n, {5: 2.0}))
+    stack = _Stack.of(n, values)
+    assert stack.folds().amps.tolist() == [1e16, 2.0]
+    assert stack.sums().amps.tolist() == [1e16 + 2.0, 2.0]
 
 
 # -- one-pass sums against the step-by-step fold --------------------------
@@ -802,6 +883,21 @@ REPORT_DIGESTS = {
     ("ito-suite", 70, 0): {
         "ito_suite.json": "87c1b515c5ef1b96ffc2dfc08dc9e225"
                           "88ff5b48405463c19610ec2cf4203280",
+    },
+    # The benchmark's own bg-constants size, the first to reach a
+    # 128 x 128 image: recorded on the per-term loop of MatrixRep.matrix
+    # that the Pauli-string scatter replaces.
+    ("bg-constants", 14, 0): {
+        "bg_constants.csv": "c51aea5da582afbc4bfc4e740dfd078a"
+                            "3fb99cb9b743143289172ad74a858ca3",
+        "bg_constants.json": "8f6bdb2a0dd6977bdea70f16fec6c8c6"
+                             "97889902c1ef18c0be99113425f314d5",
+    },
+    ("bg-constants", 14, 1): {
+        "bg_constants.csv": "691b93104d4d425375a5250bd93ee091"
+                            "9f168f4c2aaec0a3db143804d57b236d",
+        "bg_constants.json": "f2d10b0fb99d7707d8ddd25b732630fc"
+                             "ec3cd9ed7d0dc0955535f851a0389d06",
     },
     # The benchmark's own ito-suite call: recorded on the per-sample loops
     # that the one-stack-per-section pipeline replaces.

@@ -124,9 +124,11 @@ DIGESTS = {
         "bqsde.json": "8559ee39edf4322f02029b54f465025f"
                       "72f26e31d5c14d627b0c3cf9ffcc0ab2",
     },
+    # Re-recorded when the spec echo stopped naming a defaulted grid:
+    # only "spec.grid.n_steps" (8, which did not run) left the file.
     "forward-lq_scalar": {
-        "forward.json": "719be56e517b5846a02ba06c9444ecd4"
-                        "f0f04422d958dbad00a11fd3b8128dfc",
+        "forward.json": "a2c882c39dbbb151c15857e75b1f6ea8"
+                        "052fc963fecca3e6b76501bf7d6e3677",
     },
     "ladder-control_in_noise": {
         "ladder.json": "659cbfae6d2ffc198a69b097cf5b2e8c"
