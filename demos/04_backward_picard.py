@@ -16,12 +16,8 @@ from fermisde.operators import GradedScalarOp
 
 
 def scalar_driver(a):
-    return Driver(
-        f=lambda k, y, Y: y.scale(a),
-        g1=abs(a),
-        g2=0.0,
-        linear_y=lambda k: GradedScalarOp(a, 0.0),
-    )
+    # f(k, y, Y) = a y, declared linear in y: the solvers work on rows
+    return Driver(g1=abs(a), linear_y=lambda k: GradedScalarOp(a, 0.0))
 
 
 a, T = 1.0, 1.0

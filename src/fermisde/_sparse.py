@@ -286,6 +286,16 @@ def pair_parity(
     return par & 1
 
 
+def require_product(ma: int, mb: int) -> None:
+    """Refuse a product of ma by mb terms: it holds ma * mb rows, at most
+    MAX_ROWS."""
+    if ma * mb > MAX_ROWS:
+        raise ValueError(
+            f"product of {ma} by {mb} terms refused: {ma * mb} rows "
+            f"(> {MAX_ROWS})"
+        )
+
+
 def mul_full(
     masks_a: np.ndarray,
     amps_a: np.ndarray,
@@ -298,11 +308,7 @@ def mul_full(
     mb = masks_b.shape[0]
     if ma == 0 or mb == 0:
         return empty_masks(w), np.zeros(0, dtype=np.complex128)
-    if ma * mb > MAX_ROWS:
-        raise ValueError(
-            f"product of {ma} by {mb} terms refused: {ma * mb} rows "
-            f"(> {MAX_ROWS})"
-        )
+    require_product(ma, mb)
     pieces_m = []
     pieces_a = []
     prefix_b = prefix_parity(masks_b)

@@ -920,12 +920,30 @@ class _Stack:
         return np.searchsorted(self.seg, np.arange(lo, hi + 1)).tolist()
 
     def values(self, lo, hi):
-        """Elements of steps lo..hi-1 of a canonical stack, as views."""
+        """Elements of steps lo..hi-1 of a canonical stack, as views; an
+        empty step is the shared zero."""
         bounds = self._bounds(lo, hi)
+        zero = CliffordElement.zero(self.n)
         return [
             CliffordElement._wrap(self.n, self.masks[a:b], self.amps[a:b])
+            if b > a else zero
             for a, b in zip(bounds, bounds[1:])
         ]
+
+    def window(self, lo, hi):
+        """Steps lo..hi-1 of a canonical stack as steps 0..hi-lo-1."""
+        a, b = np.searchsorted(self.seg, (lo, hi)).tolist()
+        return self._like(self.seg[a:b] - lo, self.masks[a:b], self.amps[a:b])
+
+    def splice(self, lo, hi, part):
+        """This canonical stack with steps lo..hi-1 replaced by the steps
+        0..hi-lo-1 of the canonical stack part."""
+        a, b = np.searchsorted(self.seg, (lo, hi)).tolist()
+        return self._like(
+            np.concatenate((self.seg[:a], part.seg + lo, self.seg[b:])),
+            np.concatenate((self.masks[:a], part.masks, self.masks[b:])),
+            np.concatenate((self.amps[:a], part.amps, self.amps[b:])),
+        )
 
     def prefixes(self, hi):
         """Elements made of all rows of the steps below k, k = 0..hi, as
@@ -966,9 +984,7 @@ class _Stack:
     def norms(self, lo, hi):
         """norm2 of each of steps lo..hi-1 of a canonical stack, each
         summed over the step's rows as in norm2."""
-        return [
-            float(np.sqrt(x)) for x in self.squares(np.arange(lo, hi))
-        ]
+        return np.sqrt(self.squares(np.arange(lo, hi))).tolist()
 
 
 def _distances(n, a_values, b_values):

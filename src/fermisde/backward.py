@@ -16,6 +16,16 @@ Because the state at step k only involves generators below k, both the
 conditional expectation E[y_{k+1} | C_k] and the integrand Y_k fall out
 of one pass that splits the terms of y_{k+1} on bit k; no products are
 formed.
+
+A driver given as an f is evaluated step by step on elements. A driver
+declared linear in y, Driver(linear_y=...) with no f, whose every L_k
+is a graded scalar (a ScalarOp or GradedScalarOp), is solved on rows
+instead: the implicit
+stepwise solve walks the terminal's canonical rows once, Picard keeps
+its iterate as stacks and evaluates the driver on them, and the
+residual reads f off the stacked path. Elements are built once, for the
+returned path, and every value equals the step-by-step route's bit for
+bit. Explicit mode and pruning take the step-by-step route.
 """
 
 from __future__ import annotations
@@ -26,9 +36,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _sparse as sp
-from .algebra import CliffordElement, _distances, _Stack, norm2
+from .algebra import CliffordElement, _Stack, norm2
 from .ito import AdaptedProcess
-from .operators import GradedScalarOp
+from .operators import GradedScalarOp, ScalarOp
 
 __all__ = [
     "Driver",
@@ -51,10 +61,11 @@ class Driver:
     contraction bookkeeping of the Picard route. linear_y, when set, maps
     a step index to the exact linear part of f in y (an operator L_k with
     f(k, y, Y) - f(k, 0, Y) = L_k(y)); graded-scalar L_k lets the
-    implicit step solve its fixed point in closed form.
+    implicit step solve its fixed point in closed form. With f omitted
+    the driver is declared linear in y: f(k, y, Y) = L_k(y).
     """
 
-    f: Callable
+    f: Optional[Callable] = None
     g1: float = 0.0
     g2: float = 0.0
     linear_y: Optional[Callable] = None
@@ -62,6 +73,61 @@ class Driver:
     def __post_init__(self):
         if self.g1 < 0 or self.g2 < 0:
             raise ValueError("Lipschitz constants must be nonnegative")
+        self.declared = self.f is None
+        if self.declared:
+            if self.linear_y is None:
+                raise ValueError("a driver needs f or linear_y")
+            self.f = lambda k, y, Y: self.linear_y(k).apply(y)
+
+
+# The maps whose apply is their graded scalar's row map; a sum or a
+# composition that reduces to one rounds its parts apart.
+_ROW_MAPS = (ScalarOp, GradedScalarOp)
+
+
+def _graded_steps(driver, steps):
+    """The graded scalars L_0..L_{steps-1} of a driver declared linear in
+    y, or None when it was given an f or some L_k is not a ScalarOp or
+    GradedScalarOp. A step whose L_k is the previous step's object
+    shares its graded scalar, so a run of such steps is one object."""
+    if not driver.declared:
+        return None
+    out = []
+    op = graded = None
+    for k in range(steps):
+        step_op = driver.linear_y(k)
+        if step_op is not op:
+            op = step_op
+            if not isinstance(op, _ROW_MAPS):
+                return None
+            graded = op.as_graded_scalar()
+        out.append(graded)
+    return out
+
+
+def _solve_op(lin, dt):
+    """(1 + L dt)^(-1) for a graded scalar L: the implicit step's map."""
+    return (GradedScalarOp(1.0, 0.0) + lin.scale(dt)).inverse()
+
+
+def _graded_images(stack, ops):
+    """Each step k of a canonical stack under ops[k], as a canonical stack
+    whose every step equals ops[k].apply of its value bit for bit. A run
+    of steps sharing one op object takes one multiplication."""
+    bounds = stack._bounds(0, len(ops))
+    odd = stack.parity()
+    amps = np.empty_like(stack.amps)
+    keep = np.ones(amps.shape[0], dtype=bool)
+    start = 0
+    for k in range(1, len(ops) + 1):
+        if k < len(ops) and ops[k] is ops[start]:
+            continue
+        a, b = bounds[start], bounds[k]
+        amps[a:b], kept = ops[start].apply_rows(stack.amps[a:b], odd[a:b])
+        if kept is not None:
+            keep[a:b] = kept
+        start = k
+    return stack._like(stack.seg, stack.masks, amps).select(keep)
 
 
 class BackwardPath:
@@ -122,8 +188,7 @@ def _implicit_value(driver, k, cond, integ, dt):
         if lin is not None:
             rest = driver.f(k, CliffordElement.zero(cond.n), integ)
             rhs = cond - rest.scale(dt)
-            solve = (GradedScalarOp(1.0, 0.0) + lin.scale(dt)).inverse()
-            return solve.apply(rhs), 0
+            return _solve_op(lin, dt).apply(rhs), 0
     y = cond
     for it in range(1, INNER_CAP + 1):
         y_new = cond - driver.f(k, y, integ).scale(dt)
@@ -149,7 +214,9 @@ def solve_stepwise(driver, grid, yT, mode="implicit", validate=True,
     y_k = E[y_{k+1}|C_k] - f(k, y_k, Y_k) dt (closed form when the driver
     declares a graded-scalar linear part, inner iteration otherwise);
     explicit mode evaluates f at the conditional expectation instead.
-    prune drops a relative ell^2 mass budget from y after each step.
+    prune drops a relative ell^2 mass budget from y after each step. An
+    implicit, unpruned solve of a driver declared linear in y with
+    graded-scalar steps walks yT's rows instead (_stepwise_rows).
     """
     if mode not in ("explicit", "implicit"):
         raise ValueError("mode must be 'explicit' or 'implicit'")
@@ -160,6 +227,12 @@ def solve_stepwise(driver, grid, yT, mode="implicit", validate=True,
     dt = grid.dt
     inv_root = 1.0 / np.sqrt(dt)
     n = grid.n_steps
+    lins = None if mode == "explicit" or prune else _graded_steps(driver, n)
+    if lins is not None:
+        y, Y = _stepwise_rows(grid, yT, lins)
+        diagnostics = {"mode": mode, "max_inner_iterations": 0,
+                       "pruned_mass": 0.0}
+        return BackwardPath(grid, y, Y, diagnostics=diagnostics, check=False)
     y = [None] * (n + 1)
     Y = [None] * n
     y[n] = yT
@@ -195,6 +268,52 @@ def solve_stepwise(driver, grid, yT, mode="implicit", validate=True,
     )
 
 
+def _stepwise_rows(grid, yT, lins):
+    """The implicit stepwise solution for f(k, y, Y) = lins[k](y), off
+    one walk down yT's canonical rows; returns (y_0..y_n, Y_0..Y_{n-1}).
+
+    For adapted data y_{k+1} holds rows whose top bit is at most k, in
+    canonical order: those with top bit k are a tail, which is Y_k dW_k,
+    and the rest a prefix, which is E[y_{k+1} | C_k]. The step's
+    solution y_k is that prefix under (1 + lins[k] dt)^(-1), row by row
+    as GradedScalarOp.apply_rows gives it, so every value equals
+    _split_step and _implicit_value's bit for bit.
+    """
+    n = grid.n_steps
+    w = yT.masks.shape[1]
+    masks, amps = yT.masks, yT.amps
+    top = sp.top_bit(masks)
+    odd = sp.popcount_rows(masks) & 1
+    zero = CliffordElement.zero(grid.n)
+    y = [None] * n + [yT]
+    tails = []
+    lin = solve = None
+    for k in range(n - 1, -1, -1):
+        if lins[k] is not lin:
+            lin = lins[k]
+            solve = _solve_op(lin, grid.dt)
+        cut = int(np.searchsorted(top, k))
+        tails.append((masks[cut:], amps[cut:]))
+        masks, top, odd = masks[:cut], top[:cut], odd[:cut]
+        amps, keep = solve.apply_rows(amps[:cut], odd)
+        if keep is not None:
+            masks, amps = masks[keep], amps[keep]
+            top, odd = top[keep], odd[keep]
+        y[k] = zero if amps.size == 0 else CliffordElement._wrap(
+            grid.n, masks, amps
+        )
+    tails.reverse()
+    step = np.repeat(np.arange(n), [m.shape[0] for m, _ in tails])
+    Y = _Stack(
+        grid.n,
+        step,
+        np.concatenate([m for m, _ in tails])
+        ^ (sp.below_row(step + 1, w) ^ sp.below_row(step, w)),
+        np.concatenate([a for _, a in tails]) * (1.0 / np.sqrt(grid.dt)),
+    )
+    return y, Y.values(0, n)
+
+
 # The additive identity of complex addition: x + (-0-0j) == x bit for bit,
 # signed zeros included.
 _NEG_ZERO = complex(-0.0, -0.0)
@@ -203,10 +322,12 @@ _NEG_ZERO = complex(-0.0, -0.0)
 def _project_sweep(grid, yT, fs, lo, hi):
     """One Picard projection on steps [lo, hi) with terminal yT.
 
-    fs holds the frozen driver values on those steps, each adapted to its
-    step (a ValueError names the first step that is not). Forms the closed
-    martingale Z = yT - sum fs dt and reads the sweep off its canonical
-    rows; returns (y values lo..hi, Y values lo..hi-1).
+    fs is a canonical stack of the frozen driver values on those steps,
+    step lo + i as its step i, each adapted to its step (a ValueError
+    names the first step that is not). Forms the closed martingale
+    Z = yT - sum fs dt and reads the sweep off its canonical rows;
+    returns canonical stacks of y on lo..hi-1 and of Y on lo..hi-1, each
+    step lo + i as step i.
 
     A row of Z whose highest bit t lies in [lo, hi) is a term of
     Y_t dW_t: Y_t takes it with bit t cleared, times 1/sqrt(dt). The
@@ -221,7 +342,7 @@ def _project_sweep(grid, yT, fs, lo, hi):
     """
     n = grid.n
     count = hi - lo
-    terms = _Stack.of(n, fs).scale(grid.dt)
+    terms = fs.scale(grid.dt)
     outside = ~sp.rows_within(terms.masks, terms.seg + lo)
     if outside.any():
         bad = lo + int(terms.seg[outside][0])
@@ -249,8 +370,7 @@ def _project_sweep(grid, yT, fs, lo, hi):
         mart.masks[index],
         mart.amps[index],
     )
-    y = marts + prefix
-    return y.values(0, count) + [yT], integrands.values(0, count)
+    return marts + prefix, integrands
 
 
 def _running_sums(n, terms, count):
@@ -338,9 +458,11 @@ def _restart_zeros(terms, sums):
 
 
 def _pair_distance(grid, y_a, Y_a, y_b, Y_b):
-    """sup_k ||dy_k||_2 plus the dt-weighted ell^2 aggregate of dY."""
-    sup = max(_distances(grid.n, y_a, y_b))
-    agg = sum(d**2 * grid.dt for d in _distances(grid.n, Y_a, Y_b))
+    """sup_k ||dy_k||_2 plus the dt-weighted ell^2 aggregate of dY, for
+    canonical stacks of y_0..y_n and Y_0..Y_{n-1}."""
+    n = grid.n_steps
+    sup = max((y_a - y_b).norms(0, n + 1))
+    agg = sum(d**2 * grid.dt for d in (Y_a - Y_b).norms(0, n))
     return sup + np.sqrt(agg)
 
 
@@ -356,53 +478,72 @@ def solve_picard(driver, grid, yT, max_iter=200, tol=1e-10, init=None):
     (path, total_sweeps); sweep counts, window layout and contraction
     estimates land in the path diagnostics. A non-adapted initial
     iterate or driver value is refused with a ValueError naming the step.
+
+    The iterate is a pair of canonical stacks, y_0..y_n and Y_0..Y_{n-1},
+    into which each sweep splices its window. A driver declared linear in
+    y with graded-scalar steps is evaluated on the y stack; any other is
+    called step by step on element views of it.
     """
     if yT.n != grid.n:
         raise ValueError("terminal value and grid sizes differ")
     n = grid.n_steps
     dt = grid.dt
-    zero = CliffordElement.zero(grid.n)
     if init is None:
-        ys = [zero] * (n + 1)
-        Ys = [zero] * n
+        ys = _Stack(grid.n, np.full(yT.n_terms, n), yT.masks, yT.amps)
+        Ys = _Stack.of(grid.n, [])
     else:
-        ys = list(init[0])
-        Ys = list(init[1])
-        if len(ys) != n + 1 or len(Ys) != n:
+        y0 = list(init[0])
+        Y0 = list(init[1])
+        if len(y0) != n + 1 or len(Y0) != n:
             raise ValueError("initial iterate length does not match grid")
         # a non-adapted start would surface as a non-adapted driver value
-        BackwardPath(grid, ys, Ys)
-    ys[n] = yT
+        BackwardPath(grid, y0, Y0)
+        ys = _Stack.of(grid.n, y0[:n] + [yT])
+        Ys = _Stack.of(grid.n, Y0)
+    lins = _graded_steps(driver, n)
     sweeps = 0
     diagnostics = {"kappa_measured": None}
 
     def fvals(lo, hi):
-        return [driver.f(j, ys[j], Ys[j]) for j in range(lo, hi)]
+        if lins is not None:
+            return _graded_images(ys.window(lo, hi), lins[lo:hi])
+        y_w, Y_w = ys.values(lo, hi), Ys.values(lo, hi)
+        return _Stack.of(grid.n, [
+            driver.f(j, y_w[j - lo], Y_w[j - lo]) for j in range(lo, hi)
+        ])
 
-    def settled(fs, fs_prev):
+    def settled(fs, fs_prev, count):
         if fs_prev is None:
             return False
-        change = max(_distances(grid.n, fs, fs_prev), default=0.0)
+        change = max((fs - fs_prev).norms(0, count), default=0.0)
         return change * grid.T <= tol
+
+    def sweep(fs, lo, hi):
+        """One counted projection of [lo, hi); the iterate it gives."""
+        nonlocal sweeps
+        if sweeps >= max_iter:
+            raise RuntimeError(f"Picard iteration exceeded {max_iter} sweeps")
+        sweeps += 1
+        top = ys.values(hi, hi + 1)[0] if hi < n else yT
+        y_w, Y_w = _project_sweep(grid, top, fs, lo, hi)
+        return ys.splice(lo, hi, y_w), Ys.splice(lo, hi, Y_w)
 
     def run_window(lo, hi, fs_prev=None):
         """Sweep [lo, hi) until the frozen driver values stop moving."""
-        nonlocal sweeps
+        nonlocal ys, Ys
         used = 0
         while True:
             fs = fvals(lo, hi)
-            if settled(fs, fs_prev):
+            if settled(fs, fs_prev, hi - lo):
                 return used
-            if sweeps >= max_iter:
-                raise RuntimeError(
-                    f"Picard iteration exceeded {max_iter} sweeps"
-                )
-            sweeps += 1
+            ys, Ys = sweep(fs, lo, hi)
             used += 1
-            y_w, Y_w = _project_sweep(grid, ys[hi], fs, lo, hi)
-            ys[lo : hi + 1] = y_w
-            Ys[lo:hi] = Y_w
             fs_prev = fs
+
+    def finish():
+        path = BackwardPath(grid, ys.values(0, n) + [yT], Ys.values(0, n),
+                            diagnostics=diagnostics, check=False)
+        return path, sweeps
 
     # The first two whole-interval sweeps double as contraction probes;
     # a driver that ignores the iterate settles after the first one.
@@ -411,20 +552,13 @@ def solve_picard(driver, grid, yT, max_iter=200, tol=1e-10, init=None):
     kappa = None
     while kappa is None:
         fs = fvals(0, n)
-        if settled(fs, fs_prev):
+        if settled(fs, fs_prev, n):
             diagnostics["windows"] = 1
             diagnostics["window_sweeps"] = [sweeps]
-            path = BackwardPath(
-                grid, ys, Ys, diagnostics=diagnostics, check=False
-            )
-            return path, sweeps
-        if sweeps >= max_iter:
-            raise RuntimeError(f"Picard iteration exceeded {max_iter} sweeps")
-        sweeps += 1
-        y_new, Y_new = _project_sweep(grid, yT, fs, 0, n)
+            return finish()
+        y_new, Y_new = sweep(fs, 0, n)
         d = _pair_distance(grid, y_new, Y_new, ys, Ys)
-        ys[:] = y_new
-        Ys[:] = Y_new
+        ys, Ys = y_new, Y_new
         fs_prev = fs
         if dist_prev is None:
             dist_prev = d
@@ -436,10 +570,7 @@ def solve_picard(driver, grid, yT, max_iter=200, tol=1e-10, init=None):
         used = run_window(0, n, fs_prev=fs_prev)
         diagnostics["windows"] = 1
         diagnostics["window_sweeps"] = [sweeps - used, used]
-        path = BackwardPath(
-            grid, ys, Ys, diagnostics=diagnostics, check=False
-        )
-        return path, sweeps
+        return finish()
 
     # kappa ~ C ((g1 T)^2 + g2^2 T); pick a window length w with
     # C ((g1 w)^2 + g2^2 w) <= 1/4 and solve the windows from the right,
@@ -470,8 +601,7 @@ def solve_picard(driver, grid, yT, max_iter=200, tol=1e-10, init=None):
     diagnostics["window_sweeps"] = [
         run_window(lo, hi) for lo, hi in windows
     ]
-    path = BackwardPath(grid, ys, Ys, diagnostics=diagnostics, check=False)
-    return path, sweeps
+    return finish()
 
 
 def residual(path, driver, yT):
@@ -479,16 +609,24 @@ def residual(path, driver, yT):
 
     max over k of ||y_k - y_{k+1} + f(k, y_k, Y_k) dt + Y_k dW_k||_2,
     together with the terminal mismatch ||y_n - yT||_2. Zero up to
-    rounding for implicit stepwise output.
+    rounding for implicit stepwise output. A driver declared linear in y
+    with graded-scalar steps is evaluated on the stacked path.
     """
     grid = path.grid
     n, steps = grid.n, grid.n_steps
     worst = norm2(path.y[-1] - yT)
-    fs = [driver.f(k, path.y[k], path.Y[k]) for k in range(steps)]
+    ys = _Stack.of(n, path.y[:steps])
+    lins = _graded_steps(driver, steps)
+    if lins is None:
+        fs = _Stack.of(n, [
+            driver.f(k, path.y[k], path.Y[k]) for k in range(steps)
+        ])
+    else:
+        fs = _graded_images(ys, lins)
     # One stacked sum per + of the per-step expression, in its order, so
     # that every step rounds as its own fold would.
-    defect = _Stack.of(n, path.y[:steps]) - _Stack.of(n, path.y[1:])
-    defect = defect + _Stack.of(n, fs).scale(grid.dt)
+    defect = ys - _Stack.of(n, path.y[1:])
+    defect = defect + fs.scale(grid.dt)
     dw = _Stack.of(n, path.Y).mul_generator("right").scale(np.sqrt(grid.dt))
     for d in (defect + dw).norms(0, steps):
         worst = max(worst, d)

@@ -501,14 +501,26 @@ def _car_residual(n):
     return worst
 
 
+def _algebra_plan(spec):
+    """Grid of an algebra-suite spec, or its refusal: the Brownian check
+    squares W_n, a product of n by n terms."""
+    grid = TimeGrid(spec.T, spec.n_steps)
+    try:
+        sp.require_product(grid.n_steps, grid.n_steps)
+    except ValueError as exc:
+        raise SpecError([("/grid/n_steps", f"algebra-suite squares W_n: "
+                          f"{exc}")]) from None
+    return grid
+
+
 def _pipeline_algebra(spec, rng):
     """Every element comes from one draw (_random_elements): 80 for the
     star, grading and pairing checks, then 120 for the Hoelder sweep at
     n <= MAX_MATRIX_GENERATORS and 60 for the JW check at n <= 10, in the
     order of the per-pair loops that read them. The sweep takes its
     spectra from one SVD call per block shape (algebra._block_spectra)."""
-    n = spec.n_steps
-    grid = TimeGrid(spec.T, n)
+    grid = _algebra_plan(spec)
+    n = grid.n_steps
     holder_pairs = 60 if n <= MAX_MATRIX_GENERATORS else 0
     jw_pairs = 30 if n <= 10 else 0
     count = 2 * (40 + holder_pairs + jw_pairs)
@@ -795,12 +807,7 @@ def _pipeline_bqsde(spec, rng):
             v = random_element(probe_rng, n)
             g1 = max(g1, norm2(driver_op.apply(v)) / max(norm2(v), 1e-30))
         g1 *= 2.0
-    driver = Driver(
-        f=lambda k, y, Y: driver_op.apply(y),
-        g1=g1,
-        g2=0.0,
-        linear_y=lambda k: driver_op,
-    )
+    driver = Driver(g1=g1, g2=0.0, linear_y=lambda k: driver_op)
     path_a = solve_stepwise(driver, grid, terminal, mode="implicit")
     path_b, sweeps = solve_picard(driver, grid, terminal)
     gap = max(_distances(n, path_a.y, path_b.y))
@@ -1045,7 +1052,7 @@ _PIPELINES = {
 }
 SUBCOMMANDS = [*_PIPELINES, "all"]
 # Refusals that need a grid or a problem; "all" runs them before any work.
-_PLANS = (_forward_plan, _ladder_plan, _mp_plan, _bg_plan)
+_PLANS = (_algebra_plan, _forward_plan, _ladder_plan, _mp_plan, _bg_plan)
 _BRANCH = {name: i for i, name in enumerate(SUBCOMMANDS)}
 
 

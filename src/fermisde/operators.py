@@ -214,13 +214,27 @@ class GradedScalarOp(ElementOperator):
         if self.beta == 0:
             return x.scale(self.alpha)
         # Same mask frame, per-row coefficient by parity; no sorting.
-        pc = sp.popcount_rows(x.masks)
-        coef = np.where(pc & 1, self.alpha - self.beta, self.alpha + self.beta)
-        amps = x.amps * coef
-        keep = amps != 0
+        amps, keep = self.apply_rows(x.amps, sp.popcount_rows(x.masks) & 1)
         if keep.all():
             return CliffordElement._wrap(x.n, x.masks, amps)
         return CliffordElement._wrap(x.n, x.masks[keep], amps[keep])
+
+    def apply_rows(self, amps, odd):
+        """apply on rows whose parity odd flags: (new amplitudes, the rows
+        kept or None for all).
+
+        With beta == 0 the rows are multiplied by the Python scalar
+        alpha, as scale does, and all dropped when alpha is 0. Otherwise
+        each row takes its parity's coefficient from one array, held on
+        the right (NumPy rounds a complex product by operand order), and
+        exact zeros are dropped."""
+        if self.beta == 0:
+            if self.alpha == 0:
+                return amps, np.zeros(amps.shape[0], dtype=bool)
+            return amps * self.alpha, None
+        coef = np.where(odd, self.alpha - self.beta, self.alpha + self.beta)
+        out = amps * coef
+        return out, out != 0
 
     def adjoint(self):
         return GradedScalarOp(np.conj(self.alpha), np.conj(self.beta))

@@ -23,8 +23,15 @@ from fermisde.backward import (
     solve_picard,
     solve_stepwise,
 )
+from fermisde.cli import parse_problem, run
 from fermisde.ito import TimeGrid, right_integral
-from fermisde.operators import GradedScalarOp
+from fermisde.operators import (
+    ElementOperator,
+    GradedScalarOp,
+    LeftMulOp,
+    ScalarOp,
+    SumOp,
+)
 
 
 def scalar_driver(a, declare=True):
@@ -265,8 +272,14 @@ def same_bits(a, b):
     )
 
 
+def project_sweep(grid, yT, fs, lo, hi):
+    """_project_sweep on a list of driver values, as per-step lists."""
+    y, Y = _project_sweep(grid, yT, _Stack.of(grid.n, fs), lo, hi)
+    return y.values(0, hi - lo) + [yT], Y.values(0, hi - lo)
+
+
 def assert_sweeps_agree(grid, yT, fs, lo, hi):
-    got_y, got_Y = _project_sweep(grid, yT, fs, lo, hi)
+    got_y, got_Y = project_sweep(grid, yT, fs, lo, hi)
     want_y, want_Y = ref_project_sweep(grid, yT, fs, lo, hi)
     assert len(got_y) == len(want_y) and len(got_Y) == len(want_Y)
     for got, want in zip(got_y + got_Y, want_y + want_Y):
@@ -324,7 +337,7 @@ def test_sweep_restarts_a_prefix_sum_that_cancels_to_zero():
     ]
     yT = CliffordElement.identity(n) + CliffordElement.generator(n, 4)
     assert_sweeps_agree(grid, yT, fs, 0, n)
-    _, Y = _project_sweep(grid, yT, fs, 0, n)
+    _, Y = project_sweep(grid, yT, fs, 0, n)
     assert Y[0].amps[0].real == 0 and not np.signbit(Y[0].amps[0].real)
 
 
@@ -333,7 +346,7 @@ def test_sweep_refuses_non_adapted_driver_values():
     zero = CliffordElement.zero(6)
     fs = [zero, zero, CliffordElement.generator(6, 4), zero]
     with pytest.raises(ValueError, match="non-adapted value at step 4"):
-        _project_sweep(grid, CliffordElement.identity(6), fs, 2, 6)
+        project_sweep(grid, CliffordElement.identity(6), fs, 2, 6)
     drv = Driver(f=lambda k, y, Y: CliffordElement.generator(6, 5), g1=0.0)
     with pytest.raises(ValueError, match="non-adapted value at step 0"):
         solve_picard(drv, grid, CliffordElement.identity(6))
@@ -361,11 +374,186 @@ def test_sweep_sorts_a_fixed_number_of_times(monkeypatch):
         yT = CliffordElement.identity(n) + random_element(
             np.random.default_rng(5), n, n_terms=6
         )
+        # the shared zero is built once per n, by whichever test asks first
+        CliffordElement.zero(n)
         calls[0] = 0
         _, sweeps = solve_picard(scalar_driver(1.0), grid, yT)
         per_sweep.append(calls[0] / sweeps)
     assert per_sweep[0] == per_sweep[1]
     assert per_sweep[0] < 4
+
+
+# -- a driver declared linear in y, on rows, against the per-step route ---
+
+def _runs(table):
+    """linear_y reading a fixed table: consecutive steps share an op."""
+    return lambda k: table[k % len(table)]
+
+
+# name -> (linear_y, g1); each linear_y(k) is a graded scalar
+LINEAR_CASES = {
+    "per_step": (lambda k: GradedScalarOp(0.5 + 0.25 * (k % 3), 0.0), 1.0),
+    "complex": (lambda k: ScalarOp(0.3 - 0.7j), abs(0.3 - 0.7j)),
+    "graded": (lambda k: GradedScalarOp(0.4 + 0.2j, -0.3 + 0.1j), 0.8),
+    "zero": (lambda k: ScalarOp(0), 0.0),
+    # (1 + G) / 2 maps every odd row to an exact zero
+    "even_part": (lambda k: GradedScalarOp(0.5, 0.5), 1.0),
+    "strong": (lambda k: ScalarOp(4.0), 4.0),
+    "strong_runs": (
+        _runs([ScalarOp(4.0)] * 3 + [GradedScalarOp(3.0 + 0.5j, 1.0)] * 2
+              + [ScalarOp(-0.0 + 3.5j)]),
+        4.5,
+    ),
+}
+
+
+def linear_terminals(n):
+    """A mixed-parity terminal with rows topping out all over the grid,
+    and its even and odd parts."""
+    rng = np.random.default_rng(400 + n)
+    mixed = CliffordElement.identity(n)
+    for top in sorted({n, n // 2, n // 4, 3, 1}):
+        mixed = mixed + random_element(rng, n, n_terms=5, max_generator=top)
+    odd = sp.popcount_rows(mixed.masks) % 2 == 1
+    return {
+        "mixed": mixed,
+        "even": CliffordElement(n, mixed.masks[~odd], mixed.amps[~odd]),
+        "odd": CliffordElement(n, mixed.masks[odd], mixed.amps[odd]),
+    }
+
+
+def assert_paths_agree(got, want):
+    assert len(got.y) == len(want.y) and len(got.Y) == len(want.Y)
+    for a, b in zip(got.y + got.Y, want.y + want.Y):
+        assert same_bits(a, b)
+    assert got.diagnostics == want.diagnostics
+
+
+@pytest.mark.parametrize("n", [16, 70, 130, 256])
+@pytest.mark.parametrize("case", sorted(LINEAR_CASES))
+def test_declared_linear_driver_equals_the_per_step_route(case, n):
+    """Driver(linear_y=...) runs stepwise, Picard and residual on rows;
+    the same driver given as an f runs them on per-step elements, and
+    every value, sweep count, diagnostic and residual agrees bit for
+    bit."""
+    linear_y, g1 = LINEAR_CASES[case]
+    declared = Driver(g1=g1, linear_y=linear_y)
+    per_step = Driver(
+        f=lambda k, y, Y: linear_y(k).apply(y), g1=g1, linear_y=linear_y
+    )
+
+    def no_step_values(k, y, Y):
+        raise AssertionError("the driver was evaluated on an element")
+
+    declared.f = no_step_values
+    grid = TimeGrid(1.0, n)
+    for yT in linear_terminals(n).values():
+        got = solve_stepwise(declared, grid, yT)
+        want = solve_stepwise(per_step, grid, yT)
+        assert_paths_agree(got, want)
+        assert residual(got, declared, yT) == residual(want, per_step, yT)
+        got_p, got_sweeps = solve_picard(declared, grid, yT)
+        want_p, want_sweeps = solve_picard(per_step, grid, yT)
+        assert got_sweeps == want_sweeps
+        assert_paths_agree(got_p, want_p)
+        assert residual(got_p, declared, yT) == residual(
+            want_p, per_step, yT
+        )
+
+
+def test_declared_linear_driver_covers_one_and_several_windows():
+    grid = TimeGrid(1.0, 70)
+    yT = linear_terminals(70)["mixed"]
+    counts = {
+        case: solve_picard(Driver(g1=g1, linear_y=lin), grid, yT)[0]
+        .diagnostics["windows"]
+        for case, (lin, g1) in LINEAR_CASES.items()
+    }
+    assert counts["per_step"] == counts["graded"] == 1
+    assert counts["strong"] > 1 and counts["strong_runs"] > 1
+
+
+def test_declared_driver_keeps_the_per_step_route_where_it_must():
+    """Explicit mode, pruning, a linear_y that is no graded scalar and
+    one that only reduces to one evaluate the declared f step by step; a
+    warm start gives the same iterate as the per-step route."""
+    n = 16
+    grid = TimeGrid(1.0, n)
+    yT = linear_terminals(n)["mixed"]
+    linear_y, g1 = LINEAR_CASES["graded"]
+    declared = Driver(g1=g1, linear_y=linear_y)
+    per_step = Driver(
+        f=lambda k, y, Y: linear_y(k).apply(y), g1=g1, linear_y=linear_y
+    )
+    for kwargs in ({"mode": "explicit"}, {"prune": 1e-9}):
+        assert_paths_agree(solve_stepwise(declared, grid, yT, **kwargs),
+                           solve_stepwise(per_step, grid, yT, **kwargs))
+    start = solve_stepwise(per_step, grid, yT)
+    init = (start.y, start.Y)
+    got, got_sweeps = solve_picard(declared, grid, yT, init=init)
+    want, want_sweeps = solve_picard(per_step, grid, yT, init=init)
+    assert got_sweeps == want_sweeps
+    assert_paths_agree(got, want)
+    # L_k = 0.1 (1 + g_{k-1}) from k = 1 on is no graded scalar: both
+    # drivers solve step by step
+    ops = [ScalarOp(0.1)] + [
+        LeftMulOp((CliffordElement.identity(n)
+                   + CliffordElement.generator(n, k - 1)).scale(0.1))
+        for k in range(1, n)
+    ]
+    assert ops[1].as_graded_scalar() is None
+    mixed = Driver(g1=0.2, linear_y=lambda k: ops[k])
+    given = Driver(f=lambda k, y, Y: ops[k].apply(y), g1=0.2,
+                   linear_y=lambda k: ops[k])
+    assert_paths_agree(solve_stepwise(mixed, grid, yT),
+                       solve_stepwise(given, grid, yT))
+    assert_paths_agree(solve_picard(mixed, grid, yT)[0],
+                       solve_picard(given, grid, yT)[0])
+    # 0.1 y + 0.2 y rounds apart from 0.3 y, so a sum that reduces to a
+    # graded scalar is still applied as a sum
+    total = SumOp([ScalarOp(0.1), ScalarOp(0.2)])
+    summed = Driver(g1=0.3, linear_y=lambda k: total)
+    path = solve_picard(summed, grid, yT)[0]
+    assert residual(path, summed, yT) == residual(
+        path, Driver(f=lambda k, y, Y: total.apply(y)), yT
+    )
+    assert_paths_agree(path, solve_picard(
+        Driver(f=lambda k, y, Y: total.apply(y), g1=0.3,
+               linear_y=lambda k: total), grid, yT)[0])
+
+
+def test_a_driver_needs_f_or_linear_y():
+    with pytest.raises(ValueError, match="needs f or linear_y"):
+        Driver()
+    with pytest.raises(ValueError, match="needs f or linear_y"):
+        Driver(g1=1.0)
+
+
+def test_bqsde_builds_no_per_step_elements(monkeypatch, tmp_path):
+    """One bqsde call at n=256 builds at most 4n elements (about 12k when
+    each step was an element) and applies no operator step by step."""
+    n = 256
+    wraps = [0]
+    applies = [0]
+    wrap = CliffordElement._wrap.__func__
+
+    def counted_wrap(cls, *args):
+        wraps[0] += 1
+        return wrap(cls, *args)
+
+    monkeypatch.setattr(CliffordElement, "_wrap", classmethod(counted_wrap))
+    for op in (ElementOperator, ScalarOp, GradedScalarOp):
+        apply = op.apply
+
+        def counted_apply(self, x, apply=apply):
+            applies[0] += 1
+            return apply(self, x)
+
+        monkeypatch.setattr(op, "apply", counted_apply)
+    spec = parse_problem({"grid": {"n_steps": n}})
+    assert run("bqsde", spec, str(tmp_path))["pass"]
+    assert 0 < wraps[0] <= 4 * n
+    assert applies[0] == 0
 
 
 # -- defects, growth, validation ------------------------------------------

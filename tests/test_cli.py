@@ -819,6 +819,26 @@ def test_main_all_refuses_before_any_pipeline_runs(
     assert not (tmp_path / "all.json").exists()
 
 
+@pytest.mark.parametrize("command", ["algebra-suite", "all"])
+def test_main_refuses_an_algebra_grid_whose_brownian_square_is_refused(
+    tmp_path, monkeypatch, capsys, command
+):
+    """W_n W_n holds n^2 rows, past mul_full's limit from n = 2897 on; the
+    refusal comes before any W_k is built."""
+    def no_brownian(grid, k):
+        raise AssertionError("a Brownian value was built")
+
+    monkeypatch.setattr(cli, "brownian", no_brownian)
+    spec = json.dumps({"grid": {"n_steps": 2897}})
+    assert main([command, "--spec", spec, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert ("  /grid/n_steps: algebra-suite squares W_n: product of 2897 by "
+            "2897 terms refused") in err
+    assert list(tmp_path.iterdir()) == []
+    accepted = cli._algebra_plan(parse_problem({"grid": {"n_steps": 2896}}))
+    assert accepted.n_steps == 2896
+
+
 def test_main_failed_assertions_exit_one(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(
         cli._PIPELINES, "algebra-suite", lambda spec, rng: {"pass": False}
