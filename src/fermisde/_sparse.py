@@ -26,7 +26,6 @@ WORD = 64
 MAX_ROWS = 1 << 23
 
 _U1 = np.uint64(1)
-_U0 = np.uint64(0)
 _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 # LOW[b]: bits strictly below b set. HIGH[b]: bits strictly above b set.

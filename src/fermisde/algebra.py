@@ -764,17 +764,19 @@ class _Stack:
     so step k of sample s is seg s * period + k, for k = -1 (a start
     value) to n_steps - 1. Sample 0 is laid out as one process is, every
     step map reads step[i] where one process reads seg[i], and each
-    sample of a batch equals that process on its own bit for bit.
+    sample of a batch equals that process on its own bit for bit. A batch
+    carries its sample count, since a trailing sample may have no rows.
     """
 
-    __slots__ = ("n", "seg", "masks", "amps", "period")
+    __slots__ = ("n", "seg", "masks", "amps", "period", "samples")
 
-    def __init__(self, n, seg, masks, amps, period=None):
+    def __init__(self, n, seg, masks, amps, period=None, samples=1):
         self.n = n
         self.seg = seg
         self.masks = masks
         self.amps = amps
         self.period = period
+        self.samples = samples
 
     @classmethod
     def of(cls, n, values):
@@ -791,7 +793,7 @@ class _Stack:
         return cls(n, seg, masks, amps)
 
     def _like(self, seg, masks, amps):
-        return _Stack(self.n, seg, masks, amps, self.period)
+        return _Stack(self.n, seg, masks, amps, self.period, self.samples)
 
     @property
     def step(self):
@@ -826,7 +828,8 @@ class _Stack:
         ((v_0 + v_1) + v_2) + .. of its step values: a canonical stack
         whose seg is the sample. np.add.reduceat, and so sums, adds a
         run of three or more rows in another order; here each mask's
-        rows are added one step at a time, in step order."""
+        rows are added one step at a time, in step order, restarting
+        where a sum cancels to exactly 0 as the fold does."""
         order = sp.lexsort_rows(self.masks, self.sample)
         masks, amps = self.masks[order], self.amps[order]
         sample = self.sample[order]
@@ -840,7 +843,9 @@ class _Stack:
         total = amps[starts]
         for r in range(1, int(rank.max(initial=0)) + 1):
             at = rank == r
-            total[group[at]] += amps[at]
+            g, term = group[at], amps[at]
+            prev = total[g]
+            total[g] = np.where(prev == 0, term, prev + term)
         keep = total != 0
         return _Stack(self.n, sample[starts][keep], masks[starts][keep],
                       total[keep])
@@ -916,6 +921,14 @@ class _Stack:
         masks, amps = sp.mul_generator(self.masks, self.amps, self.step, side)
         return self._like(self.seg, masks, amps)
 
+    def representing(self, root):
+        """The integrands Y_k = E[x_k dW_k | C_k] / dt, dW_k = root g_k, of
+        each step's value x_k, for x_k = M_{k+1} - M_k the representation
+        of a martingale M. Only rows with top bit k survive the
+        conditional expectation; clearing that bit keeps their order, so
+        a canonical stack stays canonical without a second sort."""
+        return self.mul_generator("right").within().scale(1.0 / root)
+
     def _bounds(self, lo, hi):
         return np.searchsorted(self.seg, np.arange(lo, hi + 1)).tolist()
 
@@ -974,11 +987,11 @@ class _Stack:
             out[i] = np.add.reduce(mags[lo[i] : hi[i]])
         return out.reshape(segs.shape)
 
-    def step_squares(self, samples, steps):
-        """norm2_sq of steps 0..steps-1 of each of the first samples
-        samples, as an array of shape (samples, steps); see squares."""
+    def step_squares(self, steps):
+        """norm2_sq of steps 0..steps-1 of each sample, as an array of
+        shape (samples, steps); see squares."""
         stride = self.period or 0
-        segs = np.arange(samples)[:, None] * stride + np.arange(steps)
+        segs = np.arange(self.samples)[:, None] * stride + np.arange(steps)
         return self.squares(segs)
 
     def norms(self, lo, hi):

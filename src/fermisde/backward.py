@@ -12,10 +12,11 @@ whole-interval Picard map is not a contraction, the interval is split
 into windows small enough that it is, and the windows are solved from
 the right.
 
-Because the state at step k only involves generators below k, both the
-conditional expectation E[y_{k+1} | C_k] and the integrand Y_k fall out
-of one pass that splits the terms of y_{k+1} on bit k; no products are
-formed.
+Y_k is the martingale representation of y_{k+1}, read by the one rule
+that ito.mrep_extract uses too, _Stack.representing (its one-element
+form on the step-by-step route): the rows of y_{k+1} dW_k inside C_k,
+which for adapted data are the rows with top bit k with that bit
+cleared, over sqrt(dt). The other rows are E[y_{k+1} | C_k].
 
 A driver given as an f is evaluated step by step on elements. A driver
 declared linear in y, Driver(linear_y=...) with no f, whose every L_k
@@ -36,7 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _sparse as sp
-from .algebra import CliffordElement, _Stack, norm2
+from .algebra import CliffordElement, _Stack, cond_expect, norm2
 from .ito import AdaptedProcess
 from .operators import GradedScalarOp, ScalarOp
 
@@ -139,12 +140,10 @@ class BackwardPath:
         if len(y) != grid.n_steps + 1 or len(Y) != grid.n_steps:
             raise ValueError("backward path length does not match the grid")
         if check:
-            for k, v in enumerate(y):
-                if v.n_terms and not sp.rows_within(v.masks, k).all():
-                    raise ValueError(f"y is not adapted at step {k}")
-            for k, v in enumerate(Y):
-                if v.n_terms and not sp.rows_within(v.masks, k).all():
-                    raise ValueError(f"Y is not adapted at step {k}")
+            for name, values in (("y", y), ("Y", Y)):
+                for k, v in enumerate(values):
+                    if not sp.rows_within(v.masks, k).all():
+                        raise ValueError(f"{name} is not adapted at step {k}")
         self.grid = grid
         self.y = y
         self.Y = Y
@@ -156,29 +155,6 @@ class BackwardPath:
 
     def Y_process(self):
         return AdaptedProcess(self.grid, self.Y, check=False)
-
-
-def _split_step(y_next, k, inv_root):
-    """(E[y_next | C_k], Y_k) in one pass over the terms of y_next.
-
-    Terms without bit k are the conditional expectation; terms with it
-    are Y_k dW_k, so clearing the bit and dividing by sqrt(dt) gives
-    Y_k. Requires y_next adapted at step k+1 (no bits above k), which
-    makes every sign in the product with dW_k equal to one.
-    """
-    masks = y_next.masks
-    if masks.shape[0] == 0:
-        return y_next, y_next
-    wk, b = divmod(k, 64)
-    bit = np.uint64(1) << np.uint64(b)
-    has = (masks[:, wk] & bit).astype(bool)
-    cond = CliffordElement._wrap(y_next.n, masks[~has], y_next.amps[~has])
-    ymasks = masks[has].copy()
-    ymasks[:, wk] ^= bit
-    integ = CliffordElement._wrap(
-        y_next.n, ymasks, y_next.amps[has] * inv_root
-    )
-    return cond, integ
 
 
 def _implicit_value(driver, k, cond, integ, dt):
@@ -222,7 +198,7 @@ def solve_stepwise(driver, grid, yT, mode="implicit", validate=True,
         raise ValueError("mode must be 'explicit' or 'implicit'")
     if yT.n != grid.n:
         raise ValueError("terminal value and grid sizes differ")
-    if yT.n_terms and not sp.rows_within(yT.masks, grid.n_steps).all():
+    if not sp.rows_within(yT.masks, grid.n_steps).all():
         raise ValueError("terminal value is not adapted to the grid")
     dt = grid.dt
     inv_root = 1.0 / np.sqrt(dt)
@@ -239,19 +215,19 @@ def solve_stepwise(driver, grid, yT, mode="implicit", validate=True,
     worst_inner = 0
     dropped_sq = 0.0
     for k in range(n - 1, -1, -1):
-        cond, integ = _split_step(y[k + 1], k, inv_root)
-        Y[k] = integ
+        cond = cond_expect(y[k + 1], k)
+        Y[k] = cond_expect(y[k + 1].mul_generator(k, "right"), k).scale(
+            inv_root
+        )
         if mode == "explicit":
-            y[k] = cond - driver.f(k, cond, integ).scale(dt)
+            y[k] = cond - driver.f(k, cond, Y[k]).scale(dt)
         else:
-            y[k], inner = _implicit_value(driver, k, cond, integ, dt)
+            y[k], inner = _implicit_value(driver, k, cond, Y[k], dt)
             worst_inner = max(worst_inner, inner)
         if prune:
             y[k], d = y[k].prune(prune)
             dropped_sq += d
-        if validate and y[k].n_terms and not sp.rows_within(
-            y[k].masks, k
-        ).all():
+        if validate and not sp.rows_within(y[k].masks, k).all():
             raise ValueError(
                 f"driver produced a non-adapted value at step {k}"
             )
@@ -273,14 +249,13 @@ def _stepwise_rows(grid, yT, lins):
     one walk down yT's canonical rows; returns (y_0..y_n, Y_0..Y_{n-1}).
 
     For adapted data y_{k+1} holds rows whose top bit is at most k, in
-    canonical order: those with top bit k are a tail, which is Y_k dW_k,
-    and the rest a prefix, which is E[y_{k+1} | C_k]. The step's
-    solution y_k is that prefix under (1 + lins[k] dt)^(-1), row by row
-    as GradedScalarOp.apply_rows gives it, so every value equals
-    _split_step and _implicit_value's bit for bit.
+    canonical order: those with top bit k are a tail, Y_k dW_k, read by
+    _Stack.representing, and the rest a prefix, E[y_{k+1} | C_k]. The
+    step's solution y_k is that prefix under (1 + lins[k] dt)^(-1), row
+    by row as GradedScalarOp.apply_rows gives it, so every value equals
+    the step-by-step route's bit for bit.
     """
     n = grid.n_steps
-    w = yT.masks.shape[1]
     masks, amps = yT.masks, yT.amps
     top = sp.top_bit(masks)
     odd = sp.popcount_rows(masks) & 1
@@ -304,14 +279,8 @@ def _stepwise_rows(grid, yT, lins):
         )
     tails.reverse()
     step = np.repeat(np.arange(n), [m.shape[0] for m, _ in tails])
-    Y = _Stack(
-        grid.n,
-        step,
-        np.concatenate([m for m, _ in tails])
-        ^ (sp.below_row(step + 1, w) ^ sp.below_row(step, w)),
-        np.concatenate([a for _, a in tails]) * (1.0 / np.sqrt(grid.dt)),
-    )
-    return y, Y.values(0, n)
+    Y = _Stack(grid.n, step, *map(np.concatenate, zip(*tails)))
+    return y, Y.representing(np.sqrt(grid.dt)).values(0, n)
 
 
 # The additive identity of complex addition: x + (-0-0j) == x bit for bit,
@@ -330,7 +299,7 @@ def _project_sweep(grid, yT, fs, lo, hi):
     step lo + i as step i.
 
     A row of Z whose highest bit t lies in [lo, hi) is a term of
-    Y_t dW_t: Y_t takes it with bit t cleared, times 1/sqrt(dt). The
+    Y_t dW_t, which _Stack.representing turns into a row of Y_t. The
     martingale at step k keeps the rows with t < k, which for adapted
     data are the masks below 2^k: a prefix of Z's rows. So every Y_t is
     one contiguous block and every martingale value a prefix view, as
@@ -351,16 +320,10 @@ def _project_sweep(grid, yT, fs, lo, hi):
     mart = yT - acc
     top = sp.top_bit(mart.masks)
     bounds = np.searchsorted(top, np.arange(lo, hi + 1))
-    # Y: the rows topping out in [lo, hi), with that top bit cleared
+    # Y: the rows topping out in [lo, hi), at their top bit's step
     rows = slice(bounds[0], bounds[-1])
-    step = top[rows]
-    w = mart.masks.shape[1]
-    integrands = _Stack(
-        n,
-        step - lo,
-        mart.masks[rows] ^ (sp.below_row(step + 1, w) ^ sp.below_row(step, w)),
-        mart.amps[rows] * (1.0 / np.sqrt(grid.dt)),
-    )
+    integrands = _Stack(n, top[rows], mart.masks[rows], mart.amps[rows])
+    integrands = integrands.representing(np.sqrt(grid.dt)).window(lo, hi)
     # the martingale at step lo + i: the first bounds[i] rows of Z
     sizes = bounds[:-1]
     index = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)

@@ -433,7 +433,7 @@ def _random_batch(rng, grid, samples, terms, starts=None):
     )
     keys = np.arange(samples)[:, None] * (n + 1) + np.arange(n)
     seg = np.repeat(keys.ravel(), terms)
-    return _Stack(grid.n, seg, masks, amps, n + 1).canonical()
+    return _Stack(grid.n, seg, masks, amps, n + 1, samples).canonical()
 
 
 def _build_problem(spec, ladder_start=False, least_steps=1):
@@ -616,12 +616,12 @@ def _pipeline_ito(spec, rng):
     n = spec.n_steps
     grid = TimeGrid(spec.T, n)
     ys = _random_batch(rng, grid, 25, 6)
-    isos = _isometry_batch(grid, ys, 25)
+    isos = _isometry_batch(grid, ys)
     starts = np.empty(25)
     ms = _random_batch(rng, grid, 25, 5, starts)
     mreps = _representation_batch(grid, ms, starts)
     procs = _random_batch(rng, grid, 10, 6)
-    comms = _commutation_worst(grid, procs, 10)
+    comms = _commutation_worst(grid, procs)
     # Every path passed _isometry_batch's prefix-layout check, so each
     # sample's martingale gap reads exactly 0.0 (see check_martingale).
     mart = 0.0
@@ -873,8 +873,12 @@ def _ladder_plan(spec):
     )
     eps_list = _ladder_eps(spec, grid)
     if len(eps_list) < 3:
-        raise SpecError([("/eps_list", "need at least 3 usable widths at or "
-                          f"above dt ({grid.dt:g}); got {len(eps_list)}")])
+        why = (f"need at least 3 usable widths at or above dt ({grid.dt:g}); "
+               f"got {len(eps_list)}")
+        if spec.eps_list is None:
+            why += ("; the default widths T/4, T/8 and T/16 need n_steps >= "
+                    "16, or give an eps_list")
+        raise SpecError([("/eps_list", why)])
     refusals = _window_refusals(grid, eps_list, spec.offsets)
     if refusals:
         raise SpecError(

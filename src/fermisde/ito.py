@@ -21,13 +21,18 @@ The integrals and checks here keep a whole process in one stacked array
 rather than one per step, and stays bit-identical to the per-step sums.
 A martingale from right_integral_path keeps the layout of its rows, so
 its martingale check and representation read every step off M_n alone.
+The representation is one rule, _Stack.representing, which backward
+reads its Y_k by too: Y_k keeps the rows of (M_{k+1} - M_k) g_k / sqrt(dt)
+in C_k, for adapted data the increment's rows with top bit k, that bit
+cleared.
 
 The same stacked helpers take a batch of processes, one per sample, in
-one array keyed by sample and step (a _Stack with a period). A public
-function is the one-sample case of its helper, and the ito-suite checks
-(_isometry_batch, _representation_batch, _commutation_worst) run each
-section over all its samples with a fixed number of sorts, whatever the
-sample count, equal bit for bit to one call per sample.
+one array keyed by sample and step (a _Stack with a period, carrying
+its sample count). A public function is the one-sample case of its
+helper, and the ito-suite checks (_isometry_batch,
+_representation_batch, _commutation_worst) run each section over all
+its samples with a fixed number of sorts, whatever the sample count,
+equal bit for bit to one call per sample.
 """
 
 from __future__ import annotations
@@ -115,11 +120,7 @@ class AdaptedProcess:
                 f"process length {len(values)} does not match grid with "
                 f"{grid.n_steps} steps"
             )
-        for k, v in enumerate(values):
-            if v.n != grid.n:
-                raise ValueError(
-                    f"value at step {k} has n={v.n}, grid needs {grid.n}"
-                )
+        _require_sizes(grid, values)
         self.grid = grid
         self.values = values
         if check:
@@ -292,32 +293,35 @@ def _require_layout(path):
         )
 
 
-def _require_batch(grid, stack, samples):
+def _require_batch(grid, stack):
     """Refuse a stack that is not one process (no period) or a batch of
-    processes on grid (period n_steps + 1, see algebra._Stack) with rows
-    of samples 0..samples-1 only. A trailing sample may have no rows, so
-    the count is given, not read off the stack."""
+    processes on grid (period n_steps + 1, see algebra._Stack)."""
     if stack.period not in (None, grid.n_steps + 1):
         raise ValueError(
             f"batch period {stack.period} does not fit a grid of "
             f"{grid.n_steps} steps"
         )
-    if stack.seg.size and int(stack.sample.max()) >= samples:
-        raise ValueError(
-            f"batch holds rows of sample {int(stack.sample.max())}, "
-            f"past its {samples} samples"
-        )
 
 
-def _steps(grid, integrand):
-    """Stack of the integrand's values on steps 0..n_steps-1."""
-    _require_integrand(grid, integrand)
-    return _Stack.of(grid.n, [integrand[k] for k in range(grid.n_steps)])
+def _steps(grid, integrand, count=None):
+    """Stack of the integrand's values on steps 0..count-1, all of the
+    grid's steps when None."""
+    if count is None:
+        if len(integrand) < grid.n_steps:
+            raise ValueError("integrand must provide one value per step")
+        count = grid.n_steps
+    values = [integrand[k] for k in range(count)]
+    _require_sizes(grid, values)
+    return _Stack.of(grid.n, values)
 
 
-def _require_integrand(grid, integrand):
-    if len(integrand) < grid.n_steps:
-        raise ValueError("integrand must provide one value per step")
+def _require_sizes(grid, values):
+    """Refuse a value on another algebra size than the grid's."""
+    for k, v in enumerate(values):
+        if v.n != grid.n:
+            raise ValueError(
+                f"value at step {k} has n={v.n}, grid needs {grid.n}"
+            )
 
 
 def _prefix_layout(seq):
@@ -407,21 +411,13 @@ def mrep_extract(grid, seq, tol=1e-12):
         diff = path.select(path.seg >= 0)
     else:
         diff = _Stack.of(grid.n, seq[1 : n + 1]) - _Stack.of(grid.n, seq[:n])
-    y = _representing(diff, np.sqrt(grid.dt))
+    y = diff.representing(np.sqrt(grid.dt))
     return AdaptedProcess(grid, y.values(0, n), check=False)
 
 
-def _representing(diff, root):
-    """Y_k = (M_{k+1} - M_k) dW_k / dt, dW_k = root g_k, from a stack of
-    the increments M_{k+1} - M_k at their steps k. Only rows with top bit
-    k survive the conditional expectation; clearing that bit keeps their
-    order, so the rows stay canonical without a second sort."""
-    return diff.mul_generator("right").within().scale(1.0 / root)
-
-
-def _isometry_batch(grid, steps, samples):
-    """The isometry residual of each of samples samples of adapted
-    integrands on grid in one canonical batch stack (see _require_batch).
+def _isometry_batch(grid, steps):
+    """The isometry residual of each sample of adapted integrands on grid
+    in one canonical batch stack (see _require_batch).
 
     Per sample with integral I = right_integral and sum
     S = sum_k dt ||Y_k||^2 (Python's sum over the steps), the residual is
@@ -430,17 +426,17 @@ def _isometry_batch(grid, steps, samples):
     keep the prefix layout, so its right_integral_path has martingale gap
     exactly 0.0 (see check_martingale).
     """
-    _require_batch(grid, steps, samples)
+    _require_batch(grid, steps)
     _require_adapted(steps)
     path = _paths(steps, np.sqrt(grid.dt))
     _require_layout(path)
     # In the layout the rows of step k top out at bit k, so a sample's
     # rows in step order are already its integral's canonical rows.
     integral = _Stack(grid.n, path.sample, path.masks, path.amps)
-    norm_sq = integral.squares(np.arange(samples))
+    norm_sq = integral.squares(np.arange(steps.samples))
     # Python's sum, not a NumPy reduction: from Python 3.12 on it adds
     # floats with compensation, and S must match the per-process sum.
-    steps_sq = grid.dt * steps.step_squares(samples, grid.n_steps)
+    steps_sq = grid.dt * steps.step_squares(grid.n_steps)
     total = np.array([sum(row) for row in steps_sq.tolist()])
     return (np.abs(norm_sq - total) / (1.0 + total)).tolist()
 
@@ -455,8 +451,11 @@ def _representation_batch(grid, steps, starts):
     those calls on each sample alone.
     """
     root = np.sqrt(grid.dt)
-    samples = len(starts)
-    _require_batch(grid, steps, samples)
+    _require_batch(grid, steps)
+    if len(starts) != steps.samples:
+        raise ValueError(
+            f"{len(starts)} starts for a batch of {steps.samples} samples"
+        )
     _require_adapted(steps)
     held = np.flatnonzero(starts)
     first = _Stack(
@@ -465,6 +464,7 @@ def _representation_batch(grid, steps, starts):
         np.zeros((held.size, sp.words_for(grid.n)), np.uint64),
         starts[held].astype(np.complex128),
         steps.period,
+        steps.samples,
     )
     path = _paths(steps, root, first)
     _require_layout(path)
@@ -472,11 +472,11 @@ def _representation_batch(grid, steps, starts):
     # so mrep_extract's guards read a gap and a start defect of 0.0, and
     # D is the rows past the start, canonical per sample.
     increments = path.select(path.step >= 0)
-    recon = _integrals(_representing(increments, root), "right", root)
+    recon = _integrals(increments.representing(root), "right", root)
     target = _Stack(
         grid.n, increments.sample, increments.masks, increments.amps
     )
-    every = np.arange(samples)
+    every = np.arange(steps.samples)
     err = np.sqrt((recon - target).squares(every))
     size = np.sqrt(target.squares(every))
     return (err / (1.0 + size)).tolist()
@@ -555,16 +555,15 @@ def commutation_check(grid, process):
     dW_k a - grading(a) dW_k at every step; returns the worst 2-norm.
     """
     count = min(len(process), grid.n_steps)
-    a = _Stack.of(grid.n, [process[k] for k in range(count)])
-    return _commutation_worst(grid, a, 1, count)[0]
+    return _commutation_worst(grid, _steps(grid, process, count), count)[0]
 
 
-def _commutation_worst(grid, a, samples, steps=None):
-    """commutation_check of each of samples samples of values on grid in
-    one canonical stack (see _require_batch), over steps 0..steps-1 (all
-    of grid's when None), as a list of floats equal bit for bit to the
-    call on each sample alone."""
-    _require_batch(grid, a, samples)
+def _commutation_worst(grid, a, steps=None):
+    """commutation_check of each sample of values on grid in one
+    canonical stack (see _require_batch), over steps 0..steps-1 (all of
+    grid's when None), as a list of floats equal bit for bit to the call
+    on each sample alone."""
+    _require_batch(grid, a)
     steps = grid.n_steps if steps is None else steps
     root = np.sqrt(grid.dt)
     odd = a.parity() == 1
@@ -575,11 +574,11 @@ def _commutation_worst(grid, a, samples, steps=None):
         a.mul_generator("left") - a.grading().mul_generator("right"),
     )
     norms = np.stack(
-        [np.sqrt(d.step_squares(samples, steps)) for d in defects], axis=2
+        [np.sqrt(d.step_squares(steps)) for d in defects], axis=2
     )
     # The worst over steps, then defects, from 0.0; np.fmax skips a NaN
     # as a fold of max(worst, x) does.
     worst = np.fmax.reduce(
-        (norms * root).reshape(samples, -1), axis=1, initial=0.0
+        (norms * root).reshape(a.samples, -1), axis=1, initial=0.0
     )
     return worst.tolist()

@@ -17,7 +17,6 @@ from fermisde.backward import (
     BackwardPath,
     Driver,
     _project_sweep,
-    _split_step,
     apriori_backward_check,
     residual,
     solve_picard,
@@ -257,8 +256,10 @@ def ref_project_sweep(grid, yT, fs, lo, hi):
     marts = [None] * count
     Y = [None] * count
     for k in range(hi - 1, lo - 1, -1):
-        mart, integ = _split_step(mart, k, inv_root)
-        Y[k - lo] = integ
+        Y[k - lo] = cond_expect(mart.mul_generator(k, "right"), k).scale(
+            inv_root
+        )
+        mart = cond_expect(mart, k)
         marts[k - lo] = mart
     y = _Stack.of(grid.n, marts) + _Stack.of(grid.n, prefix)
     return y.values(0, count) + [yT], Y

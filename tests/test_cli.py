@@ -819,6 +819,28 @@ def test_main_all_refuses_before_any_pipeline_runs(
     assert not (tmp_path / "all.json").exists()
 
 
+def test_main_all_runs_on_a_small_grid_with_an_eps_list(tmp_path):
+    """bg-constants needs n_steps <= 14 and the ladder's default widths
+    n_steps >= 16, so all on an explicit grid needs an eps_list."""
+    spec = json.dumps(
+        {"grid": {"n_steps": 8}, "eps_list": [0.5, 0.25, 0.125]}
+    )
+    assert main(["all", "--spec", spec, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "all.json").exists()
+
+
+def test_main_all_refusal_names_the_fix_for_the_ladder_widths(
+    tmp_path, capsys
+):
+    spec = json.dumps({"grid": {"n_steps": 14}})
+    assert main(["all", "--spec", spec, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "  /eps_list: need at least 3 usable widths" in err
+    assert "default widths T/4, T/8 and T/16 need n_steps >= 16" in err
+    assert "give an eps_list" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["algebra-suite", "all"])
 def test_main_refuses_an_algebra_grid_whose_brownian_square_is_refused(
     tmp_path, monkeypatch, capsys, command

@@ -1,6 +1,7 @@
-"""Every name a library module imports is used there or re-exported.
+"""Every name a library module imports is used there or re-exported,
+and every private name the library defines is used somewhere.
 
-Parsed with the standard library's ast, so the check needs nothing
+Parsed with the standard library's ast, so the checks need nothing
 installed. The package __init__ is exempt: its imports are the public
 surface.
 """
@@ -10,8 +11,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "fermisde"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "fermisde"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# Where a private name of the library may be used.
+USERS = ("src", "tests", "demos", "perfbench")
 
 
 def _imported(tree):
@@ -58,3 +62,83 @@ def test_the_check_sees_unused_and_exported_names():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _private(name):
+    return name.startswith("_") and not (
+        name.startswith("__") and name.endswith("__")
+    )
+
+
+def private_definitions(tree):
+    """(name, line) of each private module-level name, class or method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target
+            ]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield item.name, item.lineno
+
+
+def references(tree):
+    """Names a module reads: loaded names and attributes, imported names,
+    and string constants (getattr, monkeypatch.setattr)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(
+            node.ctx, ast.Load
+        ):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def dead_private_names(definer, used):
+    """Private names the definer's source defines that are not in used,
+    the names read by every source that may use them."""
+    return sorted(
+        f"{name} (line {line})"
+        for name, line in private_definitions(ast.parse(definer))
+        if _private(name) and name not in used
+    )
+
+
+def test_the_check_sees_dead_private_names():
+    definer = (
+        "_A = 1\n_B: int = 2\n__all__ = []\n"
+        "def _f(): return _A\ndef _g(): pass\ndef _h(): pass\n"
+        "class _K:\n"
+        "    def __init__(self): self._x = 1\n"
+        "    def _m(self): pass\n    def _n(self): pass\n"
+    )
+    user = "from m import _g\nk._m()\nsetattr(m, '_h', 1)\n"
+    used = {*references(ast.parse(definer)), *references(ast.parse(user))}
+    assert dead_private_names(definer, used) == [
+        "_B (line 2)", "_K (line 7)", "_f (line 4)", "_n (line 10)",
+    ]
+
+
+def test_every_private_name_is_used():
+    used = {
+        name
+        for top in USERS
+        for path in sorted((ROOT / top).rglob("*.py"))
+        for name in references(ast.parse(path.read_text()))
+    }
+    dead = {
+        path.name: dead_private_names(path.read_text(), used)
+        for path in MODULES
+    }
+    assert {name: d for name, d in dead.items() if d} == {}

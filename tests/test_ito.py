@@ -89,6 +89,29 @@ def test_process_length_and_size_validation():
         AdaptedProcess(g, [CliffordElement.identity(3)] * 4)
 
 
+def test_integrals_and_checks_refuse_values_of_another_size():
+    """A value on more generators than the grid has would give an
+    integral outside the grid's own algebra (mask 33 at n=4 here); every
+    function that takes raw values refuses it as AdaptedProcess does."""
+    g = TimeGrid(1.0, 4)
+    values = [CliffordElement.generator(6, 5)] + [CliffordElement.zero(6)] * 3
+    calls = (
+        right_integral,
+        left_integral,
+        right_integral_path,
+        lambda grid, v: bg_ratio_sweep(grid, v, (2.0,)),
+        commutation_check,
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="step 0 has n=6, grid needs 4"):
+            call(g, values)
+    # commutation_check keeps taking a process shorter than the grid
+    one = CliffordElement.identity(4)
+    assert commutation_check(g, [one, one]) == 0.0
+    with pytest.raises(ValueError, match="step 1 has n=3, grid needs 4"):
+        commutation_check(g, [one, CliffordElement.identity(3)])
+
+
 def test_adaptedness_is_enforced():
     g = TimeGrid(1.0, 3)
     bad = [
@@ -416,6 +439,18 @@ def test_folds_add_each_mask_in_step_order():
     assert stack.sums().amps.tolist() == [1e16 + 2.0, 2.0]
 
 
+def test_folds_restart_a_sum_that_cancels_to_zero():
+    """1 + (-1) cancels to exactly 0, which the fold drops, so its third
+    term enters alone and keeps the sign of its zero real part."""
+    n = 2
+    amps = (1.0, -1.0, complex(-0.0, 1.0))
+    values = [CliffordElement.scalar(n, v) for v in amps]
+    want = (values[0] + values[1]) + values[2]
+    got = _Stack.of(n, values).folds()
+    assert got.amps.tobytes() == want.amps.tobytes()
+    assert np.signbit(got.amps[0].real)
+
+
 # -- one-pass sums against the step-by-step fold --------------------------
 
 
@@ -712,6 +747,7 @@ def batch_of(grid, processes):
         np.concatenate([p.masks for p in parts]),
         np.concatenate([p.amps for p in parts]),
         period,
+        len(parts),
     )
 
 
@@ -749,13 +785,13 @@ def test_batched_helpers_equal_each_sample_alone(n):
         for k in range(n):
             assert same_bits(steps[k], want[k + 1] - want[k])
     # per-step norms, and the three suite sections
-    squares = batch.step_squares(count, n)
+    squares = batch.step_squares(n)
     for s, y in enumerate(samples):
         assert squares[s].tolist() == [v.norm2_sq() for v in y]
-    isos = _isometry_batch(g, batch, count)
+    isos = _isometry_batch(g, batch)
     starts = np.array([0.75, -1.5, 0.0, 2.0])
     reps = _representation_batch(g, batch, starts)
-    comms = _commutation_worst(g, batch, count)
+    comms = _commutation_worst(g, batch)
     for s, y in enumerate(samples):
         total = sum(g.dt * v.norm2_sq() for v in y)
         iso = abs(right_integral(g, y).norm2_sq() - total) / (1.0 + total)
@@ -778,7 +814,7 @@ def test_batched_helpers_refuse_a_late_sample_at_its_own_step():
     assert "integrand value at step 6 is not adapted" in str(alone.value)
     batch = batch_of(g, samples)
     for check in (
-        lambda: _isometry_batch(g, batch, 4),
+        lambda: _isometry_batch(g, batch),
         lambda: _representation_batch(g, batch, np.ones(4)),
     ):
         with pytest.raises(ValueError) as batched:
@@ -790,19 +826,29 @@ def test_batched_checks_refuse_a_path_that_leaves_the_layout():
     g, samples = suite_samples(9, 2)
     samples[1].values[3] = CliffordElement.scalar(g.n, np.nan)
     with pytest.raises(ValueError, match="path of sample 1 leaves"):
-        _isometry_batch(g, batch_of(g, samples), 4)
+        _isometry_batch(g, batch_of(g, samples))
 
 
 def test_batched_checks_refuse_a_stack_that_does_not_fit():
-    # sample 3 has no rows, so its count can only be given
     g, samples = suite_samples(9, 3)
     batch = batch_of(g, samples)
-    with pytest.raises(ValueError, match="rows of sample 2, past its 2"):
-        _isometry_batch(g, batch, 2)
-    with pytest.raises(ValueError, match="rows of sample 2, past its 1"):
-        _representation_batch(g, batch, np.ones(1))
     with pytest.raises(ValueError, match="period 10 does not fit"):
-        _commutation_worst(TimeGrid(0.8, 8), batch, 4)
+        _commutation_worst(TimeGrid(0.8, 8), batch)
+    with pytest.raises(ValueError, match="3 starts for a batch of 4"):
+        _representation_batch(g, batch, np.ones(3))
+
+
+def test_a_trailing_sample_without_rows_is_still_reported():
+    """The batch carries its sample count, so a last sample that is zero
+    at every step, and so holds no rows, still gets its residuals."""
+    g, samples = suite_samples(9, 4)
+    batch = batch_of(g, samples[:2] + samples[3:])
+    assert int(batch.sample.max()) == 1 and batch.samples == 3
+    isos = _isometry_batch(g, batch)
+    reps = _representation_batch(g, batch, np.array([1.0, 2.0, 0.0]))
+    comms = _commutation_worst(g, batch)
+    assert len(isos) == len(reps) == len(comms) == 3
+    assert isos[2] == reps[2] == comms[2] == 0.0
 
 
 def test_isometry_sum_is_pythons_sum():
@@ -820,7 +866,7 @@ def test_isometry_sum_is_pythons_sum():
     batch = batch_of(g, [y])
     total = sum(g.dt * v.norm2_sq() for v in y)
     iso = abs(right_integral(g, y).norm2_sq() - total) / (1.0 + total)
-    assert _isometry_batch(g, batch, 1) == [iso]
+    assert _isometry_batch(g, batch) == [iso]
 
 
 def test_ito_suite_refuses_a_batch_that_mixes_up_its_samples(
@@ -830,8 +876,8 @@ def test_ito_suite_refuses_a_batch_that_mixes_up_its_samples(
 
     batched = cli._isometry_batch
 
-    def rotated(grid, steps, samples):
-        isos = batched(grid, steps, samples)
+    def rotated(grid, steps):
+        isos = batched(grid, steps)
         return isos[1:] + isos[:1]
 
     monkeypatch.setattr(cli, "_isometry_batch", rotated)
