@@ -3,12 +3,12 @@
 With graded-scalar step operators, a scalar start and scalar sources, a
 step scales each row by a factor of its parity alone and moves it to a
 new row of the other parity, while the sources touch only the empty row
-and {k}. So the pairings of such solves (walk) and the vacua of the
-first adjoint along one (adjoint_vacua, the walk's transpose) follow
-from a few numbers per step, with nothing pruned; README (Layout)
-writes both recursions out. Here are the one gate that decides whether
-a problem is a channel, the coefficient table, the source-table rule,
-the walk, its transpose and the spike-window source layout.
+and {k}. So the pairings and vacua of such solves (walk, vacua) and the
+vacua of the first adjoint along one (adjoint_vacua, the transpose)
+follow from a few numbers per step, nothing pruned; README (Layout)
+writes the recursions out. Here are the one gate that decides whether a
+problem is a channel, the coefficient table, the source-table rule, the
+walk, its vacua, its transpose and the spike-window source layout.
 """
 
 from __future__ import annotations
@@ -218,6 +218,18 @@ def norms_sq(grid, coefs, srcs, x0_amps):
     )
 
 
+def vacua(grid, coefs, srcs, x0_amp):
+    """Vacua e0_k, k = 0..n_steps, of the solve with (n_steps, 3) sources
+    srcs from start amplitude x0_amp: walk's e0' = m+ e0 + dt s_D."""
+    dt = grid.dt
+    grow = 1.0 + dt * coefs[:, 0, 0]
+    e0 = np.empty(grid.n_steps + 1, dtype=np.complex128)
+    e0[0] = x0_amp
+    for k in range(grid.n_steps):
+        e0[k + 1] = grow[k] * e0[k] + dt * srcs[k, 0]
+    return e0
+
+
 def adjoint_vacua(grid, coefs, srcs, x0_amp, q, s):
     """(vacuum(phi_k) for k <= n_steps, vacuum(Phi_k) for k < n_steps).
 
@@ -233,10 +245,7 @@ def adjoint_vacua(grid, coefs, srcs, x0_amp, q, s):
     parity = np.array([1.0, -1.0])
     a, b, c = coefs[:, 0], coefs[:, 1], coefs[:, 2]
     grow = 1.0 + dt * a
-    e0 = np.empty(n + 1, dtype=np.complex128)
-    e0[0] = x0_amp
-    for k in range(n):
-        e0[k + 1] = grow[k, 0] * e0[k] + dt * srcs[k, 0]
+    e0 = vacua(grid, coefs, srcs, x0_amp)
     v = root * ((b[:, 0] + c[:, 0]) * e0[:n] + srcs[:, 1] + srcs[:, 2])
     solve = 1.0 / (1.0 - dt * a.conj())
     back = (parity * b + c).conj()

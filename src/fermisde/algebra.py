@@ -765,18 +765,20 @@ class _Stack:
     value) to n_steps - 1. Sample 0 is laid out as one process is, every
     step map reads step[i] where one process reads seg[i], and each
     sample of a batch equals that process on its own bit for bit. A batch
-    carries its sample count, since a trailing sample may have no rows.
+    needs its sample count, since a trailing sample may have no rows.
     """
 
     __slots__ = ("n", "seg", "masks", "amps", "period", "samples")
 
-    def __init__(self, n, seg, masks, amps, period=None, samples=1):
+    def __init__(self, n, seg, masks, amps, period=None, samples=None):
+        if period is not None and samples is None:
+            raise ValueError("a batch stack needs its sample count")
         self.n = n
         self.seg = seg
         self.masks = masks
         self.amps = amps
         self.period = period
-        self.samples = samples
+        self.samples = 1 if samples is None else samples
 
     @classmethod
     def of(cls, n, values):

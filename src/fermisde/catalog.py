@@ -2,8 +2,11 @@
 
 Each entry builds a ControlProblem on a fresh grid. Coefficients that
 are affine in state and control also declare that structure, which
-routes their solves through the sort-free path; the full rules stay the
-source of truth and the declarations are cross-checked in the tests.
+routes their solves through the sort-free path and their CLI pipelines
+through the exact parity channel; the full rules stay the source of
+truth and the declarations are cross-checked in the tests. So the
+affine entries' prune=1e-5 budget is read only by element solves: the
+tests' reference solves and direct library calls.
 
 All running costs are RunningNormCost(q, r), q||x||^2 + r||u||^2, with
 terminal TerminalNormCost(s), s||x||^2, so gradients are scalings and
@@ -51,10 +54,6 @@ class CatalogEntry:
     ladder_ubar: float = 0.3
     p_term_active: bool = False
     second_adjoint_ok: bool = True
-    # forward's refinement sweep solves the entry at 16, 32 and 64 steps,
-    # whatever the spec's grid; False where that outgrows the row limit on
-    # an entry without a ceiling (a max_steps below 64 refuses it anyway).
-    forward_ok: bool = True
     # Most steps any pipeline may run the entry on; None for no ceiling.
     max_steps: Optional[int] = None
 
@@ -188,7 +187,6 @@ def catalog():
                 RunningNormCost(0.5, 1.0), TerminalNormCost(0.5),
                 a=0.25, b=1.0, g=0.4, lipschitz=0.65,
             ),
-            forward_ok=False,
         ),
         CatalogEntry(
             id="driverless",

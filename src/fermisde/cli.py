@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _channel
 from . import _sparse as sp
 from .algebra import (
     MAX_MATRIX_GENERATORS,
@@ -44,10 +45,9 @@ from .control import (
     _max_principle,
     _require_oracle_budget,
     _window_refusals,
-    solve_state,
     variation_ladder,
 )
-from .forward import apriori_check, linear_euler_forward
+from .forward import _growth, apriori_check, linear_euler_forward
 from .ito import (
     MAX_GRID_STEPS,
     AdaptedProcess,
@@ -379,7 +379,12 @@ def catalog_listing():
     """Catalog ids with parameter schemas and supported pipelines."""
     out = []
     for entry in catalog().values():
-        supports = ["forward"] if _forward_refusal(entry) is None else []
+        try:
+            _forward_plan(ProblemSpec(problem_id=entry.id))
+        except SpecError:
+            supports = []
+        else:
+            supports = ["forward"]
         supports += ["max-principle", "ladder"]
         if entry.second_adjoint_ok:
             supports.append("second-adjoint")
@@ -668,22 +673,11 @@ def _ito_sample_zero(grid, ys, ms, start, procs):
 def _inline_state_solve(spec):
     grid = TimeGrid(spec.T, spec.n_steps)
     n = grid.n
-    inline = spec.inline
-    a_op = inline.get("A", ScalarOp(0.0))
-    b_op = inline.get("B", ScalarOp(0.0))
-    c_op = inline.get("C", ScalarOp(0.0))
-    zero = CliffordElement.zero(n)
-    sources = inline.get("sources", {})
-    s_d = sources.get("D", zero)
-    s_f = sources.get("F", zero)
-    s_g = sources.get("G", zero)
-    x0 = inline.get("x0", CliffordElement.identity(n))
-    path = linear_euler_forward(
-        grid,
-        lambda k: (a_op, b_op, c_op),
-        lambda k: (s_d, s_f, s_g),
-        x0,
-    )
+    ops = tuple(spec.inline.get(key, ScalarOp(0.0)) for key in "ABC")
+    sources = spec.inline.get("sources", {})
+    srcs = tuple(sources.get(key, CliffordElement.zero(n)) for key in "DFG")
+    x0 = spec.inline.get("x0", CliffordElement.identity(n))
+    path = linear_euler_forward(grid, lambda k: ops, lambda k: srcs, x0)
     return grid, x0, path
 
 
@@ -691,36 +685,47 @@ def _inline_state_solve(spec):
 _SWEEP_STEPS = (16, 32, 64)
 
 
-def _forward_refusal(entry):
-    """Why forward's refinement sweep cannot solve entry, None if it can:
-    an entry flagged as outgrowing the row limit at 64 steps, or one
-    whose step ceiling is below the sweep's finest grid."""
-    sweep = "its refinement sweep solves at 16, 32 and 64 steps"
-    if not entry.forward_ok:
-        return f"{sweep}, and at 64 steps the solve outgrows the row limit"
-    try:
-        entry.check_steps(max(_SWEEP_STEPS))
-    except ValueError:
-        return f"{sweep}, past its ceiling of {entry.max_steps} steps"
-    return None
-
-
 def _forward_plan(spec):
-    """Refusal of a forward spec whose entry the refinement sweep cannot
-    solve."""
-    pid = spec.problem_id
-    reason = None if pid is None else _forward_refusal(catalog()[pid])
-    if reason is not None:
-        raise SpecError([("/problem_id",
-                          f"forward does not support {pid}: {reason}")])
+    """Entry, x0 scale, control weight, grid and Channel of a catalog
+    forward spec (None for an inline one), or its refusal: forward
+    solves a catalog entry on the parity channel alone."""
+    if spec.problem_id is None:
+        return None
+    entry, problem, grid, x0_scale = _build_problem(spec, ladder_start=True)
+    weight = spec.control.get("ubar_weight", entry.ladder_ubar)
+    return (entry, x0_scale, weight,
+            *_forward_channel(entry, problem, grid, weight))
+
+
+def _forward_channel(entry, problem, grid, weight):
+    """grid and the Channel of problem under the constant control weight,
+    or the refusal of an entry the gate does not take."""
+    u = AdaptedProcess.constant_scalar(grid, weight)
+    ch = _channel.gate(problem, grid, (range(grid.n_steps), lambda k: (u[k],)))
+    if ch is None:
+        raise SpecError([("/problem_id", f"forward does not support "
+                          f"{entry.id}: it is not a parity channel, the only "
+                          "route forward takes for a catalog entry")])
+    return grid, ch
+
+
+def _forward_walk(grid, ch):
+    """||x_k||^2 for k = 0..n_steps and the terminal vacuum of the
+    channel's solve, nothing pruned; raises on a non-finite state."""
+    norms = np.concatenate(list(
+        _channel.norms_sq(grid, ch.coefs, ch.tables[0], [ch.x0])
+    ))
+    if not np.isfinite(norms).all():
+        raise FloatingPointError("forward state became non-finite")
+    vacua = _channel.vacua(grid, ch.coefs, ch.tables[0][:, :, 0], ch.x0)
+    return norms.tolist(), vacua[-1]
 
 
 def _pipeline_forward(spec, rng):
-    _forward_plan(spec)
     if spec.inline is not None:
         grid, x0, path = _inline_state_solve(spec)
         terminal = path[grid.n_steps]
-        report = {
+        return {
             "mode": "inline",
             "n_steps": grid.n_steps,
             "terminal_norm2": norm2(terminal),
@@ -734,37 +739,23 @@ def _pipeline_forward(spec, rng):
             "refinement": {"skipped": "inline elements pin n to the grid"},
             "pass": True,
         }
-        return report
     # Defaults favor a visibly non-trivial path: the ladder start and
     # baseline weight rather than the catalog's optimization defaults.
-    entry, problem, grid, x0_scale = _build_problem(spec, ladder_start=True)
-    weight = spec.control.get("ubar_weight", entry.ladder_ubar)
-    u = AdaptedProcess.constant_scalar(grid, weight)
-    path = solve_state(problem, u)
-    terminal = path[grid.n_steps]
-    base_report = {
-        "terminal_norm2": norm2(terminal),
-        "terminal_terms": terminal.n_terms,
-        "diagnostics": path.diagnostics,
-        "growth": apriori_check(path, problem.x0),
-    }
+    entry, x0_scale, weight, grid, ch = _forward_plan(spec)
     # O(dt) convergence certificate on a fixed small sweep, independent
     # of the main grid: terminal norms on refined grids approach a limit
-    # with first-order gaps. A sweep count equal to the main grid's takes
-    # the main solve's terminal: it is the same problem and control.
-    norms = {}
-    vacua = {}
-    for steps in _SWEEP_STEPS:
-        if steps == grid.n_steps:
-            t_f = terminal
-        else:
-            prob_f, grid_f = build(
-                spec.problem_id, n_steps=steps, T=spec.T, x0_scale=x0_scale
-            )
-            u_f = AdaptedProcess.constant_scalar(grid_f, weight)
-            t_f = solve_state(prob_f, u_f)[steps]
-        norms[steps] = norm2(t_f)
-        vacua[steps] = t_f.vacuum().real
+    # with first-order gaps. Each distinct grid takes one walk.
+    walks = {grid.n_steps: _forward_walk(grid, ch)}
+    for steps in sorted(set(_SWEEP_STEPS) - {grid.n_steps}):
+        prob_f, grid_f = build(
+            spec.problem_id, n_steps=steps, T=spec.T, x0_scale=x0_scale
+        )
+        walks[steps] = _forward_walk(
+            *_forward_channel(entry, prob_f, grid_f, weight)
+        )
+    norms_sq = walks[grid.n_steps][0]
+    norms = {k: float(np.sqrt(walks[k][0][-1])) for k in _SWEEP_STEPS}
+    vacua = {k: float(walks[k][1].real) for k in _SWEEP_STEPS}
     gaps = [abs(norms[16] - norms[32]), abs(norms[32] - norms[64])]
     floor = 1e-13 * (1.0 + norms[16])
     vacuous = gaps[0] <= floor or gaps[1] <= floor
@@ -778,17 +769,17 @@ def _pipeline_forward(spec, rng):
         "vacuous": vacuous,
     }
     ok = vacuous or (1.5 <= ratio <= 2.6)
-    report = {
+    return {
         "mode": "catalog",
         "problem_id": entry.id,
         "n_steps": grid.n_steps,
         "ubar_weight": weight,
         "x0_scale": x0_scale,
         "refinement": refinement,
+        "terminal_norm2": float(np.sqrt(norms_sq[-1])),
+        "growth": _growth(norms_sq, norms_sq[0]),
         "pass": bool(ok),
     }
-    report.update(base_report)
-    return report
 
 
 def _pipeline_bqsde(spec, rng):

@@ -434,13 +434,17 @@ def apriori_check(path, x0):
         if not x.isfinite():
             raise FloatingPointError(f"non-finite state at step {k}")
         norms.append(norm2(x) ** 2)
-    sup = max(norms)
-    arg = int(np.argmax(norms))
-    denom = 1.0 + norm2(x0) ** 2
+    return _growth(norms, norm2(x0) ** 2)
+
+
+def _growth(norms_sq, x0_sq):
+    """apriori_check's report from the squared norms of x_0..x_n and
+    ||x0||_2^2."""
+    sup = max(norms_sq)
     return {
         "sup_norm_sq": sup,
-        "argmax_step": arg,
-        "ratio": sup / denom,
+        "argmax_step": int(np.argmax(norms_sq)),
+        "ratio": sup / (1.0 + x0_sq),
     }
 
 

@@ -207,7 +207,7 @@ def right_integral(grid, integrand):
     result equals the step-by-step sum bit for bit; otherwise the two
     agree to rounding.
     """
-    return _integral(grid, integrand, "right")
+    return _integral(grid, _steps(grid, integrand), "right")
 
 
 def left_integral(grid, integrand):
@@ -215,11 +215,11 @@ def left_integral(grid, integrand):
 
     Summed in one canonicalize, as right_integral.
     """
-    return _integral(grid, integrand, "left")
+    return _integral(grid, _steps(grid, integrand), "left")
 
 
-def _integral(grid, integrand, side):
-    total = _integrals(_steps(grid, integrand), side, np.sqrt(grid.dt))
+def _integral(grid, steps, side):
+    total = _integrals(steps, side, np.sqrt(grid.dt))
     return CliffordElement._wrap(grid.n, total.masks, total.amps)
 
 
@@ -510,11 +510,7 @@ def bg_ratio_sweep(grid, integrand, ps):
             rep.matrix(_square_function(grid, steps, left))
         )
         lam = np.clip(lam, 0.0, None)
-        integ = (
-            left_integral(grid, integrand)
-            if left
-            else right_integral(grid, integrand)
-        )
+        integ = _integral(grid, steps, name)
         spectrum = (
             singular_values(integ, rep) if any(p != 2 for p in ps) else None
         )

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fermisde import _channel, algebra, backward, cli, control, forward
 from fermisde.algebra import CliffordElement, norm2, random_element
+from fermisde.catalog import build, catalog
 from fermisde.cli import (
     SpecError,
     catalog_listing,
@@ -18,6 +19,7 @@ from fermisde.cli import (
     parse_problem,
     run,
 )
+from fermisde.forward import apriori_check
 from fermisde.ito import AdaptedProcess
 from fermisde.reporting import (
     dump_json,
@@ -35,6 +37,8 @@ CATALOG_IDS = [
     "driverless",
     "quadratic_drift",
 ]
+# The entries that declare affine coefficients: the parity channel's.
+AFFINE_IDS = CATALOG_IDS[:4]
 
 
 # -- serialization --------------------------------------------------------
@@ -409,50 +413,145 @@ def test_run_forward_catalog_refinement(tmp_path):
     assert ref["vacuous"] or 1.5 <= ref["ratio"] <= 2.6
 
 
-def test_run_forward_reuses_the_main_solve_in_the_sweep(
-    tmp_path, monkeypatch
+@pytest.mark.parametrize("grid, walked", [
+    # the main grid has 64 steps, which the (16, 32, 64) sweep shares
+    ({}, [64, 16, 32]),
+    ({"n_steps": 20}, [20, 16, 32, 64]),
+], ids=["grid_64", "grid_20"])
+def test_run_forward_walks_each_grid_once(
+    tmp_path, monkeypatch, grid, walked
 ):
     calls = []
-    solve = forward.linear_euler_forward
+    walk = _channel.norms_sq
 
     def counted(grid, *args, **kwargs):
         calls.append(grid.n_steps)
-        return solve(grid, *args, **kwargs)
+        return walk(grid, *args, **kwargs)
 
-    monkeypatch.setattr(forward, "linear_euler_forward", counted)
-    spec = parse_problem({"problem_id": "lq_scalar"})
+    monkeypatch.setattr(_channel, "norms_sq", counted)
+    spec = parse_problem({"problem_id": "lq_scalar", "grid": grid})
     body = run("forward", spec, str(tmp_path))["report"]
-    # the main grid has 64 steps, which the (16, 32, 64) sweep shares
-    assert body["n_steps"] == 64
-    assert calls == [64, 16, 32]
-    assert body["refinement"]["terminal_norms"]["64"] == body["terminal_norm2"]
+    assert body["n_steps"] == walked[0]
+    assert calls == walked
+    if walked[0] == 64:
+        norms = body["refinement"]["terminal_norms"]
+        assert norms["64"] == body["terminal_norm2"]
 
 
-@pytest.mark.parametrize("pid", ["odd_drift", "quadratic_drift"])
-def test_main_forward_refuses_entries_its_sweep_cannot_solve(
-    tmp_path, monkeypatch, capsys, pid
+def _element_forward(pid, n_steps, prune):
+    """The element solve of forward's catalog problem: the entry's ladder
+    start under its constant ladder baseline."""
+    entry = catalog()[pid]
+    problem, grid = build(pid, n_steps=n_steps, x0_scale=entry.ladder_x0)
+    u = AdaptedProcess.constant_scalar(grid, entry.ladder_ubar)
+    return problem, control.solve_state(problem, u, prune=prune)
+
+
+@pytest.mark.parametrize("pid", AFFINE_IDS)
+@pytest.mark.parametrize("n_steps", [1, 6, 10])
+def test_forward_channel_equals_the_unpruned_element_solve(
+    tmp_path, pid, n_steps
 ):
-    """The refinement sweep solves at 64 steps whatever the grid, which
-    odd_drift outgrows and quadratic_drift's step ceiling forbids; forward
-    refuses them before any solve."""
-    reason = {
-        "odd_drift": "at 64 steps the solve outgrows the row limit",
-        "quadratic_drift": "past its ceiling of 12 steps",
-    }[pid]
-    def solve_anyway(*args, **kwargs):
+    problem, path = _element_forward(pid, n_steps, prune=0.0)
+    assert path.diagnostics["pruned_mass"] == 0.0
+    spec = parse_problem({"problem_id": pid, "grid": {"n_steps": n_steps}})
+    norms, vacuum = cli._forward_walk(*cli._forward_plan(spec)[3:])
+    want = [norm2(x) ** 2 for x in path]
+    assert norms == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert vacuum == pytest.approx(path[n_steps].vacuum(), rel=1e-13, abs=0.0)
+    body = run("forward", spec, str(tmp_path))["report"]
+    assert body["terminal_norm2"] == pytest.approx(
+        norm2(path[n_steps]), rel=1e-13, abs=0.0
+    )
+    growth = apriori_check(path, problem.x0)
+    assert body["growth"]["argmax_step"] == growth.pop("argmax_step")
+    for key, value in growth.items():
+        assert body["growth"][key] == pytest.approx(value, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "pid", ["lq_scalar", "control_in_noise", "driverless"]
+)
+def test_forward_channel_is_within_the_pruned_mass_of_the_element_solve(
+    tmp_path, pid
+):
+    """At forward's default 64 steps the element solve prunes at 1e-5;
+    the exact norms and vacua lie within the mass it reports pruned, and
+    rounding (driverless prunes nothing)."""
+    _, path = _element_forward(pid, 64, prune=None)
+    mass = path.diagnostics["pruned_mass"] + 1e-13
+    body = run("forward", parse_problem({"problem_id": pid}),
+               str(tmp_path))["report"]
+    terminal = path[64]
+    assert abs(body["terminal_norm2"] - norm2(terminal)) <= mass
+    vacuum = body["refinement"]["terminal_vacua"]["64"]
+    assert abs(vacuum - terminal.vacuum().real) <= mass
+    sup = max(norm2(x) for x in path)
+    assert abs(np.sqrt(body["growth"]["sup_norm_sq"]) - sup) <= mass
+
+
+def _refuse_forward_work(monkeypatch):
+    """Make every forward solve the CLI could reach raise: the element
+    routes, and with walk_too the channel's walk as well."""
+    def refuse(*args, **kwargs):
         raise AssertionError("a solve ran")
 
-    monkeypatch.setattr(cli, "solve_state", solve_anyway)
+    for module, name in [
+        (forward, "linear_euler_forward"), (control, "linear_euler_forward"),
+        (cli, "linear_euler_forward"), (control, "solve_state"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    return refuse
+
+
+@pytest.mark.parametrize("pid", AFFINE_IDS)
+def test_main_forward_catalog_route_does_no_element_solve(
+    tmp_path, monkeypatch, pid
+):
+    _refuse_forward_work(monkeypatch)
+    spec = json.dumps({"problem_id": pid})
+    assert main(["forward", "--spec", spec, "--out", str(tmp_path)]) == 0
+    body = json.loads((tmp_path / "forward.json").read_text())["report"]
+    assert body["mode"] == "catalog" and body["pass"]
+    assert "terminal_terms" not in body and "diagnostics" not in body
+
+
+def test_main_forward_runs_odd_drift(tmp_path):
+    """odd_drift's 64-step element solve outgrows the row limit, which
+    the channel never meets; forward used to refuse it."""
     for grid in ({}, {"grid": {"n_steps": 8}}):
-        spec = json.dumps({"problem_id": pid, **grid})
-        assert main(["forward", "--spec", spec, "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert f"  /problem_id: forward does not support {pid}" in err
-        assert reason in err
-    assert not (tmp_path / "forward.json").exists()
+        spec = json.dumps({"problem_id": "odd_drift", **grid})
+        assert main(["forward", "--spec", spec, "--out", str(tmp_path)]) == 0
+    body = json.loads((tmp_path / "forward.json").read_text())["report"]
+    assert body["refinement"]["sweep_steps"] == [16, 32, 64]
+    assert 1.5 <= body["refinement"]["ratio"] <= 2.6
     by_id = {entry["id"]: entry for entry in catalog_listing()}
-    assert "forward" not in by_id[pid]["supports"]
-    assert "max-principle" in by_id[pid]["supports"]
+    assert "forward" in by_id["odd_drift"]["supports"]
+
+
+@pytest.mark.parametrize("command", ["forward", "all"])
+def test_main_forward_refuses_an_entry_that_is_not_a_channel(
+    tmp_path, monkeypatch, capsys, command
+):
+    """quadratic_drift declares no linear structure, so the channel gate
+    does not take it; forward refuses it before any solve, alone and
+    inside all."""
+    refuse = _refuse_forward_work(monkeypatch)
+    monkeypatch.setattr(_channel, "norms_sq", refuse)
+    for name in cli._PIPELINES:
+        monkeypatch.setitem(cli._PIPELINES, name, refuse)
+    monkeypatch.setitem(cli._PIPELINES, "forward", cli._pipeline_forward)
+    eps = {"eps_list": [0.5, 0.25, 0.125]}
+    for grid in ({}, {"grid": {"n_steps": 8}}):
+        spec = json.dumps({"problem_id": "quadratic_drift", **grid, **eps})
+        assert main([command, "--spec", spec, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert ("  /problem_id: forward does not support quadratic_drift: "
+                "it is not a parity channel") in err
+    assert list(tmp_path.iterdir()) == []
+    by_id = {entry["id"]: entry for entry in catalog_listing()}
+    assert "forward" not in by_id["quadratic_drift"]["supports"]
+    assert "max-principle" in by_id["quadratic_drift"]["supports"]
 
 
 @pytest.mark.parametrize("command, grid", [
@@ -471,8 +570,8 @@ def test_main_refuses_grids_past_the_entry_step_ceiling(
     def solve_anyway(*args, **kwargs):
         raise AssertionError("a solve ran")
 
-    for module, name in [(cli, "variation_ladder"), (cli, "solve_state"),
-                         (control, "_oracle"), (control, "solve_state")]:
+    for module, name in [(cli, "variation_ladder"), (control, "_oracle"),
+                         (control, "solve_state")]:
         monkeypatch.setattr(module, name, solve_anyway)
     spec = json.dumps({"problem_id": "quadratic_drift", **grid})
     assert main([command, "--spec", spec, "--out", str(tmp_path)]) == 2
@@ -801,7 +900,7 @@ def test_main_ladder_eps_wider_than_the_horizon_points_at_the_eps(
     ('{"inline": {}}', "/inline"),
     ('{"value_grid": %s}' % list(range(50)), "/value_grid"),
     ('{"grid": {"n_steps": 16}}', "/grid/n_steps"),
-    ('{"problem_id": "odd_drift", "grid": {"n_steps": 12}, '
+    ('{"problem_id": "quadratic_drift", "grid": {"n_steps": 12}, '
      '"eps_list": [0.5, 0.25, 0.125]}', "/problem_id"),
     (json.dumps(ladder_spec(*WINDOWS_MEET_LATE)), "/eps_list/1"),
 ], ids=["eps_list", "offsets", "inline", "value_grid", "bg_n_steps",

@@ -1,5 +1,6 @@
 """Every name a library module imports is used there or re-exported,
-and every private name the library defines is used somewhere.
+every private name the library defines is used somewhere, and every
+layer the benchmark's tracer patches exists.
 
 Parsed with the standard library's ast, so the checks need nothing
 installed. The package __init__ is exempt: its imports are the public
@@ -7,6 +8,8 @@ surface.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -142,3 +145,46 @@ def test_every_private_name_is_used():
         for path in MODULES
     }
     assert {name: d for name, d in dead.items() if d} == {}
+
+
+def traced_layers():
+    """(module, attr) of each entry of perfbench/tracer.py's LAYERS."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets
+        ):
+            return [
+                (entry.elts[1].value, entry.elts[2].value)
+                for entry in node.value.elts
+            ]
+    raise AssertionError("tracer.py defines no LAYERS")
+
+
+def test_every_traced_layer_resolves():
+    """A traced benchmark run (--trace 1) patches each layer by name, as
+    Tracer.install resolves it, and crashes on one that is gone: "*.m" is
+    a method m some library class defines, "C.m" a method m of class C
+    and a plain name a module-level function."""
+    layers = traced_layers()
+    assert ("fermisde.forward", "_Frame.step") in layers
+    classes = [
+        value
+        for path in MODULES
+        for value in vars(importlib.import_module(
+            f"fermisde.{path.stem}")).values()
+        if inspect.isclass(value) and value.__module__.startswith("fermisde")
+    ]
+    missing = []
+    for module, attr in layers:
+        home = importlib.import_module(module)
+        owner, _, method = attr.rpartition(".")
+        if owner == "*":
+            found = any(method in cls.__dict__ for cls in classes)
+        elif owner:
+            found = method in vars(getattr(home, owner, object))
+        else:
+            found = callable(getattr(home, attr, None))
+        if not found:
+            missing.append(f"{module}:{attr}")
+    assert missing == []

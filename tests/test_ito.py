@@ -361,6 +361,22 @@ def test_bg_ratio_sweep_matches_one_call_per_p():
         bg_ratio_sweep(g, y, (2.0, 0.5))
 
 
+def test_bg_ratio_sweep_stacks_its_integrand_once(monkeypatch):
+    """Both sides' square functions and integrals read one stack."""
+    calls = []
+    of = _Stack.of
+
+    def counted(n, values):
+        calls.append(len(values))
+        return of(n, values)
+
+    g = TimeGrid(1.0, 6)
+    y = random_integrand(np.random.default_rng(45), g, terms=3)
+    monkeypatch.setattr(_Stack, "of", counted)
+    bg_ratio_sweep(g, y, P_CHOICES)
+    assert calls == [6]
+
+
 def test_bg_constants_takes_one_spectrum_per_integrand_and_side(
     monkeypatch, tmp_path
 ):
@@ -836,6 +852,16 @@ def test_batched_checks_refuse_a_stack_that_does_not_fit():
         _commutation_worst(TimeGrid(0.8, 8), batch)
     with pytest.raises(ValueError, match="3 starts for a batch of 4"):
         _representation_batch(g, batch, np.ones(3))
+
+
+def test_a_batch_stack_needs_its_sample_count():
+    """Read as one sample, this four-sample batch gave _isometry_batch
+    one residual where it holds four."""
+    g, samples = suite_samples(9, 3)
+    batch = batch_of(g, samples)
+    with pytest.raises(ValueError, match="batch stack needs its sample"):
+        _Stack(g.n, batch.seg, batch.masks, batch.amps, batch.period)
+    assert len(_isometry_batch(g, batch)) == batch.samples == 4
 
 
 def test_a_trailing_sample_without_rows_is_still_reported():

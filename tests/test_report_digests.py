@@ -124,11 +124,14 @@ DIGESTS = {
         "bqsde.json": "8559ee39edf4322f02029b54f465025f"
                       "72f26e31d5c14d627b0c3cf9ffcc0ab2",
     },
-    # Re-recorded when the spec echo stopped naming a defaulted grid:
-    # only "spec.grid.n_steps" (8, which did not run) left the file.
+    # Re-recorded when catalog forward moved from the element solve
+    # pruned at 1e-5 to the exact parity channel: "terminal_terms" and
+    # "diagnostics" left the file, and terminal_norm2, growth's
+    # sup_norm_sq and ratio, and the sweep's terminal_norms, norm_gaps
+    # and ratio moved by 6e-11 to 3e-8 relative (terminal_vacua held).
     "forward-lq_scalar": {
-        "forward.json": "a2c882c39dbbb151c15857e75b1f6ea8"
-                        "052fc963fecca3e6b76501bf7d6e3677",
+        "forward.json": "50bea69d3ceb1038530789d2380aa023"
+                        "7695b721b66fe26c6bedff77e83b9cfc",
     },
     "ladder-control_in_noise": {
         "ladder.json": "659cbfae6d2ffc198a69b097cf5b2e8c"
