@@ -156,8 +156,10 @@ def walk(grid, coefs, srcs, x0_amps, pair):
     product, the outer products of consecutive runs of v or |v|^2.
     Every update is entrywise in the path indices, so batching groups of
     paths into one walk gives each group's pairings bit for bit.
-    Overflow is passed on (NaN and inf persist), so consumers check
-    what they keep.
+    Overflow is passed on (NaN and inf persist), so consumers run the
+    walk under np.errstate(over="ignore", invalid="ignore") and check
+    what they keep. The errstate sits around the consumer's loop, not
+    in here: a generator's errstate would leak across its yields.
     """
     dt = grid.dt
     root = np.sqrt(dt)
@@ -200,8 +202,9 @@ def gram(grid, coefs, srcs, x0_amps, block):
         return w.conj()[:, :, None] * w[:, None, :]
 
     out = np.empty((grid.n_steps + 1,) + shape, dtype=np.complex128)
-    for k, pairs in enumerate(walk(grid, coefs, srcs, x0_amps, pair)):
-        out[k] = pairs
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, pairs in enumerate(walk(grid, coefs, srcs, x0_amps, pair)):
+            out[k] = pairs
     bad = ~np.isfinite(out.reshape(grid.n_steps + 1, -1)).all(axis=1)
     if bad.any():
         raise FloatingPointError(

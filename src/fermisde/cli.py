@@ -711,10 +711,12 @@ def _forward_channel(entry, problem, grid, weight):
 
 def _forward_walk(grid, ch):
     """||x_k||^2 for k = 0..n_steps and the terminal vacuum of the
-    channel's solve, nothing pruned; raises on a non-finite state."""
-    norms = np.concatenate(list(
-        _channel.norms_sq(grid, ch.coefs, ch.tables[0], [ch.x0])
-    ))
+    channel's solve, nothing pruned; raises on a non-finite state, not
+    warning about the overflow that made it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.concatenate(list(
+            _channel.norms_sq(grid, ch.coefs, ch.tables[0], [ch.x0])
+        ))
     if not np.isfinite(norms).all():
         raise FloatingPointError("forward state became non-finite")
     vacua = _channel.vacua(grid, ch.coefs, ch.tables[0][:, :, 0], ch.x0)
@@ -967,9 +969,9 @@ def _pipeline_mp(spec, rng):
 def _bg_plan(spec):
     """Grid of a bg-constants spec, or its refusal."""
     if spec.n_steps > MAX_MATRIX_GENERATORS:
-        raise SpecError([("/grid/n_steps", "bg-constants needs the matrix "
-                          "route; n_steps must be at most "
-                          f"{MAX_MATRIX_GENERATORS}")])
+        raise SpecError([("/grid/n_steps", "bg-constants takes spectra "
+                          "of blocks of up to 2^n_steps entries; n_steps "
+                          f"must be at most {MAX_MATRIX_GENERATORS}")])
     return TimeGrid(spec.T, spec.n_steps)
 
 

@@ -43,12 +43,13 @@ import numpy as np
 
 from . import _sparse as sp
 from .algebra import (
+    MAX_MATRIX_GENERATORS,
     CliffordElement,
+    _block_singular_values,
+    _block_stacks,
     _spectral_lp,
     _Stack,
-    jw_rep,
     norm2,
-    singular_values,
 )
 
 __all__ = [
@@ -487,9 +488,11 @@ def bg_ratios(grid, integrand, p=2.0):
 
     The square function is s = (sum_k dt Y_k* Y_k)^(1/2) for the right
     integral and the same with Y_k Y_k* for the left one; the L^p norm of s
-    is taken spectrally, so this needs the matrix route. Returns both
-    quotients for both integrals, with zero denominators flagged instead of
-    divided by. bg_ratio_sweep gives the same for several p at once.
+    is taken spectrally, on the blocks of algebra._block_stacks, so n is
+    limited to MAX_MATRIX_GENERATORS. The integrand must be adapted.
+    Returns both quotients for both integrals, with zero denominators
+    flagged instead of divided by. bg_ratio_sweep gives the same for
+    several p at once.
     """
     return bg_ratio_sweep(grid, integrand, (p,))[0]
 
@@ -497,29 +500,36 @@ def bg_ratios(grid, integrand, p=2.0):
 def bg_ratio_sweep(grid, integrand, ps):
     """bg_ratios(grid, integrand, p) for every p in ps, in order.
 
-    Each side's square function, its eigenvalues and the integral's
-    singular values are computed once and read for all of ps.
+    Each side's square function takes one eigvalsh of its blocks, and
+    the right integral one SVD of its blocks, read for all of ps. The
+    left integral shares that spectrum and that 2-norm: for adapted Y_k,
+    dW_k Y_k = grading(Y_k) dW_k, so it is -grading(right integral) bit
+    for bit, and the grading is a trace-preserving *-automorphism.
     """
     steps = _steps(grid, integrand)
     if not all(p >= 1 for p in ps):
         raise ValueError("p must be at least 1")
-    rep = jw_rep(grid.n)
+    # The blocks of the right integral hold up to 2^n entries.
+    if grid.n > MAX_MATRIX_GENERATORS:
+        raise ValueError(
+            f"matrix representation refused for n={grid.n} "
+            f"(> {MAX_MATRIX_GENERATORS})"
+        )
+    _require_adapted(steps)
+    integ = _integral(grid, steps, "right")
+    spectrum = (
+        _block_singular_values(integ) if any(p != 2 for p in ps) else None
+    )
+    i_norms = [_spectral_lp(integ, spectrum, p) for p in ps]
     out = [{"p": p, "flagged_zero": False} for p in ps]
     for name, left in (("right", False), ("left", True)):
-        lam = np.linalg.eigvalsh(
-            rep.matrix(_square_function(grid, steps, left))
-        )
-        lam = np.clip(lam, 0.0, None)
-        integ = _integral(grid, steps, name)
-        spectrum = (
-            singular_values(integ, rep) if any(p != 2 for p in ps) else None
-        )
-        for result, p in zip(out, ps):
+        blocks = _block_stacks([_square_function(grid, steps, left)])[0]
+        lam = np.clip(np.linalg.eigvalsh(blocks).ravel(), 0.0, None)
+        for result, p, i_norm in zip(out, ps, i_norms):
             if p == np.inf:
-                s_norm = float(np.sqrt(lam.max())) if lam.size else 0.0
+                s_norm = float(np.sqrt(lam.max()))
             else:
                 s_norm = float(np.mean(lam ** (p / 2.0)) ** (1.0 / p))
-            i_norm = _spectral_lp(integ, spectrum, p)
             entry = {"integral_norm": i_norm, "square_function_norm": s_norm}
             if s_norm == 0.0 or i_norm == 0.0:
                 result["flagged_zero"] = True

@@ -870,6 +870,26 @@ def test_main_spec_error_exit_two(tmp_path, capsys):
     assert "/problem_id" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("forward", "forward failed: forward state became non-finite\n"),
+        ("ladder", "ladder failed: state became non-finite at step 43\n"),
+    ],
+    ids=["forward", "ladder"],
+)
+def test_main_refuses_an_overflowing_channel_walk_with_its_own_message(
+    tmp_path, capsys, command, message
+):
+    """A horizon of 1e6 overflows the parity channel's walk. The pipeline
+    refuses with its own message; no RuntimeWarning leaves the walk,
+    which this test would turn into the failure instead."""
+    spec = json.dumps({"problem_id": "lq_scalar", "grid": {"T": 1e6}})
+    assert main([command, "--spec", spec, "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == message
+
+
 def test_main_ladder_offset_past_the_horizon_exit_two(tmp_path, capsys):
     out = tmp_path / "late"
     code = main(

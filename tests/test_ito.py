@@ -7,8 +7,10 @@ import pytest
 
 from fermisde.algebra import (
     CliffordElement,
+    MatrixRep,
     _Stack,
     cond_expect,
+    grading,
     jw_rep,
     mul,
     norm2,
@@ -22,11 +24,13 @@ from fermisde.ito import (
     MartingaleSeq,
     TimeGrid,
     _commutation_worst,
+    _integral,
     _integrals,
     _isometry_batch,
     _paths,
     _representation_batch,
     _square_function,
+    _steps,
     bg_ratio_sweep,
     bg_ratios,
     brownian,
@@ -389,9 +393,83 @@ def test_bg_constants_takes_one_spectrum_per_integrand_and_side(
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("bg-constants built a Jordan-Wigner image")
+
+    monkeypatch.setattr(MatrixRep, "matrix", no_matrix)
     spec = parse_problem({"grid": {"n_steps": 14}})
     assert run("bg-constants", spec, str(tmp_path), seed=0)["pass"]
-    assert counts == {"svd": 5 * 2, "eigvalsh": 5 * 2}
+    assert counts == {"svd": 5, "eigvalsh": 5 * 2}
+
+
+def _jw_bg_reference(grid, y, p):
+    """(integral norm, square function norm) per side from the dense
+    Jordan-Wigner images, built term by term from element products."""
+    rep = jw_rep(grid.n)
+    out = {}
+    for side, integral in (("right", right_integral(grid, y)),
+                           ("left", left_integral(grid, y))):
+        square = CliffordElement.zero(grid.n)
+        for v in y:
+            term = v * v.adjoint() if side == "left" else v.adjoint() * v
+            square = square + term.scale(grid.dt)
+        lam = np.clip(np.linalg.eigvalsh(rep.matrix(square)), 0.0, None)
+        s = np.linalg.svd(rep.matrix(integral), compute_uv=False)
+        if p == np.inf:
+            out[side] = (s.max(), np.sqrt(lam.max()))
+        else:
+            out[side] = (
+                np.mean(s**p) ** (1.0 / p),
+                np.mean(lam ** (p / 2.0)) ** (1.0 / p),
+            )
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_bg_block_spectra_match_the_jordan_wigner_images(n):
+    """The block route's norms, both sides and every p, against SVDs and
+    eigenvalues of the JW images; the left integral is -grading of the
+    right one bit for bit, so it may share the right one's spectrum."""
+    g = TimeGrid(0.8, n)
+    for seed in range(3):
+        y = random_integrand(np.random.default_rng([70, n, seed]), g)
+        steps = _steps(g, y)
+        left = _integral(g, steps, "left")
+        right = -grading(_integral(g, steps, "right"))
+        assert left.masks.tobytes() == right.masks.tobytes()
+        assert left.amps.tobytes() == right.amps.tobytes()
+        for p, got in zip(P_CHOICES, bg_ratio_sweep(g, y, P_CHOICES)):
+            want = _jw_bg_reference(g, y, p)
+            assert not got["flagged_zero"]
+            for side in ("right", "left"):
+                i_norm, s_norm = want[side]
+                entry = got[side]
+                assert entry["integral_norm"] == pytest.approx(
+                    i_norm, rel=1e-12, abs=0.0
+                )
+                assert entry["square_function_norm"] == pytest.approx(
+                    s_norm, rel=1e-12, abs=0.0
+                )
+    zero = AdaptedProcess.constant_scalar(g, 0.0)
+    for got in bg_ratio_sweep(g, zero, P_CHOICES):
+        assert got["flagged_zero"]
+        for side in ("right", "left"):
+            assert got[side]["integral_norm"] == 0.0
+            assert got[side]["square_function_norm"] == 0.0
+            assert got[side]["ratio"] is None
+            assert got[side]["inverse_ratio"] is None
+
+
+def test_bg_ratios_refuse_an_integrand_that_is_not_adapted():
+    """The left integral is read off the right one, which holds only
+    for adapted integrands."""
+    g = TimeGrid(1.0, 4)
+    values = [CliffordElement.scalar(4, 1.0)] * 4
+    values[2] = CliffordElement.generator(4, 2)
+    y = AdaptedProcess(g, values, check=False)
+    with pytest.raises(ValueError, match="step 2 is not adapted"):
+        bg_ratios(g, y, p=3.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 6, 9, 14])
@@ -920,17 +998,19 @@ def test_ito_suite_refuses_a_batch_that_mixes_up_its_samples(
 # LAPACK build, whose last bits the CSV and the norms carry. Norms are
 # NumPy pairwise sums, not BLAS dot products, so the BLAS thread count
 # does not reach them; the bg and ito digests were re-recorded when that
-# changed.
+# changed. The bg-constants digests were re-recorded when its spectra
+# moved from the Jordan-Wigner images to block spectra (relative moves
+# up to 2.4e-15, every flag kept).
 REPORT_DIGESTS = {
     ("algebra-suite", 8, 0): {
         "algebra_suite.json": "ed58ee6163558ff164e9d7043da586d6"
                               "415a6ae7267251b2db3a7852bfc0c47d",
     },
     ("bg-constants", 6, 0): {
-        "bg_constants.csv": "1cfa4fe22cfaac546d7e863cc62d54cc"
-                            "0501630c458a8935a34685791eb7f128",
-        "bg_constants.json": "e6b099f14efa231340bb3bb989f33c5c"
-                             "489a06d87ec5ba6e00add6cbdcb8b917",
+        "bg_constants.csv": "b5dcfe87e861cac29cbb68210a7f4cda"
+                            "19e0775e02bdd39f8e22238c734aa0ac",
+        "bg_constants.json": "c062ef235fe1e68f248f7a0f5c843f16"
+                             "e0a8ba0ac5a2eb393762756b669d54d1",
     },
     ("ito-suite", 16, 0): {
         "ito_suite.json": "9f020a3f558b3de4a568ff7b7259521d"
@@ -941,10 +1021,10 @@ REPORT_DIGESTS = {
                               "8435b10d07247066ec2595c917bf691b",
     },
     ("bg-constants", 6, 5): {
-        "bg_constants.csv": "a0600bc80c31bb67f87e071afe13ee57"
-                            "46faf2000d4b0a38a1191df28ef12914",
-        "bg_constants.json": "45bba0eafab1a0ca552182a0b65c604b"
-                             "ce6b6a305baef4bf7c27a06549170936",
+        "bg_constants.csv": "db841df309478ed4fd13104dcd39709f"
+                            "4458ba2133ce24544c95b9046d221ec9",
+        "bg_constants.json": "6ec280fa821907044aa065484c0ecefc"
+                             "40cbf8982deb3c6e12846a37fbe8824c",
     },
     ("ito-suite", 16, 5): {
         "ito_suite.json": "2140e681ddca11b33f18c082c0672503"
@@ -956,20 +1036,19 @@ REPORT_DIGESTS = {
         "ito_suite.json": "87c1b515c5ef1b96ffc2dfc08dc9e225"
                           "88ff5b48405463c19610ec2cf4203280",
     },
-    # The benchmark's own bg-constants size, the first to reach a
-    # 128 x 128 image: recorded on the per-term loop of MatrixRep.matrix
-    # that the Pauli-string scatter replaces.
+    # The benchmark's own bg-constants size, the first whose integral
+    # reaches a 128 x 128 block.
     ("bg-constants", 14, 0): {
-        "bg_constants.csv": "c51aea5da582afbc4bfc4e740dfd078a"
-                            "3fb99cb9b743143289172ad74a858ca3",
-        "bg_constants.json": "8f6bdb2a0dd6977bdea70f16fec6c8c6"
-                             "97889902c1ef18c0be99113425f314d5",
+        "bg_constants.csv": "d7aea36c16befc388a1f1fdadd1db6b1"
+                            "370f234ada10e8d0114bb0b52e004958",
+        "bg_constants.json": "803d4fa6a83192c5c9f3a1e788f95477"
+                             "d7c2f1981da301fa50c4f63bd250b10e",
     },
     ("bg-constants", 14, 1): {
-        "bg_constants.csv": "691b93104d4d425375a5250bd93ee091"
-                            "9f168f4c2aaec0a3db143804d57b236d",
-        "bg_constants.json": "f2d10b0fb99d7707d8ddd25b732630fc"
-                             "ec3cd9ed7d0dc0955535f851a0389d06",
+        "bg_constants.csv": "ff4794bb22ad76957f5f9be410a54035"
+                            "026099de5ef5759224de6dd14acdd2d0",
+        "bg_constants.json": "26ab467b221bf036bbdf5b52833fcfca"
+                             "e398dcf5b590700325801107a984f071",
     },
     # The benchmark's own ito-suite call: recorded on the per-sample loops
     # that the one-stack-per-section pipeline replaces.
