@@ -23,6 +23,10 @@ from .operators import _as_scalar_amp
 # differences and second derivatives vanish).
 SPIKE_SOURCES = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
 
+# Pairing entries one chunk of walk's steps may hold; a walk whose
+# pairings per step reach it takes one step per chunk.
+_CHUNK_ENTRIES = 1 << 16
+
 
 class Channel:
     """A problem on a grid that the exact routes take (see gate).
@@ -147,13 +151,16 @@ def coefficients(ops):
 
 
 def walk(grid, coefs, srcs, x0_amps, pair):
-    """Yield pair-form pairings of K linear solves at steps 0..n_steps.
+    """Yield pair-form pairings of K linear solves at steps 0..n_steps,
+    one (steps, ...) array per chunk of consecutive steps.
 
     The bilinear form of forward._Frame.step, unpruned (README, Layout).
     coefs is the shared operators' coefficient table; srcs yields each
     step's (3, K) source amplitudes (an array or a lazy iterable).
-    pair(v) forms the pairings of the amplitude vector v: its outer
-    product, the outer products of consecutive runs of v or |v|^2.
+    pair(v) forms the pairings of the amplitude vectors in v's last
+    axis: their outer products, the outer products of consecutive runs
+    of them or |v|^2. Step 0 comes alone; later chunks hold as many
+    steps as keep pair's entries within _CHUNK_ENTRIES (at least one).
     Every update is entrywise in the path indices, so batching groups of
     paths into one walk gives each group's pairings bit for bit.
     Overflow is passed on (NaN and inf persist), so consumers run the
@@ -163,25 +170,48 @@ def walk(grid, coefs, srcs, x0_amps, pair):
     """
     dt = grid.dt
     root = np.sqrt(dt)
+    grow = 1.0 + dt * coefs[:, 0]
+    # Right mult by g_k keeps the row's sign, left mult takes the row's
+    # parity.
+    f_even = root * (coefs[:, 1, 0] + coefs[:, 2, 0])
+    f_odd = root * (coefs[:, 1, 1] - coefs[:, 2, 1])
+    # Squared moduli as the scalar abs(c) ** 2: np.hypot gives the
+    # scalar abs entry by entry, while NumPy's array abs of complex and
+    # array square round some last bits differently.
+    keep_even, keep_odd, feed_even, feed_odd = (
+        [x**2 for x in np.hypot(c.real, c.imag)]
+        for c in (grow[:, 0], grow[:, 1], f_even, f_odd)
+    )
     e0 = np.asarray(x0_amps, dtype=np.complex128)
-    g_even = np.zeros_like(pair(e0))
-    g_odd = np.zeros_like(g_even)
-    yield pair(e0)
-    for coef, (s_d, s_f, s_g) in zip(coefs, srcs):
-        (a_e, a_o), (b_e, b_o), (c_e, c_o) = coef
-        m_even = 1.0 + dt * a_e
-        m_odd = 1.0 + dt * a_o
-        # Right mult by g_k keeps the row's sign, left mult takes the
-        # row's parity.
-        f_even = root * (b_e + c_e)
-        f_odd = root * (b_o - c_o)
-        v = f_even * e0 + root * (s_f + s_g)
-        g_even, g_odd = (
-            abs(m_even) ** 2 * g_even + abs(f_odd) ** 2 * g_odd,
-            abs(m_odd) ** 2 * g_odd + abs(f_even) ** 2 * g_even + pair(v),
+    first = pair(e0)
+    yield first[None]
+    g_even = g_odd = np.zeros_like(first)
+    n = len(coefs)
+    size = max(1, _CHUNK_ENTRIES // max(1, first.size))
+    srcs = iter(srcs)
+    for k0 in range(0, n, size):
+        k1 = min(k0 + size, n)
+        s_d, s_f, s_g = np.moveaxis(
+            np.array([next(srcs) for _ in range(k0, k1)]), 1, 0
         )
-        e0 = m_even * e0 + dt * s_d
-        yield pair(e0) + g_even + g_odd
+        # Vacua e0_k0..e0_k1 of the chunk: e0' = m+ e0 + dt s_D.
+        vac = np.empty((k1 - k0 + 1,) + e0.shape, dtype=np.complex128)
+        vac[0] = e0
+        for i, (m, lift) in enumerate(zip(grow[k0:k1, 0], dt * s_d)):
+            vac[i + 1] = m * vac[i] + lift
+        e0 = vac[-1]
+        feed = pair(f_even[k0:k1, None] * vac[:-1] + root * (s_f + s_g))
+        # The two-lane recursion, each step's lanes stored in the chunk.
+        evens = np.empty_like(feed)
+        odds = np.empty_like(feed)
+        for i, k in enumerate(range(k0, k1)):
+            g_even, g_odd = (
+                keep_even[k] * g_even + feed_odd[k] * g_odd,
+                keep_odd[k] * g_odd + feed_even[k] * g_even + feed[i],
+            )
+            evens[i] = g_even
+            odds[i] = g_odd
+        yield pair(vac[1:]) + evens + odds
 
 
 def gram(grid, coefs, srcs, x0_amps, block):
@@ -198,13 +228,15 @@ def gram(grid, coefs, srcs, x0_amps, block):
     shape = (len(x0_amps) // block, block, block)
 
     def pair(v):
-        w = v.reshape(shape[:2])
-        return w.conj()[:, :, None] * w[:, None, :]
+        w = v.reshape(v.shape[:-1] + shape[:2])
+        return w.conj()[..., :, None] * w[..., None, :]
 
     out = np.empty((grid.n_steps + 1,) + shape, dtype=np.complex128)
+    k = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, pairs in enumerate(walk(grid, coefs, srcs, x0_amps, pair)):
-            out[k] = pairs
+        for chunk in walk(grid, coefs, srcs, x0_amps, pair):
+            out[k:k + len(chunk)] = chunk
+            k += len(chunk)
     bad = ~np.isfinite(out.reshape(grid.n_steps + 1, -1)).all(axis=1)
     if bad.any():
         raise FloatingPointError(
@@ -216,9 +248,10 @@ def gram(grid, coefs, srcs, x0_amps, block):
 def norms_sq(grid, coefs, srcs, x0_amps):
     """Yield ||x_i(k)||^2 of walk's K solves, one length-K real array
     per step, as the values are taken; NaN and inf persist unchecked."""
-    return walk(
+    for chunk in walk(
         grid, coefs, srcs, x0_amps, lambda v: v.real**2 + v.imag**2
-    )
+    ):
+        yield from chunk
 
 
 def vacua(grid, coefs, srcs, x0_amp):
@@ -240,7 +273,8 @@ def adjoint_vacua(grid, coefs, srcs, x0_amp, q, s):
     control.first_adjoint solves by the implicit backward step from
     phi_n = -2s x_n, with running-cost gradient 2q x, along the solve x
     with (n_steps, 3) sources srcs and start amplitude x0_amp. O(n_steps)
-    time and memory, nothing pruned; overflow is passed on as in walk.
+    time and memory, nothing pruned; overflow, and the division by zero
+    of a step with dt a = 1, are passed on as in walk.
     """
     n = grid.n_steps
     dt = grid.dt

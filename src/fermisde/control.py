@@ -1112,7 +1112,10 @@ def _max_principle(problem, grid, steps_coarse, value_grid, u, order=1,
     q, r, s = ch.weights
     n = grid.n_steps
     base = table[np.arange(n), :, step_picks]
-    phi, Phi = _channel.adjoint_vacua(grid, ch.coefs, base, ch.x0, q, s)
+    # An implicit step with dt a = 1 divides by zero, and overflow gives
+    # inf or NaN: both are refused below, not warned about.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        phi, Phi = _channel.adjoint_vacua(grid, ch.coefs, base, ch.x0, q, s)
     if not (np.isfinite(phi).all() and np.isfinite(Phi).all()):
         raise FloatingPointError("adjoint became non-finite")
     lhs = _channel_scan(

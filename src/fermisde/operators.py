@@ -109,7 +109,8 @@ def _as_scalar_amp(el):
     """Amplitude when the element is a multiple of I (0 included), else None."""
     if el.n_terms == 0:
         return 0.0 + 0.0j
-    if el.n_terms == 1 and not el.masks[0].any():
+    # The one row's mask words read as bytes: no NumPy reduction.
+    if el.n_terms == 1 and not any(el.masks.tobytes()):
         return complex(el.amps[0])
     return None
 

@@ -890,6 +890,47 @@ def test_main_refuses_an_overflowing_channel_walk_with_its_own_message(
     assert capsys.readouterr().err == message
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("budget", [270, None], ids=lambda b: f"budget_{b}")
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("forward", "forward failed: forward state became non-finite\n"),
+        ("ladder", "ladder failed: state became non-finite at step 43\n"),
+    ],
+    ids=["forward", "ladder"],
+)
+def test_main_refuses_an_overflow_inside_a_walk_chunk(
+    tmp_path, capsys, monkeypatch, budget, command, message
+):
+    """The horizon-1e6 overflow falls inside a chunk of the walk: the
+    ladder's 18 paths in blocks of three hold 54 pairings a step, so a
+    budget of 270 walks steps 41..45 as one chunk, and the default
+    budget walks all 128 steps (forward's 64) as one."""
+    if budget is not None:
+        monkeypatch.setattr(_channel, "_CHUNK_ENTRIES", budget)
+    spec = json.dumps({"problem_id": "lq_scalar", "grid": {"T": 1e6}})
+    assert main([command, "--spec", spec, "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_main_max_principle_refuses_a_singular_adjoint_step_quietly(
+    tmp_path, capsys
+):
+    """lq_scalar at T=128 over 32 steps has dt a = 1, so the channel
+    adjoint's implicit step divides by zero. max-principle refuses with
+    its own message; no RuntimeWarning leaves the adjoint, which this
+    test would turn into the failure instead."""
+    spec = json.dumps(
+        {"problem_id": "lq_scalar", "grid": {"T": 128, "n_steps": 32}}
+    )
+    assert main(["max-principle", "--spec", spec, "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "max-principle failed: adjoint became non-finite\n"
+    )
+
+
 def test_main_ladder_offset_past_the_horizon_exit_two(tmp_path, capsys):
     out = tmp_path / "late"
     code = main(

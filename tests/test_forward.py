@@ -1,6 +1,8 @@
 """Forward Euler solver: closed forms, the structured fast path against
 the generic one, spikes, derivative cross-checks, and failure guards."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -311,6 +313,139 @@ def test_linear_gram_raises_on_overflow():
             with np.errstate(over="ignore", invalid="ignore"):
                 _channel.gram(grid, huge, np.zeros((8, 3, len(x0_amps))),
                               x0_amps, block=len(x0_amps))
+
+
+def _step_walk(grid, coefs, srcs, x0_amps, pair):
+    """The parity-channel walk one step at a time: the reference the
+    chunked _channel.walk must match bit for bit."""
+    dt = grid.dt
+    root = np.sqrt(dt)
+    e0 = np.asarray(x0_amps, dtype=np.complex128)
+    g_even = np.zeros_like(pair(e0))
+    g_odd = np.zeros_like(g_even)
+    yield pair(e0)
+    for coef, (s_d, s_f, s_g) in zip(coefs, srcs):
+        (a_e, a_o), (b_e, b_o), (c_e, c_o) = coef
+        m_even = 1.0 + dt * a_e
+        m_odd = 1.0 + dt * a_o
+        f_even = root * (b_e + c_e)
+        f_odd = root * (b_o - c_o)
+        v = f_even * e0 + root * (s_f + s_g)
+        g_even, g_odd = (
+            abs(m_even) ** 2 * g_even + abs(f_odd) ** 2 * g_odd,
+            abs(m_odd) ** 2 * g_odd + abs(f_even) ** 2 * g_even + pair(v),
+        )
+        e0 = m_even * e0 + dt * s_d
+        yield pair(e0) + g_even + g_odd
+
+
+def _step_gram(grid, coefs, srcs, x0_amps, block):
+    x0_amps = np.asarray(x0_amps, dtype=np.complex128)
+    shape = (len(x0_amps) // block, block)
+
+    def pair(v):
+        w = v.reshape(shape)
+        return w.conj()[:, :, None] * w[:, None, :]
+
+    return np.array(list(_step_walk(grid, coefs, srcs, x0_amps, pair)))
+
+
+# Chunk budgets of the walk (pairing entries per chunk): one step per
+# chunk, a few steps with a short last chunk, and the module's default.
+CHUNK_BUDGETS = [1, 7, 40, None]
+
+
+@pytest.fixture(params=CHUNK_BUDGETS, ids=lambda b: f"budget_{b}")
+def chunk_budget(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(_channel, "_CHUNK_ENTRIES", request.param)
+    return request.param
+
+
+def _walk_case(n_steps, paths, seed):
+    """Complex step-varying coefficients over six decades, complex
+    sources and starts with an exact zero and a negative zero."""
+    rng = np.random.default_rng(seed)
+
+    def cx(*shape):
+        scale = 10.0 ** rng.integers(-3, 3, size=shape)
+        return scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+    coefs = cx(n_steps, 3, 2)
+    srcs = cx(n_steps, 3, paths)
+    x0_amps = cx(paths)
+    x0_amps[1] = 0.0
+    x0_amps[2] = complex(-0.0, -0.0)
+    # The walk reads dt and n_steps alone; a TimeGrid has at least a step.
+    grid = SimpleNamespace(dt=0.07, n_steps=n_steps)
+    return grid, coefs, srcs, x0_amps
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 13])
+def test_chunked_walk_equals_the_step_by_step_walk(chunk_budget, n_steps):
+    """gram at blocks 1, 3 and K and norms_sq fed an array or a lazy
+    iterable of per-step sources give the step-by-step walk's values to
+    the last bit, whatever the chunk length."""
+    grid, coefs, srcs, x0_amps = _walk_case(n_steps, 6, seed=n_steps)
+    for block in (1, 3, 6):
+        got = _channel.gram(grid, coefs, srcs, x0_amps, block=block)
+        want = _step_gram(grid, coefs, srcs, x0_amps, block)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    want = np.array(list(_step_walk(
+        grid, coefs, srcs, x0_amps, lambda v: v.real**2 + v.imag**2
+    )))
+    for fed in (srcs, (srcs[k].copy() for k in range(n_steps))):
+        rows = list(_channel.norms_sq(grid, coefs, fed, x0_amps))
+        assert all(row.shape == (6,) for row in rows)
+        assert np.array(rows).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "sizes", [(1, 3), (3, 3, 3), (2, 1, 4, 2), (1, 1, 1, 1)]
+)
+@pytest.mark.parametrize("budget", [1, 7], ids=lambda b: f"budget_{b}")
+def test_linear_gram_batches_path_groups_in_any_chunk_length(
+    monkeypatch, budget, sizes
+):
+    monkeypatch.setattr(_channel, "_CHUNK_ENTRIES", budget)
+    test_linear_gram_batches_path_groups_bit_for_bit(sizes)
+
+
+def test_walk_chunks_keep_within_the_entry_budget(monkeypatch):
+    """Step 0 comes alone, then chunks of budget // entries steps (at
+    least one), the last one short."""
+    grid, coefs, srcs, x0_amps = _walk_case(13, 6, seed=4)
+    pair = lambda v: v.real**2 + v.imag**2
+    for budget, lengths in [
+        (1, [1] * 14), (6, [1] * 14), (13, [1, 2, 2, 2, 2, 2, 2, 1]),
+        (40, [1, 6, 6, 1]), (1 << 16, [1, 13]),
+    ]:
+        monkeypatch.setattr(_channel, "_CHUNK_ENTRIES", budget)
+        chunks = list(_channel.walk(grid, coefs, srcs, x0_amps, pair))
+        assert [len(c) for c in chunks] == lengths
+
+
+def test_linear_gram_names_the_first_non_finite_step_inside_a_chunk(
+    chunk_budget
+):
+    """A growth of 1e300 at step 5 overflows |e0|^2 at step 6, which
+    lies inside a chunk under every budget but 1; gram names step 6, as
+    the step-by-step walk finds it."""
+    grid = TimeGrid(1.0, 13)
+    alpha = np.full(grid.n_steps, 0.1)
+    alpha[5] = 1e300
+    coefs = coefficient_table(
+        grid, lambda k: (GradedScalarOp(alpha[k], 0.0),) + (
+            GradedScalarOp(0.0, 0.0),) * 2
+    )
+    srcs = np.zeros((grid.n_steps, 3, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _step_gram(grid, coefs, srcs, [1.0], 1)
+    bad = ~np.isfinite(want.reshape(grid.n_steps + 1, -1)).all(axis=1)
+    assert int(np.argmax(bad)) == 6
+    with pytest.raises(FloatingPointError, match="non-finite at step 6$"):
+        _channel.gram(grid, coefs, srcs, [1.0], block=1)
 
 
 def test_difference_solver_equals_subtracted_solves():

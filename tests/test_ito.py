@@ -1000,7 +1000,11 @@ def test_ito_suite_refuses_a_batch_that_mixes_up_its_samples(
 # does not reach them; the bg and ito digests were re-recorded when that
 # changed. The bg-constants digests were re-recorded when its spectra
 # moved from the Jordan-Wigner images to block spectra (relative moves
-# up to 2.4e-15, every flag kept).
+# up to 2.4e-15, every flag kept). The thread count does reach the
+# ("bg-constants", 14, *) digests, recorded on two OpenBLAS threads:
+# the right integral's 128 x 128 block goes through np.linalg.svd, which
+# returns other last bits on one thread, so those two fail under
+# OPENBLAS_NUM_THREADS=1.
 REPORT_DIGESTS = {
     ("algebra-suite", 8, 0): {
         "algebra_suite.json": "ed58ee6163558ff164e9d7043da586d6"

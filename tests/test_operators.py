@@ -26,6 +26,7 @@ from fermisde.operators import (
     op_grade_parts,
     op_to_dense,
 )
+from fermisde.operators import _as_scalar_amp
 
 N = 5
 
@@ -230,3 +231,43 @@ def test_bilinear_map_forms():
     assert z.is_zero
     with pytest.raises(ValueError, match="zero bilinear"):
         z(v, w)
+
+
+# Past 64 generators a mask takes two words.
+WIDE = 70
+
+
+def test_scalar_amp_of_the_zero_element_is_zero_at_two_mask_words():
+    amp = _as_scalar_amp(CliffordElement.zero(WIDE))
+    assert type(amp) is complex
+    assert amp == 0j
+
+
+@pytest.mark.parametrize(
+    "value", [1.0, -2.5, -0.0, complex(0.0, -0.0), 2 - 3j, -1j, 1e-300j]
+)
+def test_scalar_amp_reads_a_scalar_at_two_mask_words(value):
+    """Every amplitude, the signed zeros included, comes back bit for
+    bit (a zero amplitude is kept as a row, as arithmetic can leave it)."""
+    el = CliffordElement._wrap(
+        WIDE, np.zeros((1, 2), np.uint64), np.array([value], np.complex128)
+    )
+    amp = _as_scalar_amp(el)
+    assert type(amp) is complex
+    assert np.array([amp]).tobytes() == el.amps.tobytes()
+
+
+@pytest.mark.parametrize("k", [64, 66, WIDE - 1])
+def test_scalar_amp_refuses_a_term_set_in_the_second_mask_word(k):
+    el = CliffordElement.generator(WIDE, k).scale(2.0)
+    assert el.masks.shape == (1, 2) and not el.masks[0, 0]
+    assert _as_scalar_amp(el) is None
+
+
+def test_scalar_amp_refuses_two_terms_at_two_mask_words():
+    el = CliffordElement.from_terms(WIDE, {0: 1.0, 1 << 65: 0.5})
+    assert el.n_terms == 2
+    assert _as_scalar_amp(el) is None
+    assert _as_scalar_amp(CliffordElement.from_terms(
+        WIDE, {1: 1.0, 1 << 65: 0.5}
+    )) is None
