@@ -13,6 +13,8 @@ walk, its vacua, its transpose and the spike-window source layout.
 
 from __future__ import annotations
 
+from operator import is_
+
 import numpy as np
 
 from .operators import _as_scalar_amp
@@ -31,17 +33,18 @@ _CHUNK_ENTRIES = 1 << 16
 class Channel:
     """A problem on a grid that the exact routes take (see gate).
 
-    ops holds each step's (A, B, C) in graded-scalar form and coefs
-    their coefficient table; x0 is the start amplitude, weights the
-    (q, r, s) of declared norm costs (None when L or h declares none)
-    and tables the source tables of the gate's requests, in order.
+    ops holds each step's (A, B, C, uD, uF, uG) in graded-scalar form
+    and coefs the coefficient table of its (A, B, C); x0 is the start
+    amplitude, weights the (q, r, s) of declared norm costs (None when L
+    or h declares none) and tables the source tables of the gate's
+    requests, in order.
     """
 
     __slots__ = ("ops", "coefs", "x0", "weights", "tables")
 
-    def __init__(self, ops, x0, weights, tables):
+    def __init__(self, ops, coefs, x0, weights, tables):
         self.ops = ops
-        self.coefs = coefficients(ops)
+        self.coefs = coefs
         self.x0 = x0
         self.weights = weights
         self.tables = tables
@@ -76,13 +79,13 @@ class Channel:
 def gate(problem, grid, *requests, costs=False):
     """The Channel of problem on grid, None when no exact route takes it.
 
-    Takes declared linear coefficients whose operators reduce to
-    graded-scalar form at every step and a start state that is a
-    multiple of I; with costs set, L and h must also declare norm-cost
-    weights (RunningNormCost and TerminalNormCost do). Each request
-    (steps, at) asks for a source table (see sources), and every source
-    it reads must be a multiple of I. Each step operator is reduced to
-    graded-scalar form once and the coefficient table built once.
+    Takes declared linear coefficients whose six step operators (A, B,
+    C and the injections uD, uF, uG) reduce to graded-scalar form at
+    every step and a start state that is a multiple of I; with costs
+    set, L and h must also declare norm-cost weights (RunningNormCost
+    and TerminalNormCost do). Each request (steps, at) asks for a source
+    table (see sources) of the control values at(k). The operators are
+    reduced and tabulated once, in one (n_steps, 6, 2) table.
     """
     lin = problem.coeffs.linear
     if lin is None:
@@ -96,58 +99,92 @@ def gate(problem, grid, *requests, costs=False):
     if x0 is None or (costs and weights is None):
         return None
     ops = reduced(
-        (lin.A(k), lin.B(k), lin.C(k)) for k in range(grid.n_steps)
+        (lin.A(k), lin.B(k), lin.C(k), lin.uD(k), lin.uF(k), lin.uG(k))
+        for k in range(grid.n_steps)
     )
     if ops is None:
         return None
+    table = coefficients(ops)
     tables = []
     for steps, at in requests:
-        table = sources(lin, steps, at)
-        if table is None:
+        srcs = sources(table[:, 3:], steps, at)
+        if srcs is None:
             return None
-        tables.append(table)
-    return Channel(ops, x0, weights, tables)
+        tables.append(srcs)
+    return Channel(ops, table[:, :3], x0, weights, tables)
 
 
-def sources(lin, steps, at):
-    """(len(steps), 3, V) amplitudes of lin's (uD, uF, uG) at each step
-    k in steps under each of the V control values at(k), None unless
-    every source is a multiple of I."""
-    rules = (lin.uD, lin.uF, lin.uG)
-    rows = []
-    for k in steps:
-        row = [[_as_scalar_amp(rule(k, value)) for value in at(k)]
-               for rule in rules]
-        if any(amp is None for amps in row for amp in amps):
-            return None
-        rows.append(row)
-    return np.array(rows, dtype=np.complex128)
+def sources(inject, steps, at):
+    """(len(steps), 3, V) source amplitudes of the injections (uD, uF,
+    uG) at each step k in steps under each of the V control values
+    at(k); inject is their (n_steps, 3, 2) coefficient table.
+
+    A source is the value's amplitude times c(+1), in apply's operand
+    order, so it is the amplitude of apply(value) bit for bit; an exact
+    0 is 0j, as apply drops it. None when a value that is not a multiple
+    of I meets a nonzero injection.
+    """
+    steps = list(steps)
+    values = [value for k in steps for value in at(k)]
+    # Each distinct value object is read once: a constant control
+    # repeats one.
+    read = {id(value): value for value in values}
+    read = {key: _as_scalar_amp(value) for key, value in read.items()}
+    amps = [read[id(value)] for value in values]
+    scalar = np.array([amp is not None for amp in amps], dtype=bool)
+    scalar = scalar.reshape(len(steps), -1)
+    amps = np.array(
+        [0j if amp is None else amp for amp in amps], dtype=np.complex128
+    ).reshape(scalar.shape)
+    coef = inject[steps]
+    if (coef.any(axis=2)[:, :, None] & ~scalar[:, None, :]).any():
+        return None
+    table = amps[:, None, :] * coef[:, :, :1]
+    table[table == 0] = 0
+    return table
 
 
-def reduced(triples):
-    """Each step's operator triple in graded-scalar form, each operator
-    reduced once; None as soon as one does not reduce."""
+def reduced(steps):
+    """Each step's operators in graded-scalar form, None as soon as one
+    does not reduce. A step whose operators are the previous step's
+    objects shares its reduction, one tuple."""
     ops = []
-    for triple in triples:
-        step = tuple(op.as_graded_scalar() for op in triple)
-        if any(g is None for g in step):
-            return None
-        ops.append(step)
+    raw = graded = None
+    for step in steps:
+        if raw is None or not all(map(is_, step, raw)):
+            raw = step
+            graded = tuple(op.as_graded_scalar() for op in step)
+            if any(g is None for g in graded):
+                return None
+        ops.append(graded)
     return ops
 
 
 def coefficients(ops):
-    """(n_steps, 3, 2) coefficients (c(+1), c(-1)) of reduced triples.
+    """(n_steps, m, 2) coefficients (c(+1), c(-1)) of each step's m
+    reduced operators.
 
-    c(p) = alpha + beta p, as in forward._Frame.coef. Read back as NumPy
-    scalars, an overflow gives inf (caught by gram's finite check)
-    instead of raising from Python float arithmetic.
+    c(p) = alpha + beta p, and alpha itself when beta is 0, as in
+    forward._Frame.coef. A step sharing the previous step's tuple shares
+    its row. Read back as NumPy scalars, an overflow gives inf (caught
+    by gram's finite check) instead of raising from Python float
+    arithmetic.
     """
-    table = np.empty((len(ops), 3, 2), dtype=np.complex128)
-    for k, step in enumerate(ops):
-        for j, g in enumerate(step):
-            table[k, j] = g.alpha + g.beta, g.alpha - g.beta
-    return table
+    distinct, rows = [], []
+    for step in ops:
+        if not distinct or step is not distinct[-1]:
+            distinct.append(step)
+        rows.append(len(distinct) - 1)
+    pairs = np.array(
+        [[(g.alpha, g.beta) for g in step] for step in distinct],
+        dtype=np.complex128,
+    )
+    alpha, beta = pairs[..., 0], pairs[..., 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = np.stack(
+            (np.where(beta == 0, alpha, alpha + beta), alpha - beta), axis=-1
+        )
+    return table[rows]
 
 
 def walk(grid, coefs, srcs, x0_amps, pair):

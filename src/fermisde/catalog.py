@@ -80,22 +80,29 @@ def _start(n, scale):
 
 def _affine_coeffs(a=0.0, b=0.0, c=0.0, g=0.0, sigma_f=0.0, sigma_g=0.0,
                    lipschitz=0.0):
-    """dx = (a x + b u) dt + (c x + sigma_f u) dW + dW (g x + sigma_g u)."""
+    """dx = (a x + b u) dt + (c x + sigma_f u) dW + dW (g x + sigma_g u).
+
+    The six declared operators are built once, so every step's rule
+    returns the same object and the channel gate reduces each once.
+    """
+    A, B, C, uD, uF, uG = (
+        GradedScalarOp(v, 0.0) for v in (a, c, g, b, sigma_f, sigma_g)
+    )
     lin = LinearStructure(
-        A=lambda k: GradedScalarOp(a, 0.0),
-        B=lambda k: GradedScalarOp(c, 0.0),
-        C=lambda k: GradedScalarOp(g, 0.0),
-        uD=lambda k, u: u.scale(b),
-        uF=lambda k, u: u.scale(sigma_f),
-        uG=lambda k, u: u.scale(sigma_g),
+        A=lambda k: A,
+        B=lambda k: B,
+        C=lambda k: C,
+        uD=lambda k: uD,
+        uF=lambda k: uF,
+        uG=lambda k: uG,
     )
     return Coefficients(
         D=lambda k, x, u: x.scale(a) + u.scale(b),
         F=lambda k, x, u: x.scale(c) + u.scale(sigma_f),
         G=lambda k, x, u: x.scale(g) + u.scale(sigma_g),
-        Dx=lambda k, x, u: GradedScalarOp(a, 0.0),
-        Fx=lambda k, x, u: GradedScalarOp(c, 0.0),
-        Gx=lambda k, x, u: GradedScalarOp(g, 0.0),
+        Dx=lambda k, x, u: A,
+        Fx=lambda k, x, u: B,
+        Gx=lambda k, x, u: C,
         lipschitz_bound=lipschitz,
         linear=lin,
     )

@@ -784,13 +784,32 @@ def _pipeline_forward(spec, rng):
     }
 
 
-def _pipeline_bqsde(spec, rng):
+def _bqsde_plan(spec):
+    """Grid, driver operator and its graded-scalar form (or None) of a
+    bqsde spec, or its refusal: Picard's windows are at least one step
+    long, and a step under a scalar driver a contracts only while
+    |a| dt < 1."""
     grid = TimeGrid(spec.T, spec.n_steps)
-    n = grid.n
-    inline = spec.inline or {}
-    driver_op = inline.get("driver", ScalarOp(1.0))
-    terminal = inline.get("terminal", CliffordElement.identity(n))
+    driver_op = (spec.inline or {}).get("driver", ScalarOp(1.0))
     scalar = driver_op.as_graded_scalar()
+    if scalar is not None and scalar.beta == 0:
+        rate = abs(scalar.alpha)
+        if rate * grid.dt >= 1.0:
+            raise SpecError([("/grid/n_steps", (
+                f"bqsde's Picard windows are at least one step long, and "
+                f"one step of dt={grid.dt:g} under the driver |a|={rate:g} "
+                f"does not contract (|a| dt >= 1); n_steps must exceed "
+                f"{rate * grid.T:g}"
+            ))])
+    return grid, driver_op, scalar
+
+
+def _pipeline_bqsde(spec, rng):
+    grid, driver_op, scalar = _bqsde_plan(spec)
+    n = grid.n
+    terminal = (spec.inline or {}).get(
+        "terminal", CliffordElement.identity(n)
+    )
     if scalar is not None and scalar.beta == 0:
         g1 = abs(scalar.alpha)
     else:
@@ -1049,7 +1068,8 @@ _PIPELINES = {
 }
 SUBCOMMANDS = [*_PIPELINES, "all"]
 # Refusals that need a grid or a problem; "all" runs them before any work.
-_PLANS = (_algebra_plan, _forward_plan, _ladder_plan, _mp_plan, _bg_plan)
+_PLANS = (_algebra_plan, _forward_plan, _ladder_plan, _mp_plan, _bg_plan,
+          _bqsde_plan)
 _BRANCH = {name: i for i, name in enumerate(SUBCOMMANDS)}
 
 

@@ -460,12 +460,12 @@ def variation_ladder(problem, ubar, u, eps_list, offset=0.0, prune=None):
     than their guarantee (and do whenever a variational term vanishes
     identically).
 
-    On a parity channel (see _channel.gate; the sources under ubar and
-    under u must be multiples of I), the norms and pairings come exactly
-    from one walk and prune is unused; any other problem takes element
-    solves pruned at the problem's budget. pruned_mass is the
-    root-sum-square of the mass those solves dropped (0 on the exact
-    route).
+    On a parity channel (see _channel.gate; ubar and u must be multiples
+    of I wherever a nonzero injection reads them), the norms and
+    pairings come exactly from one walk and prune is unused; any other
+    problem takes element solves pruned at the problem's budget.
+    pruned_mass is the root-sum-square of the mass those solves dropped
+    (0 on the exact route).
     """
     grid = ubar.grid
     windows, widths = _require_windows(grid, eps_list, offset)
@@ -1015,7 +1015,9 @@ def _channel_second_adjoint(grid, ch):
     hxx_op = _negated_hess_op(_norm_hess(q), "running-cost", "Lxx")
     out = np.empty(grid.n_steps, dtype=np.complex128)
     for k in range(grid.n_steps - 1, -1, -1):
-        p_next = _second_adjoint_step(p_next, *ch.ops[k], hxx_op, grid.dt)
+        p_next = _second_adjoint_step(
+            p_next, *ch.ops[k][:3], hxx_op, grid.dt
+        )
         out[k] = p_next.alpha + p_next.beta
     return out
 

@@ -53,12 +53,11 @@ def _zero_op_rule(k, x, u):
     return ScalarOp(0.0)
 
 
+_ZERO_OP = GradedScalarOp(0.0, 0.0)
+
+
 def _zero_op_rule_k(k):
-    return GradedScalarOp(0.0, 0.0)
-
-
-def _zero_inject(k, u):
-    return u.scale(0.0)
+    return _ZERO_OP
 
 
 def _zero_bilinear_rule(k, x, u):
@@ -69,19 +68,23 @@ def _zero_bilinear_rule(k, x, u):
 class LinearStructure:
     """Exact affine decomposition of the coefficients.
 
-    Declares D(k, x, u) = A(k)(x) + uD(k, u), F = B(k)(x) + uF(k, u) and
-    G = C(k)(x) + uG(k, u). A, B, C return operators (graded-scalar ones
-    unlock the sort-free solver path); uD, uF, uG inject the control. The
-    declaration is a promise of exactness, not an approximation, and is
-    cross-checked against the full rules in the tests.
+    Declares D(k, x, u) = A(k)(x) + uD(k)(u), F = B(k)(x) + uF(k)(u) and
+    G = C(k)(x) + uG(k)(u). All six map a step k to an operator: A, B, C
+    act on the state and uD, uF, uG inject the control. Graded-scalar
+    ones unlock the sort-free solver path, and when all six reduce to
+    graded-scalar form at every step the exact parity channel
+    (_channel.gate) takes the problem; a rule that returns the previous
+    step's object lets the gate reduce it once. The declaration is a
+    promise of exactness, not an approximation, and is cross-checked
+    against the full rules in the tests.
     """
 
     A: Callable = _zero_op_rule_k
     B: Callable = _zero_op_rule_k
     C: Callable = _zero_op_rule_k
-    uD: Callable = _zero_inject
-    uF: Callable = _zero_inject
-    uG: Callable = _zero_inject
+    uD: Callable = _zero_op_rule_k
+    uF: Callable = _zero_op_rule_k
+    uG: Callable = _zero_op_rule_k
 
 
 @dataclass
@@ -206,13 +209,15 @@ def _euler_loop(grid, x0, increments, prune, validate):
 def _declared_linear_solve(lin, grid, source, x0, prune):
     """linear_euler_forward on a LinearStructure.
 
-    source(rule, k) turns one control-injection rule into the source
-    element at step k.
+    source(op, k) turns step k's injection operator into its source
+    element.
     """
     return linear_euler_forward(
         grid,
         lambda k: (lin.A(k), lin.B(k), lin.C(k)),
-        lambda k: tuple(source(rule, k) for rule in (lin.uD, lin.uF, lin.uG)),
+        lambda k: tuple(
+            source(rule(k), k) for rule in (lin.uD, lin.uF, lin.uG)
+        ),
         x0,
         prune=prune,
     )
@@ -235,7 +240,7 @@ def euler_forward(coeffs, x0, u, prune=None, validate=True):
             raise ValueError(f"control is not adapted at step {bad}")
     if coeffs.linear is not None:
         return _declared_linear_solve(
-            coeffs.linear, grid, lambda rule, k: rule(k, u[k]), x0, prune
+            coeffs.linear, grid, lambda op, k: op.apply(u[k]), x0, prune
         )
 
     def increments(k, x):
@@ -262,7 +267,7 @@ def euler_forward_difference(coeffs, base, ubar, u, prune=None):
         return _declared_linear_solve(
             coeffs.linear,
             grid,
-            lambda rule, k: rule(k, u[k]) - rule(k, ubar[k]),
+            lambda op, k: op.apply(u[k]) - op.apply(ubar[k]),
             zero,
             prune,
         )

@@ -53,7 +53,7 @@ def test_build_unknown_id_lists_the_catalog():
 
 @pytest.mark.parametrize("pid", AFFINE_IDS)
 def test_declared_affine_structure_matches_full_rules(pid):
-    """A(k) x + uD(k, u) must reproduce D(k, x, u) exactly, and likewise
+    """A(k) x + uD(k) u must reproduce D(k, x, u) exactly, and likewise
     for the noise coefficients on both sides."""
     problem, grid = build(pid, n_steps=6)
     co = problem.coeffs
@@ -63,9 +63,11 @@ def test_declared_affine_structure_matches_full_rules(pid):
     for k in (0, 3, 5):
         x = random_element(rng, grid.n, n_terms=6)
         u = random_element(rng, grid.n, n_terms=4)
-        assert norm2(co.D(k, x, u) - lin.A(k).apply(x) - lin.uD(k, u)) < 1e-12
-        assert norm2(co.F(k, x, u) - lin.B(k).apply(x) - lin.uF(k, u)) < 1e-12
-        assert norm2(co.G(k, x, u) - lin.C(k).apply(x) - lin.uG(k, u)) < 1e-12
+        for rule, state_op, inject in (
+            (co.D, lin.A, lin.uD), (co.F, lin.B, lin.uF), (co.G, lin.C, lin.uG)
+        ):
+            want = state_op(k).apply(x) + inject(k).apply(u)
+            assert norm2(rule(k, x, u) - want) < 1e-12
 
 
 @pytest.mark.parametrize("pid", AFFINE_IDS + ["quadratic_drift"])

@@ -931,6 +931,40 @@ def test_main_max_principle_refuses_a_singular_adjoint_step_quietly(
     )
 
 
+@pytest.mark.parametrize("grid,driver,code", [
+    ({"n_steps": 1}, None, 2),
+    ({"n_steps": 2}, None, 0),
+    ({"n_steps": 4}, 4.0, 2),
+    ({"n_steps": 4, "T": 0.5}, 4.0, 0),
+])
+def test_main_bqsde_refuses_a_step_that_no_picard_window_contracts(
+    monkeypatch, tmp_path, capsys, grid, driver, code
+):
+    """A Picard window spans at least one step, and one step of a scalar
+    driver a contracts only while |a| dt < 1: n_steps=1 under the default
+    a = 1 used to run 200 sweeps and exit 3. It is refused at
+    /grid/n_steps, before any solve; |a| dt < 1 runs."""
+    spec = {"grid": grid}
+    if driver is not None:
+        spec["inline"] = {"driver": {"scalar": driver}}
+    if code == 2:
+        for name in ("solve_stepwise", "solve_picard"):
+            monkeypatch.setattr(cli, name, _refuse_solve)
+    out = tmp_path / "bq"
+    assert main(["bqsde", "--spec", json.dumps(spec), "--out", str(out)]) \
+        == code
+    err = capsys.readouterr().err
+    assert (out / "bqsde.json").exists() == (code == 0)
+    if code == 2:
+        assert "/grid/n_steps" in err and "|a| dt >= 1" in err
+    else:
+        assert err == ""
+
+
+def _refuse_solve(*args, **kwargs):
+    raise AssertionError("a refused spec reached a solve")
+
+
 def test_main_ladder_offset_past_the_horizon_exit_two(tmp_path, capsys):
     out = tmp_path / "late"
     code = main(

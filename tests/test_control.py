@@ -54,6 +54,7 @@ from fermisde.operators import (
     GradedScalarOp,
     LeftMulOp,
     ScalarOp,
+    _as_scalar_amp,
 )
 
 GRID7 = [-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9]
@@ -86,8 +87,8 @@ def quad_problem(n_steps, T=1.0, a=0.25, b=1.0, cf=0.1, sf=0.0,
         linear=LinearStructure(
             A=lambda k: GradedScalarOp(a, 0.0),
             B=lambda k: GradedScalarOp(cf, 0.0),
-            uD=lambda k, u: u.scale(b),
-            uF=lambda k, u: u.scale(sf),
+            uD=lambda k: GradedScalarOp(b, 0.0),
+            uF=lambda k: GradedScalarOp(sf, 0.0),
         ),
     )
     problem = ControlProblem(
@@ -594,7 +595,7 @@ def _per_rung_gram_ladder(grid, windows, ch, steps):
     base, alt = (table[:, :, 0] for table in ch.tables)
     delta = np.zeros_like(base)
     delta[steps] = alt - base[steps]
-    coefs = _channel.coefficients(_channel.reduced(ch.ops))
+    coefs = _channel.coefficients(_channel.reduced(ch.ops))[:, :3]
     x_gram = _channel.gram(grid, coefs, base[:, :, None], [ch.x0], block=1)
     floor = 1e-8 * (1.0 + float(x_gram[:, 0, 0, 0].real.max()))
     sups = []
@@ -638,8 +639,9 @@ def test_gram_ladder_equals_the_per_rung_walks_bit_for_bit(
 
 def test_gram_ladder_walks_once_and_reduces_each_operator_once(monkeypatch):
     """n=128 with five rungs: one walk, and as_graded_scalar once per
-    step operator (the gate reduces each and tabulates the reductions),
-    so at most 3 n_steps calls."""
+    distinct operator. lq_scalar declares six, and each step's rules
+    return the same objects, so the gate reduces each once and shares
+    the reductions."""
     pb, ubar, alt = _ladder_inputs("lq_scalar", 128)
     eps = [0.25, 0.125, 0.0625, 0.03125, 0.015625]
     walks = []
@@ -660,7 +662,7 @@ def test_gram_ladder_walks_once_and_reduces_each_operator_once(monkeypatch):
     lad = variation_ladder(pb, ubar, alt, eps)
     assert lad["pass"]
     assert len(walks) == 1
-    assert 0 < len(reductions) <= 3 * ubar.grid.n_steps
+    assert len(reductions) == 6
 
 
 def test_gram_ladder_memory_grows_linearly_in_the_rungs(monkeypatch):
@@ -870,6 +872,7 @@ def channel_problem(n_steps, seed, x0=1.0):
     ops = [[GradedScalarOp(*coefs[k, j]) for j in range(3)]
            for k in range(n_steps)]
     amp = rng.normal(size=3) + 1j * rng.normal(size=3)
+    inject = [GradedScalarOp(a, 0.0) for a in amp]
 
     def rule(j):
         return lambda k, x, u: ops[k][j].apply(x) + u.scale(amp[j])
@@ -884,9 +887,9 @@ def channel_problem(n_steps, seed, x0=1.0):
         linear=LinearStructure(
             A=lambda k: ops[k][0], B=lambda k: ops[k][1],
             C=lambda k: ops[k][2],
-            uD=lambda k, u: u.scale(amp[0]),
-            uF=lambda k, u: u.scale(amp[1]),
-            uG=lambda k, u: u.scale(amp[2]),
+            uD=lambda k: inject[0],
+            uF=lambda k: inject[1],
+            uG=lambda k: inject[2],
         ),
     )
     problem = ControlProblem(
@@ -959,7 +962,7 @@ def test_channel_scan_matches_mp_scan_over_unpruned_adjoints(pid, x0):
     lhs = control._channel_scan(
         grid, ch.weights[1], base,
         np.array([ubar[k].norm2_sq() for k in range(n)]),
-        _channel.sources(pb.coeffs.linear, range(n), lambda k: cands),
+        _channel.gate(pb, grid, (range(n), lambda k: cands)).tables[0],
         np.array([c.norm2_sq() for c in cands]), phi, Phi, pab,
     )
     xbar, adj = _unpruned_adjoints(pb, ubar)
@@ -985,9 +988,9 @@ def test_channel_duality_matches_the_unpruned_check(pid, order):
     ch, base, phi, Phi = _channel_inputs(pb, grid, ubar)
     alt = const_u(grid, -0.9)
     window = spike_window(grid, 0.25, 0.25)
-    alt_amps = _channel.sources(
-        pb.coeffs.linear, range(*window), lambda k: (alt[k],)
-    )[:, :, 0]
+    alt_amps = _channel.gate(
+        pb, grid, (range(*window), lambda k: (alt[k],))
+    ).tables[0][:, :, 0]
     got = control._channel_duality(
         grid, ch, base, alt_amps, window, phi, Phi, order
     )
@@ -1076,10 +1079,8 @@ def _gate_refusal(cause):
 
         lin = dataclasses.replace(declared, A=A)
     else:
-        # Non-scalar under the control value -0.9 only.
-        def uG(k, u):
-            odd = g0 if u.vacuum() == -0.9 else CliffordElement.zero(grid.n)
-            return declared.uG(k, u) + odd
+        def uG(k):
+            return LeftMulOp(g0) if k == grid.n_steps - 1 else declared.uG(k)
 
         lin = dataclasses.replace(declared, uG=uG)
     coeffs = dataclasses.replace(pb.coeffs, linear=lin)
@@ -1128,18 +1129,31 @@ def test_channel_max_principle_tabulates_the_operators_once(monkeypatch):
     assert len(tables) == 1
 
 
+class _CountedReads(AdaptedProcess):
+    """An adapted process that records each step it is read at."""
+
+    def __init__(self, process):
+        super().__init__(process.grid, process.values, check=False)
+        self.reads = []
+
+    def __getitem__(self, k):
+        self.reads.append(k)
+        return super().__getitem__(k)
+
+
 def test_gram_ladder_reads_u_only_on_its_spike_windows():
-    """The benchmark's n=128 ladder: every step under ubar, the 32 steps
-    of the widest window under u, three source rules each."""
+    """The benchmark's n=128 ladder: u is read once at each of the 32
+    steps of the widest window and nowhere else, and each injection rule
+    is called with the step alone, once per step."""
     pb, ubar, alt = _ladder_inputs("lq_scalar", 128)
     eps = [0.25, 0.125, 0.0625, 0.03125, 0.015625]
     want = variation_ladder(pb, ubar, alt, eps)
     calls = []
 
     def counted(rule):
-        def wrapped(k, u):
+        def wrapped(k):
             calls.append(k)
-            return rule(k, u)
+            return rule(k)
         return wrapped
 
     lin = pb.coeffs.linear
@@ -1149,9 +1163,88 @@ def test_gram_ladder_reads_u_only_on_its_spike_windows():
     pb = dataclasses.replace(
         pb, coeffs=dataclasses.replace(pb.coeffs, linear=lin)
     )
-    assert variation_ladder(pb, ubar, alt, eps) == want
-    assert len(calls) == 3 * (128 + 32)
-    assert sum(k >= 32 for k in calls) == 3 * 96
+    u = _CountedReads(alt)
+    assert variation_ladder(pb, ubar, u, eps) == want
+    assert u.reads == list(range(32))
+    assert sorted(calls) == sorted(3 * list(range(128)))
+
+
+def test_gram_ladder_gate_builds_no_element(monkeypatch):
+    """The benchmark's n=128 ladder scales no element: its sources are
+    the injections' coefficients times the control amplitudes."""
+    pb, ubar, alt = _ladder_inputs("lq_scalar", 128)
+    eps = [0.25, 0.125, 0.0625, 0.03125, 0.015625]
+    scales = []
+
+    def counted(self, c, _scale=CliffordElement.scale):
+        scales.append(c)
+        return _scale(self, c)
+
+    monkeypatch.setattr(CliffordElement, "scale", counted)
+    assert variation_ladder(pb, ubar, alt, eps)["pass"]
+    assert scales == []
+
+
+def _with_injections(pb, injections):
+    """pb with step k's injections (uD, uF, uG) = injections[k]."""
+    lin = dataclasses.replace(
+        pb.coeffs.linear,
+        uD=lambda k: injections[k][0],
+        uF=lambda k: injections[k][1],
+        uG=lambda k: injections[k][2],
+    )
+    return dataclasses.replace(
+        pb, coeffs=dataclasses.replace(pb.coeffs, linear=lin)
+    )
+
+
+def test_gate_source_tables_are_the_injections_applied_bit_for_bit():
+    """Each source is the amplitude of apply(value) to the last bit:
+    complex injections with a grading part, zero ones (signed zeros
+    too), c(+1) = 0 with c(-1) != 0, and a real part -0.0 without a
+    grading part, under negative, zero and complex values. Step 2's
+    injections are all zero, so a value that is not a multiple of I
+    gives 0j there and refuses the gate at any other step."""
+    rng = np.random.default_rng(11)
+    pb, grid = build("lq_scalar", n_steps=6)
+    n = grid.n
+
+    def rand():
+        return complex(rng.normal(), rng.normal())
+
+    special = [
+        GradedScalarOp(0.0, 0.0), GradedScalarOp(-0.0, -0.0),
+        GradedScalarOp(-0.0, 0.0), GradedScalarOp(0.5, -0.5),
+        GradedScalarOp(complex(-0.0, 1.5), 0.0), GradedScalarOp(-2.5, 0.0),
+    ]
+    injections = [
+        [GradedScalarOp(rand(), rand()) for _ in range(3)]
+        for _ in range(grid.n_steps)
+    ]
+    injections[2] = special[:3]
+    injections[4] = special[3:]
+    values = [
+        CliffordElement.scalar(n, v)
+        for v in (-0.9, 0.0, 2.0, complex(-0.7, 0.4), -3e-5j)
+    ]
+    g0 = CliffordElement.generator(n, 0)
+    pb = _with_injections(pb, injections)
+    ch = _channel.gate(
+        pb, grid, (range(grid.n_steps), lambda k: values),
+        ([2], lambda k: values + [g0]),
+    )
+    for steps, at, table in zip(
+        (range(grid.n_steps), [2]), (values, values + [g0]), ch.tables
+    ):
+        want = np.array([
+            [[_as_scalar_amp(op.apply(v)) for v in at] for op in step]
+            for step in (injections[k] for k in steps)
+        ], dtype=np.complex128)
+        assert table.shape == want.shape
+        assert table.tobytes() == want.tobytes()
+    assert not ch.tables[1][:, :, -1].any()
+    for k in (0, 4, 5):
+        assert _channel.gate(pb, grid, ([k], lambda k: [g0])) is None
 
 
 def test_brute_force_winner_sits_within_one_cell_of_refined_optimum():

@@ -68,8 +68,8 @@ def affine_coeffs(a=0.0, b=0.0, c=0.0, sigma_f=0.0, declare_linear=True):
             A=lambda k: GradedScalarOp(a, 0.0),
             B=lambda k: GradedScalarOp(b, 0.0),
             C=lambda k: GradedScalarOp(c, 0.0),
-            uD=lambda k, u: u,
-            uF=lambda k, u: u.scale(sigma_f),
+            uD=lambda k: GradedScalarOp(1.0, 0.0),
+            uF=lambda k: GradedScalarOp(sigma_f, 0.0),
         )
     return co
 
