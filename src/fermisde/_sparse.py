@@ -66,6 +66,26 @@ def decode_mask(row: np.ndarray) -> int:
     return value
 
 
+def decode_rows(masks: np.ndarray) -> list:
+    """[decode_mask(row) for row in masks], in bulk: one tolist for
+    one-word rows, one int.from_bytes per row otherwise."""
+    if masks.shape[1] == 1:
+        return masks[:, 0].tolist()
+    size = 8 * masks.shape[1]
+    raw = masks.astype("<u8", copy=False).tobytes()
+    return [
+        int.from_bytes(raw[i : i + size], "little")
+        for i in range(0, len(raw), size)
+    ]
+
+
+def encode_rows(values, w: int) -> np.ndarray:
+    """np.stack([encode_mask(v, w) for v in values]) in one call, as an
+    (m, w) array."""
+    raw = b"".join(v.to_bytes(8 * w, "little") for v in values)
+    return np.frombuffer(raw, dtype="<u8").astype(np.uint64).reshape(-1, w)
+
+
 def below_row(k, w: int) -> np.ndarray:
     """Rows with exactly the bits 0..k-1 set: one (w,) row for an int k,
     an (m, w) array for an int64 array of m indices."""

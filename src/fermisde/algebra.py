@@ -478,34 +478,40 @@ def singular_values(a, rep=None):
     return np.linalg.svd(rep.matrix(a), compute_uv=False)
 
 
-def _omega(u, v):
-    """Commutation form of monomials given as int masks: 1 when g_u and
-    g_v anticommute, 0 when they commute."""
-    return (u.bit_count() * v.bit_count() + (u & v).bit_count()) & 1
-
-
 def _symplectic_basis(vecs):
-    """Symplectic Gram-Schmidt over GF(2) for omega.
+    """Symplectic Gram-Schmidt over GF(2) for the commutation form omega
+    of monomials given as int masks: omega(u, v) = (|u| |v| + |u & v|)
+    mod 2 is 1 when g_u and g_v anticommute and 0 when they commute.
 
     vecs are independent int masks. Returns pairs [(e_1, f_1), ..] with
     omega(e_i, f_i) = 1 and central vectors [z_1, ..]; omega vanishes on
     every other pair of the returned vectors, which span the same space.
+    Each vector carries its popcount parity, which an XOR adds mod 2.
     """
-    vecs = list(vecs)
+    vecs = [(v, v.bit_count() & 1) for v in vecs]
     pairs = []
     central = []
     while vecs:
-        u = vecs.pop(0)
-        hit = next((i for i, v in enumerate(vecs) if _omega(u, v)), None)
+        u, pu = vecs.pop(0)
+        hit = next(
+            (i for i, (v, pv) in enumerate(vecs)
+             if (pu & pv) ^ ((u & v).bit_count() & 1)),
+            None,
+        )
         if hit is None:
             central.append(u)
             continue
-        v = vecs.pop(hit)
+        v, pv = vecs.pop(hit)
         # w + omega(w, v) u + omega(w, u) v commutes with both u and v
-        vecs = [
-            w ^ (u if _omega(w, v) else 0) ^ (v if _omega(w, u) else 0)
-            for w in vecs
-        ]
+        moved = []
+        for w, pw in vecs:
+            wv = (pw & pv) ^ ((w & v).bit_count() & 1)
+            wu = (pw & pu) ^ ((w & u).bit_count() & 1)
+            moved.append((
+                w ^ (u if wv else 0) ^ (v if wu else 0),
+                pw ^ (pu & wv) ^ (pv & wu),
+            ))
+        vecs = moved
         pairs.append((u, v))
     return pairs, central
 
@@ -540,20 +546,87 @@ def _block_singular_values(a):
 
 def _block_spectra(elements):
     """[_block_singular_values(a) for a in elements], with one SVD call
-    per block shape. A stacked SVD factors each matrix on its own, by the
-    same LAPACK call with the same workspace, so every spectrum keeps its
-    bits."""
-    blocks = _block_stacks(elements)
-    out = [None] * len(blocks)
-    for shape in sorted({b.shape[1:] for b in blocks}):
-        group = [i for i, b in enumerate(blocks) if b.shape[1:] == shape]
-        stacked = np.linalg.svd(
-            np.concatenate([blocks[i] for i in group]), compute_uv=False
+    per block shape (_per_shape)."""
+    return [
+        _sorted_down(s)
+        for s in _per_shape(
+            elements, lambda b: np.linalg.svd(b, compute_uv=False)
         )
-        ends = np.cumsum([blocks[i].shape[0] for i in group])
-        for i, s in zip(group, np.split(stacked, ends[:-1])):
-            out[i] = _sorted_down(s)
+    ]
+
+
+def _per_shape(elements, decompose):
+    """[decompose(b) for b in _block_stacks(elements)], with one call per
+    block shape: the blocks of every (m, c) of one m in one stack. A
+    stacked LAPACK call factors each matrix on its own, by the same
+    routine with the same workspace, so every result keeps its bits. A
+    stack of one (m, c) goes as built, and the blocks are let go before
+    the call."""
+    by_shape = {}
+    for group, blocks in _block_groups(elements):
+        by_shape.setdefault(blocks.shape[2:], []).append((group, blocks))
+    out = [None] * len(elements)
+    for shape in sorted(by_shape):
+        parts = by_shape.pop(shape)
+        stacks = [blocks.reshape(-1, *shape) for _, blocks in parts]
+        owners = [(i, blocks.shape[1]) for group, blocks in parts
+                  for i in group]
+        stacked = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+        parts = stacks = None
+        values = decompose(stacked)
+        ends = np.cumsum([count for _, count in owners])
+        for (i, _), v in zip(owners, np.split(values, ends[:-1])):
+            out[i] = v
     return out
+
+
+def _power_means(arrays, p):
+    """[float(np.mean(v ** p)) for v in arrays], bit for bit, for 1-D
+    arrays that are all contiguous or all reversed views (as
+    _sorted_down gives), with one ** and one sum per array length.
+
+    NumPy raises a contiguous array to a power by a SIMD routine and a
+    strided one value by value through libm, and the two round some
+    values apart. So the arrays of one length are laid end to end in the
+    layout each has alone: reversed views as one reversed view of their
+    reversed concatenation. Each row of the powers is then summed alone,
+    pairwise, as np.mean sums it.
+    """
+    out = [None] * len(arrays)
+    by_size = {}
+    for i, v in enumerate(arrays):
+        by_size.setdefault(v.size, []).append(i)
+    for size, group in by_size.items():
+        if arrays[group[0]].strides[0] < 0:
+            flat = np.concatenate([arrays[i][::-1] for i in group[::-1]])
+            flat = flat[::-1]
+        else:
+            flat = np.concatenate([arrays[i] for i in group])
+        rows = (flat**p).reshape(len(group), size)
+        means = np.add.reduce(rows, axis=1) / size
+        for i, m in zip(group, means.tolist()):
+            out[i] = m
+    return out
+
+
+def _lp_norms(elements, ps):
+    """[[_spectral_lp(a, _block_singular_values(a), p) for p in ps] for a
+    in elements], bit for bit: one SVD call per block shape
+    (_block_spectra), then per p one ** for the spectra of each length
+    (_power_means). The root is a Python float's **, libm's pow, as on
+    the NumPy scalar _spectral_lp roots."""
+    spectra = _block_spectra(elements) if any(p != 2 for p in ps) else None
+    columns = []
+    for p in ps:
+        if p == 2:
+            columns.append([norm2(a) for a in elements])
+        elif p == np.inf:
+            columns.append([float(s[0]) for s in spectra])
+        else:
+            columns.append(
+                [m ** (1.0 / p) for m in _power_means(spectra, p)]
+            )
+    return [list(row) for row in zip(*columns)]
 
 
 def _sorted_down(s):
@@ -565,7 +638,7 @@ def _block_basis(a):
     GF(2) span, m pairs (e_i, f_i) then the central words, as Python
     ints; per term, the int whose bit k says whether basis[k] enters its
     mask. A span of rank above MAX_MATRIX_GENERATORS is refused."""
-    vals = [sp.decode_mask(row) for row in a.masks]
+    vals = sp.decode_rows(a.masks)
     echelon = {}
     for v in vals:
         while v and (top := v.bit_length() - 1) in echelon:
@@ -585,7 +658,18 @@ def _block_basis(a):
 
 def _block_stacks(elements):
     """Per element a, its (2^c, 2^m, 2^m) blocks in the algebra its
-    monomials generate, built for all elements of one (m, c) at once.
+    monomials generate (_block_groups)."""
+    out = [None] * len(elements)
+    for group, blocks in _block_groups(elements):
+        for g, i in enumerate(group):
+            out[i] = blocks[g]
+    return out
+
+
+def _block_groups(elements):
+    """[(group, blocks)]: per (m, c) of the elements' spans, the indices
+    of its elements and their blocks, of shape (len(group), 2^c, 2^m,
+    2^m), all built at once.
 
     The masks of a span an r-dimensional GF(2) space whose commutation
     form omega splits into m anticommuting pairs (e_i, f_i) and c central
@@ -603,12 +687,11 @@ def _block_stacks(elements):
     groups = {}
     for i, (basis, m, _) in enumerate(found):
         groups.setdefault((m, len(basis) - 2 * m), []).append(i)
-    out = [None] * len(elements)
+    out = []
     for (m, c), group in groups.items():
         r = 2 * m + c
-        owner = np.repeat(
-            np.arange(len(group)), [elements[i].n_terms for i in group]
-        )
+        counts = np.array([elements[i].n_terms for i in group], np.int64)
+        owner = np.repeat(np.arange(len(group)), counts)
         coords = np.array(
             [x for i in group for x in found[i][2]], dtype=np.int64
         )
@@ -619,9 +702,8 @@ def _block_stacks(elements):
         # monomial is the ordered product of its basis words times
         # (-1)^(sum over k < l of its pair signs).
         w = max(sp.words_for(elements[i].n) for i in group)
-        words = np.array(
-            [sp.encode_mask(b, w) for i in group for b in found[i][0]],
-            dtype=np.uint64,
+        words = sp.encode_rows(
+            [b for i in group for b in found[i][0]], w
         ).reshape(len(group), r, w)
         prefix = sp.prefix_parity(words.reshape(-1, w)).reshape(words.shape)
         parity = (
@@ -632,32 +714,64 @@ def _block_stacks(elements):
         diag = np.diagonal(parity, axis1=1, axis2=2)[owner]
         quarter = 2 * (ahead * bits).sum(axis=1) + (bits * diag).sum(axis=1)
         phase = amps * np.array([1, 1j, -1, -1j])[quarter & 3]
-        # g_v acts on column j of sector t as
-        # (-1)^(|z & j| + |s & t|) |j ^ x>, x and z its X and Z bits and s
-        # its central bits.
         qubit = 1 << np.arange(m)
         x = bits[:, 0:2 * m:2] @ qubit
         z = bits[:, 1:2 * m:2] @ qubit
-        s_bits = coords >> 2 * m
-        cols = np.arange(1 << m)
-        sector = np.arange(1 << c)
-        flips = (
-            np.bitwise_count(s_bits[:, None] & sector)[:, :, None]
-            + np.bitwise_count(z[:, None] & cols)[:, None, :]
-        )
-        sign = np.where(flips & 1, -1.0, 1.0)
-        blocks = np.zeros(
-            (len(group), 1 << c, 1 << m, 1 << m), dtype=np.complex128
-        )
-        np.add.at(
-            blocks,
-            (owner[:, None, None], sector[None, :, None],
-             x[:, None, None] ^ cols, cols),
-            phase[:, None, None] * sign,
-        )
-        for g, i in enumerate(group):
-            out[i] = blocks[g]
+        blocks = np.empty((len(group), 1 << c, 1 << m, 1 << m), np.complex128)
+        # The elements are scattered a run at a time, each run holding
+        # at most _SCATTER_ENTRIES entries (at least one element).
+        firsts = np.concatenate(([0], np.cumsum(counts)))
+        runs = _runs((counts << (c + m)).tolist(), _SCATTER_ENTRIES)
+        for g0, g1 in zip(runs, runs[1:]):
+            rows = slice(firsts[g0], firsts[g1])
+            _scatter(blocks[g0:g1], owner[rows] - g0, x[rows], z[rows],
+                     coords[rows] >> 2 * m, phase[rows])
+        out.append((group, blocks))
     return out
+
+
+# Most entries one _scatter call takes. A run of this size keeps its
+# temporaries, about 40 bytes an entry, small beside the blocks they fill;
+# at n=14, runs of 2^13 entries measured about 10 % faster for
+# bg-constants than runs of 2^16, and held a third of the memory.
+_SCATTER_ENTRIES = 1 << 13
+
+
+def _runs(sizes, most):
+    """Bounds [0, .., len(sizes)] that cut sizes into consecutive runs of
+    total at most `most`, a run of one where a size alone passes it."""
+    bounds = [0]
+    total = 0
+    for i, size in enumerate(sizes):
+        if total and total + size > most:
+            bounds.append(i)
+            total = 0
+        total += size
+    bounds.append(len(sizes))
+    return bounds
+
+
+def _scatter(blocks, owner, x, z, s_bits, phase):
+    """Fill contiguous blocks (g, 2^c, 2^m, 2^m) with the terms of its
+    elements: per term its element, X and Z bits, central bits and
+    phase. g_v acts on column j of sector t as
+    (-1)^(|z & j| + |s & t|) |j ^ x>. One np.bincount per real and
+    imaginary part adds the entries into zeros in term order, as
+    np.add.at would."""
+    sectors, size = blocks.shape[1], blocks.shape[2]
+    c, m = sectors.bit_length() - 1, size.bit_length() - 1
+    cols = np.arange(size)
+    sector = np.arange(sectors)
+    flips = (
+        np.bitwise_count(s_bits[:, None] & sector)[:, :, None]
+        + np.bitwise_count(z[:, None] & cols)[:, None, :]
+    )
+    weights = phase[:, None, None] * np.where(flips & 1, -1.0, 1.0)
+    cell = (owner[:, None, None] << c) + sector[:, None]
+    where = ((((cell << m) + (x[:, None, None] ^ cols)) << m) + cols).ravel()
+    flat = blocks.reshape(-1)
+    flat.real = np.bincount(where, weights.real.ravel(), flat.size)
+    flat.imag = np.bincount(where, weights.imag.ravel(), flat.size)
 
 
 def _spectral_lp(a, s, p):
@@ -916,6 +1030,18 @@ class _Stack:
         amps = (self.amps[left] * other.amps[right]) * signs
         masks = self.masks[left] ^ other.masks[right]
         return self._like(self.seg[left], masks, amps).canonical()
+
+    def vacua(self, count):
+        """vacuum() of each of steps 0..count-1 of a canonical stack, as
+        a list of complex: the amplitude of a step's first row when that
+        row is the empty monomial, else 0j."""
+        lo = np.searchsorted(self.seg, np.arange(count))
+        held = np.flatnonzero(lo < self.seg.size)
+        first = lo[held]
+        empty = (self.seg[first] == held) & ~self.masks[first].any(axis=1)
+        out = np.zeros(count, dtype=np.complex128)
+        out[held[empty]] = self.amps[first[empty]]
+        return out.tolist()
 
     def mul_generator(self, side):
         """Each step's value times its own generator g_k on the given side;

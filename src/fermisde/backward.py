@@ -31,6 +31,7 @@ bit. Explicit mode and pruning take the step-by-step route.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -52,6 +53,9 @@ __all__ = [
 
 INNER_TOL = 1e-12
 INNER_CAP = 100
+# solve_picard's sweep budget per window and its settling tolerance.
+PICARD_MAX_ITER = 200
+PICARD_TOL = 1e-10
 
 
 @dataclass
@@ -429,7 +433,30 @@ def _pair_distance(grid, y_a, Y_a, y_b, Y_b):
     return sup + np.sqrt(agg)
 
 
-def solve_picard(driver, grid, yT, max_iter=200, tol=1e-10, init=None):
+def _one_step_window_sweeps(rate, dt, T, scale, tol=PICARD_TOL):
+    """Sweeps a one-step Picard window takes to settle under a scalar
+    driver a with |a| = rate, on a grid of step dt and horizon T, for
+    terminal data of 2-norm scale; inf when one step does not contract
+    (rate dt >= 1).
+
+    Frozen on y_k, a sweep of a one-step window sets
+    y_k = E[y_{k+1} | C_k] - a dt y_k, so each move of y_k is rate dt
+    times the one before, and the window settles at the first sweep J
+    with rate T (rate dt)^(J - 1) D_1 <= tol (solve_picard's test on the
+    driver values), D_1 its first move. D_1 is taken to be scale, which
+    bounds the solution when Re a >= 0.
+    """
+    first = rate * T * scale
+    if first <= tol:
+        return 1
+    q = rate * dt
+    if q >= 1.0:
+        return math.inf
+    return 1 + math.ceil(math.log(tol / first) / math.log(q))
+
+
+def solve_picard(driver, grid, yT, max_iter=PICARD_MAX_ITER, tol=PICARD_TOL,
+                 init=None):
     """Global Picard iteration for the backward equation, with windowing.
 
     Each sweep freezes the driver on the current iterate, forms the
@@ -437,7 +464,9 @@ def solve_picard(driver, grid, yT, max_iter=200, tol=1e-10, init=None):
     down the grid. Two probe sweeps estimate the contraction factor; if
     it exceeds one half, the interval is split into windows whose
     estimated factor stays below one quarter and the windows are solved
-    backward, each warm-started from the current iterate. Returns
+    backward, each warm-started from the current iterate. Each window,
+    the whole interval of the probes included, may take max_iter sweeps
+    (_one_step_window_sweeps predicts a one-step window's count). Returns
     (path, total_sweeps); sweep counts, window layout and contraction
     estimates land in the path diagnostics. A non-adapted initial
     iterate or driver value is refused with a ValueError naming the step.
@@ -481,25 +510,30 @@ def solve_picard(driver, grid, yT, max_iter=200, tol=1e-10, init=None):
         change = max((fs - fs_prev).norms(0, count), default=0.0)
         return change * grid.T <= tol
 
-    def sweep(fs, lo, hi):
-        """One counted projection of [lo, hi); the iterate it gives."""
+    def sweep(fs, lo, hi, used):
+        """One counted projection of [lo, hi), its window's used + 1st;
+        the iterate it gives."""
         nonlocal sweeps
-        if sweeps >= max_iter:
-            raise RuntimeError(f"Picard iteration exceeded {max_iter} sweeps")
+        if used >= max_iter:
+            raise RuntimeError(
+                f"Picard iteration exceeded {max_iter} sweeps on the "
+                f"window of steps {lo}..{hi - 1}"
+            )
         sweeps += 1
         top = ys.values(hi, hi + 1)[0] if hi < n else yT
         y_w, Y_w = _project_sweep(grid, top, fs, lo, hi)
         return ys.splice(lo, hi, y_w), Ys.splice(lo, hi, Y_w)
 
-    def run_window(lo, hi, fs_prev=None):
-        """Sweep [lo, hi) until the frozen driver values stop moving."""
+    def run_window(lo, hi, fs_prev=None, used=0):
+        """Sweep [lo, hi) until the frozen driver values stop moving,
+        used sweeps of the window already made; the sweeps made here."""
         nonlocal ys, Ys
-        used = 0
+        start = used
         while True:
             fs = fvals(lo, hi)
             if settled(fs, fs_prev, hi - lo):
-                return used
-            ys, Ys = sweep(fs, lo, hi)
+                return used - start
+            ys, Ys = sweep(fs, lo, hi, used)
             used += 1
             fs_prev = fs
 
@@ -519,7 +553,7 @@ def solve_picard(driver, grid, yT, max_iter=200, tol=1e-10, init=None):
             diagnostics["windows"] = 1
             diagnostics["window_sweeps"] = [sweeps]
             return finish()
-        y_new, Y_new = sweep(fs, 0, n)
+        y_new, Y_new = sweep(fs, 0, n, sweeps)
         d = _pair_distance(grid, y_new, Y_new, ys, Ys)
         ys, Ys = y_new, Y_new
         fs_prev = fs
@@ -530,7 +564,7 @@ def solve_picard(driver, grid, yT, max_iter=200, tol=1e-10, init=None):
     diagnostics["kappa_measured"] = kappa
 
     if kappa <= 0.5:
-        used = run_window(0, n, fs_prev=fs_prev)
+        used = run_window(0, n, fs_prev=fs_prev, used=sweeps)
         diagnostics["windows"] = 1
         diagnostics["window_sweeps"] = [sweeps - used, used]
         return finish()

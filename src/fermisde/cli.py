@@ -29,17 +29,24 @@ from . import _sparse as sp
 from .algebra import (
     MAX_MATRIX_GENERATORS,
     CliffordElement,
-    _block_spectra,
     _distances,
+    _lp_norms,
     _random_rows,
-    _spectral_lp,
     _Stack,
     jw_rep,
     norm2,
     pairing,
     random_element,
 )
-from .backward import Driver, residual, solve_picard, solve_stepwise
+from .backward import (
+    PICARD_MAX_ITER,
+    PICARD_TOL,
+    Driver,
+    _one_step_window_sweeps,
+    residual,
+    solve_picard,
+    solve_stepwise,
+)
 from .catalog import build, catalog
 from .control import (
     _max_principle,
@@ -52,10 +59,10 @@ from .ito import (
     MAX_GRID_STEPS,
     AdaptedProcess,
     TimeGrid,
+    _bg_batch,
     _commutation_worst,
     _isometry_batch,
     _representation_batch,
-    bg_ratio_sweep,
     brownian,
     check_martingale,
     commutation_check,
@@ -518,12 +525,23 @@ def _algebra_plan(spec):
     return grid
 
 
+def _conjugate(p):
+    """The Hoelder conjugate q of p, 1/p + 1/q = 1."""
+    if p == 1.0:
+        return np.inf
+    if p == np.inf:
+        return 1.0
+    return p / (p - 1.0)
+
+
 def _pipeline_algebra(spec, rng):
     """Every element comes from one draw (_random_elements): 80 for the
     star, grading and pairing checks, then 120 for the Hoelder sweep at
     n <= MAX_MATRIX_GENERATORS and 60 for the JW check at n <= 10, in the
-    order of the per-pair loops that read them. The sweep takes its
-    spectra from one SVD call per block shape (algebra._block_spectra)."""
+    order of the per-pair loops that read them. The 40 products a* b of
+    the pairing check are one stacked product (_Stack.products), and the
+    sweep reads every L^p norm it needs once per element and p, from one
+    SVD call per block shape (algebra._lp_norms)."""
     grid = _algebra_plan(spec)
     n = grid.n_steps
     holder_pairs = 60 if n <= MAX_MATRIX_GENERATORS else 0
@@ -546,14 +564,16 @@ def _pipeline_algebra(spec, rng):
         (a_rows.adjoint().adjoint() - a_rows).squares(firsts).max(),
         (a_rows.grading().grading() - a_rows).squares(firsts).max(),
     )))
-    for a, b in zip(elements[0:80:2], elements[1:80:2]):
-        props = max(
-            props, abs(pairing(a, b) - np.conj(pairing(b, a)))
-        )
-        props = max(
-            props,
-            abs(pairing(a, b) - (a.adjoint() * b).vacuum()),
-        )
+    # (a* b).vacuum() of each pair (a, b), pair i as step i of both.
+    b_rows = drawn.select(np.isin(drawn.seg, firsts + 1))
+    star = _Stack(n, a_rows.seg // 2, a_rows.masks, a_rows.amps).adjoint()
+    vacua = star.products(
+        _Stack(n, b_rows.seg // 2, b_rows.masks, b_rows.amps)
+    ).vacua(40)
+    for a, b, vac in zip(elements[0:80:2], elements[1:80:2], vacua):
+        ab = pairing(a, b)
+        props = max(props, abs(ab - np.conj(pairing(b, a))))
+        props = max(props, abs(ab - vac))
     report = {
         "n": n,
         "car_residual": car,
@@ -565,25 +585,19 @@ def _pipeline_algebra(spec, rng):
         holder_bad = 0
         mono_bad = 0
         sweep = elements[80 : 80 + 2 * holder_pairs]
-        spectra = _block_spectra(sweep)
+        norms = _lp_norms(sweep, P_CHOICES)
+        # Per p, the column of its conjugate exponent.
+        conjugate = [P_CHOICES.index(_conjugate(p)) for p in P_CHOICES]
         for i in range(holder_pairs):
             a, b = sweep[2 * i], sweep[2 * i + 1]
-            s_a, s_b = spectra[2 * i], spectra[2 * i + 1]
+            norms_a, norms_b = norms[2 * i], norms[2 * i + 1]
             lhs = abs(pairing(a, b))
-            for p in P_CHOICES:
-                if p == 1.0:
-                    q = np.inf
-                elif p == np.inf:
-                    q = 1.0
-                else:
-                    q = p / (p - 1.0)
-                bound = _spectral_lp(a, s_a, q) * _spectral_lp(b, s_b, p)
-                if lhs > bound + 1e-10:
+            for j, q in enumerate(conjugate):
+                if lhs > norms_a[q] * norms_b[j] + 1e-10:
                     holder_bad += 1
-            norms = [_spectral_lp(a, s_a, p) for p in P_CHOICES]
             if any(
-                norms[i] > norms[i + 1] + 1e-10
-                for i in range(len(norms) - 1)
+                norms_a[j] > norms_a[j + 1] + 1e-10
+                for j in range(len(norms_a) - 1)
             ):
                 mono_bad += 1
         report["holder_violations"] = holder_bad
@@ -787,10 +801,12 @@ def _pipeline_forward(spec, rng):
 def _bqsde_plan(spec):
     """Grid, driver operator and its graded-scalar form (or None) of a
     bqsde spec, or its refusal: Picard's windows are at least one step
-    long, and a step under a scalar driver a contracts only while
-    |a| dt < 1."""
+    long, a step under a scalar driver a contracts only while |a| dt < 1,
+    and a one-step window must settle within solve_picard's sweep budget
+    (backward._one_step_window_sweeps)."""
     grid = TimeGrid(spec.T, spec.n_steps)
-    driver_op = (spec.inline or {}).get("driver", ScalarOp(1.0))
+    inline = spec.inline or {}
+    driver_op = inline.get("driver", ScalarOp(1.0))
     scalar = driver_op.as_graded_scalar()
     if scalar is not None and scalar.beta == 0:
         rate = abs(scalar.alpha)
@@ -800,6 +816,24 @@ def _bqsde_plan(spec):
                 f"one step of dt={grid.dt:g} under the driver |a|={rate:g} "
                 f"does not contract (|a| dt >= 1); n_steps must exceed "
                 f"{rate * grid.T:g}"
+            ))])
+        terminal = inline.get("terminal")
+        scale = 1.0 if terminal is None else norm2(terminal)
+        need = _one_step_window_sweeps(rate, grid.dt, spec.T, scale)
+        if need > PICARD_MAX_ITER:
+            least = next(
+                m for m in range(grid.n_steps + 1, MAX_GRID_STEPS + 2)
+                if m > MAX_GRID_STEPS or _one_step_window_sweeps(
+                    rate, spec.T / m, spec.T, scale
+                ) <= PICARD_MAX_ITER
+            )
+            raise SpecError([("/grid/n_steps", (
+                f"bqsde's Picard windows are at least one step long, and "
+                f"one step of dt={grid.dt:g} under the driver |a|={rate:g} "
+                f"contracts by |a| dt = {rate * grid.dt:g} per sweep: it "
+                f"settles to {PICARD_TOL:g} in about {need} sweeps, more "
+                f"than the {PICARD_MAX_ITER} a window may take; n_steps "
+                f"must be at least {least}"
             ))])
     return grid, driver_op, scalar
 
@@ -1001,12 +1035,8 @@ def _pipeline_bg(spec, rng):
     worst_p2 = 0.0
     summary = {}
     batch = _random_batch(rng, grid, 5, 4)
-    for sample in range(5):
-        first = sample * (n + 1)
-        y = AdaptedProcess(
-            grid, batch.values(first, first + n), check=False
-        )
-        for p, result in zip(P_CHOICES, bg_ratio_sweep(grid, y, P_CHOICES)):
+    for sample, sweep in enumerate(_bg_batch(grid, batch, P_CHOICES)):
+        for p, result in zip(P_CHOICES, sweep):
             for side in ("right", "left"):
                 entry = result[side]
                 rows.append(

@@ -45,9 +45,9 @@ from . import _sparse as sp
 from .algebra import (
     MAX_MATRIX_GENERATORS,
     CliffordElement,
-    _block_singular_values,
-    _block_stacks,
-    _spectral_lp,
+    _lp_norms,
+    _per_shape,
+    _power_means,
     _Stack,
     norm2,
 )
@@ -498,15 +498,25 @@ def bg_ratios(grid, integrand, p=2.0):
 
 
 def bg_ratio_sweep(grid, integrand, ps):
-    """bg_ratios(grid, integrand, p) for every p in ps, in order.
+    """bg_ratios(grid, integrand, p) for every p in ps, in order: the
+    one-sample case of _bg_batch."""
+    return _bg_batch(grid, _steps(grid, integrand), ps)[0]
 
-    Each side's square function takes one eigvalsh of its blocks, and
-    the right integral one SVD of its blocks, read for all of ps. The
-    left integral shares that spectrum and that 2-norm: for adapted Y_k,
-    dW_k Y_k = grading(Y_k) dW_k, so it is -grading(right integral) bit
-    for bit, and the grading is a trace-preserving *-automorphism.
+
+def _bg_batch(grid, steps, ps):
+    """bg_ratio_sweep of each sample of adapted integrands on grid in one
+    canonical batch stack (see _require_batch), as a list over the
+    samples, equal bit for bit to the call on each sample alone.
+
+    The right integrals of all samples are one stacked sum, and their
+    blocks take one SVD per block shape, read for all of ps
+    (algebra._lp_norms). The left integral shares that spectrum and that
+    2-norm: for adapted Y_k, dW_k Y_k = grading(Y_k) dW_k, so it is
+    -grading(right integral) bit for bit, and the grading is a
+    trace-preserving *-automorphism. The square functions of both sides
+    (_square_functions) take one eigvalsh per block shape of their
+    blocks.
     """
-    steps = _steps(grid, integrand)
     if not all(p >= 1 for p in ps):
         raise ValueError("p must be at least 1")
     # The blocks of the right integral hold up to 2^n entries.
@@ -515,42 +525,55 @@ def bg_ratio_sweep(grid, integrand, ps):
             f"matrix representation refused for n={grid.n} "
             f"(> {MAX_MATRIX_GENERATORS})"
         )
+    _require_batch(grid, steps)
     _require_adapted(steps)
-    integ = _integral(grid, steps, "right")
-    spectrum = (
-        _block_singular_values(integ) if any(p != 2 for p in ps) else None
-    )
-    i_norms = [_spectral_lp(integ, spectrum, p) for p in ps]
-    out = [{"p": p, "flagged_zero": False} for p in ps]
-    for name, left in (("right", False), ("left", True)):
-        blocks = _block_stacks([_square_function(grid, steps, left)])[0]
-        lam = np.clip(np.linalg.eigvalsh(blocks).ravel(), 0.0, None)
-        for result, p, i_norm in zip(out, ps, i_norms):
-            if p == np.inf:
-                s_norm = float(np.sqrt(lam.max()))
-            else:
-                s_norm = float(np.mean(lam ** (p / 2.0)) ** (1.0 / p))
-            entry = {"integral_norm": i_norm, "square_function_norm": s_norm}
-            if s_norm == 0.0 or i_norm == 0.0:
-                result["flagged_zero"] = True
-                entry["ratio"] = None
-                entry["inverse_ratio"] = None
-            else:
-                entry["ratio"] = i_norm / s_norm
-                entry["inverse_ratio"] = s_norm / i_norm
-            result[name] = entry
+    samples = steps.samples
+    integrals = _integrals(steps, "right", np.sqrt(grid.dt))
+    i_norms = _lp_norms(integrals.values(0, samples), ps)
+    squares = _square_functions(grid, steps, False)
+    squares += _square_functions(grid, steps, True)
+    lams = [
+        np.clip(lam.ravel(), 0.0, None)
+        for lam in _per_shape(squares, np.linalg.eigvalsh)
+    ]
+    s_norms = []
+    for p in ps:
+        if p == np.inf:
+            s_norms.append([float(np.sqrt(lam.max())) for lam in lams])
+        else:
+            s_norms.append(
+                [m ** (1.0 / p) for m in _power_means(lams, p / 2.0)]
+            )
+    out = []
+    for s in range(samples):
+        sweep = [{"p": p, "flagged_zero": False} for p in ps]
+        for side, at in (("right", s), ("left", samples + s)):
+            for j, result in enumerate(sweep):
+                i_norm, s_norm = i_norms[s][j], s_norms[j][at]
+                entry = {
+                    "integral_norm": i_norm, "square_function_norm": s_norm
+                }
+                if s_norm == 0.0 or i_norm == 0.0:
+                    result["flagged_zero"] = True
+                    entry["ratio"] = None
+                    entry["inverse_ratio"] = None
+                else:
+                    entry["ratio"] = i_norm / s_norm
+                    entry["inverse_ratio"] = s_norm / i_norm
+                result[side] = entry
+        out.append(sweep)
     return out
 
 
-def _square_function(grid, steps, left):
-    """sum_k dt Y_k* Y_k (Y_k Y_k* when left) of a stack of integrand
-    values, as an element: one stacked product for all steps, scaled,
-    then summed over the steps in step order, equal bit for bit to the
-    fold total + dt Y_k* Y_k of elements."""
+def _square_functions(grid, steps, left):
+    """sum_k dt Y_k* Y_k (Y_k Y_k* when left) of each sample of a stack
+    of integrand values, as a list of elements over the samples: one
+    stacked product for all steps, scaled, then summed over each
+    sample's steps in step order, equal bit for bit to the fold
+    total + dt Y_k* Y_k of elements."""
     star = steps.adjoint()
     squares = steps.products(star) if left else star.products(steps)
-    total = squares.scale(grid.dt).folds()
-    return CliffordElement._wrap(grid.n, total.masks, total.amps)
+    return squares.scale(grid.dt).folds().values(0, steps.samples)
 
 
 def commutation_check(grid, process):

@@ -14,8 +14,10 @@ from fermisde.algebra import (
     vacuum,
 )
 from fermisde.backward import (
+    PICARD_MAX_ITER,
     BackwardPath,
     Driver,
+    _one_step_window_sweeps,
     _project_sweep,
     apriori_backward_check,
     residual,
@@ -238,6 +240,40 @@ def test_sweep_budget_is_enforced():
     yT = CliffordElement.identity(grid.n)
     with pytest.raises(RuntimeError, match="exceeded 3 sweeps"):
         solve_picard(scalar_driver(2.0), grid, yT, max_iter=3)
+
+
+def test_each_picard_window_takes_its_own_sweep_budget():
+    """Seven one-step windows of about 38 sweeps each settle, 261 sweeps
+    in all; the budget is per window, so the whole solve may pass 200.
+    The error names the window that runs out."""
+    grid = TimeGrid(3.5, 7)
+    yT = CliffordElement.identity(grid.n)
+    path, sweeps = solve_picard(scalar_driver(1.0), grid, yT)
+    spent = path.diagnostics["window_sweeps"]
+    assert path.diagnostics["windows"] == 7
+    assert sweeps == sum(spent) + 2 > PICARD_MAX_ITER
+    assert max(spent) <= PICARD_MAX_ITER
+    assert residual(path, scalar_driver(1.0), yT) <= 1e-9
+    with pytest.raises(RuntimeError, match="window of steps 6..6"):
+        solve_picard(scalar_driver(1.0), grid, yT, max_iter=30)
+
+
+@pytest.mark.parametrize("T", [0.5, 0.8, 0.88, 0.89, 0.9, 0.95])
+def test_one_step_window_sweeps_bound_solve_picards_count(T):
+    """On a one-step grid under a = 1 and the identity terminal, the
+    predicted sweeps exceed solve_picard's budget exactly when it runs
+    out, and otherwise bound the window's own count."""
+    grid = TimeGrid(T, 1)
+    yT = CliffordElement.identity(1)
+    need = _one_step_window_sweeps(1.0, grid.dt, grid.T, 1.0)
+    if need > PICARD_MAX_ITER:
+        with pytest.raises(RuntimeError, match="exceeded 200 sweeps"):
+            solve_picard(scalar_driver(1.0), grid, yT)
+    else:
+        path, _ = solve_picard(scalar_driver(1.0), grid, yT)
+        assert max(path.diagnostics["window_sweeps"]) <= need
+    assert _one_step_window_sweeps(1.0, 1.0, 1.0, 1.0) == np.inf
+    assert _one_step_window_sweeps(2.0, 0.1, 1.0, 0.0) == 1
 
 
 # -- the one-pass Picard sweep against the per-step loop ------------------

@@ -24,6 +24,20 @@ def test_encode_decode_roundtrip(value):
     assert sp.decode_mask(row) == value
 
 
+@pytest.mark.parametrize("w", [1, 2, 3])
+@given(values=st.lists(st.integers(0, 2**192 - 1), max_size=20))
+def test_bulk_rows_match_one_mask_at_a_time(w, values):
+    """decode_rows and encode_rows equal decode_mask and encode_mask row
+    by row, empty lists included."""
+    values = [v % (1 << (64 * w)) for v in values]
+    rows = sp.encode_rows(values, w)
+    assert rows.dtype == np.uint64 and rows.shape == (len(values), w)
+    for row, v in zip(rows, values):
+        assert row.tobytes() == sp.encode_mask(v, w).tobytes()
+    assert sp.decode_rows(rows) == values
+    assert sp.decode_rows(rows[::-1]) == values[::-1]
+
+
 @given(st.lists(st.integers(0, 2**130 - 1), min_size=1, max_size=20))
 def test_popcount_matches_python(values):
     masks = np.stack([sp.encode_mask(v, 3) for v in values])

@@ -961,6 +961,42 @@ def test_main_bqsde_refuses_a_step_that_no_picard_window_contracts(
         assert err == ""
 
 
+@pytest.mark.parametrize("grid,code", [
+    ({"n_steps": 7, "T": 3.5}, 0),
+    ({"n_steps": 64, "T": 16}, 0),
+    ({"n_steps": 4, "T": 1.2}, 0),
+    ({"n_steps": 1, "T": 0.89}, 0),
+    ({"n_steps": 1, "T": 0.9}, 2),
+    ({"n_steps": 16, "T": 14.2}, 2),
+])
+def test_main_bqsde_gives_each_picard_window_its_own_budget(
+    monkeypatch, tmp_path, capsys, grid, code
+):
+    """Each Picard window may take solve_picard's 200 sweeps: n_steps=7
+    at T=3.5 and n_steps=64 at T=16 used to share one budget across
+    their windows and exit 3. A one-step window that cannot settle in
+    200 sweeps (|a| dt = 0.9, or 0.8875 with T = 14.2 scaling the test)
+    is refused at /grid/n_steps before any solve."""
+    if code == 2:
+        for name in ("solve_stepwise", "solve_picard"):
+            monkeypatch.setattr(cli, name, _refuse_solve)
+    out = tmp_path / "bq"
+    spec = json.dumps({"grid": grid})
+    assert main(["bqsde", "--spec", spec, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert "/grid/n_steps" in err
+        assert "more than the 200 a window may take" in err
+        return
+    assert err == ""
+    report = json.loads((out / "bqsde.json").read_text())["report"]
+    assert report["pass"]
+    spent = report["picard_diagnostics"]["window_sweeps"]
+    assert max(spent) <= 200
+    if grid["n_steps"] in (7, 64):
+        assert report["picard_sweeps"] > 200
+
+
 def _refuse_solve(*args, **kwargs):
     raise AssertionError("a refused spec reached a solve")
 

@@ -20,7 +20,10 @@ from fermisde.algebra import (
     _block_singular_values,
     _block_spectra,
     _block_stacks,
+    _lp_norms,
     _random_rows,
+    _spectral_lp,
+    _Stack,
     _symplectic_basis,
     adjoint,
     cond_expect,
@@ -451,10 +454,11 @@ def test_batched_draws_equal_sequential_random_elements(n):
         assert fast.bit_generator.state == slow.bit_generator.state
 
 
-def per_element_blocks(a):
+def per_element_blocks(a, found=None):
     """Reference block build: one element at a time, with its own parity
-    table from pair_parity and its own np.add.at."""
-    basis, m, coords = algebra._block_basis(a)
+    table from pair_parity and its own np.add.at; found is its
+    (basis, m, coords), algebra._block_basis(a) when None."""
+    basis, m, coords = algebra._block_basis(a) if found is None else found
     c = len(basis) - 2 * m
     r = len(basis)
     coords = np.array(coords, dtype=np.int64)
@@ -499,6 +503,129 @@ def test_block_stacks_equal_the_per_element_build():
             want = per_element_blocks(a)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+def omega(u, v):
+    """Commutation form of monomials given as int masks: 1 when g_u and
+    g_v anticommute."""
+    return (u.bit_count() * v.bit_count() + (u & v).bit_count()) & 1
+
+
+def per_row_block_basis(a):
+    """Reference _block_basis: one decode_mask per row and a symplectic
+    Gram-Schmidt that counts every popcount afresh."""
+    vals = [sp.decode_mask(row) for row in a.masks]
+    echelon = {}
+    for v in vals:
+        while v and (top := v.bit_length() - 1) in echelon:
+            v ^= echelon[top]
+        if v:
+            echelon[top] = v
+    vecs = list(echelon.values())
+    pairs, central = [], []
+    while vecs:
+        u = vecs.pop(0)
+        hit = next((i for i, v in enumerate(vecs) if omega(u, v)), None)
+        if hit is None:
+            central.append(u)
+            continue
+        v = vecs.pop(hit)
+        vecs = [
+            w ^ (u if omega(w, v) else 0) ^ (v if omega(w, u) else 0)
+            for w in vecs
+        ]
+        pairs.append((u, v))
+    basis = [b for pair in pairs for b in pair] + central
+    return basis, len(pairs), algebra._coordinates(basis, vals)
+
+
+@pytest.mark.parametrize("n", [3, 14, 64, 70, 130])
+def test_bulk_decoded_blocks_equal_the_per_row_decode(n):
+    """_block_basis, which decodes its masks in bulk and carries each
+    vector's popcount parity, and _block_stacks, which encodes its basis
+    in one call and scatters by np.bincount, equal the per-row reference
+    and its np.add.at bit for bit, over one, two and three mask words."""
+    rng = np.random.default_rng(46 + n)
+    elements = [zero(n), CliffordElement.scalar(n, 1.5 - 0.5j)]
+    for n_terms in (1, 3, 8, 11, 14):
+        elements += [random_element(rng, n, n_terms) for _ in range(8)]
+    top = CliffordElement.from_terms(
+        n, {1 << (n - 1): 1.0, (1 << (n - 1)) | 1: 2j, 0b11: -0.5}
+    )
+    elements.append(top)
+    assert sp.words_for(n) == -(-n // 64)
+    for a, got in zip(elements, _block_stacks(elements)):
+        found = per_row_block_basis(a)
+        assert algebra._block_basis(a) == found
+        want = per_element_blocks(a, found)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_lp_norms_equal_spectral_lp_bit_for_bit(n):
+    """Every L^p norm of _lp_norms, read per block shape and p, has the
+    bits of _spectral_lp on the element's own _block_singular_values,
+    for the algebra suite's draws and elements of many ranks."""
+    for seed in range(4):
+        rng = np.random.default_rng([90, n, seed])
+        elements = [zero(n), CliffordElement.scalar(n, 0.5 + 2j)]
+        for n_terms in (1, 2, 5, 8, 12):
+            elements += [random_element(rng, n, n_terms) for _ in range(8)]
+        elements += _random_elements(rng, n, 120).values(0, 120)
+        got = _lp_norms(elements, P_CHOICES)
+        assert len(got) == len(elements)
+        for a, row in zip(elements, got):
+            s = _block_singular_values(a)
+            want = [_spectral_lp(a, s, p) for p in P_CHOICES]
+            assert [np.float64(x).tobytes() for x in row] == [
+                np.float64(x).tobytes() for x in want
+            ]
+
+
+def test_algebra_suite_builds_each_block_basis_once(monkeypatch, tmp_path):
+    """The Hoelder sweep's 120 elements at n=14 each take one
+    _block_basis call."""
+    calls = []
+    block_basis = algebra._block_basis
+
+    def counted(a):
+        calls.append(a)
+        return block_basis(a)
+
+    monkeypatch.setattr(algebra, "_block_basis", counted)
+    spec = parse_problem({"grid": {"n_steps": 14}})
+    assert run("algebra-suite", spec, str(tmp_path), seed=0)["pass"]
+    assert len(calls) == 120
+    assert len({id(a) for a in calls}) == 120
+
+
+def test_stacked_pair_products_and_vacua_equal_each_pair():
+    """Step k of star.products(b), star the stacked adjoints of the a_k,
+    is a_k* b_k bit for bit, and vacua reads each one's vacuum, with
+    empty steps, whose products have no rows, and vacua that are
+    zero."""
+    n = 12
+    rng = np.random.default_rng(47)
+    a_values = [random_element(rng, n, 6) for _ in range(10)]
+    b_values = [random_element(rng, n, 7) for _ in range(10)]
+    a_values[1] = zero(n)
+    b_values[2] = zero(n)
+    b_values[3] = a_values[3].scale(-0.5j)
+    b_values[4] = CliffordElement.generator(n, 5)
+    a_values[4] = CliffordElement.scalar(n, 2.0)
+    star = _Stack.of(n, a_values).adjoint()
+    got = star.products(_Stack.of(n, b_values))
+    wants = [a.adjoint() * b for a, b in zip(a_values, b_values)]
+    for value, want in zip(got.values(0, 10), wants):
+        assert value.masks.tobytes() == want.masks.tobytes()
+        assert value.amps.tobytes() == want.amps.tobytes()
+    vacua = got.vacua(10)
+    assert vacua[4] == 0j and vacua[3] != 0j
+    assert np.array(vacua).tobytes() == np.array(
+        [w.vacuum() for w in wants]
+    ).tobytes()
+    assert _Stack.of(n, []).vacua(3) == [0j, 0j, 0j]
 
 
 def test_stacked_block_spectra_equal_each_element_alone():

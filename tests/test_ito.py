@@ -8,6 +8,9 @@ import pytest
 from fermisde.algebra import (
     CliffordElement,
     MatrixRep,
+    _block_singular_values,
+    _block_stacks,
+    _spectral_lp,
     _Stack,
     cond_expect,
     grading,
@@ -23,13 +26,14 @@ from fermisde.ito import (
     AdaptedProcess,
     MartingaleSeq,
     TimeGrid,
+    _bg_batch,
     _commutation_worst,
     _integral,
     _integrals,
     _isometry_batch,
     _paths,
     _representation_batch,
-    _square_function,
+    _square_functions,
     _steps,
     bg_ratio_sweep,
     bg_ratios,
@@ -42,7 +46,14 @@ from fermisde.ito import (
     right_integral,
     right_integral_path,
 )
-from fermisde.cli import P_CHOICES, parse_problem, run
+from fermisde.cli import (
+    _BRANCH,
+    P_CHOICES,
+    _random_batch,
+    _rng,
+    parse_problem,
+    run,
+)
 
 
 def random_integrand(rng, grid, terms=4):
@@ -381,16 +392,21 @@ def test_bg_ratio_sweep_stacks_its_integrand_once(monkeypatch):
     assert calls == [6]
 
 
-def test_bg_constants_takes_one_spectrum_per_integrand_and_side(
-    monkeypatch, tmp_path
+@pytest.mark.parametrize("n, seed", [(14, 0), (5, 1), (9, 2)])
+def test_bg_constants_takes_one_svd_and_eigvalsh_per_block_shape(
+    monkeypatch, tmp_path, n, seed
 ):
-    counts = {"svd": 0, "eigvalsh": 0}
-    for name in counts:
+    """bg-constants takes one svd per block shape of its 5 right
+    integrals and one eigvalsh per block shape of its 10 square
+    functions, each over the matrices of every sample of that shape,
+    and builds no Jordan-Wigner image."""
+    shapes = {"svd": [], "eigvalsh": []}
+    for name in shapes:
         original = getattr(np.linalg, name)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
+        def counted(a, *args, _name=name, _original=original, **kwargs):
+            shapes[_name].append(a.shape)
+            return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
 
@@ -398,9 +414,106 @@ def test_bg_constants_takes_one_spectrum_per_integrand_and_side(
         raise AssertionError("bg-constants built a Jordan-Wigner image")
 
     monkeypatch.setattr(MatrixRep, "matrix", no_matrix)
-    spec = parse_problem({"grid": {"n_steps": 14}})
-    assert run("bg-constants", spec, str(tmp_path), seed=0)["pass"]
-    assert counts == {"svd": 5, "eigvalsh": 5 * 2}
+    spec = parse_problem({"grid": {"n_steps": n}})
+    assert run("bg-constants", spec, str(tmp_path), seed=seed)["pass"]
+    g = TimeGrid(spec.T, n)
+    batch = _random_batch(_rng(seed, _BRANCH["bg-constants"]), g, 5, 4)
+    want = {"svd": {}, "eigvalsh": {}}
+    for s in range(5):
+        y = AdaptedProcess(
+            g, batch.values(s * (n + 1), s * (n + 1) + n), check=False
+        )
+        parts = [("svd", right_integral(g, y))]
+        for left in (False, True):
+            square = CliffordElement.zero(n)
+            for v in y:
+                term = v * v.adjoint() if left else v.adjoint() * v
+                square = square + term.scale(g.dt)
+            parts.append(("eigvalsh", square))
+        for name, x in parts:
+            block = _block_stacks([x])[0]
+            kind = block.shape[1:]
+            want[name][kind] = want[name].get(kind, 0) + block.shape[0]
+    for name, calls in shapes.items():
+        kinds = [shape[1:] for shape in calls]
+        assert len(kinds) == len(set(kinds))
+        assert {shape[1:]: shape[0] for shape in calls} == want[name]
+
+
+def per_sample_bg(grid, y, ps):
+    """bg_ratio_sweep of one integrand the way one call per sample took
+    it: the element integral and element folds of the square functions,
+    one SVD and two eigvalsh calls of their own blocks, and one
+    _spectral_lp and one mean per norm."""
+    integral = right_integral(grid, y)
+    spectrum = _block_singular_values(integral)
+    i_norms = [_spectral_lp(integral, spectrum, p) for p in ps]
+    out = [{"p": p, "flagged_zero": False} for p in ps]
+    for side in ("right", "left"):
+        square = CliffordElement.zero(grid.n)
+        for v in y:
+            term = v * v.adjoint() if side == "left" else v.adjoint() * v
+            square = square + term.scale(grid.dt)
+        blocks = _block_stacks([square])[0]
+        lam = np.clip(np.linalg.eigvalsh(blocks).ravel(), 0.0, None)
+        for result, p, i_norm in zip(out, ps, i_norms):
+            if p == np.inf:
+                s_norm = float(np.sqrt(lam.max()))
+            else:
+                s_norm = float(np.mean(lam ** (p / 2.0)) ** (1.0 / p))
+            entry = {"integral_norm": i_norm, "square_function_norm": s_norm}
+            if s_norm == 0.0 or i_norm == 0.0:
+                result["flagged_zero"] = True
+                entry["ratio"] = None
+                entry["inverse_ratio"] = None
+            else:
+                entry["ratio"] = i_norm / s_norm
+                entry["inverse_ratio"] = s_norm / i_norm
+            result[side] = entry
+    return out
+
+
+def float_bits(x):
+    """A result with every float replaced by its bytes, signed zeros
+    told apart."""
+    if isinstance(x, float):
+        return np.float64(x).tobytes()
+    if isinstance(x, dict):
+        return {k: float_bits(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [float_bits(v) for v in x]
+    return x
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_bg_batch_equals_the_per_sample_route_bit_for_bit(n):
+    """_bg_batch over a batch of samples, and bg_ratio_sweep on each
+    sample alone, give the per-sample route's numbers bit for bit, for
+    suite-sized draws, an integrand of many terms per step, a repeated
+    sample and a zero one."""
+    g = TimeGrid(0.8, n)
+    for seed in range(3):
+        rng = np.random.default_rng([80, n, seed])
+        samples = [
+            random_integrand(rng, g, terms=4),
+            random_integrand(rng, g, terms=9),
+            random_integrand(rng, g, terms=1),
+        ]
+        samples += [samples[0], AdaptedProcess.constant_scalar(g, 0.0)]
+        got = _bg_batch(g, batch_of(g, samples), P_CHOICES)
+        assert len(got) == len(samples)
+        for y, sweep in zip(samples, got):
+            want = float_bits(per_sample_bg(g, y, P_CHOICES))
+            assert float_bits(sweep) == want
+            assert float_bits(bg_ratio_sweep(g, y, P_CHOICES)) == want
+    batch = _random_batch(np.random.default_rng(n), g, 5, 4)
+    for s, sweep in enumerate(_bg_batch(g, batch, (2.0, 3.0, 1.5))):
+        y = AdaptedProcess(
+            g, batch.values(s * (n + 1), s * (n + 1) + n), check=False
+        )
+        assert float_bits(sweep) == float_bits(
+            per_sample_bg(g, y, (2.0, 3.0, 1.5))
+        )
 
 
 def _jw_bg_reference(grid, y, p):
@@ -491,7 +604,7 @@ def test_square_function_equals_the_per_step_fold(n):
             for v in values:
                 square = v * v.adjoint() if left else v.adjoint() * v
                 want = want + square.scale(g.dt)
-            got = _square_function(g, _Stack.of(n, values), left)
+            got = _square_functions(g, _Stack.of(n, values), left)[0]
             assert got.masks.tobytes() == want.masks.tobytes()
             assert got.amps.tobytes() == want.amps.tobytes()
 
