@@ -67,6 +67,19 @@ CASES = {
     "mp-control_in_noise": ("max-principle", _mp("control_in_noise", 16)),
     "mp-odd_drift": ("max-principle", _mp("odd_drift", 16)),
     "mp-driverless": ("max-principle", _mp("driverless", 16)),
+    # At x0_scale 0 the oracle's winner is u = 0 and the state is 0, so
+    # the cost weights multiply zeros; at x0_scale 1 the adjoint vacua, P
+    # and the duality walk all reach the report.
+    "mp-lq_scalar-x1": (
+        "max-principle", _mp("lq_scalar", 16, control={"x0_scale": 1.0})
+    ),
+    "mp-control_in_noise-x1": (
+        "max-principle",
+        _mp("control_in_noise", 16, control={"x0_scale": 1.0}),
+    ),
+    "mp-odd_drift-x1": (
+        "max-principle", _mp("odd_drift", 16, control={"x0_scale": 1.0})
+    ),
     "mp-quadratic_drift": (
         "max-principle",
         _mp("quadratic_drift", 6, value_grid=[-0.3, 0.0, 0.3]),
@@ -176,6 +189,22 @@ DIGESTS = {
     "mp-driverless": {
         "max_principle.json": "2286074626e8cb00c6008b2deebbd5ee"
                               "74ca41dc600c182b9cd54e7ed47dfeff",
+    },
+    # mp_min -0.1434 and duality_residual 8.07e-3; pass false (the scan
+    # runs at the oracle's winner, not at an optimum).
+    "mp-lq_scalar-x1": {
+        "max_principle.json": "072cd5498b1a31df12787840f19fb0e9"
+                              "356af4b58bcfdf4297c6bddd002760b6",
+    },
+    # mp_min 0.0 and duality_residual 8.84e-4.
+    "mp-control_in_noise-x1": {
+        "max_principle.json": "1588e571b12d28c3e8d499895c85b8b9"
+                              "17ad690b4d04cacb7e9a6f4bd201eb3b",
+    },
+    # mp_min -0.1049 and duality_residual 0.0; pass false.
+    "mp-odd_drift-x1": {
+        "max_principle.json": "acc350a17d1a74ac9751cd924cb6d17a"
+                              "52edcba548f0eb306256da438e4be119",
     },
     "mp-lq_scalar": {
         "max_principle.json": "937d4276cb7cdba634ca2f459ebed227"
