@@ -8,7 +8,11 @@ vacua of the first adjoint along one (adjoint_vacua, the transpose)
 follow from a few numbers per step, nothing pruned; README (Layout)
 writes the recursions out. Here are the one gate that decides whether a
 problem is a channel, the coefficient table, the source-table rule, the
-walk, its vacua, its transpose and the spike-window source layout.
+walk, its vacua, its transpose, the spike-window source layout and the
+exact control routes on them: ladder, oracle and max_principle. They
+alone read the gate's norm-cost weights (q, r, s) of J = sum_k dt (q
+||x_k||^2 + r ||u_k||^2) + s ||x_n||^2: the adjoint drives are -2s and
+-2q dt, P's Hessians -2s and -2q, and the scan reads r.
 """
 
 from __future__ import annotations
@@ -17,13 +21,27 @@ from operator import is_
 
 import numpy as np
 
-from .operators import _as_scalar_amp
+from .operators import GradedScalarOp, _as_scalar_amp, _second_adjoint_step
 
 # Which control-increment sources (rows sD, sF, sG) drive xi, y and z
 # (columns) on the spike window of declared-linear coefficients: xi takes
 # all three, y the noise ones and z the drift one (the derivative
 # differences and second derivatives vanish).
 SPIKE_SOURCES = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+
+# Coefficients of (xi, y, z) in each series of the variation ladder.
+LADDER_SERIES = {
+    "xi_sq": (1.0, 0.0, 0.0),
+    "y_sq": (0.0, 1.0, 0.0),
+    "z_sq": (0.0, 0.0, 1.0),
+    "eta_sq": (1.0, -1.0, 0.0),
+    "zeta_sq": (1.0, -1.0, -1.0),
+}
+
+NEEDS_P = (
+    "candidate changes the noise coefficients; supply the second adjoint "
+    "P or request first_order_only"
+)
 
 # Pairing entries one chunk of walk's steps may hold; a walk whose
 # pairings per step reach it takes one step per chunk.
@@ -92,8 +110,7 @@ def gate(problem, grid, *requests, costs=False):
         return None
     x0 = _as_scalar_amp(problem.x0)
     try:
-        (q, r), s = problem.L._running_weights, problem.h._terminal_weight
-        weights = q, r, s
+        weights = (*problem.L._running_weights, problem.h._terminal_weight)
     except AttributeError:
         weights = None
     if x0 is None or (costs and weights is None):
@@ -303,23 +320,24 @@ def vacua(grid, coefs, srcs, x0_amp):
     return e0
 
 
-def adjoint_vacua(grid, coefs, srcs, x0_amp, q, s):
+def adjoint_vacua(grid, ch, srcs):
     """(vacuum(phi_k) for k <= n_steps, vacuum(Phi_k) for k < n_steps).
 
     The transpose of walk (README, Layout): the adjoint pair that
     control.first_adjoint solves by the implicit backward step from
-    phi_n = -2s x_n, with running-cost gradient 2q x, along the solve x
-    with (n_steps, 3) sources srcs and start amplitude x0_amp. O(n_steps)
-    time and memory, nothing pruned; overflow, and the division by zero
-    of a step with dt a = 1, are passed on as in walk.
+    phi_n = -2s x_n, with running drive -2q dt x_k, along the solve x of
+    ch with (n_steps, 3) sources srcs. O(n_steps) time and memory,
+    nothing pruned; overflow, and the division by zero of a step with
+    dt a = 1, are passed on as in walk.
     """
+    q, _, s = ch.weights
     n = grid.n_steps
     dt = grid.dt
     root = np.sqrt(dt)
     parity = np.array([1.0, -1.0])
-    a, b, c = coefs[:, 0], coefs[:, 1], coefs[:, 2]
+    a, b, c = ch.coefs[:, 0], ch.coefs[:, 1], ch.coefs[:, 2]
     grow = 1.0 + dt * a
-    e0 = vacua(grid, coefs, srcs, x0_amp)
+    e0 = vacua(grid, ch.coefs, srcs, ch.x0)
     v = root * ((b[:, 0] + c[:, 0]) * e0[:n] + srcs[:, 1] + srcs[:, 2])
     solve = 1.0 / (1.0 - dt * a.conj())
     back = (parity * b + c).conj()
@@ -341,3 +359,169 @@ def adjoint_vacua(grid, coefs, srcs, x0_amp, q, s):
     for k in range(n - 1, -1, -1):
         phi[k] = step[k] * (phi[k + 1] + feed[k])
     return np.array(phi, dtype=np.complex128), Phi
+
+
+def ladder(grid, windows, ch, steps):
+    """floor and per-window sup series of control.variation_ladder from
+    one gram walk; nothing is pruned.
+
+    ch holds the source tables under ubar at every step and under u at
+    steps. The walk runs 3 + 3R paths in blocks of three and pairs only
+    within a block, so memory grows as n_steps R. Block 0 is x under
+    ubar from x0 and two idle paths; block 1 + r is rung r's (xi, y, z),
+    started at 0 and driven inside its spike window only.
+    """
+    base, alt = (table[:, :, 0] for table in ch.tables)
+    table, starts = ch.spike_layout(
+        base, steps, alt, windows, slice(None), lead=3
+    )
+    pairs = gram(grid, ch.coefs, table, starts, block=3)
+    floor = 1e-8 * (1.0 + float(pairs[:, 0, 0, 0].real.max()))
+    sups = []
+    for r in range(len(windows)):
+        # A contiguous copy, so the reduction runs as on a rung's own walk.
+        block = np.ascontiguousarray(pairs[:, 1 + r])
+        sups.append({
+            name: max(
+                float(np.einsum("i,kij,j->k", c, block, c).real.max()), 0.0
+            )
+            for name, c in LADDER_SERIES.items()
+        })
+    return floor, sups
+
+
+def oracle(grid, ch, bounds, values):
+    """The cheapest candidate's block picks, its J and the values'
+    ||u||^2, every candidate costed by one diagonal walk.
+
+    ch.tables[0] holds the (n_steps, 3, V) sources of the V distinct
+    block values; candidate c takes value i_b on block b, where (i_0,
+    i_1, ...) unravels c in itertools.product order, and ties keep the
+    earliest. Memory is O(K blocks + n_steps V) for K candidates.
+    """
+    q, r, s = ch.weights
+    table = ch.tables[0]
+    n = grid.n_steps
+    blocks = len(bounds) - 1
+    shape = (len(values),) * blocks
+    count = len(values) ** blocks
+    picks = np.unravel_index(np.arange(count), shape)
+    # Per step, the value index of every candidate (its block's pick).
+    step_picks = [picks[b] for b in np.repeat(range(blocks), np.diff(bounds))]
+    norms = norms_sq(
+        grid, ch.coefs,
+        (table[k][:, step_picks[k]] for k in range(n)),
+        np.full(count, ch.x0),
+    )
+    total = np.zeros(count)
+    # The walk runs lazily inside this loop; an overflowing candidate
+    # turns into inf or NaN there and is refused below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_sq = np.array([value.norm2_sq() for value in values])
+        for k, x_sq in enumerate(norms):
+            if k < n:
+                total += (q * x_sq + r * u_sq[step_picks[k]]) * grid.dt
+            else:
+                total = total + s * x_sq
+    if not np.isfinite(total).all():
+        raise FloatingPointError(
+            f"state or cost became non-finite for "
+            f"{int(np.sum(~np.isfinite(total)))} of {count} candidates"
+        )
+    best = int(np.argmin(total))
+    return np.unravel_index(best, shape), float(total[best]), u_sq
+
+
+def second_adjoint(grid, ch):
+    """alpha + beta of P_0..P_{n-1}: control.second_adjoint_deterministic's
+    recursion on ch's operators, with Hessians -2s and -2q."""
+    q, _, s = ch.weights
+    # With the signed zeros of control's route through BilinearMap.
+    p_next, hxx_op = (
+        GradedScalarOp(2.0 * w, 0.0).scale(-1.0) if w
+        else GradedScalarOp(0.0, 0.0) for w in (s, q)
+    )
+    p_next = p_next.symmetrized()
+    out = np.empty(grid.n_steps, dtype=np.complex128)
+    for k in range(grid.n_steps - 1, -1, -1):
+        p_next = _second_adjoint_step(
+            p_next, *ch.ops[k][:3], hxx_op, grid.dt
+        )
+        out[k] = p_next.alpha + p_next.beta
+    return out
+
+
+def scan(grid, ch, base, base_sq, cands, cand_sq, phi, Phi, pab=None):
+    """(V, n_steps) control.mp_lhs values of V candidates.
+
+    base is ubar's (n_steps, 3) source amplitudes and base_sq its
+    ||ubar_k||^2, cands the candidates' (n_steps, 3, V) source table and
+    cand_sq their ||w||^2; phi and Phi are the adjoint vacua. The
+    differences dD, dF, dG are multiples of I, so the Hamiltonians'
+    difference pairs them with the vacua alone (and r with the ||u||^2
+    difference) and the quadratic term with pab, the alpha + beta of
+    P_k (None without P).
+    """
+    r = ch.weights[1]
+    n = grid.n_steps
+    delta = (cands - base[:, :, None]).transpose(1, 2, 0)
+    noise = delta[1] + delta[2]
+    lhs = (
+        -(phi[:n].conj() * delta[0]).real
+        - (Phi.conj() * noise).real
+        + r * (cand_sq[:, None] - base_sq[None, :])
+    )
+    moved = (delta[1] != 0) | (delta[2] != 0)
+    if moved.any():
+        if pab is None:
+            raise ValueError(NEEDS_P)
+        quad = 0.5 * (pab.conj() * (noise.real**2 + noise.imag**2)).real
+        lhs = lhs - np.where(moved, quad, 0.0)
+    return lhs
+
+
+def duality(grid, ch, base, alt, window, phi, Phi, order):
+    """control.duality_check from one gram walk over (xbar, y[, z]).
+
+    base is ubar's (n_steps, 3) source amplitudes and alt u's on the
+    spike window (k0, k1): y takes the noise differences, z (order 2)
+    the drift one. The terminal pairing is -2s <xbar_n, path_n> and the
+    running one 2q dt <xbar_k, path_k>; the spike sources pair with the
+    vacua.
+    """
+    q, _, s = ch.weights
+    n = grid.n_steps
+    dt = grid.dt
+    k0, k1 = window
+    table, starts = ch.spike_layout(
+        base, range(k0, k1), alt, [window], slice(1, 1 + order)
+    )
+    pairs = gram(grid, ch.coefs, table, starts, block=len(starts))
+    cross = pairs[:, 0, 0, 1:].sum(axis=1)
+    delta = alt - base[k0:k1]
+    lhs = -2.0 * s * cross[n]
+    rhs = 2.0 * q * dt * cross[:n].sum() + dt * np.sum(
+        Phi[k0:k1].conj() * (delta[:, 1] + delta[:, 2])
+    )
+    if order == 2:
+        rhs += dt * np.sum(phi[k0:k1].conj() * delta[:, 0])
+    return float(abs(lhs - rhs))
+
+
+def max_principle(grid, ch, step_picks, u_sq, window, order, second):
+    """(lhs, duality) of control._max_principle at the oracle's winner
+    (value index step_picks per step): scan's array, with P when second
+    is set, and the order 1 or 2 duality defect with u on window."""
+    table, alt = ch.tables
+    base = table[np.arange(grid.n_steps), :, step_picks]
+    # An implicit step with dt a = 1 divides by zero, and overflow gives
+    # inf or NaN: both are refused below, not warned about.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        phi, Phi = adjoint_vacua(grid, ch, base)
+    if not (np.isfinite(phi).all() and np.isfinite(Phi).all()):
+        raise FloatingPointError("adjoint became non-finite")
+    lhs = scan(
+        grid, ch, base, u_sq[step_picks], table, u_sq, phi, Phi,
+        second_adjoint(grid, ch) if second else None,
+    )
+    return lhs, duality(grid, ch, base, alt[:, :, 0], window, phi, Phi, order)

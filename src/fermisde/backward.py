@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Callable, Optional
 
 import numpy as np
@@ -429,7 +431,7 @@ def _pair_distance(grid, y_a, Y_a, y_b, Y_b):
     canonical stacks of y_0..y_n and Y_0..Y_{n-1}."""
     n = grid.n_steps
     sup = max((y_a - y_b).norms(0, n + 1))
-    agg = sum(d**2 * grid.dt for d in (Y_a - Y_b).norms(0, n))
+    agg = reduce(add, (d**2 * grid.dt for d in (Y_a - Y_b).norms(0, n)), 0.0)
     return sup + np.sqrt(agg)
 
 
@@ -641,18 +643,17 @@ def apriori_backward_check(path, driver, yT):
     dt = grid.dt
     zero = CliffordElement.zero(grid.n)
     y_sup = max(norm2(v) for v in path.y)
-    y_agg = np.sqrt(sum(dt * norm2(v) ** 2 for v in path.Y))
+    y_agg = np.sqrt(reduce(add, (dt * norm2(v) ** 2 for v in path.Y), 0.0))
     numerator = y_sup + float(y_agg)
-    data = norm2(yT) + sum(
+    data = norm2(yT) + reduce(add, (
         norm2(driver.f(k, zero, zero)) * dt for k in range(grid.n_steps)
-    )
+    ), 0.0)
+    if not np.isfinite(numerator):
+        raise FloatingPointError("backward path norm is not finite")
     vacuous = numerator <= 1e-14 and data <= 1e-14
-    report = {
+    return {
         "numerator": numerator,
         "denominator": data,
         "vacuous": vacuous,
         "ratio": 0.0 if vacuous else numerator / max(data, 1e-300),
     }
-    if not np.isfinite(numerator):
-        raise FloatingPointError("backward path norm is not finite")
-    return report

@@ -21,6 +21,8 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -536,15 +538,15 @@ def _conjugate(p):
 
 def _pipeline_algebra(spec, rng):
     """Every element comes from one draw (_random_elements): 80 for the
-    star, grading and pairing checks, then 120 for the Hoelder sweep at
-    n <= MAX_MATRIX_GENERATORS and 60 for the JW check at n <= 10, in the
-    order of the per-pair loops that read them. The 40 products a* b of
-    the pairing check are one stacked product (_Stack.products), and the
-    sweep reads every L^p norm it needs once per element and p, from one
-    SVD call per block shape (algebra._lp_norms)."""
+    star, grading and pairing checks, then 120 for the Hoelder sweep and
+    60 for the JW check at n <= 10, in the order of the per-pair loops
+    that read them. The 40 products a* b of the pairing check are one
+    stacked product (_Stack.products), and the sweep reads every L^p
+    norm it needs once per element and p, from one SVD call per block
+    shape (algebra._lp_norms)."""
     grid = _algebra_plan(spec)
     n = grid.n_steps
-    holder_pairs = 60 if n <= MAX_MATRIX_GENERATORS else 0
+    holder_pairs = 60
     jw_pairs = 30 if n <= 10 else 0
     count = 2 * (40 + holder_pairs + jw_pairs)
     drawn = _random_elements(rng, n, count)
@@ -574,36 +576,34 @@ def _pipeline_algebra(spec, rng):
         ab = pairing(a, b)
         props = max(props, abs(ab - np.conj(pairing(b, a))))
         props = max(props, abs(ab - vac))
+    holder_bad = mono_bad = 0
+    sweep = elements[80 : 80 + 2 * holder_pairs]
+    norms = _lp_norms(sweep, P_CHOICES)
+    # Per p, the column of its conjugate exponent.
+    conjugate = [P_CHOICES.index(_conjugate(p)) for p in P_CHOICES]
+    for i in range(holder_pairs):
+        a, b = sweep[2 * i], sweep[2 * i + 1]
+        norms_a, norms_b = norms[2 * i], norms[2 * i + 1]
+        lhs = abs(pairing(a, b))
+        for j, q in enumerate(conjugate):
+            if lhs > norms_a[q] * norms_b[j] + 1e-10:
+                holder_bad += 1
+        if any(
+            norms_a[j] > norms_a[j + 1] + 1e-10
+            for j in range(len(norms_a) - 1)
+        ):
+            mono_bad += 1
     report = {
         "n": n,
         "car_residual": car,
         "brownian_square_residual": bro,
         "star_grading_pairing_residual": props,
+        "holder_violations": holder_bad,
+        "monotonicity_violations": mono_bad,
+        "lp_pairs": holder_pairs,
     }
-    checks = [car <= 1e-12, bro <= 1e-12, props <= 1e-12]
-    if holder_pairs:
-        holder_bad = 0
-        mono_bad = 0
-        sweep = elements[80 : 80 + 2 * holder_pairs]
-        norms = _lp_norms(sweep, P_CHOICES)
-        # Per p, the column of its conjugate exponent.
-        conjugate = [P_CHOICES.index(_conjugate(p)) for p in P_CHOICES]
-        for i in range(holder_pairs):
-            a, b = sweep[2 * i], sweep[2 * i + 1]
-            norms_a, norms_b = norms[2 * i], norms[2 * i + 1]
-            lhs = abs(pairing(a, b))
-            for j, q in enumerate(conjugate):
-                if lhs > norms_a[q] * norms_b[j] + 1e-10:
-                    holder_bad += 1
-            if any(
-                norms_a[j] > norms_a[j + 1] + 1e-10
-                for j in range(len(norms_a) - 1)
-            ):
-                mono_bad += 1
-        report["holder_violations"] = holder_bad
-        report["monotonicity_violations"] = mono_bad
-        report["lp_pairs"] = holder_pairs
-        checks += [holder_bad == 0, mono_bad == 0]
+    checks = [car <= 1e-12, bro <= 1e-12, props <= 1e-12,
+              holder_bad == 0, mono_bad == 0]
     if jw_pairs:
         rep = jw_rep(n)
         hom = 0.0
@@ -672,7 +672,7 @@ def _ito_sample_zero(grid, ys, ms, start, procs):
     public per-process functions."""
     n = grid.n_steps
     y = AdaptedProcess(grid, ys.values(0, n), check=False)
-    total = sum(grid.dt * v.norm2_sq() for v in y)
+    total = reduce(add, (grid.dt * v.norm2_sq() for v in y), 0.0)
     iso = abs(right_integral(grid, y).norm2_sq() - total) / (1.0 + total)
     gap = check_martingale(right_integral_path(grid, y))
     start = CliffordElement.scalar(grid.n, float(start))
@@ -999,7 +999,7 @@ def _pipeline_mp(spec, rng):
         order=order, second=entry.second_adjoint_ok,
     )
     tol = max(1e-6, 1.0 * grid.dt)
-    report = {
+    return {
         "problem_id": entry.id,
         "grid": {"T": grid.T, "n_steps": grid.n_steps},
         "steps_coarse": spec.steps_coarse,
@@ -1016,7 +1016,6 @@ def _pipeline_mp(spec, rng):
         "duality_residual": dual,
         "pass": bool(mp_min >= -tol),
     }
-    return report
 
 
 def _bg_plan(spec):

@@ -11,10 +11,12 @@ state. The necessary-condition machinery built here follows one chain:
   on a lattice of (step, candidate) pairs against a brute-force
   enumeration oracle.
 
-Derivative rules are supplied, not differenced; numeric_frechet
-cross-checks them in the tests. Every check here reports numbers
-(residuals, slopes, minima) rather than asserting, so the calling test
-or report decides pass/fail at its own tolerance.
+This is the element route, the tests' reference; on a parity channel
+the ladder, oracle and max-principle take _channel's exact routes,
+which alone read the norm-cost weights. Derivative rules are supplied,
+not differenced; numeric_frechet cross-checks them in the tests. Checks
+report numbers (residuals, slopes, minima) rather than asserting, so
+the calling test or report decides pass/fail at its own tolerance.
 """
 
 from __future__ import annotations
@@ -41,10 +43,10 @@ from .forward import (
 from .ito import AdaptedProcess
 from .operators import (
     BilinearMap,
-    ComposeOp,
-    GradingOp,
     GradedScalarOp,
     SumOp,
+    _grade_compose,
+    _second_adjoint_step,
 )
 
 __all__ = [
@@ -84,8 +86,8 @@ class RunningNormCost:
     """Running cost L(k, x, u) = q ||x||^2 + r ||u||^2 with its weights.
 
     grad and hess are the state derivatives Lx and Lxx. The weights
-    declare the cost's structure: brute_force_optimum reads them to cost
-    every candidate exactly by the parity-Gram recursion.
+    declare the cost's structure to _channel.gate, whose exact routes
+    alone read them.
     """
 
     q: float
@@ -378,45 +380,6 @@ def _require_windows(grid, eps_list, offset):
     return windows, [(k1 - k0) * grid.dt for k0, k1 in windows]
 
 
-# Coefficients of (xi, y, z) in each ladder series.
-_LADDER_SERIES = {
-    "xi_sq": (1.0, 0.0, 0.0),
-    "y_sq": (0.0, 1.0, 0.0),
-    "z_sq": (0.0, 0.0, 1.0),
-    "eta_sq": (1.0, -1.0, 0.0),
-    "zeta_sq": (1.0, -1.0, -1.0),
-}
-
-def _gram_ladder(grid, windows, ch, steps):
-    """floor and per-window sup series from one _channel.gram walk;
-    nothing is pruned.
-
-    ch is the gate's Channel with the source tables under ubar at every
-    step and under u at steps. The walk runs 3 + 3R paths in blocks of
-    three and pairs only within a block, so memory grows as n_steps R.
-    Block 0 is x under ubar from x0 and two idle paths; block 1 + r is
-    rung r's (xi, y, z), started at 0 and driven inside its spike
-    window only.
-    """
-    base, alt = (table[:, :, 0] for table in ch.tables)
-    table, starts = ch.spike_layout(
-        base, steps, alt, windows, slice(None), lead=3
-    )
-    gram = _channel.gram(grid, ch.coefs, table, starts, block=3)
-    floor = 1e-8 * (1.0 + float(gram[:, 0, 0, 0].real.max()))
-    sups = []
-    for r in range(len(windows)):
-        # A contiguous copy, so the reduction runs as on a rung's own walk.
-        block = np.ascontiguousarray(gram[:, 1 + r])
-        sups.append({
-            name: max(
-                float(np.einsum("i,kij,j->k", c, block, c).real.max()), 0.0
-            )
-            for name, c in _LADDER_SERIES.items()
-        })
-    return floor, sups
-
-
 def _sparse_ladder(problem, ubar, u, eps_list, offset, prune):
     """floor, per-eps sup series and pruned mass from element solves."""
     grid = ubar.grid
@@ -441,7 +404,7 @@ def _sparse_ladder(problem, ubar, u, eps_list, offset, prune):
             name: _sup_sq(
                 [(c, path) for c, path in zip(combo, paths) if c], length
             )
-            for name, combo in _LADDER_SERIES.items()
+            for name, combo in _channel.LADDER_SERIES.items()
         })
     return floor, sups, float(np.sqrt(dropped_sq))
 
@@ -480,18 +443,18 @@ def variation_ladder(problem, ubar, u, eps_list, offset=0.0, prune=None):
             problem, ubar, u, eps_list, offset, prune
         )
     else:
-        floor, sups = _gram_ladder(grid, windows, ch, steps)
+        floor, sups = _channel.ladder(grid, windows, ch, steps)
         pruned = 0.0
     targets = {"xi_sq": 1.0, "y_sq": 1.0, "z_sq": 2.0,
                "eta_sq": 2.0, "zeta_sq": 2.0}
-    series = {name: [sup[name] for sup in sups] for name in _LADDER_SERIES}
+    series = {name: [sup[name] for sup in sups] for name in targets}
     dominated = not any(
         sup["zeta_sq"] > sup["eta_sq"] + floor for sup in sups
     )
     slopes = {}
     vacuous = {}
     passed = True
-    for name in _LADDER_SERIES:
+    for name in targets:
         vals = series[name]
         if max(vals) < floor:
             vacuous[name] = True
@@ -513,14 +476,6 @@ def variation_ladder(problem, ubar, u, eps_list, offset=0.0, prune=None):
         "pruned_mass": pruned,
         "pass": passed and not all(vacuous.values()),
     }
-
-
-def _grade_compose(op):
-    """Grading composed after op; graded-scalar inputs stay closed."""
-    g = op.as_graded_scalar()
-    if g is not None:
-        return GradedScalarOp(g.beta, g.alpha)
-    return ComposeOp([GradingOp(), op])
 
 
 def _adjoint_ingredients(problem, xbar, ubar):
@@ -651,21 +606,6 @@ def second_adjoint_deterministic(problem, xbar, ubar, adjoints):
     )
 
 
-def _second_adjoint_step(p_next, dx, fx, gx, hxx_op, dt):
-    """P_k from P_{k+1}, graded-scalar derivatives and -Lxx at step k."""
-    drift = (
-        (dx.adjoint() @ p_next)
-        + (p_next @ dx)
-        + (
-            (_grade_compose(fx) + gx).adjoint()
-            @ p_next
-            @ (fx + _grade_compose(gx))
-        )
-        + hxx_op
-    )
-    return (p_next + drift.scale(dt)).symmetrized()
-
-
 def mp_lhs(problem, k, u_cand, xbar, ubar, adjoints, P=None,
            first_order_only=False):
     """Pointwise optimality value at (step k, candidate control value).
@@ -694,12 +634,6 @@ def _mp_reference(problem, k, xbar, ubar, adjoints, P):
     return base, co.F(k, xb, ub), co.G(k, xb, ub), twisted
 
 
-_NEEDS_P = (
-    "candidate changes the noise coefficients; supply the second adjoint "
-    "P or request first_order_only"
-)
-
-
 def _mp_value(problem, k, u_cand, xbar, adjoints, reference,
               first_order_only=False):
     """mp_lhs at step k for a candidate, given _mp_reference at k."""
@@ -716,7 +650,7 @@ def _mp_value(problem, k, u_cand, xbar, adjoints, reference,
         return float(value)
     if twisted is None:
         if not first_order_only:
-            raise ValueError(_NEEDS_P)
+            raise ValueError(_channel.NEEDS_P)
         return float(value)
     left = twisted.apply(dF + dG.grading())
     right = dF.grading() + dG
@@ -890,75 +824,23 @@ def _require_oracle_budget(problem, steps_coarse, value_grid):
         )
 
 
-def _oracle_layout(problem, grid, steps_coarse, value_grid):
-    """Block bounds, block weight vectors (itertools.product order) and
-    their control values for brute_force_optimum's enumeration, refusing
-    what it refuses."""
-    if steps_coarse < 1 or steps_coarse > 4:
-        raise ValueError("coarse steps must lie in 1..4")
-    _require_oracle_budget(problem, steps_coarse, value_grid)
-    space = problem.control_space
-    basis_size = len(space.basis)
-    n = grid.n_steps
-    bounds = [round(i * n / steps_coarse) for i in range(steps_coarse + 1)]
-    weights = list(product(value_grid, repeat=basis_size))
-    return bounds, weights, [space.element(list(w)) for w in weights]
-
-
-def _gram_oracle(grid, ch, bounds, values):
-    """The cheapest candidate's block picks, its J and the values'
-    ||u||^2, every candidate costed by one diagonal parity-channel walk.
-
-    ch.tables[0] holds the (n_steps, 3, V) sources of the V distinct
-    block values; candidate c takes value i_b on block b, where (i_0,
-    i_1, ...) unravels c in itertools.product order, and ties keep the
-    earliest. Memory is O(K blocks + n_steps V) for K candidates.
-    """
-    q, r, s = ch.weights
-    table = ch.tables[0]
-    n = grid.n_steps
-    blocks = len(bounds) - 1
-    shape = (len(values),) * blocks
-    count = len(values) ** blocks
-    picks = np.unravel_index(np.arange(count), shape)
-    # Per step, the value index of every candidate (its block's pick).
-    step_picks = [picks[b] for b in np.repeat(range(blocks), np.diff(bounds))]
-    norms = _channel.norms_sq(
-        grid, ch.coefs,
-        (table[k][:, step_picks[k]] for k in range(n)),
-        np.full(count, ch.x0),
-    )
-    total = np.zeros(count)
-    # The walk runs lazily inside this loop; an overflowing candidate
-    # turns into inf or NaN there and is refused below, not warned about.
-    with np.errstate(over="ignore", invalid="ignore"):
-        u_sq = np.array([value.norm2_sq() for value in values])
-        for k, x_sq in enumerate(norms):
-            if k < n:
-                total += (q * x_sq + r * u_sq[step_picks[k]]) * grid.dt
-            else:
-                total = total + s * x_sq
-    if not np.isfinite(total).all():
-        raise FloatingPointError(
-            f"state or cost became non-finite for "
-            f"{int(np.sum(~np.isfinite(total)))} of {count} candidates"
-        )
-    best = int(np.argmin(total))
-    return np.unravel_index(best, shape), float(total[best]), u_sq
-
-
 def _oracle(problem, grid, steps_coarse, value_grid, *requests, prune=None):
     """brute_force_optimum, with what the max-principle scan reuses.
 
     Returns (u_opt, j_opt, weights, exact): weights are the block weight
-    vectors, the scan's lattice. On the channel route exact is the
-    gate's Channel (source tables of the weights' values at every step,
-    then of requests), the winner's value index per step and the
-    values' ||u||^2; None when each candidate took a forward solve.
+    vectors (itertools.product order), the scan's lattice. On the channel
+    route exact is the gate's Channel (source tables of the weights'
+    values at every step, then of requests), the winner's value index
+    per step and the values' ||u||^2; None off the channel.
     """
-    bounds, weights, values = _oracle_layout(
-        problem, grid, steps_coarse, value_grid
-    )
+    if steps_coarse < 1 or steps_coarse > 4:
+        raise ValueError("coarse steps must lie in 1..4")
+    _require_oracle_budget(problem, steps_coarse, value_grid)
+    space = problem.control_space
+    n = grid.n_steps
+    bounds = [round(i * n / steps_coarse) for i in range(steps_coarse + 1)]
+    weights = list(product(value_grid, repeat=len(space.basis)))
+    values = [space.element(list(w)) for w in weights]
     ch = _channel.gate(
         problem, grid, (range(grid.n_steps), lambda k: values), *requests,
         costs=True,
@@ -970,7 +852,7 @@ def _oracle(problem, grid, steps_coarse, value_grid, *requests, prune=None):
             if (j := cost(problem, u, prune=prune)) < best_cost:
                 best, best_cost = u, j
         return best, float(best_cost), weights, None
-    picks, j, u_sq = _gram_oracle(grid, ch, bounds, values)
+    picks, j, u_sq = _channel.oracle(grid, ch, bounds, values)
     exact = (ch, np.repeat(picks, np.diff(bounds)), u_sq)
     return _block_control(grid, bounds, values, picks), j, weights, exact
 
@@ -985,11 +867,9 @@ def brute_force_optimum(problem, grid, steps_coarse, value_grid,
     earliest candidate in itertools.product order, which makes the
     result deterministic.
 
-    When the cost is declared by RunningNormCost and TerminalNormCost
-    and the problem is a parity channel (see _channel.gate), every
-    candidate is costed exactly by one array recursion and prune is
-    unused; otherwise each candidate is costed by a forward solve
-    pruned at the problem's budget.
+    On a parity channel with declared norm costs (see _channel.gate)
+    every candidate is costed exactly by one walk and prune is unused;
+    otherwise each takes a forward solve pruned at the problem's budget.
     """
     u_opt, j_opt, _, _ = _oracle(
         problem, grid, steps_coarse, value_grid, prune=prune
@@ -1005,79 +885,6 @@ def _block_control(grid, bounds, values, picks):
     return AdaptedProcess(grid, steps, check=False)
 
 
-def _channel_second_adjoint(grid, ch):
-    """alpha + beta of P_0..P_{n-1}: second_adjoint_deterministic's
-    recursion on the channel's operators and norm-cost weights."""
-    q, _, s = ch.weights
-    p_next = _negated_hess_op(
-        _norm_hess(s), "terminal-cost", "terminal Hessian"
-    ).symmetrized()
-    hxx_op = _negated_hess_op(_norm_hess(q), "running-cost", "Lxx")
-    out = np.empty(grid.n_steps, dtype=np.complex128)
-    for k in range(grid.n_steps - 1, -1, -1):
-        p_next = _second_adjoint_step(
-            p_next, *ch.ops[k][:3], hxx_op, grid.dt
-        )
-        out[k] = p_next.alpha + p_next.beta
-    return out
-
-
-def _channel_scan(grid, r, base, base_sq, cands, cand_sq, phi, Phi,
-                  pab=None):
-    """(V, n_steps) mp_lhs values of V candidates from per-step scalars.
-
-    base is ubar's (n_steps, 3) source amplitudes and base_sq its
-    ||ubar_k||^2, cands the candidates' (n_steps, 3, V) source table and
-    cand_sq their ||w||^2; phi and Phi are the adjoint vacua. The
-    differences dD, dF, dG are multiples of I, so the Hamiltonians'
-    difference pairs them with the vacua alone and the quadratic term
-    with pab, the alpha + beta of P_k (None without P).
-    """
-    n = grid.n_steps
-    delta = (cands - base[:, :, None]).transpose(1, 2, 0)
-    noise = delta[1] + delta[2]
-    lhs = (
-        -(phi[:n].conj() * delta[0]).real
-        - (Phi.conj() * noise).real
-        + r * (cand_sq[:, None] - base_sq[None, :])
-    )
-    moved = (delta[1] != 0) | (delta[2] != 0)
-    if moved.any():
-        if pab is None:
-            raise ValueError(_NEEDS_P)
-        quad = 0.5 * (pab.conj() * (noise.real**2 + noise.imag**2)).real
-        lhs = lhs - np.where(moved, quad, 0.0)
-    return lhs
-
-
-def _channel_duality(grid, ch, base, alt, window, phi, Phi, order):
-    """duality_check from one _channel.gram walk over (xbar, y[, z]).
-
-    base is ubar's (n_steps, 3) source amplitudes and alt u's on the
-    spike window (k0, k1): y takes the noise differences, z (order 2)
-    the drift one. The terminal pairing is -2s <xbar_n, path_n> and the
-    running one 2q dt <xbar_k, path_k>; the spike sources pair with the
-    vacua.
-    """
-    q, _, s = ch.weights
-    n = grid.n_steps
-    dt = grid.dt
-    k0, k1 = window
-    table, starts = ch.spike_layout(
-        base, range(k0, k1), alt, [window], slice(1, 1 + order)
-    )
-    gram = _channel.gram(grid, ch.coefs, table, starts, block=len(starts))
-    cross = gram[:, 0, 0, 1:].sum(axis=1)
-    delta = alt - base[k0:k1]
-    lhs = -2.0 * s * cross[n]
-    rhs = 2.0 * q * dt * cross[:n].sum() + dt * np.sum(
-        Phi[k0:k1].conj() * (delta[:, 1] + delta[:, 2])
-    )
-    if order == 2:
-        rhs += dt * np.sum(phi[k0:k1].conj() * delta[:, 0])
-    return float(abs(lhs - rhs))
-
-
 def _max_principle(problem, grid, steps_coarse, value_grid, u, order=1,
                    second=True):
     """(u_opt, j_opt, minimum, argmin, duality) of max-principle.
@@ -1085,12 +892,10 @@ def _max_principle(problem, grid, steps_coarse, value_grid, u, order=1,
     The oracle enumerates steps_coarse blocks of value_grid, the scan
     runs over the same lattice at its winner (with P when second is
     set) and the duality defect of order 1 or 2 puts u on the spike
-    window [0, T/4). When the gate takes the problem with its costs, the
-    oracle's values and u on the window, all comes from per-step
-    scalars: the oracle's channel route, the adjoint vacua by the
-    transposed walk, P from the declared operators and the defect from
-    one Gram walk. Any other problem takes solve_state, first_adjoint,
-    second_adjoint_deterministic, mp_scan and duality_check.
+    window [0, T/4): by _channel.max_principle when the gate takes the
+    problem with its costs, the oracle's values and u on the window,
+    else by first_adjoint, second_adjoint_deterministic, mp_scan and
+    duality_check.
     """
     eps = grid.T / 4.0
     window = spike_window(grid, eps)
@@ -1109,27 +914,12 @@ def _max_principle(problem, grid, steps_coarse, value_grid, u, order=1,
             problem, xbar, u_opt, u, eps, adjoints, order=order
         )
         return u_opt, j_opt, scan.minimum, scan.argmin, dual
-    ch, step_picks, u_sq = exact
-    table, alt = ch.tables
-    q, r, s = ch.weights
-    n = grid.n_steps
-    base = table[np.arange(n), :, step_picks]
-    # An implicit step with dt a = 1 divides by zero, and overflow gives
-    # inf or NaN: both are refused below, not warned about.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        phi, Phi = _channel.adjoint_vacua(grid, ch.coefs, base, ch.x0, q, s)
-    if not (np.isfinite(phi).all() and np.isfinite(Phi).all()):
-        raise FloatingPointError("adjoint became non-finite")
-    lhs = _channel_scan(
-        grid, r, base, u_sq[step_picks], table, u_sq, phi, Phi,
-        _channel_second_adjoint(grid, ch) if second else None,
+    lhs, duality = _channel.max_principle(
+        grid, *exact, window, order, second
     )
     at, minimum = _first_minimum(lhs)
     argmin = {}
     if at is not None:
-        c, k = divmod(at, n)
+        c, k = divmod(at, grid.n_steps)
         argmin = _mp_entry(grid, k, weights[c], minimum)
-    duality = _channel_duality(
-        grid, ch, base, alt[:, :, 0], window, phi, Phi, order
-    )
     return u_opt, j_opt, minimum, argmin, duality

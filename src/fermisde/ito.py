@@ -38,6 +38,8 @@ equal bit for bit to one call per sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -435,10 +437,10 @@ def _isometry_batch(grid, steps):
     # rows in step order are already its integral's canonical rows.
     integral = _Stack(grid.n, path.sample, path.masks, path.amps)
     norm_sq = integral.squares(np.arange(steps.samples))
-    # Python's sum, not a NumPy reduction: from Python 3.12 on it adds
-    # floats with compensation, and S must match the per-process sum.
+    # A left fold, as cli._ito_sample_zero's: NumPy reductions pair, and
+    # the builtin sum compensates floats from Python 3.12 on.
     steps_sq = grid.dt * steps.step_squares(grid.n_steps)
-    total = np.array([sum(row) for row in steps_sq.tolist()])
+    total = np.array([reduce(add, row, 0.0) for row in steps_sq.tolist()])
     return (np.abs(norm_sq - total) / (1.0 + total)).tolist()
 
 

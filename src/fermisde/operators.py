@@ -285,6 +285,29 @@ class GradedScalarOp(ElementOperator):
         return f"GradedScalarOp({self.alpha:g}, {self.beta:g})"
 
 
+def _grade_compose(op):
+    """Grading composed after op; graded-scalar inputs stay closed."""
+    g = op.as_graded_scalar()
+    if g is not None:
+        return GradedScalarOp(g.beta, g.alpha)
+    return ComposeOp([GradingOp(), op])
+
+
+def _second_adjoint_step(p_next, dx, fx, gx, hxx_op, dt):
+    """P_k from P_{k+1}, graded-scalar derivatives and -Lxx at step k."""
+    drift = (
+        (dx.adjoint() @ p_next)
+        + (p_next @ dx)
+        + (
+            (_grade_compose(fx) + gx).adjoint()
+            @ p_next
+            @ (fx + _grade_compose(gx))
+        )
+        + hxx_op
+    )
+    return (p_next + drift.scale(dt)).symmetrized()
+
+
 def op_adjoint(op):
     """Adjoint with respect to <a, b> = m(a* b)."""
     return op.adjoint()

@@ -1127,6 +1127,33 @@ def test_main_honors_output_env_var(tmp_path, monkeypatch, capsys):
 # -- algebra-suite --------------------------------------------------------
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_algebra_suite_sweeps_hoelder_past_the_jw_size(seed, tmp_path):
+    """At n=16, past MAX_MATRIX_GENERATORS, the Hoelder and monotonicity
+    sweep runs on block spectra. Its 120 draws come after the 80 that
+    the other checks read, which keep their bytes, so those residuals
+    are the ones recorded before the sweep ran there."""
+    spec = parse_problem({"grid": {"n_steps": 16}})
+    report = run("algebra-suite", spec, str(tmp_path), seed=seed)
+    body = report["report"]
+    assert report["pass"]
+    assert body["lp_pairs"] == 60
+    assert body["holder_violations"] == body["monotonicity_violations"] == 0
+    assert (
+        body["car_residual"],
+        body["brownian_square_residual"],
+        body["star_grading_pairing_residual"],
+    ) == (0.0, 0.0, 0.0)
+    rng = (cli._rng(seed, cli._BRANCH["algebra-suite"]) for _ in range(2))
+    short, full = (
+        cli._random_elements(r, 16, count).values(0, 80)
+        for r, count in zip(rng, (80, 200))
+    )
+    assert [(a.masks.tobytes(), a.amps.tobytes()) for a in short] == [
+        (a.masks.tobytes(), a.amps.tobytes()) for a in full
+    ]
+
+
 def car_by_products(n):
     """The per-pair reference: worst norm2(g_j g_k + g_k g_j - 2 delta_jk)
     over j <= k from element products."""

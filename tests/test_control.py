@@ -590,7 +590,7 @@ def test_sparse_ladder_reports_the_mass_its_solves_pruned(monkeypatch):
 
 
 def _per_rung_gram_ladder(grid, windows, ch, steps):
-    """Reference for control._gram_ladder: one _channel.gram walk for the
+    """Reference for _channel.ladder: one _channel.gram walk for the
     base path and one more per eps, each rung on its own (xi, y, z)."""
     base, alt = (table[:, :, 0] for table in ch.tables)
     delta = np.zeros_like(base)
@@ -607,7 +607,7 @@ def _per_rung_gram_ladder(grid, windows, ch, steps):
             name: max(
                 float(np.einsum("i,kij,j->k", c, gram, c).real.max()), 0.0
             )
-            for name, c in control._LADDER_SERIES.items()
+            for name, c in _channel.LADDER_SERIES.items()
         })
     return floor, sups
 
@@ -631,7 +631,7 @@ def test_gram_ladder_equals_the_per_rung_walks_bit_for_bit(
     _forbid(monkeypatch, "solve_state", "euler_forward_difference",
             "linear_euler_forward")
     got = variation_ladder(pb, ubar, alt, eps, offset)
-    monkeypatch.setattr(control, "_gram_ladder", _per_rung_gram_ladder)
+    monkeypatch.setattr(_channel, "ladder", _per_rung_gram_ladder)
     want = variation_ladder(pb, ubar, alt, eps, offset)
     assert got == want
     assert not all(got["vacuous"].values())
@@ -924,9 +924,7 @@ def _channel_inputs(pb, grid, ubar):
     n = grid.n_steps
     ch = _channel.gate(pb, grid, (range(n), lambda k: (ubar[k],)), costs=True)
     base = ch.tables[0][:, :, 0]
-    phi, Phi = _channel.adjoint_vacua(
-        grid, ch.coefs, base, vacuum(pb.x0), ch.weights[0], ch.weights[2],
-    )
+    phi, Phi = _channel.adjoint_vacua(grid, ch, base)
     return ch, base, phi, Phi
 
 
@@ -958,9 +956,9 @@ def test_channel_scan_matches_mp_scan_over_unpruned_adjoints(pid, x0):
     ch, base, phi, Phi = _channel_inputs(pb, grid, ubar)
     space = pb.control_space
     cands = [space.element([v]) for v in space.value_grid]
-    pab = control._channel_second_adjoint(grid, ch)
-    lhs = control._channel_scan(
-        grid, ch.weights[1], base,
+    pab = _channel.second_adjoint(grid, ch)
+    lhs = _channel.scan(
+        grid, ch, base,
         np.array([ubar[k].norm2_sq() for k in range(n)]),
         _channel.gate(pb, grid, (range(n), lambda k: cands)).tables[0],
         np.array([c.norm2_sq() for c in cands]), phi, Phi, pab,
@@ -991,7 +989,7 @@ def test_channel_duality_matches_the_unpruned_check(pid, order):
     alt_amps = _channel.gate(
         pb, grid, (range(*window), lambda k: (alt[k],))
     ).tables[0][:, :, 0]
-    got = control._channel_duality(
+    got = _channel.duality(
         grid, ch, base, alt_amps, window, phi, Phi, order
     )
     xbar, adj = _unpruned_adjoints(pb, ubar)

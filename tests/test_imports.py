@@ -1,6 +1,7 @@
 """Every name a library module imports is used there or re-exported,
-every private name the library defines is used somewhere, and every
-layer the benchmark's tracer patches exists.
+every private name the library defines is used somewhere, every layer
+the benchmark's tracer patches exists, and the parity channel sits
+below control and alone reads the declared cost weights.
 
 Parsed with the standard library's ast, so the checks need nothing
 installed. The package __init__ is exempt: its imports are the public
@@ -10,6 +11,7 @@ surface.
 import ast
 import importlib
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -188,3 +190,63 @@ def test_every_traced_layer_resolves():
         if not found:
             missing.append(f"{module}:{attr}")
     assert missing == []
+
+
+def imported_modules(source):
+    """Modules a source imports: ".name" for one of its own package,
+    the top-level name otherwise; __future__ is left out."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                yield "." + node.module.split(".")[0]
+            else:
+                yield from ("." + alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield node.module.split(".")[0]
+
+
+def weights_readers(source):
+    """Lines of a source that touch an attribute named weights."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "weights"
+    )
+
+
+def test_the_structure_checks_see_imports_and_weights():
+    source = (
+        "from __future__ import annotations\nimport os.path\n"
+        "import numpy as np\nfrom . import control\n"
+        "from .operators import x\nfrom itertools import product\n"
+        "q = ch.weights[0]\nweights = 1\nch.weights = weights\n"
+    )
+    assert sorted(imported_modules(source)) == [
+        ".control", ".operators", "itertools", "numpy", "os",
+    ]
+    assert weights_readers(source) == [7, 9]
+
+
+def test_the_channel_imports_only_numpy_and_operators():
+    """control imports _channel, so _channel must not import control: of
+    the package it imports operators alone, and beyond the standard
+    library NumPy alone."""
+    found = set(imported_modules((SRC / "_channel.py").read_text()))
+    assert {m for m in found if m.startswith(".")} == {".operators"}
+    assert {
+        m for m in found
+        if not m.startswith(".") and m not in sys.stdlib_module_names
+    } == {"numpy"}
+
+
+def test_only_the_channel_reads_the_cost_weights():
+    """The gate's Channel.weights, the norm-cost (q, r, s), are read in
+    _channel.py alone."""
+    readers = {
+        path.name: weights_readers(path.read_text())
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "_channel.py"
+    }
+    assert {name: lines for name, lines in readers.items() if lines} == {}
