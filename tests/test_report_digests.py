@@ -80,6 +80,10 @@ CASES = {
     "mp-odd_drift-x1": (
         "max-principle", _mp("odd_drift", 16, control={"x0_scale": 1.0})
     ),
+    # q = 0 with a nonzero state: zero running drive and Hessian.
+    "mp-driverless-x1": (
+        "max-principle", _mp("driverless", 16, control={"x0_scale": 1.0})
+    ),
     "mp-quadratic_drift": (
         "max-principle",
         _mp("quadratic_drift", 6, value_grid=[-0.3, 0.0, 0.3]),
@@ -205,6 +209,12 @@ DIGESTS = {
     "mp-odd_drift-x1": {
         "max_principle.json": "acc350a17d1a74ac9751cd924cb6d17a"
                               "52edcba548f0eb306256da438e4be119",
+    },
+    # oracle_cost 0.5 (the terminal cost alone), mp_min 0.0 and
+    # duality_residual 0.0.
+    "mp-driverless-x1": {
+        "max_principle.json": "f52de939f285135cd43c029605cb9fdf"
+                              "63da5eea07a2e897b21ca04a7babedff",
     },
     "mp-lq_scalar": {
         "max_principle.json": "937d4276cb7cdba634ca2f459ebed227"
