@@ -9,10 +9,12 @@ follow from a few numbers per step, nothing pruned; README (Layout)
 writes the recursions out. Here are the one gate that decides whether a
 problem is a channel, the coefficient table, the source-table rule, the
 walk, its vacua, its transpose, the spike-window source layout and the
-exact control routes on them: ladder, oracle and max_principle. They
-alone read the gate's norm-cost weights (q, r, s) of J = sum_k dt (q
-||x_k||^2 + r ||u_k||^2) + s ||x_n||^2: the adjoint drives are -2s and
--2q dt, P's Hessians -2s and -2q, and the scan reads r.
+exact control routes on them: ladder, oracle and max_principle.
+
+The gate hands the weights (q, r, s) of J = sum_k dt (q ||x_k||^2 + r
+||u_k||^2) + s ||x_n||^2 to its cost rule, _NormCost, which alone reads
+them: oracle sums J, adjoint_vacua and duality take the first adjoint's
+drives -2q dt and -2s, second_adjoint P's Hessians -2q and -2s, scan r.
 """
 
 from __future__ import annotations
@@ -53,18 +55,18 @@ class Channel:
 
     ops holds each step's (A, B, C, uD, uF, uG) in graded-scalar form
     and coefs the coefficient table of its (A, B, C); x0 is the start
-    amplitude, weights the (q, r, s) of declared norm costs (None when L
-    or h declares none) and tables the source tables of the gate's
+    amplitude, cost the _NormCost of its declared norm costs (None when
+    L or h declares none) and tables the source tables of the gate's
     requests, in order.
     """
 
-    __slots__ = ("ops", "coefs", "x0", "weights", "tables")
+    __slots__ = ("ops", "coefs", "x0", "cost", "tables")
 
-    def __init__(self, ops, coefs, x0, weights, tables):
+    def __init__(self, ops, coefs, x0, cost, tables):
         self.ops = ops
         self.coefs = coefs
         self.x0 = x0
-        self.weights = weights
+        self.cost = cost
         self.tables = tables
 
     def spike_layout(self, base, steps, alt, windows, paths, lead=1):
@@ -92,6 +94,29 @@ class Channel:
         starts = np.zeros(table.shape[2], dtype=np.complex128)
         starts[0] = self.x0
         return table, starts
+
+
+class _NormCost:
+    """The cost rule (module docstring) on steps dt: total sums J, and
+    drive (-2q dt, -2s) and hess (-2q, -2s) are (running, terminal)."""
+
+    __slots__ = ("weights", "dt", "r", "drive", "hess")
+
+    def __init__(self, weights, dt):
+        self.weights, self.dt = weights, dt
+        q, self.r, s = weights
+        self.drive = (-2.0 * q * dt, -2.0 * s)
+        self.hess = (-2.0 * q, -2.0 * s)
+
+    def total(self, x_sq, u_sq):
+        """J of paths from their ||x_k||^2, k = 0..n, and ||u_k||^2, k < n
+        (iterables of arrays), summed in step order."""
+        q, r, s = self.weights
+        x_sq, total = iter(x_sq), 0.0
+        # u_sq leads, so zip ends on its end without taking x_n.
+        for u, x in zip(u_sq, x_sq):
+            total += (q * x + r * u) * self.dt
+        return total + s * next(x_sq)
 
 
 def gate(problem, grid, *requests, costs=False):
@@ -122,13 +147,11 @@ def gate(problem, grid, *requests, costs=False):
     if ops is None:
         return None
     table = coefficients(ops)
-    tables = []
-    for steps, at in requests:
-        srcs = sources(table[:, 3:], steps, at)
-        if srcs is None:
-            return None
-        tables.append(srcs)
-    return Channel(ops, table[:, :3], x0, weights, tables)
+    tables = [sources(table[:, 3:], steps, at) for steps, at in requests]
+    if any(srcs is None for srcs in tables):
+        return None
+    cost = None if weights is None else _NormCost(weights, grid.dt)
+    return Channel(ops, table[:, :3], x0, cost, tables)
 
 
 def sources(inject, steps, at):
@@ -245,26 +268,19 @@ def walk(grid, coefs, srcs, x0_amps, pair):
     srcs = iter(srcs)
     for k0 in range(0, n, size):
         k1 = min(k0 + size, n)
-        s_d, s_f, s_g = np.moveaxis(
-            np.array([next(srcs) for _ in range(k0, k1)]), 1, 0
-        )
-        # Vacua e0_k0..e0_k1 of the chunk: e0' = m+ e0 + dt s_D.
-        vac = np.empty((k1 - k0 + 1,) + e0.shape, dtype=np.complex128)
-        vac[0] = e0
-        for i, (m, lift) in enumerate(zip(grow[k0:k1, 0], dt * s_d)):
-            vac[i + 1] = m * vac[i] + lift
+        chunk = np.array([next(srcs) for _ in range(k0, k1)])
+        vac = vacua(grid, coefs[k0:k1], chunk, e0)
         e0 = vac[-1]
+        _, s_f, s_g = np.moveaxis(chunk, 1, 0)
         feed = pair(f_even[k0:k1, None] * vac[:-1] + root * (s_f + s_g))
         # The two-lane recursion, each step's lanes stored in the chunk.
-        evens = np.empty_like(feed)
-        odds = np.empty_like(feed)
+        evens, odds = np.empty_like(feed), np.empty_like(feed)
         for i, k in enumerate(range(k0, k1)):
             g_even, g_odd = (
                 keep_even[k] * g_even + feed_odd[k] * g_odd,
                 keep_odd[k] * g_odd + feed_even[k] * g_even + feed[i],
             )
-            evens[i] = g_even
-            odds[i] = g_odd
+            evens[i], odds[i] = g_even, g_odd
         yield pair(vac[1:]) + evens + odds
 
 
@@ -308,15 +324,15 @@ def norms_sq(grid, coefs, srcs, x0_amps):
         yield from chunk
 
 
-def vacua(grid, coefs, srcs, x0_amp):
-    """Vacua e0_k, k = 0..n_steps, of the solve with (n_steps, 3) sources
-    srcs from start amplitude x0_amp: walk's e0' = m+ e0 + dt s_D."""
-    dt = grid.dt
-    grow = 1.0 + dt * coefs[:, 0, 0]
-    e0 = np.empty(grid.n_steps + 1, dtype=np.complex128)
-    e0[0] = x0_amp
-    for k in range(grid.n_steps):
-        e0[k + 1] = grow[k] * e0[k] + dt * srcs[k, 0]
+def vacua(grid, coefs, srcs, x0_amps):
+    """Vacua e0_0..e0_m of the solves with (m, 3[, K]) sources srcs over
+    coefs' m steps from start amplitudes x0_amps (a scalar or K), by
+    walk's e0' = m+ e0 + dt s_D."""
+    e0 = np.empty((len(srcs) + 1,) + np.shape(x0_amps), dtype=np.complex128)
+    e0[0] = x0_amps
+    lifts = grid.dt * srcs[:, 0]
+    for k, m in enumerate(1.0 + grid.dt * coefs[:, 0, 0]):
+        e0[k + 1] = m * e0[k] + lifts[k]
     return e0
 
 
@@ -324,38 +340,36 @@ def adjoint_vacua(grid, ch, srcs):
     """(vacuum(phi_k) for k <= n_steps, vacuum(Phi_k) for k < n_steps).
 
     The transpose of walk (README, Layout): the adjoint pair that
-    control.first_adjoint solves by the implicit backward step from
-    phi_n = -2s x_n, with running drive -2q dt x_k, along the solve x of
-    ch with (n_steps, 3) sources srcs. O(n_steps) time and memory,
-    nothing pruned; overflow, and the division by zero of a step with
-    dt a = 1, are passed on as in walk.
+    control.first_adjoint solves by the implicit backward step driven by
+    ch.cost.drive, along the solve x of ch with (n_steps, 3) sources
+    srcs. O(n_steps) time and memory, nothing pruned; overflow, and the
+    division by zero of a step with dt a = 1, are passed on as in walk.
     """
-    q, _, s = ch.weights
+    run, end = ch.cost.drive
     n = grid.n_steps
     dt = grid.dt
     root = np.sqrt(dt)
     parity = np.array([1.0, -1.0])
     a, b, c = ch.coefs[:, 0], ch.coefs[:, 1], ch.coefs[:, 2]
-    grow = 1.0 + dt * a
     e0 = vacua(grid, ch.coefs, srcs, ch.x0)
     v = root * ((b[:, 0] + c[:, 0]) * e0[:n] + srcs[:, 1] + srcs[:, 2])
     solve = 1.0 / (1.0 - dt * a.conj())
     back = (parity * b + c).conj()
-    own = (solve * grow).tolist()
+    own = (solve * (1.0 + dt * a)).tolist()
     cross = (dt * parity * solve * (b + parity * c) * back).tolist()
-    drive = (-2.0 * q * dt * solve).tolist()
+    drive = (run * solve).tolist()
     # r_odd[k] = R_{k+1}(-1), the weight of x's row {k} at step k + 1.
     r_odd = [0j] * n
-    even = odd = complex(-2.0 * s)
+    even = odd = complex(end)
     for k in range(n - 1, -1, -1):
         r_odd[k] = odd
         (oe, oo), (ce, co), (de, do) = own[k], cross[k], drive[k]
         even, odd = oe * even + ce * odd + de, oo * odd + co * even + do
     Phi = v * np.array(r_odd, dtype=np.complex128) / root
-    feed = (dt * back[:, 0] * Phi - 2.0 * q * dt * e0[:n]).tolist()
+    feed = (dt * back[:, 0] * Phi + run * e0[:n]).tolist()
     step = solve[:, 0].tolist()
     phi = [0j] * (n + 1)
-    phi[n] = complex(-2.0 * s * e0[n])
+    phi[n] = complex(end * e0[n])
     for k in range(n - 1, -1, -1):
         phi[k] = step[k] * (phi[k + 1] + feed[k])
     return np.array(phi, dtype=np.complex128), Phi
@@ -399,7 +413,6 @@ def oracle(grid, ch, bounds, values):
     i_1, ...) unravels c in itertools.product order, and ties keep the
     earliest. Memory is O(K blocks + n_steps V) for K candidates.
     """
-    q, r, s = ch.weights
     table = ch.tables[0]
     n = grid.n_steps
     blocks = len(bounds) - 1
@@ -413,16 +426,11 @@ def oracle(grid, ch, bounds, values):
         (table[k][:, step_picks[k]] for k in range(n)),
         np.full(count, ch.x0),
     )
-    total = np.zeros(count)
-    # The walk runs lazily inside this loop; an overflowing candidate
-    # turns into inf or NaN there and is refused below, not warned about.
+    # The walk runs lazily inside total; an overflowing candidate turns
+    # into inf or NaN there and is refused below, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         u_sq = np.array([value.norm2_sq() for value in values])
-        for k, x_sq in enumerate(norms):
-            if k < n:
-                total += (q * x_sq + r * u_sq[step_picks[k]]) * grid.dt
-            else:
-                total = total + s * x_sq
+        total = ch.cost.total(norms, (u_sq[p] for p in step_picks))
     if not np.isfinite(total).all():
         raise FloatingPointError(
             f"state or cost became non-finite for "
@@ -434,19 +442,12 @@ def oracle(grid, ch, bounds, values):
 
 def second_adjoint(grid, ch):
     """alpha + beta of P_0..P_{n-1}: control.second_adjoint_deterministic's
-    recursion on ch's operators, with Hessians -2s and -2q."""
-    q, _, s = ch.weights
-    # With the signed zeros of control's route through BilinearMap.
-    p_next, hxx_op = (
-        GradedScalarOp(2.0 * w, 0.0).scale(-1.0) if w
-        else GradedScalarOp(0.0, 0.0) for w in (s, q)
-    )
+    recursion on ch's operators, with Hessians ch.cost.hess."""
+    hxx_op, p_next = (GradedScalarOp(w, 0) for w in ch.cost.hess)
     p_next = p_next.symmetrized()
     out = np.empty(grid.n_steps, dtype=np.complex128)
     for k in range(grid.n_steps - 1, -1, -1):
-        p_next = _second_adjoint_step(
-            p_next, *ch.ops[k][:3], hxx_op, grid.dt
-        )
+        p_next = _second_adjoint_step(p_next, *ch.ops[k][:3], hxx_op, grid.dt)
         out[k] = p_next.alpha + p_next.beta
     return out
 
@@ -462,14 +463,13 @@ def scan(grid, ch, base, base_sq, cands, cand_sq, phi, Phi, pab=None):
     difference) and the quadratic term with pab, the alpha + beta of
     P_k (None without P).
     """
-    r = ch.weights[1]
     n = grid.n_steps
     delta = (cands - base[:, :, None]).transpose(1, 2, 0)
     noise = delta[1] + delta[2]
     lhs = (
         -(phi[:n].conj() * delta[0]).real
         - (Phi.conj() * noise).real
-        + r * (cand_sq[:, None] - base_sq[None, :])
+        + ch.cost.r * (cand_sq[:, None] - base_sq[None, :])
     )
     moved = (delta[1] != 0) | (delta[2] != 0)
     if moved.any():
@@ -485,11 +485,10 @@ def duality(grid, ch, base, alt, window, phi, Phi, order):
 
     base is ubar's (n_steps, 3) source amplitudes and alt u's on the
     spike window (k0, k1): y takes the noise differences, z (order 2)
-    the drift one. The terminal pairing is -2s <xbar_n, path_n> and the
-    running one 2q dt <xbar_k, path_k>; the spike sources pair with the
-    vacua.
+    the drift one. The paths pair with xbar by ch.cost.drive and the
+    spike sources with the vacua.
     """
-    q, _, s = ch.weights
+    run, end = ch.cost.drive
     n = grid.n_steps
     dt = grid.dt
     k0, k1 = window
@@ -499,8 +498,8 @@ def duality(grid, ch, base, alt, window, phi, Phi, order):
     pairs = gram(grid, ch.coefs, table, starts, block=len(starts))
     cross = pairs[:, 0, 0, 1:].sum(axis=1)
     delta = alt - base[k0:k1]
-    lhs = -2.0 * s * cross[n]
-    rhs = 2.0 * q * dt * cross[:n].sum() + dt * np.sum(
+    lhs = end * cross[n]
+    rhs = -run * cross[:n].sum() + dt * np.sum(
         Phi[k0:k1].conj() * (delta[:, 1] + delta[:, 2])
     )
     if order == 2:

@@ -13,10 +13,10 @@ state. The necessary-condition machinery built here follows one chain:
 
 This is the element route, the tests' reference; on a parity channel
 the ladder, oracle and max-principle take _channel's exact routes,
-which alone read the norm-cost weights. Derivative rules are supplied,
-not differenced; numeric_frechet cross-checks them in the tests. Checks
-report numbers (residuals, slopes, minima) rather than asserting, so
-the calling test or report decides pass/fail at its own tolerance.
+whose cost rule alone reads the norm-cost weights. Derivative rules
+are supplied, not differenced; numeric_frechet cross-checks them in
+the tests. Checks report numbers (residuals, slopes, minima), not
+asserts: the calling test or report decides at its own tolerance.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ class RunningNormCost:
     """Running cost L(k, x, u) = q ||x||^2 + r ||u||^2 with its weights.
 
     grad and hess are the state derivatives Lx and Lxx. The weights
-    declare the cost's structure to _channel.gate, whose exact routes
-    alone read them.
+    declare the cost's structure to _channel.gate, whose cost rule
+    alone reads them.
     """
 
     q: float

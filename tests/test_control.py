@@ -157,8 +157,8 @@ def test_default_costs_are_declared_zero_weights():
     bare = ControlProblem(pb.coeffs, pb.control_space, pb.x0)
     assert bare.L == RunningNormCost(0.0, 0.0)
     assert bare.h == TerminalNormCost(0.0)
-    assert _channel.gate(bare, grid).weights == (0.0, 0.0, 0.0)
-    assert _channel.gate(_plain_costs(pb), grid).weights is None
+    assert _channel.gate(bare, grid).cost.weights == (0.0, 0.0, 0.0)
+    assert _channel.gate(_plain_costs(pb), grid).cost is None
     with pytest.raises(dataclasses.FrozenInstanceError):
         pb.L.grad = lambda k, x, u: x
 

@@ -1,7 +1,8 @@
 """Every name a library module imports is used there or re-exported,
 every private name the library defines is used somewhere, every layer
 the benchmark's tracer patches exists, and the parity channel sits
-below control and alone reads the declared cost weights.
+below control and reads the declared cost weights in its cost rule
+alone.
 
 Parsed with the standard library's ast, so the checks need nothing
 installed. The package __init__ is exempt: its imports are the public
@@ -207,12 +208,23 @@ def imported_modules(source):
             yield node.module.split(".")[0]
 
 
-def weights_readers(source):
-    """Lines of a source that touch an attribute named weights."""
+def weights_readers(tree):
+    """Lines of a syntax tree that touch an attribute named weights."""
     return sorted(
         node.lineno
-        for node in ast.walk(ast.parse(source))
+        for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr == "weights"
+    )
+
+
+def weights_reading_definitions(source):
+    """Top-level functions and classes of a source that touch an
+    attribute named weights."""
+    return sorted(
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and weights_readers(node)
     )
 
 
@@ -222,11 +234,15 @@ def test_the_structure_checks_see_imports_and_weights():
         "import numpy as np\nfrom . import control\n"
         "from .operators import x\nfrom itertools import product\n"
         "q = ch.weights[0]\nweights = 1\nch.weights = weights\n"
+        "def f(ch):\n    return ch.weights\n"
+        "def g(weights):\n    return weights\n"
+        "class K:\n    def m(self):\n        self.weights = 1\n"
     )
     assert sorted(imported_modules(source)) == [
         ".control", ".operators", "itertools", "numpy", "os",
     ]
-    assert weights_readers(source) == [7, 9]
+    assert weights_readers(ast.parse(source)) == [7, 9, 11, 16]
+    assert weights_reading_definitions(source) == ["K", "f"]
 
 
 def test_the_channel_imports_only_numpy_and_operators():
@@ -242,11 +258,14 @@ def test_the_channel_imports_only_numpy_and_operators():
 
 
 def test_only_the_channel_reads_the_cost_weights():
-    """The gate's Channel.weights, the norm-cost (q, r, s), are read in
-    _channel.py alone."""
+    """The norm-cost weights (q, r, s) are read in _channel.py alone, and
+    there by its cost rule alone: the consumers of J, the adjoint drives,
+    P's Hessians and r read what the rule derived."""
     readers = {
-        path.name: weights_readers(path.read_text())
+        path.name: weights_readers(ast.parse(path.read_text()))
         for path in sorted(SRC.glob("*.py"))
         if path.name != "_channel.py"
     }
     assert {name: lines for name, lines in readers.items() if lines} == {}
+    channel = (SRC / "_channel.py").read_text()
+    assert weights_reading_definitions(channel) == ["_NormCost"]

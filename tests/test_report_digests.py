@@ -80,7 +80,9 @@ CASES = {
     "mp-odd_drift-x1": (
         "max-principle", _mp("odd_drift", 16, control={"x0_scale": 1.0})
     ),
-    # q = 0 with a nonzero state: zero running drive and Hessian.
+    # q = 0 with a nonzero state: zero running drive and Hessian. The
+    # catalog's driverless already starts at x0_scale 1, so only the
+    # spec echo tells this report from mp-driverless.
     "mp-driverless-x1": (
         "max-principle", _mp("driverless", 16, control={"x0_scale": 1.0})
     ),
