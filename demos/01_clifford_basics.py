@@ -42,9 +42,8 @@ a = random_element(rng, n)
 b = random_element(rng, n)
 print("<a, b>            =", pairing(a, b))
 print("conj <b, a>       =", np.conj(pairing(b, a)))
-rep = jw_rep(n)
 for p in (1.0, 2.0, np.inf):
-    print(f"||a||_{p:<3} =", lp_norm(a, p, rep))
+    print(f"||a||_{p:<3} =", lp_norm(a, p))
 
 print("\n== conditional expectation ==")
 word = g[0] * g[1] * g[4]
@@ -55,6 +54,7 @@ print("idempotent residual     =", norm2(cond_expect(proj, 3) - proj))
 print("orthogonality <a-Ea,Ea> =", abs(pairing(a - proj, proj)))
 
 print("\n== matrix cross-check ==")
+rep = jw_rep(n)
 ma, mb = rep.matrix(a), rep.matrix(b)
 print("|rep(a b) - rep(a) rep(b)|_max =", np.abs(rep.matrix(a * b) - ma @ mb).max())
 print("trace state equals vacuum      =", abs(np.trace(ma) / rep.d - a.vacuum()))

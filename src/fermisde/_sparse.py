@@ -127,14 +127,9 @@ def lexsort_rows(
 def canonicalize(
     masks: np.ndarray,
     amps: np.ndarray,
-    presorted: bool = False,
-    tol: float = 0.0,
     seg: np.ndarray | None = None,
 ):
-    """Sort rows, merge duplicates, drop zero amplitudes.
-
-    tol > 0 additionally drops rows with |amp| <= tol * max|amp|; the default
-    keeps everything that is not exactly zero.
+    """Sort rows, merge duplicates, drop exactly-zero amplitudes.
 
     With seg, the rows are a stacked array: they sort by seg first, merge
     only within a step, and (masks, amps, seg) is returned. The sort is
@@ -144,12 +139,11 @@ def canonicalize(
         out = (masks.reshape(0, masks.shape[1]),
                amps[:0].astype(np.complex128))
         return out if seg is None else out + (seg[:0],)
-    if not presorted:
-        order = lexsort_rows(masks, seg)
-        masks = masks[order]
-        amps = amps[order]
-        if seg is not None:
-            seg = seg[order]
+    order = lexsort_rows(masks, seg)
+    masks = masks[order]
+    amps = amps[order]
+    if seg is not None:
+        seg = seg[order]
     if masks.shape[0] > 1:
         differs = np.any(masks[1:] != masks[:-1], axis=1)
         if seg is not None:
@@ -160,11 +154,7 @@ def canonicalize(
             masks = masks[starts]
             if seg is not None:
                 seg = seg[starts]
-    mags = np.abs(amps)
-    if tol > 0.0 and mags.size:
-        keep = mags > tol * mags.max()
-    else:
-        keep = amps != 0
+    keep = amps != 0
     if not keep.all():
         masks = masks[keep]
         amps = amps[keep]
@@ -315,12 +305,15 @@ def require_product(ma: int, mb: int) -> None:
         )
 
 
+# Rows of a that mul_full pairs with all of b per pass.
+_MUL_CHUNK = 512
+
+
 def mul_full(
     masks_a: np.ndarray,
     amps_a: np.ndarray,
     masks_b: np.ndarray,
     amps_b: np.ndarray,
-    chunk: int = 512,
 ) -> tuple[np.ndarray, np.ndarray]:
     """General signed product, canonical output."""
     ma, w = masks_a.shape
@@ -331,8 +324,8 @@ def mul_full(
     pieces_m = []
     pieces_a = []
     prefix_b = prefix_parity(masks_b)
-    for start in range(0, ma, chunk):
-        sl = slice(start, min(start + chunk, ma))
+    for start in range(0, ma, _MUL_CHUNK):
+        sl = slice(start, min(start + _MUL_CHUNK, ma))
         sub = masks_a[sl]
         par = pair_parity(sub, masks_b, prefix_b)
         signs = np.where(par == 1, -1.0, 1.0)

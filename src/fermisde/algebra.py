@@ -11,11 +11,12 @@ the basis monomials are orthonormal for the pairing <a, b> = m(a* b). All
 arithmetic here is exact up to float rounding: products are signed XORs of
 index sets, no matrix representation is involved.
 
-A faithful matrix representation (Jordan-Wigner, Pauli strings on
-ceil(n/2) qubits) is available separately for spectral quantities such as
-L^p norms with p != 2. For one element, the representation of the algebra
-its monomials generate gives the same spectral distribution from blocks
-of at most 2^7 x 2^7 (_block_singular_values).
+Spectral quantities such as L^p norms with p != 2 are read off one
+element's blocks: the representation of the algebra its monomials
+generate, at most 2^7 x 2^7 each, with the spectral distribution of any
+faithful trace-preserving image (singular_values, lp_norm). The
+Jordan-Wigner representation (MatrixRep, Pauli strings on ceil(n/2)
+qubits) stays as the dense reference for n <= MAX_MATRIX_GENERATORS.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ __all__ = [
     "singular_values",
 ]
 
-# Largest n for which the matrix representation is built at all. Beyond
-# this, p != 2 norms are refused rather than silently approximated.
+# Largest n for which the Jordan-Wigner matrices are built, and largest
+# rank of the span of an element's masks for which its block spectrum is:
+# beyond it, p != 2 norms are refused rather than silently approximated.
 MAX_MATRIX_GENERATORS = 14
 
 
@@ -59,7 +61,7 @@ class CliffordElement:
 
     __slots__ = ("n", "masks", "amps")
 
-    def __init__(self, n, masks, amps, presorted=False, tol=0.0):
+    def __init__(self, n, masks, amps):
         if n < 0:
             raise ValueError("number of generators must be nonnegative")
         w = sp.words_for(n)
@@ -71,7 +73,7 @@ class CliffordElement:
             stray = masks & ~sp.below_row(n, w)[None, :]
             if stray.any():
                 raise ValueError(f"mask uses generators beyond n={n}")
-        masks, amps = sp.canonicalize(masks, amps, presorted=presorted, tol=tol)
+        masks, amps = sp.canonicalize(masks, amps)
         masks.setflags(write=False)
         amps.setflags(write=False)
         object.__setattr__(self, "n", n)
@@ -467,17 +469,6 @@ def jw_rep(n):
     return rep
 
 
-def singular_values(a, rep=None):
-    """Singular values of the matrix image of a, largest first.
-
-    Without a rep this builds the cached Jordan-Wigner representation,
-    which is refused above MAX_MATRIX_GENERATORS generators.
-    """
-    if rep is None:
-        rep = jw_rep(a.n)
-    return np.linalg.svd(rep.matrix(a), compute_uv=False)
-
-
 def _symplectic_basis(vecs):
     """Symplectic Gram-Schmidt over GF(2) for the commutation form omega
     of monomials given as int masks: omega(u, v) = (|u| |v| + |u & v|)
@@ -536,17 +527,10 @@ def _coordinates(basis, vecs):
     return out
 
 
-def _block_singular_values(a):
-    """Singular values of a in the algebra its monomials generate, largest
-    first: the singular values of its blocks (_block_stacks)."""
-    return _sorted_down(
-        np.linalg.svd(_block_stacks([a])[0], compute_uv=False)
-    )
-
-
 def _block_spectra(elements):
-    """[_block_singular_values(a) for a in elements], with one SVD call
-    per block shape (_per_shape)."""
+    """Per element, the singular values of its blocks (_block_stacks),
+    largest first, with one SVD call per block shape (_per_shape). Each
+    element's spectrum has the bits it has in a batch of one."""
     return [
         _sorted_down(s)
         for s in _per_shape(
@@ -610,11 +594,12 @@ def _power_means(arrays, p):
 
 
 def _lp_norms(elements, ps):
-    """[[_spectral_lp(a, _block_singular_values(a), p) for p in ps] for a
-    in elements], bit for bit: one SVD call per block shape
+    """Per element a, [lp_norm(a, p) for p in ps]: p = 2 exact from the
+    pairing, p = inf the largest block singular value s, and other p
+    float(np.mean(s**p)) ** (1 / p). One SVD call per block shape
     (_block_spectra), then per p one ** for the spectra of each length
-    (_power_means). The root is a Python float's **, libm's pow, as on
-    the NumPy scalar _spectral_lp roots."""
+    (_power_means); the root is a Python float's **, libm's pow. Each
+    element's norms have the bits they have in a batch of one."""
     spectra = _block_spectra(elements) if any(p != 2 for p in ps) else None
     columns = []
     for p in ps:
@@ -678,7 +663,7 @@ def _block_groups(elements):
     each of 2^c sectors is a *-representation of that algebra whose
     normalized trace is the vacuum, so its 2^c blocks of 2^m x 2^m carry
     the same spectral distribution as the Jordan-Wigner image: the mean
-    of s^p and the maximum agree, and _spectral_lp reads them unchanged.
+    of s^p and the maximum agree, and L^p norms read them unchanged.
     The blocks hold 2^r entries, and r above MAX_MATRIX_GENERATORS is
     refused. Each entry sums its terms in term order, as one element's
     own build does, so an element's blocks do not depend on the others.
@@ -774,33 +759,25 @@ def _scatter(blocks, owner, x, z, s_bits, phase):
     flat.imag = np.bincount(where, weights.imag.ravel(), flat.size)
 
 
-def _spectral_lp(a, s, p):
-    """L^p norm of a read off its singular values s; p = 2 stays exact
-    from the pairing and does not read s."""
-    if p == 2:
-        return norm2(a)
-    if p == np.inf:
-        return float(s[0]) if s.size else 0.0
-    return float(np.mean(s**p) ** (1.0 / p))
+def singular_values(a):
+    """Singular values of a in the algebra its monomials generate, largest
+    first: the singular values of its blocks (_block_groups), whose mean
+    of s^p and maximum are those of any faithful trace-preserving image.
+    A span of rank above MAX_MATRIX_GENERATORS is refused."""
+    return _block_spectra([a])[0]
 
 
-def lp_norm(a, p, rep=None):
+def lp_norm(a, p):
     """Noncommutative L^p norm, (m(|a|^p))^(1/p), p in [1, inf].
 
-    p = 2 is exact from the pairing. Other p use singular values in the
-    matrix representation and are limited to small n. To read several p
-    off one element, take singular_values once.
+    p = 2 is exact from the pairing. Other p read the block spectrum
+    (singular_values), refused for a span of rank above
+    MAX_MATRIX_GENERATORS. This is the one-element case of the reports'
+    batch (_lp_norms), so a report's norm of a has these bits.
     """
-    if p == 2:
-        return norm2(a)
     if not (p >= 1):
         raise ValueError("p must be at least 1")
-    if rep is None and a.n > MAX_MATRIX_GENERATORS:
-        raise ValueError(
-            f"L^{p} norm needs the matrix route, refused for n={a.n} "
-            f"(> {MAX_MATRIX_GENERATORS}); p=2 is available exactly"
-        )
-    return _spectral_lp(a, singular_values(a, rep), p)
+    return _lp_norms([a], [p])[0][0]
 
 
 def random_element(rng, n, n_terms=8, max_generator=None, real=False):

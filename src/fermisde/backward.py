@@ -435,26 +435,34 @@ def _pair_distance(grid, y_a, Y_a, y_b, Y_b):
     return sup + np.sqrt(agg)
 
 
-def _one_step_window_sweeps(rate, dt, T, scale, tol=PICARD_TOL):
+def _one_step_window_sweeps(a, n_steps, T, scale, tol=PICARD_TOL):
     """Sweeps a one-step Picard window takes to settle under a scalar
-    driver a with |a| = rate, on a grid of step dt and horizon T, for
-    terminal data of 2-norm scale; inf when one step does not contract
-    (rate dt >= 1).
+    driver a, on a grid of n_steps steps over horizon T, for terminal
+    data of 2-norm scale; inf when one step does not contract
+    (|a| dt >= 1).
 
     Frozen on y_k, a sweep of a one-step window sets
-    y_k = E[y_{k+1} | C_k] - a dt y_k, so each move of y_k is rate dt
+    y_k = E[y_{k+1} | C_k] - a dt y_k, so each move of y_k is |a| dt
     times the one before, and the window settles at the first sweep J
-    with rate T (rate dt)^(J - 1) D_1 <= tol (solve_picard's test on the
-    driver values), D_1 its first move. D_1 is taken to be scale, which
-    bounds the solution when Re a >= 0.
+    with |a| T (|a| dt)^(J - 1) D_1 <= tol (solve_picard's test on the
+    driver values), D_1 its first move. D_1 is taken to be the bound on
+    the solution: scale when |1 + a dt| >= 1, as for Re a >= 0, and
+    scale |1 + a dt|^-n_steps when the implicit step's division by
+    |1 + a dt| < 1 grows it.
     """
+    rate = abs(a)
+    dt = T / n_steps
     first = rate * T * scale
-    if first <= tol:
+    if first == 0.0:
+        return 1
+    shrink = abs(1 + a * dt)
+    grow = n_steps * max(0.0, -math.log(shrink)) if shrink else math.inf
+    if math.log(first) + grow <= math.log(tol):
         return 1
     q = rate * dt
     if q >= 1.0:
         return math.inf
-    return 1 + math.ceil(math.log(tol / first) / math.log(q))
+    return 1 + math.ceil((math.log(tol / first) - grow) / math.log(q))
 
 
 def solve_picard(driver, grid, yT, max_iter=PICARD_MAX_ITER, tol=PICARD_TOL,

@@ -819,12 +819,14 @@ def _bqsde_plan(spec):
             ))])
         terminal = inline.get("terminal")
         scale = 1.0 if terminal is None else norm2(terminal)
-        need = _one_step_window_sweeps(rate, grid.dt, spec.T, scale)
+        need = _one_step_window_sweeps(
+            scalar.alpha, grid.n_steps, spec.T, scale
+        )
         if need > PICARD_MAX_ITER:
             least = next(
                 m for m in range(grid.n_steps + 1, MAX_GRID_STEPS + 2)
                 if m > MAX_GRID_STEPS or _one_step_window_sweeps(
-                    rate, spec.T / m, spec.T, scale
+                    scalar.alpha, m, spec.T, scale
                 ) <= PICARD_MAX_ITER
             )
             raise SpecError([("/grid/n_steps", (
@@ -1113,6 +1115,8 @@ def run(subcommand, spec, out_dir, seed=0):
             f"unknown subcommand {subcommand!r}; "
             f"choose from {', '.join(SUBCOMMANDS)}"
         )
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     os.makedirs(out_dir, exist_ok=True)
     timings = {}
     tables = {}
@@ -1171,6 +1175,16 @@ def _run_one(name, spec, seed):
     return result, {}
 
 
+def _seed(text):
+    """--seed's value. One that is not a nonnegative integer is refused
+    by argparse (exit 2, naming --seed) before anything runs."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be a nonnegative integer, got {text!r}"
+        )
+    return int(text)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="fermisde",
@@ -1189,7 +1203,7 @@ def main(argv=None):
             default=os.environ.get(OUT_ENV, "fermisde_out"),
             help=f"output directory (default ${OUT_ENV} or ./fermisde_out)",
         )
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
     sub.add_parser("catalog", help="list built-in problems as JSON")
     args = parser.parse_args(argv)
 

@@ -265,15 +265,15 @@ def test_one_step_window_sweeps_bound_solve_picards_count(T):
     out, and otherwise bound the window's own count."""
     grid = TimeGrid(T, 1)
     yT = CliffordElement.identity(1)
-    need = _one_step_window_sweeps(1.0, grid.dt, grid.T, 1.0)
+    need = _one_step_window_sweeps(1.0, 1, grid.T, 1.0)
     if need > PICARD_MAX_ITER:
         with pytest.raises(RuntimeError, match="exceeded 200 sweeps"):
             solve_picard(scalar_driver(1.0), grid, yT)
     else:
         path, _ = solve_picard(scalar_driver(1.0), grid, yT)
         assert max(path.diagnostics["window_sweeps"]) <= need
-    assert _one_step_window_sweeps(1.0, 1.0, 1.0, 1.0) == np.inf
-    assert _one_step_window_sweeps(2.0, 0.1, 1.0, 0.0) == 1
+    assert _one_step_window_sweeps(1.0, 1, 1.0, 1.0) == np.inf
+    assert _one_step_window_sweeps(2.0, 10, 1.0, 0.0) == 1
 
 
 # -- the one-pass Picard sweep against the per-step loop ------------------

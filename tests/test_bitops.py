@@ -128,14 +128,6 @@ def test_canonicalize_merges_and_drops():
     assert sp.decode_mask(out_m[0]) < sp.decode_mask(out_m[1])
 
 
-def test_canonicalize_relative_tol():
-    masks = np.stack([sp.encode_mask(v, 1) for v in [1, 2]])
-    amps = np.array([1.0, 1e-14], dtype=complex)
-    out_m, out_a = sp.canonicalize(masks, amps, tol=1e-10)
-    assert out_m.shape[0] == 1
-    assert sp.decode_mask(out_m[0]) == 1
-
-
 def test_prune_keep_budget_semantics():
     amps = np.array([1.0, 1e-9, 0.5, 1e-9], dtype=complex)
     keep, dropped = sp.prune_keep(amps, 1e-6)

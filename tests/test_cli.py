@@ -997,8 +997,83 @@ def test_main_bqsde_gives_each_picard_window_its_own_budget(
         assert report["picard_sweeps"] > 200
 
 
+@pytest.mark.parametrize("grid,code", [
+    ({"n_steps": 3, "T": 2.65}, 2),
+    ({"n_steps": 4, "T": 3.45}, 2),
+    ({"n_steps": 4, "T": 2.65}, 0),
+    ({"n_steps": 3, "T": 2.4}, 0),
+])
+def test_main_bqsde_bounds_a_growing_drivers_first_move(
+    monkeypatch, tmp_path, capsys, grid, code
+):
+    """Under a = -1 the implicit step divides by |1 + a dt| < 1, so the
+    solution, and a one-step window's first move, grow by
+    |1 + a dt|^-n_steps. n_steps=3 at T=2.65 and n_steps=4 at T=3.45
+    were predicted to settle in 195 and 166 sweeps, ran past 200 and
+    exited 3. They are refused at /grid/n_steps before any solve; the
+    n_steps the refusal names runs, each window within the prediction."""
+    if code == 2:
+        for name in ("solve_stepwise", "solve_picard"):
+            monkeypatch.setattr(cli, name, _refuse_solve)
+    out = tmp_path / "bq"
+    spec = {"grid": grid, "inline": {"driver": {"scalar": -1.0}}}
+    assert main(["bqsde", "--spec", json.dumps(spec), "--out", str(out)]) \
+        == code
+    err = capsys.readouterr().err
+    assert (out / "bqsde.json").exists() == (code == 0)
+    if code == 2:
+        assert "/grid/n_steps" in err
+        assert "more than the 200 a window may take" in err
+        return
+    report = json.loads((out / "bqsde.json").read_text())["report"]
+    assert report["pass"]
+    need = backward._one_step_window_sweeps(
+        -1.0, grid["n_steps"], grid["T"], 1.0
+    )
+    assert max(report["picard_diagnostics"]["window_sweeps"]) <= need
+
+
+@pytest.mark.parametrize("a,n_steps,T,need", [
+    (1.0, 256, 1.0, 6),
+    (1.0, 64, 16.0, 20),
+    (1.0, 16, 14.2, 217),
+    (1.0, 1, 0.89, 198),
+    (0.5, 7, 3.5, 19),
+    (2j, 8, 3.0, 88),
+])
+def test_one_step_window_sweeps_keep_their_values_for_a_nonnegative(
+    a, n_steps, T, need
+):
+    """|1 + a dt| >= 1 grows nothing, so the predictions for Re a >= 0,
+    the benchmark's bqsde at n=256 among them, are the ones made with
+    the first move taken to be the terminal's norm."""
+    assert backward._one_step_window_sweeps(a, n_steps, T, 1.0) == need
+
+
 def _refuse_solve(*args, **kwargs):
     raise AssertionError("a refused spec reached a solve")
+
+
+@pytest.mark.parametrize("command", ["forward", "bqsde", "all"])
+def test_main_refuses_a_negative_seed_before_writing(
+    command, tmp_path, capsys
+):
+    """--seed -1 used to reach NumPy and exit 3 with "expected
+    non-negative integer", even for forward, which draws nothing. It is
+    bad input: argparse exits 2 naming --seed, and nothing is written."""
+    out = tmp_path / "neg"
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--seed", "-1", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_refuses_a_negative_seed_before_writing(tmp_path):
+    out = tmp_path / "neg"
+    with pytest.raises(ValueError, match="seed must be a nonnegative"):
+        run("forward", parse_problem({}), str(out), seed=-1)
+    assert not out.exists()
 
 
 def test_main_ladder_offset_past_the_horizon_exit_two(tmp_path, capsys):

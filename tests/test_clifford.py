@@ -17,12 +17,10 @@ from fermisde.algebra import (
     MAX_MATRIX_GENERATORS,
     CliffordElement,
     MatrixRep,
-    _block_singular_values,
     _block_spectra,
     _block_stacks,
     _lp_norms,
     _random_rows,
-    _spectral_lp,
     _Stack,
     _symplectic_basis,
     adjoint,
@@ -367,30 +365,48 @@ def test_holder_inequality_sampled():
             assert lhs <= lp_norm(a, p) * lp_norm(b, q) + 1e-10
 
 
+def block_svd(a):
+    """The singular values of a's blocks, largest first."""
+    s = np.linalg.svd(_block_stacks([a])[0], compute_uv=False)
+    return np.sort(s.ravel())[::-1]
+
+
 def test_singular_values_match_the_gram_eigenvalues():
+    """singular_values is the SVD of a's blocks bit for bit, matches the
+    square roots of their Gram eigenvalues, and carries the spectral
+    distribution of the JW image."""
     rng = np.random.default_rng(12)
     for n in (1, 6, 9):
         a = rand_elem(rng, n, terms=12)
-        m = jw_rep(n).matrix(a)
-        ref = np.sqrt(np.clip(np.linalg.eigvalsh(m.conj().T @ m), 0, None))
+        blocks = _block_stacks([a])[0]
+        gram = np.swapaxes(blocks, 1, 2).conj() @ blocks
+        ref = np.sort(np.sqrt(np.clip(
+            np.linalg.eigvalsh(gram).ravel(), 0, None
+        )))
         s = singular_values(a)
+        assert s.tobytes() == block_svd(a).tobytes()
         assert s.shape == ref.shape
         assert np.allclose(s, ref[::-1], rtol=0.0, atol=1e-12 * ref.max())
+        assert_block_spectrum_matches_jw(a)
 
 
 def test_lp_norm_equals_the_svd_formula_bit_for_bit():
+    """lp_norm is the L^p formula on the block spectrum bit for bit, and
+    that spectrum has the means of s^p and the maximum of the JW
+    image's."""
     rng = np.random.default_rng(13)
     for n in (4, 8):
         a = rand_elem(rng, n, terms=10)
-        s = np.linalg.svd(jw_rep(n).matrix(a), compute_uv=False)
+        s = block_svd(a)
         for p in P_CHOICES:
             if p == 2:
                 ref = norm2(a)
             elif p == np.inf:
                 ref = float(s[0])
             else:
-                ref = float(np.mean(s**p) ** (1.0 / p))
+                ref = float(np.mean(s**p)) ** (1.0 / p)
             assert lp_norm(a, p) == ref
+        assert_block_spectrum_matches_jw(a)
 
 
 def test_algebra_suite_takes_one_svd_per_block_shape(monkeypatch, tmp_path):
@@ -565,8 +581,8 @@ def test_bulk_decoded_blocks_equal_the_per_row_decode(n):
 @pytest.mark.parametrize("n", range(1, 15))
 def test_lp_norms_equal_spectral_lp_bit_for_bit(n):
     """Every L^p norm of _lp_norms, read per block shape and p, has the
-    bits of _spectral_lp on the element's own _block_singular_values,
-    for the algebra suite's draws and elements of many ranks."""
+    bits of lp_norm on the element alone, for the algebra suite's draws
+    and elements of many ranks."""
     for seed in range(4):
         rng = np.random.default_rng([90, n, seed])
         elements = [zero(n), CliffordElement.scalar(n, 0.5 + 2j)]
@@ -576,8 +592,7 @@ def test_lp_norms_equal_spectral_lp_bit_for_bit(n):
         got = _lp_norms(elements, P_CHOICES)
         assert len(got) == len(elements)
         for a, row in zip(elements, got):
-            s = _block_singular_values(a)
-            want = [_spectral_lp(a, s, p) for p in P_CHOICES]
+            want = [lp_norm(a, p) for p in P_CHOICES]
             assert [np.float64(x).tobytes() for x in row] == [
                 np.float64(x).tobytes() for x in want
             ]
@@ -630,7 +645,7 @@ def test_stacked_pair_products_and_vacua_equal_each_pair():
 
 def test_stacked_block_spectra_equal_each_element_alone():
     """One SVD per block shape gives every element the bits of its own
-    _block_singular_values, with the zero element, an element whose span
+    singular_values, with the zero element, an element whose span
     is all central, scalars and random elements of several ranks mixed."""
     rng = np.random.default_rng(44)
     central = CliffordElement.from_terms(
@@ -643,20 +658,36 @@ def test_stacked_block_spectra_equal_each_element_alone():
     elements += [zero(14), central]
     got = _block_spectra(elements)
     for a, s in zip(elements, got):
-        want = _block_singular_values(a)
+        want = singular_values(a)
         assert s.shape == want.shape
         assert s.tobytes() == want.tobytes()
     assert len({b.shape[1:] for b in _block_stacks(elements)}) > 2
 
 
 def test_large_n_refuses_matrix_norms_but_not_p2():
+    """Past MAX_MATRIX_GENERATORS generators, a span of full rank is
+    refused every p but 2, while a small span is served and matches the
+    JW image of the same terms on MAX_MATRIX_GENERATORS generators."""
     n = MAX_MATRIX_GENERATORS + 1
-    a = CliffordElement.from_terms(n, {(1 << n) - 1: 3.0})
-    assert abs(lp_norm(a, 2) - 3.0) < 1e-12
+    a = CliffordElement.from_terms(n, {1 << k: 1.0 for k in range(n)})
+    assert lp_norm(a, 2) == np.sqrt(n)
     with pytest.raises(ValueError, match="refused"):
         lp_norm(a, np.inf)
     with pytest.raises(ValueError, match="refused"):
         singular_values(a)
+    terms = {0b1011: 1.5, 0b110: -2j, 1 << 13: 0.25, 0b11 << 12: 1.0}
+    small = CliffordElement.from_terms(n, terms)
+    ref = np.linalg.svd(
+        jw_rep(n - 1).matrix(CliffordElement.from_terms(n - 1, terms)),
+        compute_uv=False,
+    )
+    s = singular_values(small)
+    assert lp_norm(small, np.inf) == s[0]
+    assert abs(s[0] - ref[0]) <= 1e-12 * ref[0]
+    for p in (1.0, 1.5, 3.0):
+        want = np.mean(ref**p)
+        assert abs(np.mean(s**p) - want) <= 1e-12 * want
+        assert lp_norm(small, p) == float(np.mean(s**p)) ** (1.0 / p)
 
 
 def test_lp_norm_rejects_p_below_one():
@@ -670,8 +701,8 @@ def test_lp_norm_rejects_p_below_one():
 def assert_block_spectrum_matches_jw(a):
     """The block route's means of s^p and its maximum equal the JW ones
     to 1e-12 relative; its largest value comes first."""
-    ref = singular_values(a)
-    got = _block_singular_values(a)
+    ref = np.linalg.svd(jw_rep(a.n).matrix(a), compute_uv=False)
+    got = singular_values(a)
     assert got[0] == got.max()
     assert abs(got[0] - ref[0]) <= 1e-12 * ref[0]
     for p in (1.0, 1.5, 2.0, 3.0, 4.0):
@@ -720,7 +751,41 @@ def test_block_spectrum_refuses_rank_above_the_matrix_limit():
         n, {1 << k: 1.0 for k in range(MAX_MATRIX_GENERATORS + 1)}
     )
     with pytest.raises(ValueError, match="rank 15"):
-        _block_singular_values(a)
+        _block_spectra([a])
+
+
+@pytest.mark.parametrize("n", [15, 130])
+def test_lp_norm_and_singular_values_refuse_rank_15(n):
+    """A span of rank 15 is refused by both public spectral names, with
+    the rank in the message, on one word and on three; p = 2 is not."""
+    a = CliffordElement.from_terms(
+        n, {(1 << k) | (1 << (n - 1)): 1.0 for k in range(15)}
+    )
+    for p in (1.0, 1.5, 3.0, np.inf):
+        with pytest.raises(ValueError, match="span rank 15"):
+            lp_norm(a, p)
+    with pytest.raises(ValueError, match="span rank 15"):
+        singular_values(a)
+    assert lp_norm(a, 2) == norm2(a)
+
+
+def test_same_terms_on_8_and_130_generators_give_the_same_norms():
+    """lp_norm reads the span of the masks, not n: the same terms on 8
+    and on 130 generators give the same bits, as does the batch."""
+    rng = np.random.default_rng(48)
+    for n_terms in (1, 3, 8, 12):
+        small = random_element(rng, 8, n_terms)
+        large = CliffordElement.from_terms(130, small.terms())
+        for p in P_CHOICES:
+            assert np.float64(lp_norm(large, p)).tobytes() == (
+                np.float64(lp_norm(small, p)).tobytes()
+            )
+        assert singular_values(large).tobytes() == (
+            singular_values(small).tobytes()
+        )
+        assert _lp_norms([small, large], P_CHOICES)[1] == [
+            lp_norm(large, p) for p in P_CHOICES
+        ]
 
 
 def test_algebra_suite_builds_no_jw_matrix_at_n14(monkeypatch, tmp_path):

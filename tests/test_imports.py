@@ -1,8 +1,9 @@
 """Every name a library module imports is used there or re-exported,
 every private name the library defines is used somewhere, every layer
-the benchmark's tracer patches exists, and the parity channel sits
-below control and reads the declared cost weights in its cost rule
-alone.
+the benchmark's tracer patches exists, the parity channel sits below
+control and reads the declared cost weights in its cost rule alone, and
+only the Jordan-Wigner definitions and algebra-suite's homomorphism
+check name the Jordan-Wigner matrices.
 
 Parsed with the standard library's ast, so the checks need nothing
 installed. The package __init__ is exempt: its imports are the public
@@ -269,3 +270,51 @@ def test_only_the_channel_reads_the_cost_weights():
     assert {name: lines for name, lines in readers.items() if lines} == {}
     channel = (SRC / "_channel.py").read_text()
     assert weights_reading_definitions(channel) == ["_NormCost"]
+
+
+def jw_users(source):
+    """Top-level definitions of a source that name jw_rep or MatrixRep,
+    by their own names; imports are left out."""
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        named = {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        }
+        if named & {"jw_rep", "MatrixRep"}:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield node.name
+            elif isinstance(node, ast.AnnAssign):
+                yield node.target.id
+            else:
+                yield f"line {node.lineno}"
+
+
+def test_the_check_sees_jw_users():
+    source = (
+        "from .algebra import jw_rep, MatrixRep\n"
+        "_CACHE: dict[int, MatrixRep] = {}\n"
+        "def f(a):\n    return jw_rep(a.n).matrix(a)\n"
+        "def g(a):\n    return a\n"
+        "class K:\n    def m(self):\n        return algebra.MatrixRep(3)\n"
+        "x = [jw_rep]\n"
+    )
+    assert list(jw_users(source)) == ["_CACHE", "f", "K", "line 10"]
+
+
+def test_only_the_jw_definitions_and_the_homomorphism_check_name_jw():
+    """Spectra and norms take the block route: under src/, the
+    Jordan-Wigner matrices are named by their own definitions in
+    algebra.py and by algebra-suite's homomorphism check alone."""
+    found = {
+        f"{path.name}:{name}"
+        for path in MODULES
+        for name in jw_users(path.read_text())
+    }
+    assert found == {
+        "algebra.py:_REP_CACHE",
+        "algebra.py:jw_rep",
+        "cli.py:_pipeline_algebra",
+    }

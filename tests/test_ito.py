@@ -8,13 +8,12 @@ import pytest
 from fermisde.algebra import (
     CliffordElement,
     MatrixRep,
-    _block_singular_values,
     _block_stacks,
-    _spectral_lp,
     _Stack,
     cond_expect,
     grading,
     jw_rep,
+    lp_norm,
     mul,
     norm2,
     pairing,
@@ -443,11 +442,10 @@ def test_bg_constants_takes_one_svd_and_eigvalsh_per_block_shape(
 def per_sample_bg(grid, y, ps):
     """bg_ratio_sweep of one integrand the way one call per sample took
     it: the element integral and element folds of the square functions,
-    one SVD and two eigvalsh calls of their own blocks, and one
-    _spectral_lp and one mean per norm."""
+    the integral's lp_norm, two eigvalsh calls of the squares' own
+    blocks, and one mean per norm."""
     integral = right_integral(grid, y)
-    spectrum = _block_singular_values(integral)
-    i_norms = [_spectral_lp(integral, spectrum, p) for p in ps]
+    i_norms = [lp_norm(integral, p) for p in ps]
     out = [{"p": p, "flagged_zero": False} for p in ps]
     for side in ("right", "left"):
         square = CliffordElement.zero(grid.n)
