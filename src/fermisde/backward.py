@@ -445,24 +445,39 @@ def _one_step_window_sweeps(a, n_steps, T, scale, tol=PICARD_TOL):
     y_k = E[y_{k+1} | C_k] - a dt y_k, so each move of y_k is |a| dt
     times the one before, and the window settles at the first sweep J
     with |a| T (|a| dt)^(J - 1) D_1 <= tol (solve_picard's test on the
-    driver values), D_1 its first move. D_1 is taken to be the bound on
-    the solution: scale when |1 + a dt| >= 1, as for Re a >= 0, and
-    scale |1 + a dt|^-n_steps when the implicit step's division by
-    |1 + a dt| < 1 grows it.
+    driver values), D_1 its first move. D_1 is taken to be the larger of
+    two bounds. One is the bound on the solution: scale when
+    |1 + a dt| >= 1, as for Re a >= 0, and scale |1 + a dt|^-n_steps
+    when the implicit step's division by |1 + a dt| < 1 grows it. The
+    other is the warm start's move. Every iterate is c_k E[yT | C_k]
+    for a number c_k; the two probe sweeps leave c_k = 1 - a m dt, with
+    m = n_steps - k steps to the horizon, and the windows to the right
+    settle y_(k+1), so that the window settles at c_k = (1 + a dt)^-m.
+    Its first move is then at most
+    scale |1 + a dt| max_m |(1 + a dt)^-m - (1 - a m dt)|.
     """
     rate = abs(a)
     dt = T / n_steps
     first = rate * T * scale
     if first == 0.0:
         return 1
-    shrink = abs(1 + a * dt)
-    grow = n_steps * max(0.0, -math.log(shrink)) if shrink else math.inf
-    if math.log(first) + grow <= math.log(tol):
+    step = complex(1 + a * dt)
+    shrink = abs(step)
+    if shrink == 0.0:
+        return math.inf
+    grow = n_steps * max(0.0, -math.log(shrink))
+    # the warm start's moves over e^grow, which keeps (1 + a dt)^-m finite
+    m = np.arange(1, n_steps + 1)
+    warm = shrink * np.abs(
+        np.exp(-m * np.log(step) - grow) - (1 - a * dt * m) * math.exp(-grow)
+    )
+    log_first = math.log(first) + grow + math.log(max(1.0, warm.max()))
+    if log_first <= math.log(tol):
         return 1
     q = rate * dt
     if q >= 1.0:
         return math.inf
-    return 1 + math.ceil((math.log(tol / first) - grow) / math.log(q))
+    return 1 + math.ceil((math.log(tol) - log_first) / math.log(q))
 
 
 def solve_picard(driver, grid, yT, max_iter=PICARD_MAX_ITER, tol=PICARD_TOL,

@@ -2,11 +2,12 @@
 
 Problem files are JSON, either naming a built-in catalog entry or giving
 an inline linear state equation whose maps are {scalar, left, right,
-sum} compositions with element payloads. Every pipeline draws
-randomness from one seeded generator and writes a sorted-key JSON
-report through an atomic rename, so a repeated run with the same spec
-and seed produces byte-identical report files. Wall-clock timings vary
-run to run and therefore live in a sidecar file, not in the report.
+sum} compositions with element payloads. The pipelines that draw take
+their randomness from one generator seeded by the run's seed, the others
+draw nothing, and each writes a sorted-key JSON report through an atomic
+rename, so a repeated run with the same spec and seed produces
+byte-identical report files. Wall-clock timings vary run to run and
+therefore live in a sidecar file, not in the report.
 
 Exit status: 0 when every enabled assertion passed, 1 when a pipeline
 ran but failed its assertions, 2 for spec errors, 3 for propagated
@@ -430,8 +431,12 @@ def catalog_listing():
 
 
 def _rng(seed, branch):
+    """The stream of one drawing pipeline (see _DRAWING): seed and the
+    pipeline's branch, so each keeps its stream alone and inside all.
+    The first call imports numpy.random, which the deterministic
+    pipelines never load."""
     return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence((int(seed), int(branch))))
+        np.random.PCG64(np.random.SeedSequence((seed, branch)))
     )
 
 
@@ -737,7 +742,7 @@ def _forward_walk(grid, ch):
     return norms.tolist(), vacua[-1]
 
 
-def _pipeline_forward(spec, rng):
+def _pipeline_forward(spec):
     if spec.inline is not None:
         grid, x0, path = _inline_state_solve(spec)
         terminal = path[grid.n_steps]
@@ -840,7 +845,7 @@ def _bqsde_plan(spec):
     return grid, driver_op, scalar
 
 
-def _pipeline_bqsde(spec, rng):
+def _pipeline_bqsde(spec):
     grid, driver_op, scalar = _bqsde_plan(spec)
     n = grid.n
     terminal = (spec.inline or {}).get(
@@ -936,7 +941,7 @@ def _ladder_plan(spec):
     return entry, problem, grid, x0, eps_list
 
 
-def _pipeline_ladder(spec, rng):
+def _pipeline_ladder(spec):
     entry, problem, grid, x0, eps_list = _ladder_plan(spec)
     ub_w = spec.control.get("ubar_weight", entry.ladder_ubar)
     alt_w = spec.control.get("alt_weight", entry.alt_weight)
@@ -988,7 +993,7 @@ def _mp_plan(spec):
     return entry, problem, grid, value_grid
 
 
-def _pipeline_mp(spec, rng):
+def _pipeline_mp(spec):
     """The oracle's winner, the maximum-principle scan over it and the
     duality defect (see control._max_principle, which picks the route)."""
     entry, problem, grid, value_grid = _mp_plan(spec)
@@ -1098,6 +1103,9 @@ _PIPELINES = {
     "bg-constants": _pipeline_bg,
 }
 SUBCOMMANDS = [*_PIPELINES, "all"]
+# The pipelines that draw random elements, each from _rng(seed, its
+# branch); the others are deterministic and never see the seed.
+_DRAWING = ("algebra-suite", "ito-suite", "bg-constants")
 # Refusals that need a grid or a problem; "all" runs them before any work.
 _PLANS = (_algebra_plan, _forward_plan, _ladder_plan, _mp_plan, _bg_plan,
           _bqsde_plan)
@@ -1108,15 +1116,19 @@ def run(subcommand, spec, out_dir, seed=0):
     """Execute a pipeline, write its report files, return the report.
 
     The report (and any CSV tables) land in out_dir; timings go to a
-    sidecar. The returned dict carries a top-level "pass" flag.
+    sidecar. The returned dict carries a top-level "pass" flag. seed,
+    a nonnegative int (anything else is refused before out_dir is made),
+    reaches algebra-suite, ito-suite and bg-constants, the pipelines
+    that draw; every report echoes it. bqsde's probe of a driver that is
+    not a graded scalar draws from a fixed stream of its own.
     """
     if subcommand not in SUBCOMMANDS:
         raise ValueError(
             f"unknown subcommand {subcommand!r}; "
             f"choose from {', '.join(SUBCOMMANDS)}"
         )
-    if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     os.makedirs(out_dir, exist_ok=True)
     timings = {}
     tables = {}
@@ -1168,8 +1180,10 @@ def run(subcommand, spec, out_dir, seed=0):
 
 
 def _run_one(name, spec, seed):
-    rng = _rng(seed, _BRANCH[name])
-    result = _PIPELINES[name](spec, rng)
+    if name in _DRAWING:
+        result = _PIPELINES[name](spec, _rng(seed, _BRANCH[name]))
+    else:
+        result = _PIPELINES[name](spec)
     if isinstance(result, tuple):
         return result
     return result, {}

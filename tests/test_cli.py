@@ -3,6 +3,9 @@ pipeline reports, exit codes, and byte-stable output files."""
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1035,19 +1038,49 @@ def test_main_bqsde_bounds_a_growing_drivers_first_move(
 
 @pytest.mark.parametrize("a,n_steps,T,need", [
     (1.0, 256, 1.0, 6),
-    (1.0, 64, 16.0, 20),
-    (1.0, 16, 14.2, 217),
+    (1.0, 64, 16.0, 22),
+    (1.0, 16, 14.2, 244),
     (1.0, 1, 0.89, 198),
     (0.5, 7, 3.5, 19),
-    (2j, 8, 3.0, 88),
+    (2j, 8, 3.0, 95),
 ])
 def test_one_step_window_sweeps_keep_their_values_for_a_nonnegative(
     a, n_steps, T, need
 ):
-    """|1 + a dt| >= 1 grows nothing, so the predictions for Re a >= 0,
-    the benchmark's bqsde at n=256 among them, are the ones made with
-    the first move taken to be the terminal's norm."""
+    """|1 + a dt| >= 1 grows nothing, so for Re a >= 0 the first move is
+    the terminal's norm unless the probes' warm start lies further out.
+    The benchmark's bqsde at n=256, 0.5 at 7 steps and one step at
+    T = 0.89 keep the values made with the terminal's norm; the warm
+    start moves 20 to 22, 217 to 244 and 88 to 95."""
     assert backward._one_step_window_sweeps(a, n_steps, T, 1.0) == need
+
+
+def test_main_bqsde_bounds_the_warm_starts_first_move(
+    monkeypatch, tmp_path, capsys
+):
+    """After the two probe sweeps y_k is about (1 - a (T - t_k)) yT, so
+    a one-step window near the start of n_steps=12 at T=10.56 first moves
+    by about 18 ||yT||. Predicted at 200 with the first move taken to be
+    ||yT||, it ran past 200 sweeps and exited 3; it is refused at
+    /grid/n_steps before any solve, and the n_steps it names runs and
+    passes."""
+    for name in ("solve_stepwise", "solve_picard"):
+        monkeypatch.setattr(cli, name, _refuse_solve)
+    out = tmp_path / "bq"
+    spec = {"grid": {"n_steps": 12, "T": 10.56}}
+    assert main(["bqsde", "--spec", json.dumps(spec), "--out", str(out)]) \
+        == 2
+    err = capsys.readouterr().err
+    assert "  /grid/n_steps: " in err and "about 223 sweeps" in err
+    assert "n_steps must be at least 13" in err
+    assert not (out / "bqsde.json").exists()
+    monkeypatch.undo()
+    spec["grid"]["n_steps"] = 13
+    assert main(["bqsde", "--spec", json.dumps(spec), "--out", str(out)]) \
+        == 0
+    report = json.loads((out / "bqsde.json").read_text())["report"]
+    assert report["pass"]
+    assert max(report["picard_diagnostics"]["window_sweeps"]) <= 200
 
 
 def _refuse_solve(*args, **kwargs):
@@ -1074,6 +1107,56 @@ def test_run_refuses_a_negative_seed_before_writing(tmp_path):
     with pytest.raises(ValueError, match="seed must be a nonnegative"):
         run("forward", parse_problem({}), str(out), seed=-1)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ito-suite", "ladder"])
+@pytest.mark.parametrize("seed", [1.5, True, "1", -1])
+def test_run_refuses_a_seed_that_is_not_a_nonnegative_int(
+    command, seed, tmp_path
+):
+    """A float or a bool seed used to run as its int and echo itself, and
+    "1" to fail inside the comparison; the deterministic ladder, which
+    never reads the seed, must refuse it as the drawing ito-suite does,
+    before anything is written."""
+    out = tmp_path / "bad"
+    with pytest.raises(ValueError, match=r"^seed must be a nonnegative"):
+        run(command, parse_problem({}), str(out), seed=seed)
+    assert not out.exists()
+
+
+_IMPORTS_NUMPY_RANDOM = """
+import sys, tempfile
+from fermisde import cli
+spec = cli.parse_problem({spec!r})
+cli.run({command!r}, spec, tempfile.mkdtemp(dir={tmp!r}))
+print("numpy.random" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("command,spec,draws", [
+    ("ladder", {}, False),
+    ("forward", {}, False),
+    ("max-principle", {}, False),
+    ("bqsde", {"inline": {"driver": {"scalar": 1.0}}}, False),
+    ("algebra-suite", {}, True),
+])
+def test_only_the_drawing_pipelines_import_numpy_random(
+    command, spec, draws, tmp_path
+):
+    """The deterministic pipelines never build a generator, so a fresh
+    interpreter that runs one leaves numpy.random unimported. It must be
+    a fresh one: pytest and hypothesis import numpy.random themselves."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = _IMPORTS_NUMPY_RANDOM.format(
+        spec=spec, command=command, tmp=str(tmp_path)
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(draws)]
 
 
 def test_main_ladder_offset_past_the_horizon_exit_two(tmp_path, capsys):

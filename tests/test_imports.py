@@ -1,9 +1,10 @@
 """Every name a library module imports is used there or re-exported,
 every private name the library defines is used somewhere, every layer
 the benchmark's tracer patches exists, the parity channel sits below
-control and reads the declared cost weights in its cost rule alone, and
+control and reads the declared cost weights in its cost rule alone,
 only the Jordan-Wigner definitions and algebra-suite's homomorphism
-check name the Jordan-Wigner matrices.
+check name the Jordan-Wigner matrices, and only the runner's generator
+names numpy.random, for the pipelines that draw.
 
 Parsed with the standard library's ast, so the checks need nothing
 installed. The package __init__ is exempt: its imports are the public
@@ -272,6 +273,15 @@ def test_only_the_channel_reads_the_cost_weights():
     assert weights_reading_definitions(channel) == ["_NormCost"]
 
 
+def _definition_name(node):
+    """The name of a top-level definition, or its line."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name
+    if isinstance(node, ast.AnnAssign):
+        return node.target.id
+    return f"line {node.lineno}"
+
+
 def jw_users(source):
     """Top-level definitions of a source that name jw_rep or MatrixRep,
     by their own names; imports are left out."""
@@ -284,12 +294,7 @@ def jw_users(source):
             if isinstance(n, (ast.Name, ast.Attribute))
         }
         if named & {"jw_rep", "MatrixRep"}:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                yield node.name
-            elif isinstance(node, ast.AnnAssign):
-                yield node.target.id
-            else:
-                yield f"line {node.lineno}"
+            yield _definition_name(node)
 
 
 def test_the_check_sees_jw_users():
@@ -318,3 +323,88 @@ def test_only_the_jw_definitions_and_the_homomorphism_check_name_jw():
         "algebra.py:jw_rep",
         "cli.py:_pipeline_algebra",
     }
+
+
+def _names_numpy_random(node):
+    """Whether a syntax node is np.random or numpy.random, or imports it."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "random" and isinstance(node.value, ast.Name) \
+            and node.value.id in ("np", "numpy")
+    if isinstance(node, ast.Import):
+        return any(a.name.startswith("numpy.random") for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").startswith("numpy.random") or (
+            node.module == "numpy"
+            and any(a.name == "random" for a in node.names)
+        )
+    return False
+
+
+def numpy_random_users(source):
+    """Top-level definitions of a source that name numpy.random, imports
+    included, by their own names."""
+    for node in ast.parse(source).body:
+        if any(map(_names_numpy_random, ast.walk(node))):
+            yield _definition_name(node)
+
+
+def pipeline_parameters(source):
+    """The parameters of each pipeline in a runner source's _PIPELINES
+    table, by subcommand, and the subcommands of its _DRAWING tuple
+    (none when it has no such tuple)."""
+    tree = ast.parse(source)
+    tables = {
+        target.id: node.value
+        for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+    functions = {
+        node.name: [arg.arg for arg in node.args.args]
+        for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    table = tables["_PIPELINES"]
+    params = {
+        key.value: functions[value.id]
+        for key, value in zip(table.keys, table.values)
+    }
+    drawing = tables.get("_DRAWING")
+    return params, () if drawing is None else ast.literal_eval(drawing)
+
+
+def test_the_check_sees_numpy_random_users_and_pipeline_parameters():
+    source = (
+        "import numpy as np\nfrom numpy.random import PCG64\n"
+        "import numpy.random\nfrom numpy import random, zeros\n"
+        "def f(seed):\n    return np.random.Generator(PCG64(seed))\n"
+        "def g(rng):\n    return rng.random()\n"
+        "class K:\n    def m(self):\n        return numpy.random\n"
+        "def _p(spec):\n    return {}\n"
+        "_PIPELINES = {'a': f, 'b': _p}\n"
+    )
+    assert list(numpy_random_users(source)) == [
+        "line 2", "line 3", "line 4", "f", "K",
+    ]
+    assert pipeline_parameters(source) == (
+        {"a": ["seed"], "b": ["spec"]}, ()
+    )
+    drawing = source + "_DRAWING = ('a',)\n"
+    assert pipeline_parameters(drawing)[1] == ("a",)
+
+
+def test_only_the_drawing_pipelines_build_a_generator():
+    """The paper's expectation is the trace, so only the random-element
+    check suites draw: under src/, numpy.random is named by the runner's
+    _rng alone, and only the pipelines of _DRAWING take the rng it
+    builds."""
+    found = {
+        f"{path.name}:{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in numpy_random_users(path.read_text())
+    }
+    assert found == {"cli.py:_rng"}
+    params, drawing = pipeline_parameters((SRC / "cli.py").read_text())
+    assert params == {
+        name: ["spec", "rng"] if name in drawing else ["spec"]
+        for name in params
+    }
+    assert set(drawing) == {"algebra-suite", "ito-suite", "bg-constants"}
