@@ -1175,6 +1175,12 @@ REPORT_DIGESTS = {
         "ito_suite.json": "97263151944555eb3185e23ce758f6d9"
                           "e380ceac24b1099c66f3530608ac910d",
     },
+    # Three mask words: recorded on the draw that held every uniform of
+    # a section at once.
+    ("ito-suite", 130, 0): {
+        "ito_suite.json": "3f5a33b54151946257564fcecbc3d6cb"
+                          "a6b3eb533f0afa59459e20c055b3b672",
+    },
 }
 
 
