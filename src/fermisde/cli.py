@@ -445,7 +445,8 @@ def _random_batch(rng, grid, samples, terms, starts=None):
     with period n_steps + 1 (see algebra._Stack). Step k of each is
     random_element(rng, grid.n, terms, max_generator=k), drawn sample
     after sample; with starts, each sample first draws its start into
-    it (see algebra._random_rows)."""
+    it. The draws are packed one bounded run at a time, so memory is the
+    stack plus one run (see algebra._random_rows)."""
     n = grid.n_steps
     masks, amps = _random_rows(
         rng, grid.n, terms, range(n), samples=samples, starts=starts

@@ -453,10 +453,30 @@ def test_algebra_suite_draws_construct_no_element_each(monkeypatch, tmp_path):
     assert len(calls) <= 14
 
 
-@pytest.mark.parametrize("n", [1, 6, 14, 70])
-def test_batched_draws_equal_sequential_random_elements(n):
+# (n, samples) of the batch form: runs of _random_rows that split inside
+# a sample (n > 1) and runs that span samples.
+BATCH_DRAWS = [(1, 1400), (63, 10), (64, 10), (65, 8), (130, 4)]
+
+
+@pytest.mark.parametrize(
+    "n, batch",
+    [pytest.param(n, None, id=str(n)) for n in (1, 6, 14, 70)]
+    + [
+        pytest.param(n, (samples, real), id=f"batch-{n}-{kind}")
+        for n, samples in BATCH_DRAWS
+        for real, kind in ((False, "complex"), (True, "real"))
+    ],
+)
+def test_batched_draws_equal_sequential_random_elements(n, batch, monkeypatch):
     """_random_elements gives each element of K random_element calls bit
-    for bit, and leaves the generator in the same state."""
+    for bit, and leaves the generator in the same state. With batch, the
+    batch form does the same for ito-suite's draw (see
+    check_batch_draws_equal_sequential_random_elements)."""
+    if batch is not None:
+        check_batch_draws_equal_sequential_random_elements(
+            n, *batch, monkeypatch
+        )
+        return
     for count in (1, 2, 80, 260):
         fast, slow = (np.random.default_rng(n * 7 + count) for _ in range(2))
         got = _random_elements(fast, n, count).values(0, count)
@@ -468,6 +488,47 @@ def test_batched_draws_equal_sequential_random_elements(n):
             assert a.masks.shape == b.masks.shape
             assert a.amps.tobytes() == b.amps.tobytes()
         assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def check_batch_draws_equal_sequential_random_elements(
+    n, samples, real, monkeypatch
+):
+    """_random_rows of range(n) over samples, with starts, holds the rows
+    of one random_element(rng, n, 6, max_generator=k) per sample and k,
+    each sample after one rng.standard_normal() for its start: equal
+    mask and amplitude bytes, equal starts and an equal generator state.
+    The draw is cut into runs that split inside a sample and that span
+    samples."""
+    cut = algebra._runs
+    bounds = []
+
+    def recorded(sizes, most):
+        bounds.extend(cut(sizes, most))
+        return bounds
+
+    fast, slow = (np.random.default_rng(n * 11 + real) for _ in range(2))
+    got_starts = np.empty(samples)
+    with monkeypatch.context() as m:
+        m.setattr(algebra, "_runs", recorded)
+        masks, amps = _random_rows(
+            fast, n, 6, range(n), real, samples, got_starts
+        )
+    # Blocks b0..b1-1 of a run; block b is top b % n of sample b // n.
+    runs = list(zip(bounds, bounds[1:]))
+    assert len(runs) > 1
+    assert any(b0 // n < (b1 - 1) // n for b0, b1 in runs)
+    assert n == 1 or any(b0 % n for b0, _ in runs)
+    want_starts = []
+    for s in range(samples):
+        want_starts.append(slow.standard_normal())
+        for k in range(n):
+            want = random_element(slow, n, 6, max_generator=k, real=real)
+            rows = slice((s * n + k) * 6, (s * n + k + 1) * 6)
+            got = CliffordElement(n, masks[rows], amps[rows])
+            assert got.masks.tobytes() == want.masks.tobytes()
+            assert got.amps.tobytes() == want.amps.tobytes()
+    assert got_starts.tobytes() == np.array(want_starts).tobytes()
+    assert fast.bit_generator.state == slow.bit_generator.state
 
 
 def per_element_blocks(a, found=None):
@@ -986,7 +1047,7 @@ def test_random_rows_keep_the_stream_of_the_per_top_loop(n, real):
     draw equal the per-top loop's bit for bit, over one and two mask
     words, tops from 0 to n (across bit 64), and batches of samples."""
     tops_choices = [
-        [0], [n], [min(n, 14)], list(range(n + 1)), [n, 0, n // 2, 1],
+        [], [0], [n], [min(n, 14)], list(range(n + 1)), [n, 0, n // 2, 1],
     ]
     for n_terms in (1, 3, 8):
         for tops in tops_choices:

@@ -939,6 +939,24 @@ def test_ito_suite_sorts_do_not_grow_with_the_grid(monkeypatch, tmp_path):
     assert counts[0] == counts[1] < 25
 
 
+def test_ito_suite_draws_hold_the_rows_and_one_run():
+    """One ito-suite section at 256 steps draws 25 samples of 6 terms a
+    step: 38400 rows of four mask words, 1.8 MB with their amplitudes.
+    The draw packs one bounded run at a time, so its traced peak, the
+    sort of the stack included, stays below 8 MB; every uniform drawn at
+    once with its bit arrays would hold about 60 MB."""
+    import tracemalloc
+
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        _random_batch(rng, TimeGrid(1.0, 256), 25, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 # -- a batch of processes against each process on its own -----------------
 
 
