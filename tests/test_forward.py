@@ -426,6 +426,107 @@ def test_walk_chunks_keep_within_the_entry_budget(monkeypatch):
         assert [len(c) for c in chunks] == lengths
 
 
+def _step_vacua(grid, coefs, srcs, x0_amps):
+    """The e0 recursion one step at a time from the raw table: the
+    reference _channel.vacua must match bit for bit. A scalar start
+    steps as NumPy scalars, K starts as arrays, as there: NumPy's
+    scalar and array complex products round differently."""
+    e0 = np.empty((len(srcs) + 1,) + np.shape(x0_amps), dtype=np.complex128)
+    e0[0] = x0_amps
+    for k, (coef, s_d) in enumerate(zip(coefs, srcs[:, 0])):
+        e0[k + 1] = (1.0 + grid.dt * coef[0, 0]) * e0[k] + grid.dt * s_d
+    return e0
+
+
+def _step_adjoint_vacua(grid, coefs, srcs, x0, drive):
+    """The transpose one step at a time from the raw table, each step's
+    parity pair formed as _channel.adjoint_vacua forms it: the reference
+    it must match bit for bit."""
+    run, end = drive
+    n = grid.n_steps
+    dt = grid.dt
+    root = np.sqrt(dt)
+    parity = np.array([1.0, -1.0])
+    e0 = _step_vacua(grid, coefs, srcs, x0)
+    r_odd = [0j] * n
+    solve = [0j] * n
+    backs = [0j] * n
+    even = odd = complex(end)
+    for k in range(n - 1, -1, -1):
+        a, b, c = coefs[k]
+        inv = 1.0 / (1.0 - dt * a.conj())
+        back = (parity * b + c).conj()
+        oe, oo = (inv * (1.0 + dt * a)).tolist()
+        ce, co = (dt * parity * inv * (b + parity * c) * back).tolist()
+        de, do = (run * inv).tolist()
+        r_odd[k], solve[k], backs[k] = odd, inv[0], back[0]
+        even, odd = oe * even + ce * odd + de, oo * odd + co * even + do
+    Phi = np.empty(n, dtype=np.complex128)
+    phi = np.empty(n + 1, dtype=np.complex128)
+    phi[n] = complex(end * e0[n])
+    for k in range(n - 1, -1, -1):
+        b, c = coefs[k, 1:, :1]
+        v = root * ((b + c) * e0[k:k + 1] + srcs[k, 1] + srcs[k, 2])
+        Phi[k] = (v * np.array([r_odd[k]]) / root)[0]
+        feed = (dt * backs[k] * Phi[k:k + 1] + run * e0[k:k + 1])[0]
+        phi[k] = complex(solve[k]) * (complex(phi[k + 1]) + complex(feed))
+    return phi, Phi
+
+
+def _transpose_channel(grid, coefs, x0, weights):
+    """A Channel of the raw table coefs for adjoint_vacua alone."""
+    return _channel.Channel(
+        None, coefs, x0, _channel._NormCost(weights, grid.dt), []
+    )
+
+
+def _zeroed_case(n_steps, paths, seed):
+    """_walk_case with exact and negative zeros through the raw table."""
+    grid, coefs, srcs, x0_amps = _walk_case(n_steps, paths, seed)
+    zeros = [0j, complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0)]
+    for k in range(n_steps):
+        for i in range(3):
+            coefs[k, i, (k + i) % 2] = zeros[(k + 2 * i) % 4]
+            coefs[k, i, (k + i + 1) % 2] = complex(
+                -0.0 if (k + i) % 3 else 1.5, 0.0 if i % 2 else -0.0
+            )
+    srcs[::3] = complex(-0.0, -0.0)
+    return grid, coefs, srcs, x0_amps
+
+
+@pytest.mark.parametrize("case", ["random", "b_odd_is_c_odd", "zeros"])
+@pytest.mark.parametrize("n_steps", [0, 1, 13])
+def test_transpose_equals_the_step_by_step_transpose(case, n_steps):
+    """adjoint_vacua and vacua give the step-by-step references' values
+    to the last bit, signed zeros included: on walk data, with b(-1) =
+    c(-1) (the odd spawn is an exact zero) and with exact and negative
+    zeros in the table, sources and starts, under declared and zero cost
+    weights."""
+    if case == "zeros":
+        grid, coefs, srcs, x0_amps = _zeroed_case(n_steps, 6, seed=n_steps)
+    else:
+        grid, coefs, srcs, x0_amps = _walk_case(n_steps, 6, seed=n_steps)
+    if case == "b_odd_is_c_odd":
+        coefs[:, 2, 1] = coefs[:, 1, 1]
+    got = _channel.vacua(grid, coefs, srcs, x0_amps)
+    want = _step_vacua(grid, coefs, srcs, x0_amps)
+    assert got.shape == want.shape == (n_steps + 1, 6)
+    assert got.tobytes() == want.tobytes()
+    for weights in ((0.6, 0.3, 0.4), (0.0, 0.0, 0.0), (-1.5, 0.0, 2.0)):
+        for j, x0 in enumerate(x0_amps):
+            ch = _transpose_channel(grid, coefs, x0, weights)
+            drive = ch.cost.drive
+            with np.errstate(divide="ignore", over="ignore",
+                             invalid="ignore"):
+                got = _channel.adjoint_vacua(grid, ch, srcs[:, :, j])
+                want = _step_adjoint_vacua(
+                    grid, coefs, srcs[:, :, j], x0, drive
+                )
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+
+
 def test_linear_gram_names_the_first_non_finite_step_inside_a_chunk(
     chunk_budget
 ):
