@@ -5,11 +5,13 @@ step scales each row by a factor of its parity alone and moves it to a
 new row of the other parity, while the sources touch only the empty row
 and {k}. So the pairings and vacua of such solves (walk, vacua) and the
 vacua of the first adjoint along one (adjoint_vacua, the transpose)
-follow from a few numbers per step, nothing pruned; README (Layout)
-writes the recursions out. Here are the one gate that decides whether a
-problem is a channel, the coefficient table, the source-table rule, the
-walk, its vacua, its transpose, the spike-window source layout and the
-exact control routes on them: ladder, oracle and max_principle.
+follow from a few numbers per step and parity, nothing pruned; README
+(Layout) writes the recursions out. Here are the one gate that decides
+whether a problem is a channel, the coefficient table, the lane rule
+(Lanes, the table's only reader, which forms those numbers once), the
+source-table rule, the walk, its vacua, its transpose, the spike-window
+source layout and the exact control routes on them: ladder, oracle and
+max_principle.
 
 The gate hands the weights (q, r, s) of J = sum_k dt (q ||x_k||^2 + r
 ||u_k||^2) + s ||x_n||^2 to its cost rule, _NormCost, which alone reads
@@ -49,22 +51,24 @@ NEEDS_P = (
 # pairings per step reach it takes one step per chunk.
 _CHUNK_ENTRIES = 1 << 16
 
+# The row parity p of each lane column: even rows (+1), odd rows (-1).
+_PARITY = np.array([1.0, -1.0])
+
 
 class Channel:
     """A problem on a grid that the exact routes take (see gate).
 
     ops holds each step's (A, B, C, uD, uF, uG) in graded-scalar form
-    and coefs the coefficient table of its (A, B, C); x0 is the start
-    amplitude, cost the _NormCost of its declared norm costs (None when
-    L or h declares none) and tables the source tables of the gate's
-    requests, in order.
+    and lanes their Lanes; x0 is the start amplitude, cost the _NormCost
+    of its declared norm costs (None when L or h declares none) and
+    tables the source tables of the gate's requests, in order.
     """
 
-    __slots__ = ("ops", "coefs", "x0", "cost", "tables")
+    __slots__ = ("ops", "lanes", "x0", "cost", "tables")
 
-    def __init__(self, ops, coefs, x0, cost, tables):
+    def __init__(self, ops, lanes, x0, cost, tables):
         self.ops = ops
-        self.coefs = coefs
+        self.lanes = lanes
         self.x0 = x0
         self.cost = cost
         self.tables = tables
@@ -94,6 +98,45 @@ class Channel:
         starts = np.zeros(table.shape[2], dtype=np.complex128)
         starts[0] = self.x0
         return table, starts
+
+
+class Lanes:
+    """The lane rule: per step (row) and row parity p (column 0 for p =
+    +1, 1 for p = -1), the factors of a (n_steps, m, 2) coefficient
+    table of (A, B, C[, uD, uF, uG]) that the walk and its transpose
+    take on steps dt (README, Layout), formed once.
+
+    A row of parity p stays, scaled by stay m_p = 1 + dt a(p), and
+    spawns a row of parity -p, scaled by feed f_p = sqrt(dt) spawn with
+    spawn b(p) + p c(p) (right mult by g_k keeps the row's sign, left
+    mult takes its parity); stay_sq and feed_sq are |m_p|^2 and |f_p|^2
+    as the scalar abs(.) ** 2 (np.hypot gives the scalar abs, while
+    NumPy's array abs of complex and array square round some last bits
+    differently). The transpose divides by divisor 1 - dt conj(a(p))
+    and spawns by back n_p = conj(p b(p) + c(p)) and cross_spawn b(p) +
+    p c(p), their p b and p c complex products, so cross_spawn can
+    differ from spawn in the sign of a zero. inject is the injections'
+    (uD, uF, uG) (n_steps, m - 3, 2) table. Overflow gives inf or NaN.
+    """
+
+    __slots__ = ("stay", "spawn", "feed", "stay_sq", "feed_sq", "divisor",
+                 "back", "cross_spawn", "inject")
+
+    def __init__(self, coefs, dt):
+        a, b, c = coefs[:, 0], coefs[:, 1], coefs[:, 2]
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.stay = 1.0 + dt * a
+            self.spawn = np.stack((b[:, 0] + c[:, 0], b[:, 1] - c[:, 1]), -1)
+            self.feed = np.sqrt(dt) * self.spawn
+            self.stay_sq, self.feed_sq = (
+                np.reshape([x**2 for x in np.hypot(f.real, f.imag).flat],
+                           f.shape)
+                for f in (self.stay, self.feed)
+            )
+            self.divisor = 1.0 - dt * a.conj()
+            self.back = (_PARITY * b + c).conj()
+            self.cross_spawn = b + _PARITY * c
+        self.inject = coefs[:, 3:]
 
 
 class _NormCost:
@@ -128,7 +171,8 @@ def gate(problem, grid, *requests, costs=False):
     set, L and h must also declare norm-cost weights (RunningNormCost
     and TerminalNormCost do). Each request (steps, at) asks for a source
     table (see sources) of the control values at(k). The operators are
-    reduced and tabulated once, in one (n_steps, 6, 2) table.
+    reduced and tabulated once, in one (n_steps, 6, 2) table, and read
+    once, into the Channel's Lanes.
     """
     lin = problem.coeffs.linear
     if lin is None:
@@ -146,18 +190,19 @@ def gate(problem, grid, *requests, costs=False):
     )
     if ops is None:
         return None
-    table = coefficients(ops)
-    tables = [sources(table[:, 3:], steps, at) for steps, at in requests]
+    lanes = Lanes(coefficients(ops), grid.dt)
+    tables = [sources(lanes.inject, steps, at) for steps, at in requests]
     if any(srcs is None for srcs in tables):
         return None
     cost = None if weights is None else _NormCost(weights, grid.dt)
-    return Channel(ops, table[:, :3], x0, cost, tables)
+    return Channel(ops, lanes, x0, cost, tables)
 
 
 def sources(inject, steps, at):
     """(len(steps), 3, V) source amplitudes of the injections (uD, uF,
     uG) at each step k in steps under each of the V control values
-    at(k); inject is their (n_steps, 3, 2) coefficient table.
+    at(k); inject is their (n_steps, 3, 2) coefficient table, a Lanes'
+    inject.
 
     A source is the value's amplitude times c(+1), in apply's operand
     order, so it is the amplitude of apply(value) bit for bit; an exact
@@ -227,12 +272,12 @@ def coefficients(ops):
     return table[rows]
 
 
-def walk(grid, coefs, srcs, x0_amps, pair):
+def walk(grid, lanes, srcs, x0_amps, pair):
     """Yield pair-form pairings of K linear solves at steps 0..n_steps,
     one (steps, ...) array per chunk of consecutive steps.
 
     The bilinear form of forward._Frame.step, unpruned (README, Layout).
-    coefs is the shared operators' coefficient table; srcs yields each
+    lanes is the shared operators' lane table; srcs yields each
     step's (3, K) source amplitudes (an array or a lazy iterable).
     pair(v) forms the pairings of the amplitude vectors in v's last
     axis: their outer products, the outer products of consecutive runs
@@ -245,34 +290,23 @@ def walk(grid, coefs, srcs, x0_amps, pair):
     what they keep. The errstate sits around the consumer's loop, not
     in here: a generator's errstate would leak across its yields.
     """
-    dt = grid.dt
-    root = np.sqrt(dt)
-    grow = 1.0 + dt * coefs[:, 0]
-    # Right mult by g_k keeps the row's sign, left mult takes the row's
-    # parity.
-    f_even = root * (coefs[:, 1, 0] + coefs[:, 2, 0])
-    f_odd = root * (coefs[:, 1, 1] - coefs[:, 2, 1])
-    # Squared moduli as the scalar abs(c) ** 2: np.hypot gives the
-    # scalar abs entry by entry, while NumPy's array abs of complex and
-    # array square round some last bits differently.
-    keep_even, keep_odd, feed_even, feed_odd = (
-        [x**2 for x in np.hypot(c.real, c.imag)]
-        for c in (grow[:, 0], grow[:, 1], f_even, f_odd)
-    )
+    root = np.sqrt(grid.dt)
+    keep_even, keep_odd = lanes.stay_sq.T.tolist()
+    feed_even, feed_odd = lanes.feed_sq.T.tolist()
     e0 = np.asarray(x0_amps, dtype=np.complex128)
     first = pair(e0)
     yield first[None]
     g_even = g_odd = np.zeros_like(first)
-    n = len(coefs)
+    n = len(lanes.stay)
     size = max(1, _CHUNK_ENTRIES // max(1, first.size))
     srcs = iter(srcs)
     for k0 in range(0, n, size):
         k1 = min(k0 + size, n)
         chunk = np.array([next(srcs) for _ in range(k0, k1)])
-        vac = vacua(grid, coefs[k0:k1], chunk, e0)
+        vac = vacua(grid, lanes.stay[k0:k1], chunk, e0)
         e0 = vac[-1]
         _, s_f, s_g = np.moveaxis(chunk, 1, 0)
-        feed = pair(f_even[k0:k1, None] * vac[:-1] + root * (s_f + s_g))
+        feed = pair(lanes.feed[k0:k1, :1] * vac[:-1] + root * (s_f + s_g))
         # The two-lane recursion, each step's lanes stored in the chunk.
         evens, odds = np.empty_like(feed), np.empty_like(feed)
         for i, k in enumerate(range(k0, k1)):
@@ -284,7 +318,7 @@ def walk(grid, coefs, srcs, x0_amps, pair):
         yield pair(vac[1:]) + evens + odds
 
 
-def gram(grid, coefs, srcs, x0_amps, block):
+def gram(grid, lanes, srcs, x0_amps, block):
     """The (n_steps + 1, K // b, b, b) Gram matrices <x_i(k), x_j(k)> of
     walk within each run of block=b consecutive paths (K a multiple of
     b), in O(n_steps K b) memory; block=K gives every pairing. Raises on
@@ -304,7 +338,7 @@ def gram(grid, coefs, srcs, x0_amps, block):
     out = np.empty((grid.n_steps + 1,) + shape, dtype=np.complex128)
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for chunk in walk(grid, coefs, srcs, x0_amps, pair):
+        for chunk in walk(grid, lanes, srcs, x0_amps, pair):
             out[k:k + len(chunk)] = chunk
             k += len(chunk)
     bad = ~np.isfinite(out.reshape(grid.n_steps + 1, -1)).all(axis=1)
@@ -315,23 +349,23 @@ def gram(grid, coefs, srcs, x0_amps, block):
     return out
 
 
-def norms_sq(grid, coefs, srcs, x0_amps):
+def norms_sq(grid, lanes, srcs, x0_amps):
     """Yield ||x_i(k)||^2 of walk's K solves, one length-K real array
     per step, as the values are taken; NaN and inf persist unchecked."""
     for chunk in walk(
-        grid, coefs, srcs, x0_amps, lambda v: v.real**2 + v.imag**2
+        grid, lanes, srcs, x0_amps, lambda v: v.real**2 + v.imag**2
     ):
         yield from chunk
 
 
-def vacua(grid, coefs, srcs, x0_amps):
+def vacua(grid, stay, srcs, x0_amps):
     """Vacua e0_0..e0_m of the solves with (m, 3[, K]) sources srcs over
-    coefs' m steps from start amplitudes x0_amps (a scalar or K), by
-    walk's e0' = m+ e0 + dt s_D."""
+    m steps of a Lanes' stay from start amplitudes x0_amps (a scalar or
+    K), by walk's e0' = m+ e0 + dt s_D."""
     e0 = np.empty((len(srcs) + 1,) + np.shape(x0_amps), dtype=np.complex128)
     e0[0] = x0_amps
     lifts = grid.dt * srcs[:, 0]
-    for k, m in enumerate(1.0 + grid.dt * coefs[:, 0, 0]):
+    for k, m in enumerate(stay[:, 0]):
         e0[k + 1] = m * e0[k] + lifts[k]
     return e0
 
@@ -349,14 +383,12 @@ def adjoint_vacua(grid, ch, srcs):
     n = grid.n_steps
     dt = grid.dt
     root = np.sqrt(dt)
-    parity = np.array([1.0, -1.0])
-    a, b, c = ch.coefs[:, 0], ch.coefs[:, 1], ch.coefs[:, 2]
-    e0 = vacua(grid, ch.coefs, srcs, ch.x0)
-    v = root * ((b[:, 0] + c[:, 0]) * e0[:n] + srcs[:, 1] + srcs[:, 2])
-    solve = 1.0 / (1.0 - dt * a.conj())
-    back = (parity * b + c).conj()
-    own = (solve * (1.0 + dt * a)).tolist()
-    cross = (dt * parity * solve * (b + parity * c) * back).tolist()
+    lanes = ch.lanes
+    e0 = vacua(grid, lanes.stay, srcs, ch.x0)
+    v = root * (lanes.spawn[:, 0] * e0[:n] + srcs[:, 1] + srcs[:, 2])
+    solve = 1.0 / lanes.divisor
+    own = (solve * lanes.stay).tolist()
+    cross = (dt * _PARITY * solve * lanes.cross_spawn * lanes.back).tolist()
     drive = (run * solve).tolist()
     # r_odd[k] = R_{k+1}(-1), the weight of x's row {k} at step k + 1.
     r_odd = [0j] * n
@@ -366,7 +398,7 @@ def adjoint_vacua(grid, ch, srcs):
         (oe, oo), (ce, co), (de, do) = own[k], cross[k], drive[k]
         even, odd = oe * even + ce * odd + de, oo * odd + co * even + do
     Phi = v * np.array(r_odd, dtype=np.complex128) / root
-    feed = (dt * back[:, 0] * Phi + run * e0[:n]).tolist()
+    feed = (dt * lanes.back[:, 0] * Phi + run * e0[:n]).tolist()
     step = solve[:, 0].tolist()
     phi = [0j] * (n + 1)
     phi[n] = complex(end * e0[n])
@@ -389,7 +421,7 @@ def ladder(grid, windows, ch, steps):
     table, starts = ch.spike_layout(
         base, steps, alt, windows, slice(None), lead=3
     )
-    pairs = gram(grid, ch.coefs, table, starts, block=3)
+    pairs = gram(grid, ch.lanes, table, starts, block=3)
     floor = 1e-8 * (1.0 + float(pairs[:, 0, 0, 0].real.max()))
     sups = []
     for r in range(len(windows)):
@@ -422,7 +454,7 @@ def oracle(grid, ch, bounds, values):
     # Per step, the value index of every candidate (its block's pick).
     step_picks = [picks[b] for b in np.repeat(range(blocks), np.diff(bounds))]
     norms = norms_sq(
-        grid, ch.coefs,
+        grid, ch.lanes,
         (table[k][:, step_picks[k]] for k in range(n)),
         np.full(count, ch.x0),
     )
@@ -495,7 +527,7 @@ def duality(grid, ch, base, alt, window, phi, Phi, order):
     table, starts = ch.spike_layout(
         base, range(k0, k1), alt, [window], slice(1, 1 + order)
     )
-    pairs = gram(grid, ch.coefs, table, starts, block=len(starts))
+    pairs = gram(grid, ch.lanes, table, starts, block=len(starts))
     cross = pairs[:, 0, 0, 1:].sum(axis=1)
     delta = alt - base[k0:k1]
     lhs = end * cross[n]

@@ -735,11 +735,13 @@ def _forward_walk(grid, ch):
     warning about the overflow that made it."""
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.concatenate(list(
-            _channel.norms_sq(grid, ch.coefs, ch.tables[0], [ch.x0])
+            _channel.norms_sq(grid, ch.lanes, ch.tables[0], [ch.x0])
         ))
     if not np.isfinite(norms).all():
         raise FloatingPointError("forward state became non-finite")
-    vacua = _channel.vacua(grid, ch.coefs, ch.tables[0][:, :, 0], ch.x0)
+    vacua = _channel.vacua(
+        grid, ch.lanes.stay, ch.tables[0][:, :, 0], ch.x0
+    )
     return norms.tolist(), vacua[-1]
 
 
@@ -980,7 +982,9 @@ def _pipeline_ladder(spec):
 
 
 def _mp_plan(spec):
-    """Problem, grid and value grid of a max-principle spec, or its refusal."""
+    """Problem, grid and value grid of a max-principle spec, or its
+    refusal: on the parity channel the adjoint's implicit step divides
+    by the lanes' divisor 1 - dt conj(a), which must not be 0."""
     if spec.problem_id is None:
         raise SpecError([("/inline", "max-principle needs a catalog problem")])
     entry, problem, grid, _ = _build_problem(spec)
@@ -991,6 +995,13 @@ def _mp_plan(spec):
         _require_oracle_budget(problem, spec.steps_coarse, value_grid)
     except ValueError as exc:
         raise SpecError([("/value_grid", str(exc))]) from None
+    ch = _channel.gate(problem, grid, costs=True)
+    if ch is not None and not ch.lanes.divisor.all():
+        k = int(np.argmin(ch.lanes.divisor.all(axis=1)))
+        raise SpecError([("/grid/n_steps", (
+            f"max-principle's adjoint step {k} divides by 1 - dt conj(a) "
+            f"= 0 (dt a = 1 at dt={grid.dt:g}); choose another n_steps"
+        ))])
     return entry, problem, grid, value_grid
 
 

@@ -710,6 +710,32 @@ def test_main_max_principle_refuses_an_oracle_over_budget(
     )
 
 
+@pytest.mark.parametrize("command, pid, grid", [
+    ("max-principle", "lq_scalar", {"T": 16.0, "n_steps": 4}),
+    ("max-principle", "lq_scalar", {"T": 32.0, "n_steps": 8}),
+    ("max-principle", "odd_drift", {"T": 32.0, "n_steps": 8}),
+    ("max-principle", "lq_scalar", {"T": 128.0, "n_steps": 32}),
+    ("all", "lq_scalar", {"T": 128.0, "n_steps": 32}),
+])
+def test_main_max_principle_refuses_a_singular_adjoint_step(
+    tmp_path, monkeypatch, capsys, command, pid, grid
+):
+    """At dt a = 1 the channel adjoint's implicit step divides by zero:
+    the spec is refused at /grid/n_steps before the oracle runs, and
+    all refuses it before any work (both used to fail with exit 3 after
+    the oracle)."""
+    def enumerate_anyway(*args, **kwargs):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(control, "_oracle", enumerate_anyway)
+    spec = json.dumps({"problem_id": pid, "grid": grid})
+    assert main([command, "--spec", spec, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "  /grid/n_steps: max-principle's adjoint step " in err
+    assert "divides by 1 - dt conj(a) = 0 (dt a = 1 at dt=4)" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_max_principle_small_grid(tmp_path):
     spec = parse_problem({"problem_id": "lq_scalar", "n_steps": 12})
     body = run("max-principle", spec, str(tmp_path))["report"]
@@ -918,20 +944,16 @@ def test_main_refuses_an_overflow_inside_a_walk_chunk(
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_main_max_principle_refuses_a_singular_adjoint_step_quietly(
-    tmp_path, capsys
-):
+def test_main_max_principle_refuses_a_singular_adjoint_step_quietly():
     """lq_scalar at T=128 over 32 steps has dt a = 1, so the channel
-    adjoint's implicit step divides by zero. max-principle refuses with
-    its own message; no RuntimeWarning leaves the adjoint, which this
-    test would turn into the failure instead."""
-    spec = json.dumps(
-        {"problem_id": "lq_scalar", "grid": {"T": 128, "n_steps": 32}}
-    )
-    assert main(["max-principle", "--spec", spec, "--out", str(tmp_path)]) == 3
-    assert capsys.readouterr().err == (
-        "max-principle failed: adjoint became non-finite\n"
-    )
+    adjoint's implicit step divides by zero. The CLI refuses the spec
+    first; the library's max-principle refuses with its own message,
+    and no RuntimeWarning leaves the adjoint, which this test would turn
+    into the failure instead."""
+    problem, grid = build("lq_scalar", n_steps=32, T=128.0)
+    alt = AdaptedProcess.constant_scalar(grid, -0.9)
+    with pytest.raises(FloatingPointError, match="^adjoint became non-finite"):
+        control._max_principle(problem, grid, 3, [0.0, 1.0], alt)
 
 
 @pytest.mark.parametrize("grid,driver,code", [

@@ -595,14 +595,16 @@ def _per_rung_gram_ladder(grid, windows, ch, steps):
     base, alt = (table[:, :, 0] for table in ch.tables)
     delta = np.zeros_like(base)
     delta[steps] = alt - base[steps]
-    coefs = _channel.coefficients(_channel.reduced(ch.ops))[:, :3]
-    x_gram = _channel.gram(grid, coefs, base[:, :, None], [ch.x0], block=1)
+    lanes = _channel.Lanes(
+        _channel.coefficients(_channel.reduced(ch.ops)), grid.dt
+    )
+    x_gram = _channel.gram(grid, lanes, base[:, :, None], [ch.x0], block=1)
     floor = 1e-8 * (1.0 + float(x_gram[:, 0, 0, 0].real.max()))
     sups = []
     for k0, k1 in windows:
         srcs = np.zeros((grid.n_steps, 3, 3), dtype=np.complex128)
         srcs[k0:k1] = delta[k0:k1, :, None] * _channel.SPIKE_SOURCES
-        gram = _channel.gram(grid, coefs, srcs, np.zeros(3), block=3)[:, 0]
+        gram = _channel.gram(grid, lanes, srcs, np.zeros(3), block=3)[:, 0]
         sups.append({
             name: max(
                 float(np.einsum("i,kij,j->k", c, gram, c).real.max()), 0.0
@@ -637,11 +639,23 @@ def test_gram_ladder_equals_the_per_rung_walks_bit_for_bit(
     assert not all(got["vacuous"].values())
 
 
+def _count_lanes(monkeypatch):
+    """The list that gains an entry per lane table built from now on."""
+    builds = []
+
+    def counted(coefs, dt, lanes=_channel.Lanes):
+        builds.append(1)
+        return lanes(coefs, dt)
+
+    monkeypatch.setattr(_channel, "Lanes", counted)
+    return builds
+
+
 def test_gram_ladder_walks_once_and_reduces_each_operator_once(monkeypatch):
-    """n=128 with five rungs: one walk, and as_graded_scalar once per
-    distinct operator. lq_scalar declares six, and each step's rules
-    return the same objects, so the gate reduces each once and shares
-    the reductions."""
+    """n=128 with five rungs: one walk on one lane table, and
+    as_graded_scalar once per distinct operator. lq_scalar declares six,
+    and each step's rules return the same objects, so the gate reduces
+    each once and shares the reductions."""
     pb, ubar, alt = _ladder_inputs("lq_scalar", 128)
     eps = [0.25, 0.125, 0.0625, 0.03125, 0.015625]
     walks = []
@@ -659,9 +673,11 @@ def test_gram_ladder_walks_once_and_reduces_each_operator_once(monkeypatch):
 
             monkeypatch.setattr(cls, "as_graded_scalar", counted)
     monkeypatch.setattr(_channel, "gram", counted_gram)
+    lanes = _count_lanes(monkeypatch)
     lad = variation_ladder(pb, ubar, alt, eps)
     assert lad["pass"]
     assert len(walks) == 1
+    assert len(lanes) == 1
     assert len(reductions) == 6
 
 
@@ -1112,7 +1128,8 @@ def test_each_gate_refusal_sends_every_consumer_to_its_element_route(
 
 def test_channel_max_principle_tabulates_the_operators_once(monkeypatch):
     """The benchmark's max-principle call at n=32: one coefficient table
-    serves the oracle, the adjoint vacua and the duality walk."""
+    and one lane table serve the oracle, the adjoint vacua and the
+    duality walk."""
     pb, grid = build("lq_scalar", n_steps=32)
     tables = []
 
@@ -1122,9 +1139,11 @@ def test_channel_max_principle_tabulates_the_operators_once(monkeypatch):
 
     monkeypatch.setattr(_channel, "coefficients", counted)
     monkeypatch.setattr(control, "first_adjoint", _refuse)
+    lanes = _count_lanes(monkeypatch)
     found = control._max_principle(pb, grid, 3, GRID7, const_u(grid, -0.9))
     assert found[2] == 0.0
     assert len(tables) == 1
+    assert len(lanes) == 1
 
 
 class _CountedReads(AdaptedProcess):
@@ -1243,6 +1262,28 @@ def test_gate_source_tables_are_the_injections_applied_bit_for_bit():
     assert not ch.tables[1][:, :, -1].any()
     for k in (0, 4, 5):
         assert _channel.gate(pb, grid, ([k], lambda k: [g0])) is None
+
+
+def test_lane_table_injection_columns_follow_the_grading():
+    """An injection uG = GradedScalarOp(alpha, beta) with beta != 0 has
+    two distinct parity columns in the lane table, and each is the
+    coefficient op.apply puts on an element of its parity, bit for
+    bit."""
+    pb, grid = build("lq_scalar", n_steps=6)
+    op = GradedScalarOp(complex(0.3, -0.2), complex(-0.7, 0.4))
+    zero = GradedScalarOp(0.0, 0.0)
+    pb = _with_injections(
+        pb, [(GradedScalarOp(1.0, 0.0), zero, op)] * grid.n_steps
+    )
+    inject = _channel.gate(pb, grid).lanes.inject[:, 2]
+    assert (inject[:, 0] != inject[:, 1]).all()
+    even = CliffordElement.from_terms(grid.n, {0: 0.5, 0b11: 1.5 - 2j})
+    odd = CliffordElement.from_terms(grid.n, {0b100: -1.25, 0b111: 0.75j})
+    for p, x in enumerate((even, odd)):
+        got = op.apply(x)
+        assert got.masks.tobytes() == x.masks.tobytes()
+        for k in range(grid.n_steps):
+            assert got.amps.tobytes() == (x.amps * inject[k, p]).tobytes()
 
 
 def test_brute_force_winner_sits_within_one_cell_of_refined_optimum():

@@ -243,9 +243,8 @@ def test_linear_gram_matches_pairings_of_unpruned_solves():
     def ops(k):
         return tuple(GradedScalarOp(*coefs[k, i]) for i in range(3))
 
-    gram = _channel.gram(
-        grid, coefficient_table(grid, ops), srcs, x0_amps, block=3
-    )[:, 0]
+    lanes = _channel.Lanes(coefficient_table(grid, ops), grid.dt)
+    gram = _channel.gram(grid, lanes, srcs, x0_amps, block=3)[:, 0]
     paths = []
     for j in range(3):
         scalars = lambda k, j=j: tuple(
@@ -276,21 +275,21 @@ def test_linear_gram_batches_path_groups_bit_for_bit(sizes):
     def ops(k):
         return tuple(GradedScalarOp(*coefs[k, i]) for i in range(3))
 
-    table = coefficient_table(grid, ops)
+    lanes = _channel.Lanes(coefficient_table(grid, ops), grid.dt)
     stacked = np.concatenate(srcs, axis=2)
     whole = _channel.gram(
-        grid, table, stacked, np.concatenate(x0s), block=sum(sizes)
+        grid, lanes, stacked, np.concatenate(x0s), block=sum(sizes)
     )[:, 0]
     blocks = None
     if len(set(sizes)) == 1:
         blocks = _channel.gram(
-            grid, table, stacked, np.concatenate(x0s), block=sizes[0]
+            grid, lanes, stacked, np.concatenate(x0s), block=sizes[0]
         )
         assert blocks.shape == (grid.n_steps + 1,) + (len(sizes),) + (
             sizes[0],) * 2
     lo = 0
     for g, (src, x0) in enumerate(zip(srcs, x0s)):
-        own = _channel.gram(grid, table, src, x0, block=len(x0))[:, 0]
+        own = _channel.gram(grid, lanes, src, x0, block=len(x0))[:, 0]
         hi = lo + len(x0)
         assert np.array_equal(whole[:, lo:hi, lo:hi], own)
         if blocks is not None:
@@ -301,13 +300,15 @@ def test_linear_gram_batches_path_groups_bit_for_bit(sizes):
 def test_linear_gram_blocks_must_split_the_paths():
     grid = TimeGrid(1.0, 4)
     table = coefficient_table(grid, lambda k: (GradedScalarOp(0.1, 0.0),) * 3)
+    lanes = _channel.Lanes(table, grid.dt)
     with pytest.raises(ValueError, match="5 paths do not split"):
-        _channel.gram(grid, table, np.zeros((4, 3, 5)), np.ones(5), block=3)
+        _channel.gram(grid, lanes, np.zeros((4, 3, 5)), np.ones(5), block=3)
 
 
 def test_linear_gram_raises_on_overflow():
     grid = TimeGrid(1.0, 8)
     huge = coefficient_table(grid, lambda k: (GradedScalarOp(1e300, 0.0),) * 3)
+    huge = _channel.Lanes(huge, grid.dt)
     for x0_amps in ([1.0], [1.0, 0.0]):
         with pytest.raises(FloatingPointError, match="non-finite"):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -387,8 +388,9 @@ def test_chunked_walk_equals_the_step_by_step_walk(chunk_budget, n_steps):
     iterable of per-step sources give the step-by-step walk's values to
     the last bit, whatever the chunk length."""
     grid, coefs, srcs, x0_amps = _walk_case(n_steps, 6, seed=n_steps)
+    lanes = _channel.Lanes(coefs, grid.dt)
     for block in (1, 3, 6):
-        got = _channel.gram(grid, coefs, srcs, x0_amps, block=block)
+        got = _channel.gram(grid, lanes, srcs, x0_amps, block=block)
         want = _step_gram(grid, coefs, srcs, x0_amps, block)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -396,7 +398,7 @@ def test_chunked_walk_equals_the_step_by_step_walk(chunk_budget, n_steps):
         grid, coefs, srcs, x0_amps, lambda v: v.real**2 + v.imag**2
     )))
     for fed in (srcs, (srcs[k].copy() for k in range(n_steps))):
-        rows = list(_channel.norms_sq(grid, coefs, fed, x0_amps))
+        rows = list(_channel.norms_sq(grid, lanes, fed, x0_amps))
         assert all(row.shape == (6,) for row in rows)
         assert np.array(rows).tobytes() == want.tobytes()
 
@@ -416,13 +418,14 @@ def test_walk_chunks_keep_within_the_entry_budget(monkeypatch):
     """Step 0 comes alone, then chunks of budget // entries steps (at
     least one), the last one short."""
     grid, coefs, srcs, x0_amps = _walk_case(13, 6, seed=4)
+    lanes = _channel.Lanes(coefs, grid.dt)
     pair = lambda v: v.real**2 + v.imag**2
     for budget, lengths in [
         (1, [1] * 14), (6, [1] * 14), (13, [1, 2, 2, 2, 2, 2, 2, 1]),
         (40, [1, 6, 6, 1]), (1 << 16, [1, 13]),
     ]:
         monkeypatch.setattr(_channel, "_CHUNK_ENTRIES", budget)
-        chunks = list(_channel.walk(grid, coefs, srcs, x0_amps, pair))
+        chunks = list(_channel.walk(grid, lanes, srcs, x0_amps, pair))
         assert [len(c) for c in chunks] == lengths
 
 
@@ -476,22 +479,30 @@ def _step_adjoint_vacua(grid, coefs, srcs, x0, drive):
 def _transpose_channel(grid, coefs, x0, weights):
     """A Channel of the raw table coefs for adjoint_vacua alone."""
     return _channel.Channel(
-        None, coefs, x0, _channel._NormCost(weights, grid.dt), []
+        None, _channel.Lanes(coefs, grid.dt), x0,
+        _channel._NormCost(weights, grid.dt), [],
     )
 
 
 def _zeroed_case(n_steps, paths, seed):
-    """_walk_case with exact and negative zeros through the raw table."""
-    grid, coefs, srcs, x0_amps = _walk_case(n_steps, paths, seed)
-    zeros = [0j, complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0)]
-    for k in range(n_steps):
-        for i in range(3):
-            coefs[k, i, (k + i) % 2] = zeros[(k + 2 * i) % 4]
-            coefs[k, i, (k + i + 1) % 2] = complex(
-                -0.0 if (k + i) % 3 else 1.5, 0.0 if i % 2 else -0.0
-            )
-    srcs[::3] = complex(-0.0, -0.0)
-    return grid, coefs, srcs, x0_amps
+    """Walk data whose real and imaginary parts are 0.0, -0.0, 1.5 or
+    -0.5, with b(-1) = (-0.0, -0.5) and c(-1) = (0.0, -0.5) at every
+    third step: b - c is (-0.0, 0.0) there, while b + p c with p c a
+    complex product is (0.0, 0.0)."""
+    rng = np.random.default_rng(seed)
+    parts = np.array([0.0, -0.0, 1.5, -0.5])
+
+    def cx(*shape):
+        out = np.empty(shape, dtype=np.complex128)
+        out.real = parts[rng.integers(0, 4, size=shape)]
+        out.imag = parts[rng.integers(0, 4, size=shape)]
+        return out
+
+    coefs = cx(n_steps, 3, 2)
+    coefs[::3, 1, 1] = complex(-0.0, -0.5)
+    coefs[::3, 2, 1] = complex(0.0, -0.5)
+    grid = SimpleNamespace(dt=0.07, n_steps=n_steps)
+    return grid, coefs, cx(n_steps, 3, paths), cx(paths)
 
 
 @pytest.mark.parametrize("case", ["random", "b_odd_is_c_odd", "zeros"])
@@ -508,7 +519,8 @@ def test_transpose_equals_the_step_by_step_transpose(case, n_steps):
         grid, coefs, srcs, x0_amps = _walk_case(n_steps, 6, seed=n_steps)
     if case == "b_odd_is_c_odd":
         coefs[:, 2, 1] = coefs[:, 1, 1]
-    got = _channel.vacua(grid, coefs, srcs, x0_amps)
+    stay = _channel.Lanes(coefs, grid.dt).stay
+    got = _channel.vacua(grid, stay, srcs, x0_amps)
     want = _step_vacua(grid, coefs, srcs, x0_amps)
     assert got.shape == want.shape == (n_steps + 1, 6)
     assert got.tobytes() == want.tobytes()
@@ -546,7 +558,8 @@ def test_linear_gram_names_the_first_non_finite_step_inside_a_chunk(
     bad = ~np.isfinite(want.reshape(grid.n_steps + 1, -1)).all(axis=1)
     assert int(np.argmax(bad)) == 6
     with pytest.raises(FloatingPointError, match="non-finite at step 6$"):
-        _channel.gram(grid, coefs, srcs, [1.0], block=1)
+        _channel.gram(grid, _channel.Lanes(coefs, grid.dt), srcs, [1.0],
+                      block=1)
 
 
 def test_difference_solver_equals_subtracted_solves():

@@ -1,10 +1,11 @@
 """Every name a library module imports is used there or re-exported,
 every private name the library defines is used somewhere, every layer
 the benchmark's tracer patches exists, the parity channel sits below
-control and reads the declared cost weights in its cost rule alone,
-only the Jordan-Wigner definitions and algebra-suite's homomorphism
-check name the Jordan-Wigner matrices, and only the runner's generator
-names numpy.random, for the pipelines that draw.
+control and reads the declared cost weights in its cost rule alone and
+the raw coefficient table in its lane rule alone, only the
+Jordan-Wigner definitions and algebra-suite's homomorphism check name
+the Jordan-Wigner matrices, and only the runner's generator names
+numpy.random, for the pipelines that draw.
 
 Parsed with the standard library's ast, so the checks need nothing
 installed. The package __init__ is exempt: its imports are the public
@@ -245,6 +246,68 @@ def test_the_structure_checks_see_imports_and_weights():
     ]
     assert weights_readers(ast.parse(source)) == [7, 9, 11, 16]
     assert weights_reading_definitions(source) == ["K", "f"]
+
+
+def _names_the_raw_table(node, fed):
+    """Whether a syntax node names the raw coefficient table: coefs as a
+    name, parameter or attribute, or a coefficients(...) call not in
+    fed (the calls whose value goes straight into Lanes)."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        called = func.id if isinstance(func, ast.Name) else getattr(
+            func, "attr", None
+        )
+        return called == "coefficients" and id(node) not in fed
+    return "coefs" in (
+        getattr(node, "id", None), getattr(node, "arg", None),
+        getattr(node, "attr", None),
+    )
+
+
+def raw_table_readers(source):
+    """Top-level functions and classes of a source that read the raw
+    coefficient table (see _names_the_raw_table)."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        fed = {
+            id(arg) for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and getattr(call.func, "id", None) == "Lanes"
+            for arg in call.args
+        }
+        if any(_names_the_raw_table(n, fed) for n in ast.walk(node)):
+            found.append(node.name)
+    return sorted(found)
+
+
+def test_the_check_sees_raw_table_readers():
+    source = (
+        "def gate(ops, dt):\n    return Lanes(coefficients(ops), dt)\n"
+        "class Lanes:\n    def __init__(self, coefs, dt):\n"
+        "        self.stay = 1.0 + dt * coefs[:, 0]\n"
+        "def walk(ch):\n    return ch.coefs[:, 0]\n"
+        "def vacua(ops):\n    table = coefficients(ops)\n"
+        "    return Lanes(table, 1.0)\n"
+        "def f(ops):\n    return _channel.coefficients(ops)[:, 3:]\n"
+        "def g(lanes):\n    return lanes.stay\n"
+        "def h(coefs):\n    return 1\n"
+    )
+    assert raw_table_readers(source) == ["Lanes", "f", "h", "vacua", "walk"]
+
+
+def test_only_the_lane_rule_reads_the_raw_coefficient_table():
+    """coefficients produces the raw table and the gate hands it straight
+    to the lane rule, Lanes, its only reader: every other route reads
+    the lanes."""
+    readers = {
+        path.name: raw_table_readers(path.read_text())
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: defs for name, defs in readers.items() if defs} == {
+        "_channel.py": ["Lanes"],
+    }
 
 
 def test_the_channel_imports_only_numpy_and_operators():
