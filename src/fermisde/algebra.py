@@ -877,7 +877,10 @@ class _Stack:
     any stacks whose steps hold no repeated mask and return a canonical
     one. A sum sorts once for all steps, and its stable sort merges the
     rows of one step in the order of the parts, as a + b does, so every
-    step of a + b equals its own sum bit for bit.
+    step of a + b equals its own sum bit for bit. Sums across steps take
+    one rule, folds: the step-ordered fold acc = acc + v_k of each
+    sample, its running values and its total, bit for bit the fold of
+    elements.
 
     A stack with a period holds a batch of processes on one grid, one per
     sample: with period = n_steps + 1, row i belongs to step
@@ -946,32 +949,73 @@ class _Stack:
         )
         return _Stack(self.n, seg, masks, amps)
 
-    def folds(self):
-        """Each sample's rows summed over all its steps as the fold
-        ((v_0 + v_1) + v_2) + .. of its step values: a canonical stack
-        whose seg is the sample. np.add.reduceat, and so sums, adds a
-        run of three or more rows in another order; here each mask's
-        rows are added one step at a time, in step order, restarting
-        where a sum cancels to exactly 0 as the fold does."""
-        order = sp.lexsort_rows(self.masks, self.sample)
+    def folds(self, count):
+        """The fold acc_{k+1} = acc_k + v_k of each sample's step values
+        v_0..v_{count-1}, as (running, totals): running is the stack of
+        acc_1..acc_{count-1}, keyed as the input (step k of sample s at
+        seg s * period + k) and unordered within a step; totals is the
+        canonical stack of acc_count whose seg is the sample.
+
+        Sorted stably by sample and mask, the rows of each (sample, mask)
+        group are its terms in step order. Each group gets a row of a
+        table whose column c holds its term of step c, or -0-0j where it
+        has none, and a cumsum along it gives the fold's values: -0-0j is
+        the exact additive identity, so an absent term changes nothing
+        and a first term comes out as itself (np.add.reduceat, and so
+        sums, adds a run of three or more rows in another order). The
+        fold drops a sum that cancels to exactly zero, so its next term
+        enters alone; the cumsum would add it to that zero, which can
+        flip a -0.0 part, so each such row is summed again from there
+        (_restart_zeros). A group's row only spans the steps from its
+        first term on, and groups share a table with those whose span is
+        at most twice as long, so the tables hold at most about twice the
+        rows of running.
+
+        The one input that tells this from the fold of elements is an
+        amplitude that underflows to exactly zero: the element fold can
+        carry such a zero row for a step, and so differ in the sign of a
+        zero part.
+        """
+        sample, step = self.sample, self.step
+        order = sp.lexsort_rows(self.masks, sample)
         masks, amps = self.masks[order], self.amps[order]
-        sample = self.sample[order]
-        new = np.ones(amps.shape[0], dtype=bool)
+        sample, step = sample[order], step[order]
+        new = np.ones(amps.size, dtype=bool)
         new[1:] = (masks[1:] != masks[:-1]).any(axis=1) | (
             sample[1:] != sample[:-1]
         )
         starts = np.flatnonzero(new)
         group = np.cumsum(new) - 1
-        rank = np.arange(amps.shape[0]) - starts[group]
-        total = amps[starts]
-        for r in range(1, int(rank.max(initial=0)) + 1):
-            at = rank == r
-            g, term = group[at], amps[at]
-            prev = total[g]
-            total[g] = np.where(prev == 0, term, prev + term)
-        keep = total != 0
-        return _Stack(self.n, sample[starts][keep], masks[starts][keep],
-                      total[keep])
+        span = count - step[starts]
+        bucket = np.ceil(np.log2(span)).astype(np.int64)
+        finals = np.zeros(starts.size, dtype=np.complex128)
+        pieces = []
+        # (np.unique would import numpy.ma, a megabyte, on its first call)
+        for b in np.flatnonzero(np.bincount(bucket)):
+            members = np.flatnonzero(bucket == b)
+            width = int(span[members].max())
+            first = count - width
+            inside = bucket[group] == b
+            sums = np.full((members.size, width), _NEG_ZERO)
+            sums[np.searchsorted(members, group[inside]),
+                 step[inside] - first] = amps[inside]
+            terms = sums.copy()
+            np.cumsum(terms, axis=1, out=sums)
+            _restart_zeros(terms, sums)
+            finals[members] = sums[:, -1]
+            local, col = np.nonzero(sums[:, :-1] != 0)
+            head = starts[members[local]]
+            pieces.append((
+                sample[head] * (self.period or 0) + first + 1 + col,
+                masks[head],
+                sums[local, col],
+            ))
+        empty = (self.seg[:0], masks[:0], amps[:0])
+        running = self._like(*map(np.concatenate, zip(empty, *pieces)))
+        live = finals != 0
+        head = starts[live]
+        totals = _Stack(self.n, sample[head], masks[head], finals[live])
+        return running, totals
 
     def __add__(self, other):
         return self._like(
@@ -1133,6 +1177,36 @@ class _Stack:
         """norm2 of each of steps lo..hi-1 of a canonical stack, each
         summed over the step's rows as in norm2."""
         return np.sqrt(self.squares(np.arange(lo, hi))).tolist()
+
+
+# The additive identity of complex addition: x + (-0-0j) == x bit for bit,
+# signed zeros included.
+_NEG_ZERO = complex(-0.0, -0.0)
+
+
+def _restart_zeros(terms, sums):
+    """Sum again, in place, every row of sums = cumsum(terms) from each
+    point where it is exactly zero, starting from -0-0j as the fold's
+    empty sum does. A zero that already is -0-0j needs no restart, and
+    a restart changes only the signs of zero parts, so it finds the
+    same zeros further on."""
+    cols = np.arange(sums.shape[1] - 1)
+
+    def restarts(block):
+        head = block[:, :-1]
+        return (head == 0) & ~(np.signbit(head.real) & np.signbit(head.imag))
+
+    flags = restarts(sums)
+    rows = np.flatnonzero(flags.any(axis=1))
+    flags = flags[rows]
+    while rows.size:
+        at = flags.argmax(axis=1)[:, None]
+        later = np.arange(sums.shape[1]) > at
+        tail = np.cumsum(np.where(later, terms[rows], _NEG_ZERO), axis=1)
+        sums[rows] = np.where(later, tail, sums[rows])
+        flags = restarts(sums[rows]) & (cols > at)
+        again = flags.any(axis=1)
+        rows, flags = rows[again], flags[again]
 
 
 def _distances(n, a_values, b_values):

@@ -289,11 +289,6 @@ def _stepwise_rows(grid, yT, lins):
     return y, Y.representing(np.sqrt(grid.dt)).values(0, n)
 
 
-# The additive identity of complex addition: x + (-0-0j) == x bit for bit,
-# signed zeros included.
-_NEG_ZERO = complex(-0.0, -0.0)
-
-
 def _project_sweep(grid, yT, fs, lo, hi):
     """One Picard projection on steps [lo, hi) with terminal yT.
 
@@ -311,9 +306,9 @@ def _project_sweep(grid, yT, fs, lo, hi):
     one contiguous block and every martingale value a prefix view, as
     stepping the split down from hi would give them.
 
-    The prefix sums of fs dt come from _running_sums, equal bit for bit
-    to the fold acc = acc + fs[j] dt; y_k = mart_k + prefix_k is then
-    formed for all steps in one stacked sum.
+    The prefix sums of fs dt and their total come from _Stack.folds,
+    equal bit for bit to the fold acc = acc + fs[j] dt; y_k = mart_k +
+    prefix_k is then formed for all steps in one stacked sum.
     """
     n = grid.n
     count = hi - lo
@@ -322,8 +317,8 @@ def _project_sweep(grid, yT, fs, lo, hi):
     if outside.any():
         bad = lo + int(terms.seg[outside][0])
         raise ValueError(f"driver produced a non-adapted value at step {bad}")
-    prefix, acc = _running_sums(n, terms, count)
-    mart = yT - acc
+    prefix, total = terms.folds(count)
+    mart = yT - total.values(0, 1)[0]
     top = sp.top_bit(mart.masks)
     bounds = np.searchsorted(top, np.arange(lo, hi + 1))
     # Y: the rows topping out in [lo, hi), at their top bit's step
@@ -340,90 +335,6 @@ def _project_sweep(grid, yT, fs, lo, hi):
         mart.amps[index],
     )
     return marts + prefix, integrands
-
-
-def _running_sums(n, terms, count):
-    """The fold acc_{j+1} = acc_j + terms_j over the steps of a canonical
-    stack, in one accumulation per mask; returns (stack of acc_1 ..
-    acc_{count-1}, unordered within a step, and the element acc_count).
-
-    Sorted stably by mask, the rows of each mask are its terms in step
-    order. Each mask gets a row of an array whose column c holds its term
-    of step c, or -0-0j where it has none, and a cumsum along it gives
-    the fold's values: -0-0j is the exact additive identity, so an absent
-    term changes nothing and a first term comes out as itself. The fold
-    drops a sum that cancels to exactly zero, so its next term enters
-    alone; the cumsum would add it to that zero, which can flip a -0.0
-    part, so each such row is summed again from there (_restart_zeros).
-    A mask's row only spans the steps from its first term on, and masks
-    share an array with those whose span is at most twice as long, so
-    the arrays hold at most about twice the rows of the prefix sums.
-
-    The one input that tells this from the fold is an amplitude of
-    terms_j that underflows to exactly zero: the fold can carry such a
-    zero row for a step, and so differ in the sign of a zero part.
-    """
-    w = terms.masks.shape[1]
-    order = sp.lexsort_rows(terms.masks)
-    masks = terms.masks[order]
-    seg = terms.seg[order]
-    amps = terms.amps[order]
-    new = np.ones(seg.size, dtype=bool)
-    new[1:] = np.any(masks[1:] != masks[:-1], axis=1)
-    starts = np.flatnonzero(new)
-    group = np.cumsum(new) - 1
-    span = count - seg[starts]
-    bucket = np.ceil(np.log2(span)).astype(np.int64)
-    finals = np.zeros(starts.size, dtype=np.complex128)
-    pieces = []
-    # (np.unique would import numpy.ma, a megabyte, on its first call)
-    for b in np.flatnonzero(np.bincount(bucket)):
-        members = np.flatnonzero(bucket == b)
-        width = int(span[members].max())
-        first = count - width
-        inside = bucket[group] == b
-        sums = np.full((members.size, width), _NEG_ZERO)
-        sums[np.searchsorted(members, group[inside]), seg[inside] - first] = (
-            amps[inside]
-        )
-        terms_b = sums.copy()
-        np.cumsum(terms_b, axis=1, out=sums)
-        _restart_zeros(terms_b, sums)
-        finals[members] = sums[:, -1]
-        local, col = np.nonzero(sums[:, :-1] != 0)
-        pieces.append(
-            (first + 1 + col, masks[starts[members[local]]], sums[local, col])
-        )
-    empty = (np.zeros(0, np.int64), sp.empty_masks(w), np.zeros(0, complex))
-    seg_p, masks_p, amps_p = map(np.concatenate, zip(empty, *pieces))
-    live = finals != 0
-    acc = CliffordElement._wrap(n, masks[starts[live]], finals[live])
-    return _Stack(n, seg_p, masks_p, amps_p), acc
-
-
-def _restart_zeros(terms, sums):
-    """Sum again, in place, every row of sums = cumsum(terms) from each
-    point where it is exactly zero, starting from -0-0j as the fold's
-    empty sum does. A zero that already is -0-0j needs no restart, and
-    a restart changes only the signs of zero parts, so it finds the
-    same zeros further on."""
-    cols = np.arange(sums.shape[1] - 1)
-
-    def restarts(block):
-        head = block[:, :-1]
-        return (head == 0) & ~(np.signbit(head.real) & np.signbit(head.imag))
-
-    flags = restarts(sums)
-    rows = np.flatnonzero(flags.any(axis=1))
-    flags = flags[rows]
-    while rows.size:
-        at = flags.argmax(axis=1)[:, None]
-        later = np.arange(sums.shape[1]) > at
-        tail = np.cumsum(np.where(later, terms[rows], _NEG_ZERO), axis=1)
-        sums[rows] = np.where(later, tail, sums[rows])
-        flags = restarts(sums[rows]) & (cols > at)
-        again = flags.any(axis=1)
-        rows, flags = rows[again], flags[again]
 
 
 def _pair_distance(grid, y_a, Y_a, y_b, Y_b):

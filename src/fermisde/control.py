@@ -33,6 +33,7 @@ from .backward import Driver, solve_stepwise
 from .forward import (
     Coefficients,
     ControlSpace,
+    _past_horizon,
     _require_step,
     euler_forward,
     euler_forward_difference,
@@ -336,7 +337,7 @@ def _window_refusals(grid, eps_list, offsets):
         except ValueError as exc:
             refusals.append((i, str(exc)))
             continue
-        if eps > grid.T * (1 + 1e-9):
+        if _past_horizon(grid, eps):
             refusals.append((i, (
                 f"eps {eps:g} is wider than the horizon T={grid.T:g}"
             )))
@@ -349,7 +350,7 @@ def _window_refusals(grid, eps_list, offsets):
         except ValueError as exc:
             refusals.append((None, str(exc)))
             continue
-        if offset + widest > grid.T * (1 + 1e-9):
+        if _past_horizon(grid, offset + widest):
             # A window clipped at T would be fitted against the nominal eps.
             refusals.append((None, (
                 f"spike window [{offset:g}, {offset + widest:g}) passes the "

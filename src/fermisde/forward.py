@@ -184,20 +184,23 @@ def _euler_loop(grid, x0, increments, prune, validate):
     x = x0
     values = [x0]
     dropped_sq = 0.0
-    for k in range(grid.n_steps):
-        x = _euler_step(x, k, grid.dt, *increments(k, x))
-        if prune:
-            x, d = x.prune(prune)
-            dropped_sq += d
-        if not x.isfinite():
-            raise FloatingPointError(
-                f"state became non-finite at step {k + 1}"
-            )
-        if validate and not sp.rows_within(x.masks, k + 1).all():
-            raise ValueError(
-                f"coefficients produced a non-adapted state at step {k + 1}"
-            )
-        values.append(x)
+    # an overflow shows as a non-finite state, reported with its step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(grid.n_steps):
+            x = _euler_step(x, k, grid.dt, *increments(k, x))
+            if prune:
+                x, d = x.prune(prune)
+                dropped_sq += d
+            if not x.isfinite():
+                raise FloatingPointError(
+                    f"state became non-finite at step {k + 1}"
+                )
+            if validate and not sp.rows_within(x.masks, k + 1).all():
+                raise ValueError(
+                    "coefficients produced a non-adapted state at step "
+                    f"{k + 1}"
+                )
+            values.append(x)
     return StatePath(
         grid,
         values,
@@ -387,39 +390,41 @@ def linear_euler_forward(grid, ops, srcs, x0, prune=None):
     values = [frame.element()]
     dt = grid.dt
     dropped_sq = 0.0
-    for k in range(grid.n_steps):
-        a_op, b_op, c_op = ops(k)
-        s_d, s_f, s_g = srcs(k)
-        fast = (
-            a_op.as_graded_scalar() is not None
-            and b_op.as_graded_scalar() is not None
-            and c_op.as_graded_scalar() is not None
-        )
-        if fast:
-            sd = _as_scalar_amp(s_d)
-            sf = _as_scalar_amp(s_f)
-            sg = _as_scalar_amp(s_g)
-            fast = sd is not None and sf is not None and sg is not None
-        if fast:
-            frame.step(k, dt, a_op, b_op, c_op, sd, sf, sg)
-        else:
-            x = frame.element()
-            x = _euler_step(
-                x,
-                k,
-                dt,
-                a_op.apply(x) + s_d,
-                b_op.apply(x) + s_f,
-                c_op.apply(x) + s_g,
+    # an overflow shows as a non-finite state, reported with its step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(grid.n_steps):
+            a_op, b_op, c_op = ops(k)
+            s_d, s_f, s_g = srcs(k)
+            fast = (
+                a_op.as_graded_scalar() is not None
+                and b_op.as_graded_scalar() is not None
+                and c_op.as_graded_scalar() is not None
             )
-            frame = _Frame.from_element(x)
-        if prune:
-            dropped_sq += frame.prune(prune)
-        if not np.isfinite(frame.amps).all():
-            raise FloatingPointError(
-                f"state became non-finite at step {k + 1}"
-            )
-        values.append(frame.element())
+            if fast:
+                sd = _as_scalar_amp(s_d)
+                sf = _as_scalar_amp(s_f)
+                sg = _as_scalar_amp(s_g)
+                fast = sd is not None and sf is not None and sg is not None
+            if fast:
+                frame.step(k, dt, a_op, b_op, c_op, sd, sf, sg)
+            else:
+                x = frame.element()
+                x = _euler_step(
+                    x,
+                    k,
+                    dt,
+                    a_op.apply(x) + s_d,
+                    b_op.apply(x) + s_f,
+                    c_op.apply(x) + s_g,
+                )
+                frame = _Frame.from_element(x)
+            if prune:
+                dropped_sq += frame.prune(prune)
+            if not np.isfinite(frame.amps).all():
+                raise FloatingPointError(
+                    f"state became non-finite at step {k + 1}"
+                )
+            values.append(frame.element())
     return StatePath(
         grid,
         values,
@@ -461,7 +466,7 @@ def spike(ubar, u, eps, offset=0.0):
     being silently dropped (refine the grid to resolve them).
     """
     grid = ubar.grid
-    if not 0 < eps <= grid.T + 1e-12:
+    if not 0 < eps or _past_horizon(grid, eps):
         raise ValueError("spike width must lie in (0, T]")
     _require_step(grid, eps)
     k0, k1 = spike_window(grid, eps, offset)
@@ -479,6 +484,12 @@ def _require_step(grid, eps):
             f"eps {eps:g} is below one grid step dt={grid.dt:g}; "
             "refine the grid to resolve it"
         )
+
+
+def _past_horizon(grid, t):
+    """Whether time t lies past the horizon T, with a relative slack for
+    widths and window ends that round onto T."""
+    return t > grid.T * (1 + 1e-9)
 
 
 def spike_window(grid, eps, offset=0.0):

@@ -570,12 +570,13 @@ def _bg_batch(grid, steps, ps):
 def _square_functions(grid, steps, left):
     """sum_k dt Y_k* Y_k (Y_k Y_k* when left) of each sample of a stack
     of integrand values, as a list of elements over the samples: one
-    stacked product for all steps, scaled, then summed over each
-    sample's steps in step order, equal bit for bit to the fold
-    total + dt Y_k* Y_k of elements."""
+    stacked product for all steps, scaled, then the totals of
+    _Stack.folds, each sample's steps summed in step order, equal bit
+    for bit to the fold total + dt Y_k* Y_k of elements."""
     star = steps.adjoint()
     squares = steps.products(star) if left else star.products(steps)
-    return squares.scale(grid.dt).folds().values(0, steps.samples)
+    _, totals = squares.scale(grid.dt).folds(grid.n_steps)
+    return totals.values(0, steps.samples)
 
 
 def commutation_check(grid, process):

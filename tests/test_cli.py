@@ -1205,6 +1205,28 @@ def test_main_ladder_eps_wider_than_the_horizon_points_at_the_eps(
     assert not (tmp_path / "ladder.json").exists()
 
 
+def test_main_ladder_runs_an_eps_a_hair_past_the_horizon(tmp_path):
+    """The plan admits eps up to T with a relative slack; the element
+    route's spike shares that rule, so such a ladder runs."""
+    spec = ('{"problem_id": "quadratic_drift", "grid": {"T": 1.0, '
+            '"n_steps": 8}, "eps_list": [1.0000000001, 0.5, 0.25]}')
+    code = main(["ladder", "--spec", spec, "--out", str(tmp_path)])
+    assert code in (0, 1)
+    assert (tmp_path / "ladder.json").exists()
+
+
+def test_main_ladder_overflow_is_one_line(tmp_path, capsys):
+    """A state that overflows on the element route is reported by the
+    forward loop's finite check alone, with no NumPy warning before it."""
+    spec = ('{"problem_id": "quadratic_drift", "grid": {"T": 1000.0, '
+            '"n_steps": 8}, "eps_list": [1000, 500, 250]}')
+    code = main(["ladder", "--spec", spec, "--out", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "ladder failed: state became non-finite at step 8"
+    ]
+
+
 @pytest.mark.parametrize("spec,pointer", [
     ('{"grid": {"n_steps": 8}}', "/eps_list"),
     ('{"grid": {"n_steps": 16}, "offsets": [0.9]}', "/offsets"),

@@ -480,6 +480,20 @@ def test_window_refusals_name_an_eps_wider_than_the_horizon():
         )
 
 
+@pytest.mark.parametrize("problem_id,T,step", [
+    ("quadratic_drift", 1000.0, 8),
+    ("lq_scalar", 1e300, 2),
+], ids=["element_route", "linear_route"])
+def test_solve_state_reports_an_overflow_at_its_step(problem_id, T, step):
+    """An overflowing state solve raises the loop's own FloatingPointError
+    naming the step, not a NumPy RuntimeWarning from inside a step (which
+    the tests' warning filter would raise first): quadratic_drift runs the
+    element loop, lq_scalar the declared linear one."""
+    pb, grid = build(problem_id, n_steps=8, T=T, x0_scale=1.0)
+    with pytest.raises(FloatingPointError, match=f"at step {step}$"):
+        solve_state(pb, const_u(grid, 0.3))
+
+
 def test_ladder_with_every_series_vacuous_fails():
     pb, grid = quad_problem(16, x0=1.0)
     u = const_u(grid, 0.3)

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fermisde import _channel
+from fermisde import _channel, control
 from fermisde import _sparse as sp
 from fermisde.algebra import (
     CliffordElement,
@@ -657,6 +657,25 @@ def test_spike_validation():
         spike(ubar, alt, eps=1.5)
     # a full-step spike is fine even with rounding slack
     assert spike(ubar, alt, eps=grid.dt * (1 - 1e-12)) is not None
+
+
+def test_spike_admits_every_width_the_ladder_admits():
+    """spike and the ladder's window refusals share one horizon rule: a
+    width a hair past T, which the ladder admits, is a whole-horizon
+    spike, and one past the slack is refused by both."""
+    grid = TimeGrid(1.0, 8)
+    ubar = AdaptedProcess.constant_scalar(grid, 1.0)
+    alt = AdaptedProcess.constant_scalar(grid, -1.0)
+    eps = grid.T * (1 + 1e-10)
+    assert control._window_refusals(grid, [eps], [0.0]) == []
+    got = spike(ubar, alt, eps=eps).values
+    assert all(a is b for a, b in zip(got, alt.values, strict=True))
+    wide = grid.T * (1 + 1e-8)
+    assert control._window_refusals(grid, [wide], [0.0]) == [
+        (0, "eps 1 is wider than the horizon T=1")
+    ]
+    with pytest.raises(ValueError, match="in \\(0, T\\]"):
+        spike(ubar, alt, eps=wide)
 
 
 # -- derivative cross-checks ----------------------------------------------

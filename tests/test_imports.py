@@ -4,8 +4,9 @@ the benchmark's tracer patches exists, the parity channel sits below
 control and reads the declared cost weights in its cost rule alone and
 the raw coefficient table in its lane rule alone, only the
 Jordan-Wigner definitions and algebra-suite's homomorphism check name
-the Jordan-Wigner matrices, and only the runner's generator names
-numpy.random, for the pipelines that draw.
+the Jordan-Wigner matrices, only the runner's generator names
+numpy.random, for the pipelines that draw, and the running fold is
+written once, on _Stack.
 
 Parsed with the standard library's ast, so the checks need nothing
 installed. The package __init__ is exempt: its imports are the public
@@ -471,3 +472,92 @@ def test_only_the_drawing_pipelines_build_a_generator():
         for name in params
     }
     assert set(drawing) == {"algebra-suite", "ito-suite", "bg-constants"}
+
+
+def _units(tree):
+    """(name, node) of each top-level statement of a module, a class's
+    methods each on its own as Class.method; see _definition_name."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                name = getattr(item, "name", f"line {item.lineno}")
+                yield f"{node.name}.{name}", item
+        else:
+            yield _definition_name(node), node
+
+
+def fold_rule_users(source):
+    """Definitions of a source that name the fold's helpers, _NEG_ZERO
+    or _restart_zeros, or import them; defining one is not naming it."""
+    for name, node in _units(ast.parse(source)):
+        named = set()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+                named.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                named.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                named.update(alias.name for alias in n.names)
+        if named & {"_NEG_ZERO", "_restart_zeros"}:
+            yield name
+
+
+def _is_fold_step(node):
+    """Whether a syntax node spells a step of a running fold: a cumsum
+    along an axis, an accumulate, or a negative zero literal."""
+    if isinstance(node, ast.Call):
+        called = getattr(node.func, "attr", getattr(node.func, "id", None))
+        return called == "accumulate" or called == "cumsum" and (
+            len(node.args) > 1 or any(k.arg == "axis" for k in node.keywords)
+        )
+    return (
+        isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+        and isinstance(node.operand, ast.Constant) and node.operand.value == 0
+    )
+
+
+def own_folds(source):
+    """Definitions of a source that look like a running fold of their
+    own: named for a fold, a running sum or a restart, or holding a
+    fold step (_is_fold_step)."""
+    for name, node in _units(ast.parse(source)):
+        own = name.rsplit(".", 1)[-1].lower()
+        if any(word in own for word in ("fold", "running", "restart")) or any(
+            map(_is_fold_step, ast.walk(node))
+        ):
+            yield name
+
+
+def test_the_check_sees_fold_rule_users_and_own_folds():
+    source = (
+        "import numpy as np\nfrom .algebra import _restart_zeros\n"
+        "_NEG_ZERO = complex(-0.0, -0.0)\n"
+        "def _running_sums(terms):\n    return terms\n"
+        "def prefix(t):\n    return np.cumsum(t, axis=1)\n"
+        "def total(t):\n    return np.add.accumulate(t)[-1]\n"
+        "def index(sizes):\n    return np.cumsum(sizes) - sizes\n"
+        "def pad(x):\n    return x + _NEG_ZERO\n"
+        "class S:\n    def folds(self):\n"
+        "        return algebra._restart_zeros(self, self)\n"
+        "    def sums(self):\n        return self\n"
+    )
+    assert list(fold_rule_users(source)) == ["line 2", "pad", "S.folds"]
+    assert list(own_folds(source)) == [
+        "line 3", "_running_sums", "prefix", "total", "S.folds",
+    ]
+
+
+def test_one_running_fold_rule():
+    """The step-ordered fold acc = acc + v_k, restarting where a sum
+    cancels to exactly 0, is written once, as _Stack.folds: under src/,
+    only it and _restart_zeros name the fold's helpers, and backward
+    (the Picard sweeps) and ito (the square functions) define no fold
+    of their own."""
+    found = {
+        f"{path.name}:{name}"
+        for path in MODULES
+        for name in fold_rule_users(path.read_text())
+    }
+    assert found == {"algebra.py:_Stack.folds", "algebra.py:_restart_zeros"}
+    for module in ("backward.py", "ito.py"):
+        assert list(own_folds((SRC / module).read_text())) == [], module

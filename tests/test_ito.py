@@ -640,7 +640,7 @@ def test_folds_add_each_mask_in_step_order():
     values = [CliffordElement.scalar(n, v) for v in (1e16, 1.0, 1.0)]
     values.append(CliffordElement.from_terms(n, {5: 2.0}))
     stack = _Stack.of(n, values)
-    assert stack.folds().amps.tolist() == [1e16, 2.0]
+    assert stack.folds(len(values))[1].amps.tolist() == [1e16, 2.0]
     assert stack.sums().amps.tolist() == [1e16 + 2.0, 2.0]
 
 
@@ -651,9 +651,71 @@ def test_folds_restart_a_sum_that_cancels_to_zero():
     amps = (1.0, -1.0, complex(-0.0, 1.0))
     values = [CliffordElement.scalar(n, v) for v in amps]
     want = (values[0] + values[1]) + values[2]
-    got = _Stack.of(n, values).folds()
+    _, got = _Stack.of(n, values).folds(len(values))
     assert got.amps.tobytes() == want.amps.tobytes()
     assert np.signbit(got.amps[0].real)
+
+
+def test_batch_folds_equal_each_samples_element_fold():
+    """On a batch, running holds acc_1..acc_{count-1} of each sample at its
+    steps and totals acc_count at the sample, each equal bit for bit to
+    the element fold acc = acc + v_k of that sample alone. Sample 0 has a
+    mask whose first term is at the last step and a sum that cancels to
+    exactly 0 before a term with a -0.0 part; its last mask, 7, is sample
+    1's first, so a group split that ignored the sample would merge them;
+    sample 2 is empty; sample 3 adds 1e16 and 1.0 in an order-sensitive
+    way."""
+    grid = TimeGrid(1.0, 5)
+    n, count, period = grid.n, grid.n_steps, grid.n_steps + 1
+
+    def terms(*rows):
+        """The step values of one sample from (step, mask, amp) rows."""
+        values = [{} for _ in range(count)]
+        for k, mask, amp in rows:
+            values[k][mask] = amp
+        return [CliffordElement.from_terms(n, v) for v in values]
+
+    samples = [
+        terms(
+            (0, 1, 1.0), (1, 1, -1.0), (2, 1, complex(-0.0, 2.0)),
+            (3, 1, 0.5), (4, 2, 3.0 - 1.0j), (0, 7, 0.25),
+            (2, 7, complex(1.0, -0.0)), (4, 7, -1.0),
+        ),
+        terms((1, 7, 2.0), (3, 7, -2.0), (4, 7, complex(0.5, -0.0))),
+        terms(),
+        terms(
+            (0, 0, 1e16), (1, 0, 1.0), (2, 0, 1.0), (3, 0, -1e16),
+            (1, 3, 1.0 + 1.0j), (2, 3, -1.0 - 1.0j), (3, 3, 2.0),
+            (4, 3, -0.5j), (2, 5, -0.0 + 1.0j),
+        ),
+    ]
+    batch = batch_of(grid, samples)
+    want_running, want_totals = [], []
+    for values in samples:
+        acc, partial = CliffordElement.zero(n), []
+        for v in values:
+            acc = acc + v
+            partial.append(acc)
+        # steps -1 and 0 hold no running sum
+        want_running += [CliffordElement.zero(n)] * 2 + partial[:-1]
+        want_totals.append(acc)
+
+    running, totals = batch.folds(count)
+
+    assert running.period == period and running.samples == len(samples)
+    assert running.amps.size == sum(v.n_terms for v in want_running)
+    got = running.canonical().values(-1, len(samples) * period - 1)
+    for seg, (a, b) in enumerate(zip(got, want_running, strict=True), -1):
+        assert a.masks.tobytes() == b.masks.tobytes(), seg
+        assert a.amps.tobytes() == b.amps.tobytes(), seg
+    for a, b in zip(totals.values(0, len(samples)), want_totals, strict=True):
+        assert a.masks.tobytes() == b.masks.tobytes()
+        assert a.amps.tobytes() == b.amps.tobytes()
+    # the cases are there: sample 0's acc_3 keeps the -0.0 of its mask 1,
+    # and mask 7 ends sample 0's totals and starts sample 1's
+    assert np.signbit(want_running[4].amps[0].real)
+    assert totals.seg.tolist() == [0, 0, 0, 1, 3, 3]
+    assert totals.masks[2:4, 0].tolist() == [7, 7]
 
 
 # -- one-pass sums against the step-by-step fold --------------------------
