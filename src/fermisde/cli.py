@@ -66,7 +66,6 @@ from .ito import (
     _commutation_worst,
     _isometry_batch,
     _representation_batch,
-    brownian,
     check_martingale,
     commutation_check,
     mrep_extract,
@@ -496,41 +495,45 @@ def _random_elements(rng, n, count):
     return _Stack(n, seg, masks, amps).canonical()
 
 
-# Rows of the generator table one _car_residual pass holds.
+# Rows of the generator table one _generator_identities pass holds.
 _CAR_CHUNK = 256
 
 
-def _car_residual(n):
-    """The worst 2-norm of g_j g_k + g_k g_j - 2 delta_jk I over all j, k.
+def _generator_identities(grid):
+    """The CAR residual of the grid's generators and, per k, the 2-norm
+    of W_k W_k - t_k I, from one pass over their sign table.
 
-    g_j g_k is (-1)^parity g_{j xor k}, with the inversion parity that
-    mul_full takes from pair_parity, so each anticommutator is the one
-    monomial g_{j xor k}, which is empty only for j = k, with amplitude
-    sign(j, k) + sign(k, j). The table is read a block of rows at a time.
+    g_j g_k is (-1)^parity g_{j xor k}, with mul_full's parity from
+    pair_parity, so g_j g_k + g_k g_j is anti(j, k) g_{j xor k}, anti =
+    sign(j, k) + sign(k, j). With W_k = s (g_0 + ... + g_{k-1}), W_k W_k
+    - t_k I is c_k - t_k on I, c_k = sum_{j<k} s^2 sign(j, j), and s^2
+    anti(j, l) on g_j g_l for j < l < k. c_k sums in mul_full's order,
+    so where the generators anticommute each residual has its bits.
     """
+    n = grid.n_steps
     gens = sp.generator_rows(n, sp.words_for(n))
     prefix = sp.prefix_parity(gens)
-    worst = 0.0
+    s = np.sqrt(grid.dt)
+    car = 0.0
+    diag = np.empty(n, np.complex128)   # s^2 sign(j, j), as mul_full's
+    gap = -grid.times()                 # c_k - t_k
+    cross = np.zeros(n + 1)             # l+1: sum_{j<l} anti(j, l)^2
     for lo in range(0, n, _CAR_CHUNK):
         rows = gens[lo : lo + _CAR_CHUNK]
+        own = np.arange(rows.shape[0])
         ahead = sp.pair_parity(rows, gens, prefix)
         behind = sp.pair_parity(gens, rows).T
         anti = (1.0 - 2.0 * ahead) + (1.0 - 2.0 * behind)
-        anti[np.arange(rows.shape[0]), lo + np.arange(rows.shape[0])] -= 2.0
-        worst = max(worst, float(np.abs(anti).max()))
-    return worst
-
-
-def _algebra_plan(spec):
-    """Grid of an algebra-suite spec, or its refusal: the Brownian check
-    squares W_n, a product of n by n terms."""
-    grid = TimeGrid(spec.T, spec.n_steps)
-    try:
-        sp.require_product(grid.n_steps, grid.n_steps)
-    except ValueError as exc:
-        raise SpecError([("/grid/n_steps", f"algebra-suite squares W_n: "
-                          f"{exc}")]) from None
-    return grid
+        cross[1:] += np.triu(anti * anti, lo + 1).sum(axis=0)
+        anti[own, lo + own] -= 2.0
+        car = max(car, float(np.abs(anti).max()))
+        diag[lo + own] = s * s * (1.0 - 2.0 * ahead[own, lo + own])
+        # c_k of this block's k = lo+1.., each over diag[:k], end to end.
+        counts = lo + 1 + own
+        starts = np.cumsum(counts) - counts
+        terms = np.arange(counts.sum()) - np.repeat(starts, counts)
+        gap[lo + 1 + own] += np.add.reduceat(diag[terms], starts).real
+    return car, np.sqrt(gap**2 + (s * s) ** 2 * np.cumsum(cross))
 
 
 def _conjugate(p):
@@ -549,21 +552,18 @@ def _pipeline_algebra(spec, rng):
     that read them. The 40 products a* b of the pairing check are one
     stacked product (_Stack.products), and the sweep reads every L^p
     norm it needs once per element and p, from one SVD call per block
-    shape (algebra._lp_norms)."""
-    grid = _algebra_plan(spec)
+    shape (algebra._lp_norms). _generator_identities gives the CAR and
+    Brownian-square residuals; the latter rounds at the size of t_k, so
+    it passes at 1e-12 (1 + T)."""
+    grid = TimeGrid(spec.T, spec.n_steps)
     n = grid.n_steps
     holder_pairs = 60
     jw_pairs = 30 if n <= 10 else 0
     count = 2 * (40 + holder_pairs + jw_pairs)
     drawn = _random_elements(rng, n, count)
     elements = drawn.values(0, count)
-    car = _car_residual(n)
-    bro = 0.0
-    times = grid.times()
-    for k in range(n + 1):
-        wk = brownian(grid, k)
-        gap = wk * wk - CliffordElement.scalar(n, times[k])
-        bro = max(bro, norm2(gap))
+    car, squares = _generator_identities(grid)
+    bro = float(squares.max())
     # norm2(a** - a) and norm2(grading(grading(a)) - a) of the first
     # element a of each of the 40 pairs, from one sum each.
     firsts = np.arange(0, 80, 2)
@@ -608,7 +608,7 @@ def _pipeline_algebra(spec, rng):
         "monotonicity_violations": mono_bad,
         "lp_pairs": holder_pairs,
     }
-    checks = [car <= 1e-12, bro <= 1e-12, props <= 1e-12,
+    checks = [car <= 1e-12, bro <= 1e-12 * (1.0 + grid.T), props <= 1e-12,
               holder_bad == 0, mono_bad == 0]
     if jw_pairs:
         rep = jw_rep(n)
@@ -1119,8 +1119,7 @@ SUBCOMMANDS = [*_PIPELINES, "all"]
 # branch); the others are deterministic and never see the seed.
 _DRAWING = ("algebra-suite", "ito-suite", "bg-constants")
 # Refusals that need a grid or a problem; "all" runs them before any work.
-_PLANS = (_algebra_plan, _forward_plan, _ladder_plan, _mp_plan, _bg_plan,
-          _bqsde_plan)
+_PLANS = (_forward_plan, _ladder_plan, _mp_plan, _bg_plan, _bqsde_plan)
 _BRANCH = {name: i for i, name in enumerate(SUBCOMMANDS)}
 
 

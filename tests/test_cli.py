@@ -23,7 +23,7 @@ from fermisde.cli import (
     run,
 )
 from fermisde.forward import apriori_check
-from fermisde.ito import AdaptedProcess
+from fermisde.ito import AdaptedProcess, TimeGrid, brownian
 from fermisde.reporting import (
     dump_json,
     element_from_json,
@@ -1273,24 +1273,22 @@ def test_main_all_refusal_names_the_fix_for_the_ladder_widths(
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["algebra-suite", "all"])
-def test_main_refuses_an_algebra_grid_whose_brownian_square_is_refused(
-    tmp_path, monkeypatch, capsys, command
-):
-    """W_n W_n holds n^2 rows, past mul_full's limit from n = 2897 on; the
-    refusal comes before any W_k is built."""
-    def no_brownian(grid, k):
-        raise AssertionError("a Brownian value was built")
-
-    monkeypatch.setattr(cli, "brownian", no_brownian)
+def test_main_runs_algebra_suite_past_the_old_product_limit(tmp_path):
+    """W_n W_n of 2897 terms would pass mul_full's row limit; the
+    Brownian check reads the generator table instead, so only the grid
+    ceiling bounds algebra-suite."""
     spec = json.dumps({"grid": {"n_steps": 2897}})
-    assert main([command, "--spec", spec, "--out", str(tmp_path)]) == 2
+    assert main(["algebra-suite", "--spec", spec, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "algebra_suite.json").read_text())
+    assert report["report"]["n"] == 2897
+
+
+def test_main_all_refuses_a_long_grid_at_bg_constants(tmp_path, capsys):
+    spec = json.dumps({"grid": {"n_steps": 2897}})
+    assert main(["all", "--spec", spec, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert ("  /grid/n_steps: algebra-suite squares W_n: product of 2897 by "
-            "2897 terms refused") in err
+    assert "  /grid/n_steps: bg-constants takes spectra" in err
     assert list(tmp_path.iterdir()) == []
-    accepted = cli._algebra_plan(parse_problem({"grid": {"n_steps": 2896}}))
-    assert accepted.n_steps == 2896
 
 
 def test_main_failed_assertions_exit_one(tmp_path, monkeypatch, capsys):
@@ -1369,37 +1367,135 @@ def car_by_products(n):
     return worst
 
 
+PAIR_PARITY = cli.sp.pair_parity
+# Rows of the table past two blocks, so that a block ends inside it.
+BLOCKS_N = 2 * cli._CAR_CHUNK + 3
+
+
+def car_of(n):
+    return cli._generator_identities(TimeGrid(1.0, n))[0]
+
+
+def full_sign(fill):
+    """A broken sign kernel: every inversion parity reads fill."""
+    return lambda a, b, prefix=None: np.full(
+        (a.shape[0], b.shape[0]), fill, np.uint8
+    )
+
+
+def flipped_sign(a, b, prefix=None):
+    """The sign of g_266 g_3 flipped, a pair across two blocks of rows."""
+    out = PAIR_PARITY(a, b, prefix)
+    j = np.flatnonzero(a[:, 4] == 1 << 10)   # generator 266
+    k = np.flatnonzero(b[:, 0] == 1 << 3)    # generator 3
+    out[np.ix_(j, k)] ^= 1
+    return out
+
+
 @pytest.mark.parametrize("n", [1, 2, 9, 65])
 def test_car_residual_reads_the_generator_table(n, monkeypatch):
     """The table equals the per-pair products, also when the sign kernel
     is broken: all signs + makes every off-diagonal anticommutator 2 g,
     all signs - makes every square -1."""
-    assert cli._car_residual(n) == car_by_products(n) == 0.0
-    pair_parity = cli.sp.pair_parity
+    assert car_of(n) == car_by_products(n) == 0.0
     for fill, want in ((0, 2.0 if n > 1 else 0.0), (1, 4.0)):
-        monkeypatch.setattr(
-            cli.sp, "pair_parity",
-            lambda a, b, prefix=None, fill=fill: np.full(
-                (a.shape[0], b.shape[0]), fill, np.uint8
-            ),
-        )
-        assert cli._car_residual(n) == car_by_products(n) == want
-        monkeypatch.setattr(cli.sp, "pair_parity", pair_parity)
+        monkeypatch.setattr(cli.sp, "pair_parity", full_sign(fill))
+        assert car_of(n) == car_by_products(n) == want
+        monkeypatch.setattr(cli.sp, "pair_parity", PAIR_PARITY)
 
 
 def test_car_residual_reads_the_table_in_blocks(monkeypatch):
     """Past one block of rows each block reads its own rows' signs both
     ways round: a sign flipped for one pair across two blocks shows."""
-    n = 2 * cli._CAR_CHUNK + 3
-    assert cli._car_residual(n) == 0.0
-    pair_parity = cli.sp.pair_parity
+    assert car_of(BLOCKS_N) == 0.0
+    monkeypatch.setattr(cli.sp, "pair_parity", flipped_sign)
+    assert car_of(BLOCKS_N) == 2.0
 
-    def flipped(a, b, prefix=None):
-        out = pair_parity(a, b, prefix)
-        j = np.flatnonzero(a[:, 4] == 1 << 10)   # generator 266
-        k = np.flatnonzero(b[:, 0] == 1 << 3)    # generator 3
-        out[np.ix_(j, k)] ^= 1
-        return out
 
-    monkeypatch.setattr(cli.sp, "pair_parity", flipped)
-    assert cli._car_residual(n) == 2.0
+def brownian_squares_by_products(grid, steps=None):
+    """The per-step reference: norm2(W_k W_k - t_k) from element
+    products, at each k of steps (every k by default)."""
+    times = grid.times()
+    out = []
+    for k in range(grid.n_steps + 1) if steps is None else steps:
+        wk = brownian(grid, k)
+        out.append(norm2(wk * wk - CliffordElement.scalar(grid.n, times[k])))
+    return np.array(out)
+
+
+# Steps at both ends of each block of BLOCKS_N's table, and beside the
+# flipped pair (3, 266).
+BLOCK_STEPS = [0, 1, 255, 256, 257, 266, 267, 268, 511, 512, 513, 514, 515]
+
+
+@pytest.mark.parametrize("T", [1.0, 0.3, 2.0, 1e4])
+def test_brownian_squares_from_the_table_are_the_products_bit_for_bit(T):
+    """Where the generators anticommute, c_k - t_k is the product's
+    identity coefficient and every other monomial cancels, so each
+    step's residual has the product's bits."""
+    for n in [*range(1, 65), 130, 256]:
+        grid = TimeGrid(T, n)
+        got = cli._generator_identities(grid)[1]
+        assert got.tobytes() == brownian_squares_by_products(grid).tobytes()
+    grid = TimeGrid(T, BLOCKS_N)
+    got = cli._generator_identities(grid)[1][BLOCK_STEPS]
+    want = brownian_squares_by_products(grid, BLOCK_STEPS)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("T", [1.0, 1e4])
+def test_brownian_squares_from_the_table_follow_a_broken_sign_kernel(
+    T, monkeypatch
+):
+    """Under a broken sign kernel W_k W_k keeps monomials off the
+    identity; the table's residuals sum their squares in another order,
+    and equal the products' to rounding."""
+    for kernel, sizes in ((full_sign(0), (2, 9, 65)),
+                          (full_sign(1), (1, 2, 9, 65))):
+        monkeypatch.setattr(cli.sp, "pair_parity", kernel)
+        for n in sizes:
+            grid = TimeGrid(T, n)
+            got = cli._generator_identities(grid)[1]
+            want = brownian_squares_by_products(grid)
+            assert want.max() > 1e-12 * (1.0 + T)
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+    monkeypatch.setattr(cli.sp, "pair_parity", flipped_sign)
+    grid = TimeGrid(T, BLOCKS_N)
+    got = cli._generator_identities(grid)[1][BLOCK_STEPS]
+    want = brownian_squares_by_products(grid, BLOCK_STEPS)
+    assert want[-1] > 1e-12 * (1.0 + T)
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+def test_algebra_suite_squares_no_element(tmp_path, monkeypatch):
+    def no_product(*args):
+        raise AssertionError("mul_full ran")
+
+    monkeypatch.setattr(cli.sp, "mul_full", no_product)
+    spec = parse_problem({"grid": {"n_steps": 64}})
+    assert run("algebra-suite", spec, str(tmp_path))["pass"]
+
+
+@pytest.mark.parametrize("T", [1e4, 1e6])
+def test_main_algebra_suite_bounds_the_brownian_square_relative_to_t(
+    T, tmp_path
+):
+    """W_k W_k - t_k rounds at the size of t_k, so the pass rule scales
+    with the horizon: 1e-12 (1 + T)."""
+    spec = json.dumps({"grid": {"T": T, "n_steps": 14}})
+    assert main(["algebra-suite", "--spec", spec, "--out", str(tmp_path)]) == 0
+    body = json.loads((tmp_path / "algebra_suite.json").read_text())["report"]
+    assert 1e-12 < body["brownian_square_residual"] <= 1e-12 * (1.0 + T)
+
+
+@pytest.mark.parametrize("kernel, n", [
+    (full_sign(0), 14), (full_sign(1), 14), (flipped_sign, BLOCKS_N)],
+    ids=["all_even", "all_odd", "one_pair_flipped"])
+def test_algebra_suite_fails_a_broken_sign_kernel_on_a_long_horizon(
+    kernel, n, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(cli.sp, "pair_parity", kernel)
+    spec = parse_problem({"grid": {"T": 1e4, "n_steps": n}})
+    report = run("algebra-suite", spec, str(tmp_path))
+    assert not report["pass"]
+    assert report["report"]["brownian_square_residual"] > 1e-12 * (1.0 + 1e4)
