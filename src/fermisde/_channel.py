@@ -370,6 +370,18 @@ def vacua(grid, stay, srcs, x0_amps):
     return e0
 
 
+def require_adjoint_step(grid, lanes):
+    """Refuse lanes on which adjoint_vacua's implicit step k divides by
+    1 - dt conj(a) = 0, that is dt a = 1, with a ValueError."""
+    singular = ~lanes.divisor.all(axis=1)
+    if singular.any():
+        raise ValueError(
+            f"max-principle's adjoint step {int(np.argmax(singular))} "
+            f"divides by 1 - dt conj(a) = 0 (dt a = 1 at dt={grid.dt:g}); "
+            "choose another n_steps"
+        )
+
+
 def adjoint_vacua(grid, ch, srcs):
     """(vacuum(phi_k) for k <= n_steps, vacuum(Phi_k) for k < n_steps).
 
@@ -543,11 +555,11 @@ def max_principle(grid, ch, step_picks, u_sq, window, order, second):
     """(lhs, duality) of control._max_principle at the oracle's winner
     (value index step_picks per step): scan's array, with P when second
     is set, and the order 1 or 2 duality defect with u on window."""
+    require_adjoint_step(grid, ch.lanes)
     table, alt = ch.tables
     base = table[np.arange(grid.n_steps), :, step_picks]
-    # An implicit step with dt a = 1 divides by zero, and overflow gives
-    # inf or NaN: both are refused below, not warned about.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    # Overflow gives inf or NaN, refused below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
         phi, Phi = adjoint_vacua(grid, ch, base)
     if not (np.isfinite(phi).all() and np.isfinite(Phi).all()):
         raise FloatingPointError("adjoint became non-finite")

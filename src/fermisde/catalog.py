@@ -34,24 +34,27 @@ from .operators import (
     SumOp,
 )
 
-__all__ = ["CatalogEntry", "catalog", "build", "DEFAULT_VALUE_GRID"]
+__all__ = ["CatalogEntry", "catalog", "build", "DEFAULT_VALUE_GRID",
+           "DEFAULT_T", "LADDER_X0", "LADDER_UBAR"]
 
 DEFAULT_VALUE_GRID = [-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9]
+# Every entry's horizon; ladder's and forward's default x0_scale and ubar.
+DEFAULT_T = 1.0
+LADDER_X0 = 1.0
+LADDER_UBAR = 0.3
 
 
 @dataclass
 class CatalogEntry:
-    """Factory plus the defaults the CLI and tests pull from."""
+    """Factory make(n_steps, T, x0_scale) plus the defaults the CLI and
+    tests pull from, x0_scale the start build takes when none is given."""
 
     id: str
     summary: str
     make: Callable
+    x0_scale: float = 0.0
     default_steps: int = 64
-    default_T: float = 1.0
-    ubar_weight: float = 0.0
     alt_weight: float = -0.9
-    ladder_x0: float = 1.0
-    ladder_ubar: float = 0.3
     p_term_active: bool = False
     second_adjoint_ok: bool = True
     # Most steps any pipeline may run the entry on; None for no ceiling.
@@ -64,6 +67,12 @@ class CatalogEntry:
                 f"{self.id} runs on at most {self.max_steps} steps, beyond "
                 f"which its solves outgrow the row limit; got {n_steps}"
             )
+
+    def defaults(self):
+        """The defaults `fermisde catalog` lists for the entry."""
+        return dict(n_steps=self.default_steps, T=DEFAULT_T,
+                    x0_scale=self.x0_scale, alt_weight=self.alt_weight,
+                    ladder_x0=LADDER_X0, ladder_ubar=LADDER_UBAR)
 
 
 def _space(n):
@@ -108,11 +117,10 @@ def _affine_coeffs(a=0.0, b=0.0, c=0.0, g=0.0, sigma_f=0.0, sigma_g=0.0,
     )
 
 
-def _affine_make(L, h, x0_scale=0.0, **coeffs):
-    """Factory of a problem with _affine_coeffs(**coeffs), costs L and h,
-    the 1e-5 prune budget and x0_scale as the default start."""
+def _affine_make(L, h, **coeffs):
+    """Factory of _affine_coeffs(**coeffs) with costs L, h and prune 1e-5."""
 
-    def make(n_steps=64, T=1.0, x0_scale=x0_scale):
+    def make(n_steps, T, x0_scale):
         grid = TimeGrid(T=T, n_steps=n_steps)
         problem = ControlProblem(
             coeffs=_affine_coeffs(**coeffs),
@@ -127,7 +135,7 @@ def _affine_make(L, h, x0_scale=0.0, **coeffs):
     return make
 
 
-def _make_quadratic_drift(n_steps=10, T=1.0, x0_scale=0.5):
+def _make_quadratic_drift(n_steps, T, x0_scale):
     grid = TimeGrid(T=T, n_steps=n_steps)
     n = grid.n
     a, b, qd, c = 0.25, 1.0, 0.3, 0.1
@@ -203,11 +211,10 @@ def catalog():
             # a zero gradient, so the adjoint driver is source-free.
             make=_affine_make(
                 RunningNormCost(0.0, 0.0), TerminalNormCost(0.5),
-                x0_scale=1.0, sigma_f=0.7, sigma_g=0.4,
+                sigma_f=0.7, sigma_g=0.4,
             ),
-            ubar_weight=0.0,
+            x0_scale=1.0,
             alt_weight=0.6,
-            ladder_x0=1.0,
             p_term_active=True,
         ),
         CatalogEntry(
@@ -215,6 +222,7 @@ def catalog():
             summary="small quadratic drift term; exercises the refusal "
             "paths of the operator-valued machinery",
             make=_make_quadratic_drift,
+            x0_scale=0.5,
             default_steps=10,
             second_adjoint_ok=False,
             # From 13 steps on, the ladder and max-principle solves meet
@@ -234,10 +242,7 @@ def build(problem_id, n_steps=None, T=None, x0_scale=None):
             f"unknown problem id {problem_id!r}; available: {known}"
         )
     entry = entries[problem_id]
-    kwargs = {}
-    kwargs["n_steps"] = entry.default_steps if n_steps is None else n_steps
-    entry.check_steps(kwargs["n_steps"])
-    kwargs["T"] = entry.default_T if T is None else T
-    if x0_scale is not None:
-        kwargs["x0_scale"] = x0_scale
-    return entry.make(**kwargs)
+    n_steps = entry.default_steps if n_steps is None else n_steps
+    entry.check_steps(n_steps)
+    x0_scale = entry.x0_scale if x0_scale is None else x0_scale
+    return entry.make(n_steps, DEFAULT_T if T is None else T, x0_scale)

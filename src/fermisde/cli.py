@@ -50,7 +50,7 @@ from .backward import (
     solve_picard,
     solve_stepwise,
 )
-from .catalog import build, catalog
+from .catalog import LADDER_UBAR, LADDER_X0, build, catalog
 from .control import (
     _max_principle,
     _require_oracle_budget,
@@ -401,14 +401,7 @@ def catalog_listing():
             {
                 "id": entry.id,
                 "summary": entry.summary,
-                "defaults": {
-                    "n_steps": entry.default_steps,
-                    "T": entry.default_T,
-                    "ubar_weight": entry.ubar_weight,
-                    "alt_weight": entry.alt_weight,
-                    "ladder_x0": entry.ladder_x0,
-                    "ladder_ubar": entry.ladder_ubar,
-                },
+                "defaults": entry.defaults(),
                 "parameters": {
                     "n_steps": "positive integer (grid steps = generators)",
                     "T": "positive horizon",
@@ -461,16 +454,14 @@ def _build_problem(spec, ladder_start=False, least_steps=1):
     The grid takes the spec's steps when it gives them and otherwise the
     entry's default, raised to least_steps; a grid past the entry's
     max_steps, which build refuses, is refused at /grid/n_steps whichever
-    way it came. An unset x0_scale takes the entry's ladder start when
-    ladder_start is set and the catalog's default otherwise.
+    way it came. An unset x0_scale takes LADDER_X0 when ladder_start is
+    set and the entry's x0_scale otherwise.
     """
     entry = catalog()[spec.problem_id]
     steps = spec.n_steps if spec.explicit_grid else max(
         least_steps, entry.default_steps
     )
-    x0 = spec.control.get(
-        "x0_scale", entry.ladder_x0 if ladder_start else None
-    )
+    x0 = spec.control.get("x0_scale", LADDER_X0 if ladder_start else None)
     try:
         problem, grid = build(
             spec.problem_id, n_steps=steps, T=spec.T, x0_scale=x0
@@ -521,8 +512,10 @@ def _generator_identities(grid):
     for lo in range(0, n, _CAR_CHUNK):
         rows = gens[lo : lo + _CAR_CHUNK]
         own = np.arange(rows.shape[0])
-        ahead = sp.pair_parity(rows, gens, prefix)
-        behind = sp.pair_parity(gens, rows).T
+        # Rows hold bits in words w..v-1 and prefixes from w on; others add 0.
+        w, v = lo // 64, (lo + own[-1]) // 64 + 1
+        ahead = sp.pair_parity(rows[:, w:v], gens[:, w:v], prefix[:, w:v])
+        behind = sp.pair_parity(gens[:, w:], rows[:, w:]).T
         anti = (1.0 - 2.0 * ahead) + (1.0 - 2.0 * behind)
         cross[1:] += np.triu(anti * anti, lo + 1).sum(axis=0)
         anti[own, lo + own] -= 2.0
@@ -712,7 +705,7 @@ def _forward_plan(spec):
     if spec.problem_id is None:
         return None
     entry, problem, grid, x0_scale = _build_problem(spec, ladder_start=True)
-    weight = spec.control.get("ubar_weight", entry.ladder_ubar)
+    weight = spec.control.get("ubar_weight", LADDER_UBAR)
     return (entry, x0_scale, weight,
             *_forward_channel(entry, problem, grid, weight))
 
@@ -946,7 +939,7 @@ def _ladder_plan(spec):
 
 def _pipeline_ladder(spec):
     entry, problem, grid, x0, eps_list = _ladder_plan(spec)
-    ub_w = spec.control.get("ubar_weight", entry.ladder_ubar)
+    ub_w = spec.control.get("ubar_weight", LADDER_UBAR)
     alt_w = spec.control.get("alt_weight", entry.alt_weight)
     ubar = AdaptedProcess.constant_scalar(grid, ub_w)
     alt = AdaptedProcess.constant_scalar(grid, alt_w)
@@ -983,8 +976,8 @@ def _pipeline_ladder(spec):
 
 def _mp_plan(spec):
     """Problem, grid and value grid of a max-principle spec, or its
-    refusal: on the parity channel the adjoint's implicit step divides
-    by the lanes' divisor 1 - dt conj(a), which must not be 0."""
+    refusal: on the parity channel the adjoint's implicit step must not
+    divide by zero (_channel.require_adjoint_step)."""
     if spec.problem_id is None:
         raise SpecError([("/inline", "max-principle needs a catalog problem")])
     entry, problem, grid, _ = _build_problem(spec)
@@ -996,12 +989,11 @@ def _mp_plan(spec):
     except ValueError as exc:
         raise SpecError([("/value_grid", str(exc))]) from None
     ch = _channel.gate(problem, grid, costs=True)
-    if ch is not None and not ch.lanes.divisor.all():
-        k = int(np.argmin(ch.lanes.divisor.all(axis=1)))
-        raise SpecError([("/grid/n_steps", (
-            f"max-principle's adjoint step {k} divides by 1 - dt conj(a) "
-            f"= 0 (dt a = 1 at dt={grid.dt:g}); choose another n_steps"
-        ))])
+    if ch is not None:
+        try:
+            _channel.require_adjoint_step(grid, ch.lanes)
+        except ValueError as exc:
+            raise SpecError([("/grid/n_steps", str(exc))]) from None
     return entry, problem, grid, value_grid
 
 

@@ -524,7 +524,7 @@ def _bg_batch(grid, steps, ps):
     # The blocks of the right integral hold up to 2^n entries.
     if grid.n > MAX_MATRIX_GENERATORS:
         raise ValueError(
-            f"matrix representation refused for n={grid.n} "
+            f"block spectra refused for n={grid.n} "
             f"(> {MAX_MATRIX_GENERATORS})"
         )
     _require_batch(grid, steps)

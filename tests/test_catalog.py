@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fermisde.algebra import norm2, random_element
-from fermisde.catalog import DEFAULT_VALUE_GRID, build, catalog
+from fermisde.catalog import DEFAULT_T, DEFAULT_VALUE_GRID, build, catalog
 from fermisde.forward import numeric_frechet, numeric_second_frechet
 
 AFFINE_IDS = ["lq_scalar", "control_in_noise", "odd_drift", "driverless"]
@@ -19,7 +19,7 @@ def test_catalog_metadata():
         assert entry.id == pid
         assert entry.summary.strip()
         assert entry.default_steps > 0
-        assert entry.default_T > 0
+    assert DEFAULT_T > 0
     assert entries["control_in_noise"].p_term_active
     assert entries["driverless"].p_term_active
     assert not entries["lq_scalar"].p_term_active

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from fermisde import _channel, algebra, backward, cli, control, forward
 from fermisde.algebra import CliffordElement, norm2, random_element
-from fermisde.catalog import build, catalog
+from fermisde.catalog import LADDER_UBAR, LADDER_X0, build, catalog
 from fermisde.cli import (
     SpecError,
     catalog_listing,
@@ -339,6 +339,26 @@ def test_catalog_listing_shape():
         assert "control.x0_scale" in entry["parameters"]
 
 
+def test_catalog_listing_states_the_defaults_the_pipelines_take(tmp_path):
+    """defaults.x0_scale is the start of build's problem, ladder_x0 and
+    ladder_ubar are the start and baseline weight that ladder and forward
+    reports echo when the spec sets no control (on a grid every entry
+    takes), and no default goes unread."""
+    for entry in catalog_listing():
+        pid, defaults = entry["id"], entry["defaults"]
+        assert "ubar_weight" not in defaults
+        problem, grid = build(pid)
+        start = CliffordElement.identity(grid.n).scale(defaults["x0_scale"])
+        assert norm2(problem.x0 - start) == 0.0
+        for command in {"ladder", "forward"} & set(entry["supports"]):
+            spec = parse_problem({"problem_id": pid, "grid": {"n_steps": 8},
+                                  "eps_list": [0.5, 0.25, 0.125]})
+            out = str(tmp_path / command / pid)
+            body = run(command, spec, out)["report"]
+            assert body["x0_scale"] == defaults["ladder_x0"]
+            assert body["ubar_weight"] == defaults["ladder_ubar"]
+
+
 # -- pipelines through run() ----------------------------------------------
 
 def test_run_rejects_unknown_subcommand(tmp_path):
@@ -444,9 +464,8 @@ def test_run_forward_walks_each_grid_once(
 def _element_forward(pid, n_steps, prune):
     """The element solve of forward's catalog problem: the entry's ladder
     start under its constant ladder baseline."""
-    entry = catalog()[pid]
-    problem, grid = build(pid, n_steps=n_steps, x0_scale=entry.ladder_x0)
-    u = AdaptedProcess.constant_scalar(grid, entry.ladder_ubar)
+    problem, grid = build(pid, n_steps=n_steps, x0_scale=LADDER_X0)
+    u = AdaptedProcess.constant_scalar(grid, LADDER_UBAR)
     return problem, control.solve_state(problem, u, prune=prune)
 
 
@@ -686,7 +705,7 @@ def test_every_ladder_plan_the_cli_accepts_runs_at_each_offset(ladder):
         entry, problem, grid, _, eps_list = cli._ladder_plan(spec)
     except SpecError:
         return
-    ubar = AdaptedProcess.constant_scalar(grid, entry.ladder_ubar)
+    ubar = AdaptedProcess.constant_scalar(grid, LADDER_UBAR)
     alt = AdaptedProcess.constant_scalar(grid, entry.alt_weight)
     for offset in offsets:
         control.variation_ladder(problem, ubar, alt, eps_list, offset=offset)
@@ -947,12 +966,15 @@ def test_main_refuses_an_overflow_inside_a_walk_chunk(
 def test_main_max_principle_refuses_a_singular_adjoint_step_quietly():
     """lq_scalar at T=128 over 32 steps has dt a = 1, so the channel
     adjoint's implicit step divides by zero. The CLI refuses the spec
-    first; the library's max-principle refuses with its own message,
+    first; the library's max-principle refuses with the same message,
     and no RuntimeWarning leaves the adjoint, which this test would turn
     into the failure instead."""
     problem, grid = build("lq_scalar", n_steps=32, T=128.0)
     alt = AdaptedProcess.constant_scalar(grid, -0.9)
-    with pytest.raises(FloatingPointError, match="^adjoint became non-finite"):
+    with pytest.raises(ValueError, match=(
+        r"^max-principle's adjoint step 0 divides by 1 - dt conj\(a\) = 0 "
+        r"\(dt a = 1 at dt=4\); choose another n_steps$"
+    )):
         control._max_principle(problem, grid, 3, [0.0, 1.0], alt)
 
 
@@ -1384,11 +1406,24 @@ def full_sign(fill):
 
 
 def flipped_sign(a, b, prefix=None):
-    """The sign of g_266 g_3 flipped, a pair across two blocks of rows."""
+    """The sign of g_266 g_3 flipped, a pair across two blocks of rows.
+
+    One side of a call is the BLOCKS_N generators, the other a block of
+    them, both on the words from some w on (w = 0 for every word): the
+    generators' first row with a bit is g_{64 w}, and a block row is g_j
+    with j = 64 w plus its bit's place in those words."""
     out = PAIR_PARITY(a, b, prefix)
-    j = np.flatnonzero(a[:, 4] == 1 << 10)   # generator 266
-    k = np.flatnonzero(b[:, 0] == 1 << 3)    # generator 3
-    out[np.ix_(j, k)] ^= 1
+    gens = b if b.shape[0] == BLOCKS_N else a
+    first = np.flatnonzero(gens.any(axis=1))[0]
+
+    def generator(m):
+        if m is gens:
+            return np.arange(m.shape[0])
+        word = np.argmax(m != 0, axis=1)
+        bit = np.bitwise_count(m[np.arange(m.shape[0]), word] - 1)
+        return first + 64 * word + bit
+
+    out[np.ix_(generator(a) == 266, generator(b) == 3)] ^= 1
     return out
 
 
@@ -1402,6 +1437,33 @@ def test_car_residual_reads_the_generator_table(n, monkeypatch):
         monkeypatch.setattr(cli.sp, "pair_parity", full_sign(fill))
         assert car_of(n) == car_by_products(n) == want
         monkeypatch.setattr(cli.sp, "pair_parity", PAIR_PARITY)
+
+
+@pytest.mark.parametrize("n", [130, BLOCKS_N])
+def test_car_table_calls_hold_only_the_words_they_can_touch(n, monkeypatch):
+    """Each block's rows have bits only in their own words, and their
+    prefixes only from the block's first word on: the calls on those
+    words equal the calls on every word bit for bit."""
+    calls = []
+
+    def record(a, b, prefix=None):
+        calls.append((a.shape[1], PAIR_PARITY(a, b, prefix)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cli.sp, "pair_parity", record)
+    car_of(n)
+    words = cli.sp.words_for(n)
+    gens = cli.sp.generator_rows(n, words)
+    prefix = cli.sp.prefix_parity(gens)
+    blocks = range(0, n, cli._CAR_CHUNK)
+    assert len(calls) == 2 * len(blocks)
+    for lo, ahead, behind in zip(blocks, calls[::2], calls[1::2]):
+        rows = gens[lo : lo + cli._CAR_CHUNK]
+        assert ahead[0] == (lo + rows.shape[0] - 1) // 64 + 1 - lo // 64
+        assert behind[0] == words - lo // 64
+        want = PAIR_PARITY(rows, gens, prefix)
+        assert ahead[1].tobytes() == want.tobytes()
+        assert behind[1].tobytes() == PAIR_PARITY(gens, rows).tobytes()
 
 
 def test_car_residual_reads_the_table_in_blocks(monkeypatch):

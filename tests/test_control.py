@@ -21,7 +21,7 @@ from fermisde.algebra import (
     random_element,
     vacuum,
 )
-from fermisde.catalog import build, catalog
+from fermisde.catalog import LADDER_UBAR, LADDER_X0, build, catalog
 from fermisde.control import (
     ORACLE_BUDGET,
     ControlProblem,
@@ -513,9 +513,9 @@ def test_ladder_refuses_two_eps_on_one_window():
 
 def _ladder_inputs(pid, n_steps, T=1.0):
     entry = catalog()[pid]
-    pb, grid = build(pid, n_steps=n_steps, T=T, x0_scale=entry.ladder_x0)
+    pb, grid = build(pid, n_steps=n_steps, T=T, x0_scale=LADDER_X0)
     return (
-        pb, const_u(grid, entry.ladder_ubar), const_u(grid, entry.alt_weight)
+        pb, const_u(grid, LADDER_UBAR), const_u(grid, entry.alt_weight)
     )
 
 

@@ -360,7 +360,7 @@ def test_bg_ratios_refuse_the_matrix_route_before_any_product(monkeypatch):
     monkeypatch.setattr(_Stack, "products", no_products)
     g = TimeGrid(1.0, 15)
     y = AdaptedProcess.constant_scalar(g, 1.0)
-    with pytest.raises(ValueError, match="matrix representation refused"):
+    with pytest.raises(ValueError, match="block spectra refused"):
         bg_ratios(g, y, p=3.0)
 
 
